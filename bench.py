@@ -46,59 +46,47 @@ def run_kg(
     num_cpus: int,
     n_docs: int | None = None,
     model_scale: int = 1,
-    pool_frac: float | None = None,
     batch_size: int = 512,
 ) -> dict:
-    """Headline: KG pipeline end-to-end (parse → vocab barrier → extract →
-    score → adjacency materialize, one streaming execution after the
-    barrier), returns wall seconds + docs + triples."""
+    """Headline: the ``build-kg`` job end-to-end (parse → vocab barrier →
+    extract → score → adjacency), with workers writing the adjacency
+    parquet; returns wall seconds + docs + triples + edges."""
+    import glob
+    import shutil
+    import tempfile
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from relation_extraction_ray.config import KGConfig
     from relation_extraction_ray.pipelines.kg import KGPipeline
     from relation_extraction_ray.sources.synth import documents_dataset
 
     n_docs = n_docs or _kg_docs(sf_dir)
-    # fine-grained input blocks: each parse actor needs several tasks to
+    # fine-grained input blocks: each parse task needs several blocks to
     # balance; blocks can merge downstream but never split
     blocks = max(8, min(n_docs // 1000, num_cpus * 16))
+    out_dir = tempfile.mkdtemp(prefix="kg_bench_adjacency_")
     t0 = time.perf_counter()
-    from relation_extraction_ray.config import KGConfig
-
-    cfg = KGConfig(model_scale=model_scale)
-    if pool_frac is None:
-        pipe = KGPipeline.for_cpus(num_cpus, cfg=cfg, batch_size=batch_size)
-    else:
-        # scaling-fairness mode: pools sized to the SAME fraction of the
-        # node at every parallelism level (a real N vs 4N cluster scales
-        # every resource proportionally; for_cpus' fixed 2-CPU headroom
-        # makes the pool fraction grow with n and fakes super-linearity)
-        parse = max(2, int(num_cpus * pool_frac))
-        half = max(1, parse // 2)
-        pipe = KGPipeline(
-            cfg,
-            parse_concurrency=(parse, parse),
-            score_concurrency=(half, half),
-            batch_size=batch_size,
-            execution="actors",  # pool-frac fairness only applies to pools
-        )
-    # streaming materialize: workers write the adjacency parquet, counters
-    # come from footers + a column-pruned read — nothing edge-sized on the
-    # driver (the 100-TB shape; judge round 2 "What's wrong #5")
-    out_dir = f"/tmp/graft_bench_adjacency_{os.getpid()}"
-    _, counters = pipe.adjacency_oneshot(
-        documents_dataset(n_docs, override_num_blocks=blocks), out_dir=out_dir
-    )
+    pipe = KGPipeline(KGConfig(model_scale=model_scale), batch_size=batch_size)
+    adjacency = pipe.run(documents_dataset(n_docs, override_num_blocks=blocks))["adjacency"]
+    # streaming materialize: the edge count comes from the parquet footers
+    # and the triple count (Σ weight) from a column-pruned re-read, so
+    # nothing edge-sized reaches the driver
+    adjacency.write_parquet(out_dir)
+    edges = sum(pq.ParquetFile(f).metadata.num_rows for f in glob.glob(f"{out_dir}/*.parquet"))
+    # Dataset.sum of an empty input is None, and an empty corpus may write
+    # no fragment at all
+    triples = int(rd.read_parquet(out_dir, columns=["weight"]).sum("weight")) if edges else 0
     wall = time.perf_counter() - t0
-    import shutil
-
     shutil.rmtree(out_dir, ignore_errors=True)
     return {
         "wall_sec": wall,
         "docs": n_docs,
-        "triples": counters["triples"],
-        "edges": counters["edges"],
+        "triples": triples,
+        "edges": edges,
         "docs_per_sec": n_docs / wall,
-        "triples_per_sec": counters["triples"] / wall,
-        "scan1_sec": counters.get("scan1_sec", 0.0),
-        "scan2_sec": counters.get("scan2_sec", 0.0),
+        "triples_per_sec": triples / wall,
     }
 
 
@@ -127,14 +115,13 @@ def main() -> None:
     ap.add_argument("--docs", type=int, default=None)
     ap.add_argument("--repeat", type=int, default=int(os.environ.get("GRAFT_SCALING_REPEAT", "2")))
     ap.add_argument("--model-scale", type=int, default=1)
-    ap.add_argument("--pool-frac", type=float, default=None)
     ap.add_argument("--batch-size", type=int, default=512)
     ap.add_argument(
         "--kg-probe",
         action="store_true",
-        help="one end-to-end KG run at --docs (default 10^7) reporting scan "
-        "walls, driver peak RSS and object-store spill — the headline "
-        "path's own sizing probe (BASELINE.md round 5)",
+        help="one end-to-end KG run at --docs (default 10^7) reporting wall, "
+        "driver peak RSS and object-store spill — the headline path's own "
+        "sizing probe (BASELINE.md round 5)",
     )
     ap.add_argument(
         "--sizing-probe",
@@ -204,7 +191,6 @@ def main() -> None:
                         "--model-scale",
                         str(scaling_model),
                     ]
-                    + (["--pool-frac", str(args.pool_frac)] if args.pool_frac else [])
                     + ["--batch-size", str(args.batch_size)],
                     capture_output=True,
                     text=True,
@@ -252,7 +238,6 @@ def main() -> None:
                 args.cpus,
                 n_docs=args.docs or 10_000_000,
                 model_scale=args.model_scale,
-                pool_frac=args.pool_frac,
                 batch_size=args.batch_size,
             )
             import resource
@@ -304,7 +289,6 @@ def main() -> None:
                 args.cpus,
                 n_docs=args.docs,
                 model_scale=args.model_scale,
-                pool_frac=args.pool_frac,
                 batch_size=args.batch_size,
             )
             for _ in range(1 if args.kg_only else 3)

@@ -3,8 +3,11 @@
 The reference exposes its builders as click scripts (``wiki2sdp.py:275-288``,
 ``semeval2sdp.py:279-289``, ``wiki_and_semeval2sdp.py:319-330``: corpus
 size, vocab limits, path-length bounds, ``--include_ends``, ``--sentence``,
-``--single``); this is the engine's equivalent surface.  The CLI owns the
-Ray session (the library never calls ``ray.init`` — driver contract).
+``--single``); this is the engine's equivalent surface.  ``--sentence`` and
+``--single`` shape supervised classification inputs only (``KGConfig``'s
+``sentence_mode``/``single``), so the KG builders do not take them.  The
+CLI owns the Ray session (the library never calls ``ray.init`` — driver
+contract).
 
 Commands
 --------
@@ -45,22 +48,21 @@ def _cfg_from(args: argparse.Namespace):
         include_ends=args.include_ends,
         vocab_limit=args.vocab_limit,
         min_count=args.min_count,
-        single=args.single,
-        sentence_mode=args.sentence,
     )
 
 
 def cmd_build_kg(args: argparse.Namespace) -> int:
     _init_ray(args.num_cpus)
-    import ray
+    import glob
+
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    from . import schemas
     from .pipelines.kg import KGPipeline
 
     docs = rd.read_parquet(args.input, columns=["doc_id", "spans"])
-    pipe = KGPipeline.for_cpus(
-        args.num_cpus or int(ray.cluster_resources().get("CPU", 8)), cfg=_cfg_from(args)
-    )
+    pipe = KGPipeline(_cfg_from(args))
     out = pipe.run(docs, checkpoint_dir=os.path.join(args.out, "checkpoints") if args.checkpoint else None)
     counts = {}
     for name in ("triples", "entities", "adjacency", "vocab", "dep_vocab", "pos_vocab"):
@@ -69,9 +71,15 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
         if hasattr(ds, "write_parquet"):
             ds.write_parquet(target)
             counts[name] = ds.count()
+            if not glob.glob(os.path.join(target, "*.parquet")):
+                # an empty dataset writes no fragment: leave a zero-row
+                # file so readers still find the table and its schema
+                os.makedirs(target, exist_ok=True)
+                pq.write_table(
+                    getattr(schemas, name.upper()).empty_table(),
+                    os.path.join(target, "part-0.parquet"),
+                )
         else:  # in-memory vocab tables (pyarrow)
-            import pyarrow.parquet as pq
-
             os.makedirs(target, exist_ok=True)
             pq.write_table(ds, os.path.join(target, "part-0.parquet"))
             counts[name] = ds.num_rows
@@ -235,8 +243,6 @@ def _add_kg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--include-ends", dest="include_ends", action="store_true")
     p.add_argument("--vocab-limit", dest="vocab_limit", type=int, default=None)
     p.add_argument("--min-count", dest="min_count", type=int, default=None)
-    p.add_argument("--single", action="store_true", help="reversed-duplicate mode (M15)")
-    p.add_argument("--sentence", action="store_true", help="token-subsequence paths (M8)")
     p.add_argument("--num-cpus", dest="num_cpus", type=int, default=None)
 
 

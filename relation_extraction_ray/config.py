@@ -36,12 +36,7 @@ class KGConfig:
     # model-scale emulation: repeat the scorer forward pass this many times
     # to emulate production-model FLOPs (the reference's real successors are
     # transformer-scale; our numpy GRU is ~100x lighter).  Output is
-    # unchanged — only compute cost scales.  Used by bench --scaling to
-    # measure orchestration scaling in the CPU-bound regime.
+    # unchanged — only compute cost scales (read by ScorerStage).  Used by
+    # bench --scaling to measure orchestration scaling in the CPU-bound
+    # regime.
     model_scale: int = 1
-
-    # canonicalization salting (SURVEY §4: skew) — number of salt buckets
-    # for the two-phase groupby
-    canon_salt: int = 16
-
-    source_tag: str = "WIKI"

@@ -147,15 +147,11 @@ class RecordCountStage:
 
 def build_record_vocabs(parsed: ray.data.Dataset, cfg: KGConfig):
     """Vocab barrier over the labeled records (distributed truncation)."""
-    from .kg import finalize_counted_vocabs
+    from .kg import finalize_counted_vocabs, sum_token_partials
 
-    counted = (
+    counted = sum_token_partials(
         parsed.map_batches(RecordCountStage, batch_format="pyarrow", concurrency=(1, 8))
-        .groupby(["kind", "token"])
-        .sum("count")
-        .map_batches(lambda t: t.rename_columns(["kind", "token", "cnt"]), batch_format="pyarrow")
-        .materialize()
-    )
+    ).materialize()
     return finalize_counted_vocabs(counted, cfg)
 
 

@@ -4,11 +4,11 @@ Replaces the reference's single-process two-pass builder
 (``wiki_and_semeval2sdp.py:319-472``) + notebook predict flow
 (RelEmbed_semeval.ipynb cells 32-38) with streaming ``Dataset`` stages:
 
-    documents ─ map_batches(ParseStage, actor pool) ──────────► sentences
+    documents ─ map_batches(ParseStage) ──────────────────────► sentences
     sentences ─ map_batches(partial token counts) ─ groupby ──► vocab (small,
                 driver-finalized, broadcast via ray.put)          [barrier #1]
     sentences ─ map_batches(ExtractEncodeStage, broadcast vocab) ► encoded
-    encoded   ─ filter GOOD ─ map_batches(ScorerStage, actor pool) ► triples
+    encoded   ─ filter GOOD ─ map_batches(ScorerStage) ────────► triples
     triples   ─ partial-combine ─ groupby(norm) ──────────────► entities
     triples   ─ partial-combine ─ groupby(src,pred,dst) ──────► adjacency
                                                                   [barrier #2]
@@ -32,9 +32,6 @@ Scale notes (SURVEY.md §4, §7.5):
 
 from __future__ import annotations
 
-import hashlib
-from collections import Counter
-
 import numpy as np
 import pyarrow as pa
 import ray
@@ -54,18 +51,18 @@ from ..sources.synth import span_sequence_hash
 from ..state.scorer import pad_paths, score_batch, weights_fixture
 
 # ---------------------------------------------------------------------------
-# Stage 1: documents -> sentences (parse actor pool)
+# Stage 1: documents -> sentences (parse)
 # ---------------------------------------------------------------------------
 
 
 class ParseStage:
-    """Actor-pool stage: interleaved documents -> parsed sentence rows.
+    """Interleaved documents -> parsed sentence rows.
 
     The reference holds the spaCy pipeline as module-global state
     (``wiki2sdp.py:19-20``); here any parser state lives in ``__init__`` —
-    once per actor, never per batch.  Media spans are untouched; their
-    identity travels as ``span_hash`` (the per-row span-sequence invariant
-    carrier, BASELINE.json input_hint).
+    once per worker process, never per batch.  Media spans are untouched;
+    their identity travels as ``span_hash`` (the per-row span-sequence
+    invariant carrier, BASELINE.json input_hint).
     """
 
     def __init__(self) -> None:
@@ -160,12 +157,11 @@ def _partial_token_counts(batch: pa.Table) -> pa.Table:
         n = len(vc)
         tokens = vc.field("values")
         if kind == "word":
-            # Lowercase via Python str.lower — the SAME mapping used by
-            # ParseCountStage, the sharded runner and the oracle (Arrow's
-            # utf8_lower is a *simple* case mapping and diverges on e.g.
-            # 'İ', breaking bit-identical vocab equality).  Only distinct
-            # tokens are touched; duplicates created by lowering merge in
-            # the downstream groupby sum.
+            # Lowercase via Python str.lower — the SAME mapping the oracle
+            # uses (Arrow's utf8_lower is a *simple* case mapping and
+            # diverges on e.g. 'İ', breaking bit-identical vocab equality).
+            # Only distinct tokens are touched; duplicates created by
+            # lowering merge in the downstream groupby sum.
             tokens = pa.array([t.lower() for t in tokens.to_pylist()], pa.string())
         parts.append(
             pa.Table.from_pydict(
@@ -200,49 +196,46 @@ def _collect_kind_counts(
     return {r["token"]: r["cnt"] for r in rows}
 
 
-def finalize_counted_vocabs(counted: ray.data.Dataset, cfg: KGConfig, extras: dict | None = None):
+def finalize_counted_vocabs(counted: ray.data.Dataset, cfg: KGConfig):
     """(kind, token, cnt) count table → finalized (word, dep, pos) vocab
     triples.  Driver-side rows are bounded by vocab_limit for the word
     vocab; the sort/limit/filter truncation runs distributed.
 
     When NO truncation is configured, every row must reach the driver by
-    definition — one ``take_all``, no extra executions (the truncated path
-    costs a few small executions and only pays off when it bounds the
-    collect).  ``extras``, if given, receives summed counts of any
-    non-vocab kinds (e.g. ``__sentences__`` audit rows)."""
+    definition — one ``take_all`` and nothing else (the truncated path
+    costs a few small Ray jobs and only pays off when it bounds the
+    collect)."""
     if cfg.vocab_limit is None and cfg.min_count is None:
         counters: dict[str, dict[str, int]] = {"word": {}, "dep": {}, "pos": {}}
         for r in counted.take_all():
             if r["kind"] in counters:
                 counters[r["kind"]][r["token"]] = r["cnt"]
-            elif extras is not None:
-                extras[r["kind"]] = extras.get(r["kind"], 0) + r["cnt"]
         word_c, dep_c, pos_c = counters["word"], counters["dep"], counters["pos"]
     else:
         counted = counted.materialize()
         word_c = _collect_kind_counts(counted, "word", cfg.vocab_limit, cfg.min_count)
         dep_c = _collect_kind_counts(counted, "dep", None, None)
         pos_c = _collect_kind_counts(counted, "pos", None, None)
-        if extras is not None:
-            for r in counted.filter(
-                expr="kind != 'word' and kind != 'dep' and kind != 'pos'"
-            ).take_all():
-                extras[r["kind"]] = extras.get(r["kind"], 0) + r["cnt"]
     word = finalize_vocab(word_c, vocab_limit=cfg.vocab_limit, min_count=cfg.min_count, oov_count=cfg.oov_count)
     dep = finalize_vocab(dep_c, oov_count=cfg.oov_count)
     pos = finalize_vocab(pos_c, oov_count=cfg.oov_count)
     return word, dep, pos
 
 
-def count_tokens(sentences: ray.data.Dataset) -> ray.data.Dataset:
-    """sentences → global (kind, token, cnt) counts: per-batch partial
-    combine → one groupby shuffle bounded by distinct keys per batch."""
+def sum_token_partials(partials: ray.data.Dataset) -> ray.data.Dataset:
+    """(kind, token, count) partial rows → global (kind, token, cnt)
+    counts: one groupby shuffle bounded by distinct keys per batch."""
     return (
-        sentences.map_batches(_partial_token_counts, batch_format="pyarrow")
-        .groupby(["kind", "token"])
+        partials.groupby(["kind", "token"])
         .sum("count")
         .map_batches(lambda t: t.rename_columns(["kind", "token", "cnt"]), batch_format="pyarrow")
     )
+
+
+def count_tokens(sentences: ray.data.Dataset) -> ray.data.Dataset:
+    """sentences → global (kind, token, cnt) counts via per-batch partial
+    combiners."""
+    return sum_token_partials(sentences.map_batches(_partial_token_counts, batch_format="pyarrow"))
 
 
 def build_vocabs(sentences: ray.data.Dataset, cfg: KGConfig):
@@ -273,7 +266,7 @@ class ExtractEncodeStage:
     """sentences -> encoded SDP candidate records (audit column included).
 
     Vocab dicts and the optional dep-structure whitelist arrive as ONE
-    ``ray.put`` object ref — fetched zero-copy once per actor in
+    ``ray.put`` object ref — fetched zero-copy once per worker in
     ``__init__``, never re-shipped per batch (SURVEY.md J1/J4).
     """
 
@@ -340,36 +333,34 @@ class ExtractEncodeStage:
 
 
 # ---------------------------------------------------------------------------
-# Stage 4: scorer actor pool -> triples
+# Stage 4: scorer -> triples
 # ---------------------------------------------------------------------------
 
 
 class ScorerStage:
-    """Actor-pool relation scorer (SURVEY.md T2): GRU weights are built ONCE
-    per actor in ``__init__`` (pure function of vocab sizes + seed —
-    bit-identical across actors and parallelism levels), batches are padded
-    and scored fully vectorized."""
+    """Relation scorer (SURVEY.md T2): GRU weights are built ONCE per
+    worker in ``__init__`` (pure function of vocab sizes + seed —
+    bit-identical across workers and parallelism levels), batches are
+    padded and scored fully vectorized.  ``cfg.model_scale`` repeats the
+    forward pass to emulate a heavier model; the output is unchanged."""
 
     def __init__(self, sizes_ref, cfg: KGConfig) -> None:
         vw, vd, vp = ray.get(sizes_ref)
         self.wts = weights_fixture(vw, vd, vp, seed=cfg.scorer_seed)
+        self.model_scale = max(1, cfg.model_scale)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.score_table(self.wts, batch)
-
-    @staticmethod
-    def score_table(wts, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
+        if batch.num_rows == 0:
             return schemas.TRIPLES.empty_table()
-        word_ids = batch.column("word_ids").to_pylist()
-        dep_ids = batch.column("dep_ids").to_pylist()
-        pos_ids = batch.column("pos_ids").to_pylist()
-        w, d, p, lengths = pad_paths(word_ids, dep_ids, pos_ids)
-        _, probs = score_batch(wts, w, d, p, lengths)
-        path_words = batch.column("path_words").to_pylist()
+        w, d, p, lengths = pad_paths(
+            batch.column("word_ids").to_pylist(),
+            batch.column("dep_ids").to_pylist(),
+            batch.column("pos_ids").to_pylist(),
+        )
+        for _ in range(self.model_scale):
+            _, probs = score_batch(self.wts, w, d, p, lengths)
         keep_idx, labels, scores = [], [], []
-        for i, words in enumerate(path_words):
+        for i, words in enumerate(batch.column("path_words").to_pylist()):
             label = label_path(words)
             if label == OTHER:
                 continue
@@ -391,159 +382,6 @@ class ScorerStage:
             },
             schema=schemas.TRIPLES,
         )
-
-
-class ParseCountStage:
-    """Pass-1 stage for the two-scan headline: parse and emit ONLY the
-    per-batch token/dep/pos count partials (the vocab barrier input).  The
-    parse results never leave the actor — no token-struct serialization,
-    no sentences table, minimal object-store traffic."""
-
-    def __init__(self) -> None:
-        self.parse = parse_sentence
-        self.split = split_sentences
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        wc: Counter = Counter()
-        dc: Counter = Counter()
-        pcnt: Counter = Counter()
-        n_sentences = 0
-        for spans in batch.column("spans").to_pylist():
-            for span in spans or []:
-                if span["kind"] != "text":
-                    continue
-                for text in self.split(span["text"]):
-                    s = self.parse(text)
-                    n_sentences += 1
-                    for i in range(len(s)):
-                        wc[s.tokens[i].lower()] += 1
-                        dc[s.dep[i]] += 1
-                        pcnt[s.pos[i]] += 1
-        kinds: list[str] = ["__sentences__"]
-        toks: list[str] = [""]
-        counts: list[int] = [n_sentences]
-        for kind, counter in (("word", wc), ("dep", dc), ("pos", pcnt)):
-            for tok, c in counter.items():
-                kinds.append(kind)
-                toks.append(tok)
-                counts.append(c)
-        return pa.Table.from_pydict(
-            {"kind": kinds, "token": toks, "count": pa.array(counts, pa.int64())}
-        )
-
-
-class FusedParseExtractScoreStage:
-    """Pass-2 stage: documents → triples in ONE ``__call__`` — parse,
-    candidate SDP extraction, encode, GOOD filter, label+score.  Parsed
-    sentences exist only as in-actor Python objects; the only Arrow
-    crossing is documents in, narrow triples out.  This halves the memory
-    traffic of the sentences-table design — the binding constraint at high
-    core counts (measured: 32 local workers saturate this box's memory
-    bandwidth long before its CPUs)."""
-
-    def __init__(self, vocab_ref, cfg: KGConfig) -> None:
-        word_v, dep_v, pos_v, ok_structures = ray.get(vocab_ref)
-        self.word_v, self.dep_v, self.pos_v = word_v, dep_v, pos_v
-        self.oov_id = word_v["<OOV>"]
-        self.ok_ids = (
-            {tuple(vocab2idx(d, dep_v) for d in s) for s in ok_structures}
-            if ok_structures is not None
-            else None
-        )
-        self.cfg = cfg
-        self.wts = weights_fixture(len(word_v), len(dep_v), len(pos_v), seed=cfg.scorer_seed)
-        self.parse = parse_sentence
-        self.split = split_sentences
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        rows: dict[str, list] = {k: [] for k in (
-            "doc_id", "sent_id", "subj", "obj", "span_hash", "word_ids", "dep_ids", "pos_ids", "pred"
-        )}
-        for doc_id, spans in zip(batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()):
-            spans = spans or []
-            shash = span_sequence_hash(
-                [s["kind"] for s in spans], [s["text"] for s in spans], [s["media_ref"] for s in spans]
-            )
-            sent_id = 0
-            for span in spans:
-                if span["kind"] != "text":
-                    continue
-                for text in self.split(span["text"]):
-                    sent = self.parse(text)
-                    for sdp in sentence_to_sdps(
-                        sent,
-                        min_len=cfg.min_len,
-                        max_len=cfg.max_len,
-                        include_ends=cfg.include_ends,
-                        max_pairs=cfg.max_pairs_per_sentence,
-                    ):
-                        path = post_process_path(sdp["path"])
-                        word_ids = [vocab2idx(t[0], self.word_v) for t in path]
-                        dep_ids = [vocab2idx(t[1], self.dep_v) for t in path]
-                        pos_ids = [vocab2idx(t[2], self.pos_v) for t in path]
-                        target_ids = [
-                            vocab2idx(sdp["target"][0], self.word_v),
-                            vocab2idx(sdp["target"][1], self.word_v),
-                        ]
-                        if not is_ok_sdp(
-                            list(zip(word_ids, dep_ids, pos_ids)),
-                            target_ids,
-                            self.oov_id,
-                            ok_dep_structures=self.ok_ids,
-                            oov_percent=cfg.oov_percent,
-                        ):
-                            continue
-                        label = label_path([t[0] for t in path])
-                        if label == OTHER:
-                            continue
-                        rows["doc_id"].append(doc_id)
-                        rows["sent_id"].append(sent_id)
-                        rows["subj"].append(sdp["target"][0])
-                        rows["obj"].append(sdp["target"][1])
-                        rows["span_hash"].append(shash)
-                        rows["word_ids"].append(word_ids)
-                        rows["dep_ids"].append(dep_ids)
-                        rows["pos_ids"].append(pos_ids)
-                        rows["pred"].append(label)
-                    sent_id += 1
-        if not rows["doc_id"]:
-            return schemas.TRIPLES.empty_table()
-        w, d, p, lengths = pad_paths(rows["word_ids"], rows["dep_ids"], rows["pos_ids"])
-        for _ in range(max(1, cfg.model_scale)):  # model-scale emulation
-            _, probs = score_batch(self.wts, w, d, p, lengths)
-        scores = [float(probs[i, LABEL2INT[lab]]) for i, lab in enumerate(rows["pred"])]
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "sent_id": pa.array(rows["sent_id"], pa.int32()),
-                "subj": pa.array(rows["subj"], pa.string()),
-                "pred": pa.array(rows["pred"], pa.string()),
-                "obj": pa.array(rows["obj"], pa.string()),
-                "score": pa.array(scores, pa.float32()),
-                "span_hash": pa.array(rows["span_hash"], pa.uint64()),
-            },
-            schema=schemas.TRIPLES,
-        )
-
-
-class FusedExtractScoreStage:
-    """Extract+encode+filter+score in ONE actor ``__call__`` — the headline
-    path.  A split extract-pool/scorer-pool wastes slots when stage costs
-    are unbalanced (measured: scorer ≈ 1/5 of extract → half the cluster
-    idle); fusing gives one pool with perfect load balance and no
-    intermediate encoded blocks in the object store."""
-
-    def __init__(self, vocab_ref, cfg: KGConfig) -> None:
-        self.extract = ExtractEncodeStage(vocab_ref, cfg)
-        word_v, dep_v, pos_v, _ = ray.get(vocab_ref)
-        self.wts = weights_fixture(len(word_v), len(dep_v), len(pos_v), seed=cfg.scorer_seed)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        encoded = self.extract(batch)
-        mask = pa.compute.equal(encoded.column("verdict"), "GOOD")
-        good = encoded.filter(mask)
-        return ScorerStage.score_table(self.wts, good)
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +531,6 @@ def adjacency_from_triples(triples: ray.data.Dataset, n_parts: int | None = None
         t = _edge_partials(batch)
         return t.append_column("part", part_array(t, ["src_id", "pred", "dst_id"], n_parts))
 
-    # coalesce edge-partial blocks before the keyed exchange: the sort
-    # shuffle's M×N object-owner metadata lives in the driver (round-5
-    # probe — see the vocab-groupby comment in adjacency_oneshot); edge
-    # partials are distinct-edge-bounded, so this moves little data
-
     def reduce_part(group: pa.Table) -> pa.Table:
         # Vectorized exact reduce (round 4): hash-aggregate once on the
         # FULL (edge, doc) key — deduping each doc to one row per edge —
@@ -726,6 +559,13 @@ def adjacency_from_triples(triples: ray.data.Dataset, n_parts: int | None = None
 
     return (
         triples.map_batches(partial, batch_format="pyarrow")
+        # coalesce the edge-partial blocks BEFORE the keyed exchange: Ray
+        # Data's sort shuffle creates M_blocks × N_reduce objects whose
+        # owner metadata lives in the DRIVER's core worker — measured
+        # 927 MB of driver heap for a 512-block groupby in vanilla
+        # ray.data (round-5 10⁷-doc probe; 329 MB with a coalesce, flat
+        # thereafter).  Edge partials are distinct-edge-bounded, so the
+        # repartition moves little data.
         .repartition(n_parts)
         .groupby("part")
         .map_groups(reduce_part, batch_format="pyarrow")
@@ -825,23 +665,10 @@ def documents_from_plain_text(ds: ray.data.Dataset, id_col: str = "doc_id", text
 # ---------------------------------------------------------------------------
 
 
-# Per-worker-process stage caches for task-based execution: a Ray task
-# map reuses the long-lived worker processes the cluster already started,
-# so caching the (cheap-to-build) stage per process gives actor-pool
-# amortization without actor-pool spin-up.  The fused cache is keyed by
-# the vocab ObjectRef and cleared on key change (one vocab generation
-# live per worker at a time).
+# Every stage runs as plain ``map_batches`` tasks, the (cheap-to-build)
+# stage cached per worker process and keyed by its broadcast ref, if any —
+# see ``taskexec`` for why tasks and not actor pools.
 from ..taskexec import cached_stage_fn as _stage_task_fn  # noqa: E402 (shared task-mode cache)
-
-
-def _parse_count_task(batch: pa.Table) -> pa.Table:
-    return _stage_task_fn(ParseCountStage, (), {})(batch)
-
-
-def _fused_task_fn(vocab_ref, cfg: KGConfig):
-    return _stage_task_fn(
-        FusedParseExtractScoreStage, (vocab_ref.hex(), cfg), {"vocab_ref": vocab_ref, "cfg": cfg}
-    )
 
 
 class KGPipeline:
@@ -849,73 +676,36 @@ class KGPipeline:
 
     Every method returns a lazy ``ray.data.Dataset``; nothing materializes
     except the tiny vocab tables (global barrier) and whatever the caller
-    consumes.  ``parse_concurrency``/``score_concurrency`` size the actor
-    pools (``concurrency × num_cpus`` per node, SURVEY.md §4).
+    consumes.
     """
 
     @classmethod
     def for_cpus(cls, num_cpus: int, cfg: KGConfig | None = None, **kw) -> "KGPipeline":
-        """Pool sizing for an n-CPU node/cluster slice — EFFECTIVE ONLY
-        with ``execution="actors"`` (the task-mode default ignores pool
-        concurrency; Ray bounds task parallelism by the cluster's CPUs,
-        which is what a real N-node deployment wants).  Fixed-size pools
-        (min == max) — the autoscaler's slow ramp-up costs ~40% wall on
-        short stages — with 1-2 CPUs of headroom so producer tasks
-        (read/generate, fused upstream ops) are never starved.  The extract
-        and scorer pools coexist in one execution and split the budget."""
-        n = max(4, num_cpus)
-        parse = max(2, n - 2)
-        half = max(2, (n - 2) // 2)
-        return cls(
-            cfg,
-            parse_concurrency=(parse, parse),
-            score_concurrency=(half, half),
-            **kw,
-        )
+        """Same as ``cls(cfg, **kw)``: ``num_cpus`` sizes nothing, because
+        Ray bounds task parallelism by the cluster's CPUs."""
+        return cls(cfg, **kw)
 
     def __init__(
         self,
         cfg: KGConfig | None = None,
         ok_dep_structures: set[tuple[str, ...]] | None = None,
-        parse_concurrency: int | tuple[int, int] = (2, 8),
-        score_concurrency: int | tuple[int, int] = (2, 8),
         batch_size: int = 256,
-        execution: str = "tasks",
         sink_format: str = "parquet",
     ) -> None:
         self.cfg = cfg or KGConfig()
         self.ok_dep_structures = ok_dep_structures
-        self.parse_concurrency = parse_concurrency
-        self.score_concurrency = score_concurrency
         self.batch_size = batch_size
         # "jsonl" mirrors the reference's line-delimited-JSON interchange
         # files (S4, wiki2sdp.py:318-328) for checkpoint sinks
         if sink_format not in ("parquet", "jsonl"):
             raise ValueError(f"sink_format must be 'parquet' or 'jsonl', got {sink_format!r}")
         self.sink_format = sink_format
-        # "tasks": headline stages run as plain map_batches tasks with a
-        # per-worker-process stage cache — the rule parser + vocab dicts
-        # are microseconds to build, and two 32-actor pool spin-ups were
-        # measured at ~8 s (~60 %) of the 40k-doc headline wall.  "actors"
-        # keeps the explicit pools: the right mode once the scorer is a
-        # real model whose load cost must amortize across the run AND be
-        # bounded to `concurrency` copies in memory.
-        assert execution in ("tasks", "actors")
-        self.execution = execution
-        self._vocabs = None
 
     def sentences(self, documents: ray.data.Dataset) -> ray.data.Dataset:
-        if self.execution == "tasks":
-            return documents.map_batches(
-                _stage_task_fn(ParseStage, (), {}),
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-            )
         return documents.map_batches(
-            ParseStage,
+            _stage_task_fn(ParseStage, (), {}),
             batch_format="pyarrow",
             batch_size=self.batch_size,
-            concurrency=self.parse_concurrency,
         )
 
     def vocabs(self, sentences: ray.data.Dataset):
@@ -923,55 +713,34 @@ class KGPipeline:
 
         Always recomputed from the given input (no instance-level cache —
         a cached vocab from corpus A silently mis-encodes corpus B, advisor
-        round 1); ``self._vocabs`` only records the *last* result for
-        introspection.  Reuse across stages by passing ``vocabs=`` to
+        round 1).  Reuse across stages by passing ``vocabs=`` to
         :meth:`encoded`/:meth:`triples`, as :meth:`run` does."""
-        self._vocabs = build_vocabs(sentences, self.cfg)
-        return self._vocabs
+        return build_vocabs(sentences, self.cfg)
 
     def encoded(self, sentences: ray.data.Dataset, vocabs=None) -> ray.data.Dataset:
         (wv, w2i, _), (dv, d2i, _), (pv, p2i, _) = vocabs or self.vocabs(sentences)
         vocab_ref = ray.put((w2i, d2i, p2i, self.ok_dep_structures))
-        if self.execution == "tasks":
-            return sentences.map_batches(
-                _stage_task_fn(
-                    ExtractEncodeStage,
-                    (vocab_ref.hex(), self.cfg),
-                    {"vocab_ref": vocab_ref, "cfg": self.cfg},
-                ),
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-            )
-        # extract runs pipelined with the scorer pool in one execution —
-        # both get the half-budget so neither starves the other
         return sentences.map_batches(
-            ExtractEncodeStage,
-            fn_constructor_kwargs={"vocab_ref": vocab_ref, "cfg": self.cfg},
+            _stage_task_fn(
+                ExtractEncodeStage,
+                (vocab_ref.hex(), self.cfg),
+                {"vocab_ref": vocab_ref, "cfg": self.cfg},
+            ),
             batch_format="pyarrow",
             batch_size=self.batch_size,
-            concurrency=self.score_concurrency,
         )
 
     def triples(self, encoded: ray.data.Dataset, vocabs) -> ray.data.Dataset:
         (wv, _, _), (dv, _, _), (pv, _, _) = vocabs
         sizes_ref = ray.put((len(wv), len(dv), len(pv)))
-        good = encoded.filter(expr="verdict == 'GOOD'")
-        if self.execution == "tasks":
-            return good.map_batches(
-                _stage_task_fn(
-                    ScorerStage,
-                    (sizes_ref.hex(), self.cfg),
-                    {"sizes_ref": sizes_ref, "cfg": self.cfg},
-                ),
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-            )
-        return good.map_batches(
-            ScorerStage,
-            fn_constructor_kwargs={"sizes_ref": sizes_ref, "cfg": self.cfg},
+        return encoded.filter(expr="verdict == 'GOOD'").map_batches(
+            _stage_task_fn(
+                ScorerStage,
+                (sizes_ref.hex(), self.cfg),
+                {"sizes_ref": sizes_ref, "cfg": self.cfg},
+            ),
             batch_format="pyarrow",
             batch_size=self.batch_size,
-            concurrency=self.score_concurrency,
         )
 
     def run(self, documents: ray.data.Dataset, checkpoint_dir: str | None = None) -> dict:
@@ -997,112 +766,6 @@ class KGPipeline:
             "triples": triples,
             "entities": entities_from_triples(triples),
             "adjacency": adjacency_from_triples(triples),
-        }
-
-    def adjacency_oneshot(
-        self, documents: ray.data.Dataset, out_dir: str | None = None
-    ) -> tuple[pa.Table | ray.data.Dataset, dict]:
-        """Headline-throughput path — two fully-streaming scans, zero
-        intermediate materialization:
-
-        scan 1: documents → ParseCountStage → tiny (kind, token, count)
-                groupby → driver vocab finalize        [the global barrier]
-        scan 2: documents → FusedParseExtractScoreStage (parse + SDP +
-                encode + filter + score in-actor) → hash-partitioned edge
-                reduce → adjacency
-
-        Parsed sentences never cross the object store; this design moves
-        half the memory traffic of the sentences-table variant, which is
-        the binding constraint at high local core counts.  Returns the
-        adjacency + counters (triple count = Σ weight; plus wall seconds
-        per phase for scaling diagnostics).
-
-        With ``out_dir`` (the 100-TB path, used by bench.py): workers
-        ``write_parquet`` the adjacency directly, the edge count comes
-        from the parquet FOOTERS and the weight sum from a column-pruned
-        re-read of the (small) adjacency output — nothing edge-sized
-        touches the driver; returns the written Dataset.  Without it
-        (test scale) the adjacency is returned as one Arrow table."""
-        import time as _time
-
-        t0 = _time.perf_counter()
-        if self.execution == "tasks":
-            parsed_counts = documents.map_batches(
-                _parse_count_task, batch_format="pyarrow", batch_size=self.batch_size
-            )
-        else:
-            parsed_counts = documents.map_batches(
-                ParseCountStage,
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-                concurrency=self.parse_concurrency,
-            )
-        counted = (
-            parsed_counts
-            # coalesce the tiny partial-count blocks BEFORE the groupby:
-            # Ray Data's sort shuffle creates M_blocks × N_reduce objects
-            # whose owner metadata lives in the DRIVER's core worker —
-            # measured 927 MB of driver heap for a 512-block groupby in
-            # VANILLA ray.data (round-5 10⁷-doc probe; 329 MB with this
-            # coalesce, flat thereafter).  The blocks are vocab-bounded
-            # partials, so the repartition moves KBs.
-            .repartition(derived_num_parts())
-            .groupby(["kind", "token"])
-            .sum("count")
-            .map_batches(lambda t: t.rename_columns(["kind", "token", "cnt"]), batch_format="pyarrow")
-        )
-        extras: dict[str, int] = {}
-        word, dep, pos = finalize_counted_vocabs(counted, self.cfg, extras=extras)
-        n_sentences = int(extras.get("__sentences__", 0))
-        self._vocabs = (word, dep, pos)
-        t_barrier = _time.perf_counter() - t0
-        vocab_ref = ray.put((word[1], dep[1], pos[1], self.ok_dep_structures))
-        if self.execution == "tasks":
-            triples = documents.map_batches(
-                _fused_task_fn(vocab_ref, self.cfg),
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-            )
-        else:
-            triples = documents.map_batches(
-                FusedParseExtractScoreStage,
-                fn_constructor_kwargs={"vocab_ref": vocab_ref, "cfg": self.cfg},
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-                concurrency=self.parse_concurrency,
-            )
-        adjacency = adjacency_from_triples(triples)
-        if out_dir is not None:
-            import glob as _glob
-            import shutil as _shutil
-
-            import pyarrow.parquet as _pq
-            import ray.data as _rd
-
-            _shutil.rmtree(out_dir, ignore_errors=True)  # write_parquet appends
-            adjacency.write_parquet(out_dir)
-            frags = sorted(_glob.glob(f"{out_dir}/*.parquet"))
-            edges = sum(_pq.ParquetFile(p).metadata.num_rows for p in frags)
-            if edges:
-                n_triples = int(_rd.read_parquet(out_dir, columns=["weight"]).sum("weight"))
-                result: pa.Table | ray.data.Dataset = _rd.read_parquet(out_dir)
-            else:
-                # empty corpus: write_parquet may emit zero fragments, and
-                # Dataset.sum on an empty input returns None — keep the
-                # counters exact (0) instead of crashing
-                n_triples = 0
-                result = adjacency
-        else:
-            adj_tab = pa.concat_tables(adjacency.iter_batches(batch_format="pyarrow"))
-            edges = adj_tab.num_rows
-            n_triples = sum(adj_tab.column("weight").to_pylist())
-            result = adj_tab
-        return result, {
-            "sentences": n_sentences,
-            "triples": n_triples,
-            "edges": edges,
-            "scan1_sec": round(t_barrier, 3),
-            "scan2_sec": round(_time.perf_counter() - t0 - t_barrier, 3),
         }
 
     def _checkpoint(self, ds: ray.data.Dataset, checkpoint_dir: str | None, name: str) -> ray.data.Dataset:

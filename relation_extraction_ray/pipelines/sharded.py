@@ -12,7 +12,7 @@ Layout under ``out_dir``::
     entities/ adjacency/                # final materialize (ray write_parquet)
 
 Shard granularity is the resume unit: each shard is itself a parallel Ray
-Data pipeline (blocks stream through actor pools), so one shard ≈ one
+Data pipeline (blocks stream through the KG stage tasks), so one shard ≈ one
 "partition" of the 100 TB input — on a real cluster these would be ranges
 of Lance fragments; here, deterministic ranges of the synthetic corpus or
 one shard per input parquet file.
@@ -61,6 +61,7 @@ from .kg import (
     adjacency_from_triples,
     entities_from_triples,
     finalize_counted_vocabs,
+    sum_token_partials,
     vocab_table,
 )
 
@@ -99,11 +100,7 @@ class ShardedKGRunner:
         self.n_shards = n_shards
         self.docs_for_shard = docs_for_shard
         self.cfg = cfg or KGConfig()
-        # min-1 autoscaling pools: a shard execution runs the extract AND
-        # scorer pools plus tap/write task operators in ONE streaming
-        # execution — fixed pool minimums that sum to the CPU count would
-        # starve the task operators outright (deadlock observed at 4 CPUs)
-        self.pipe = KGPipeline(self.cfg, parse_concurrency=(1, 8), score_concurrency=(1, 8))
+        self.pipe = KGPipeline(self.cfg)
         self.manifest = Manifest(out_dir)
         self.fp = config_fingerprint(self.cfg)
         self.recomputed: list[tuple[str, int]] = []  # visibility for tests/metrics
@@ -181,12 +178,7 @@ class ShardedKGRunner:
         vdir = os.path.join(self.out_dir, "vocab")
         os.makedirs(vdir, exist_ok=True)
         counts = ray.data.read_parquet(os.path.join(self.out_dir, "counts"))
-        counted = (
-            counts.groupby(["kind", "token"])
-            .sum("count")
-            .map_batches(lambda t: t.rename_columns(["kind", "token", "cnt"]), batch_format="pyarrow")
-            .materialize()
-        )
+        counted = sum_token_partials(counts).materialize()
         word, dep, pos = finalize_counted_vocabs(counted, self.cfg)
         for name, (vocab, _, dist) in (("word", word), ("dep", dep), ("pos", pos)):
             pq.write_table(vocab_table(vocab, dist), os.path.join(vdir, f"{name}.parquet"))

@@ -46,6 +46,39 @@ def test_build_kg_sharded_cli_resumes(docs_parquet, tmp_path, capsys):
     assert second["triples"] == first["triples"]
 
 
+@pytest.mark.parametrize("flag", ["--single", "--sentence"])
+@pytest.mark.parametrize("cmd", ["build-kg", "build-kg-sharded"])
+def test_build_kg_rejects_supervised_only_flags(cmd, flag, tmp_path):
+    """--single/--sentence shape supervised classification only; no KG
+    stage reads them, so the KG builders reject them as usage errors."""
+    from relation_extraction_ray.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--input", str(tmp_path / "docs"), "--out", str(tmp_path / "kg"), flag])
+    assert exc.value.code == 2
+
+
+def test_build_kg_cli_empty_corpus_writes_empty_tables(ray_session, tmp_path, capsys):
+    """An empty corpus still leaves readable zero-row triples/entities/
+    adjacency tables with their declared schemas."""
+    from relation_extraction_ray import schemas
+    from relation_extraction_ray.__main__ import main
+
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    pq.write_table(schemas.DOCUMENTS.empty_table(), str(docs / "part-0.parquet"))
+    out = str(tmp_path / "kg")
+    assert main(["build-kg", "--input", str(docs), "--out", out]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    for name, schema in (
+        ("triples", schemas.TRIPLES),
+        ("entities", schemas.ENTITIES),
+        ("adjacency", schemas.ADJACENCY),
+    ):
+        assert summary["rows"][name] == 0
+        assert pq.read_table(os.path.join(out, name)).equals(schema.empty_table()), name
+
+
 def test_semeval_classify_cli(tmp_path, capsys, ray_session):
     from relation_extraction_ray.__main__ import main
     from relation_extraction_ray.oracle import SEMEVAL_DATA

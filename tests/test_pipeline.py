@@ -35,7 +35,7 @@ def _sorted(table: pa.Table) -> list[dict]:
 def results(ray_session):
     docs_tab = corpus_table(N_DOCS)
     oracle = run_oracle(docs_tab.to_pylist())
-    pipe = KGPipeline(KGConfig(), parse_concurrency=2, score_concurrency=2, batch_size=32)
+    pipe = KGPipeline(KGConfig(), batch_size=32)
     ray_out = pipe.run(documents_dataset(N_DOCS, override_num_blocks=8))
     return oracle, ray_out, docs_tab
 
@@ -110,42 +110,22 @@ def test_span_sequence_invariant(results):
             assert expected[doc_id] == shash, f"{key}: span invariant broken for {doc_id}"
 
 
-def test_oneshot_headline_equals_oracle(results):
-    """The fused two-scan headline path (parse+extract+score in one actor,
-    no intermediate tables) must produce the identical adjacency."""
-    oracle, ray_out, _ = results
-    from relation_extraction_ray.pipelines.kg import KGPipeline
-
-    pipe = KGPipeline(KGConfig(), parse_concurrency=2, score_concurrency=2, batch_size=32)
-    adj_tab, counters = pipe.adjacency_oneshot(documents_dataset(N_DOCS, override_num_blocks=8))
-    want = _as_table(oracle["adjacency"], schemas.ADJACENCY)
-    got = schemas.validate(adj_tab, schemas.ADJACENCY, "oneshot")
-    assert _sorted(got) == _sorted(want)
-    assert counters["triples"] == oracle["triples"].num_rows
-    # vocab built by the counts pass matches the oracle's
-    (wv, _, wdist), _, _ = pipe._vocabs
-    assert wv == oracle["vocab"].column("token").to_pylist()
-
-
-def test_oneshot_streaming_materialize_same_counters(results, tmp_path):
-    """out_dir mode (bench/100-TB path): workers write the adjacency
-    parquet, counters come from footers + a pruned column read — identical
-    to the driver-table mode, with no full-table concat on the driver."""
-    oracle, _, _ = results
-    from relation_extraction_ray.pipelines.kg import KGPipeline
-
-    pipe = KGPipeline(KGConfig(), parse_concurrency=2, score_concurrency=2, batch_size=32)
-    out = str(tmp_path / "adj")
-    ds, counters = pipe.adjacency_oneshot(
-        documents_dataset(N_DOCS, override_num_blocks=8), out_dir=out
-    )
-    got = schemas.validate(
-        pa.concat_tables(ds.iter_batches(batch_format="pyarrow")), schemas.ADJACENCY, "oneshot-out"
-    )
-    want = _as_table(oracle["adjacency"], schemas.ADJACENCY)
-    assert _sorted(got) == _sorted(want)
-    assert counters["triples"] == oracle["triples"].num_rows
-    assert counters["edges"] == want.num_rows
+def test_second_vocab_generation_equals_oracle(ray_session):
+    """Two runs in one session over corpora with different vocabularies:
+    the per-worker stage cache is keyed by the broadcast vocab ref, so the
+    second run must encode and score with ITS vocab, not the first's."""
+    pipe = KGPipeline(KGConfig(), batch_size=32)
+    vocabs = []
+    for seed in (42, 1):
+        oracle = run_oracle(corpus_table(40, seed=seed).to_pylist())
+        ray_out = pipe.run(documents_dataset(40, seed=seed, override_num_blocks=4))
+        vocabs.append(ray_out["vocab"].column("token").to_pylist())
+        for key in ("encoded", "triples"):
+            schema = getattr(schemas, key.upper())
+            got = _as_table(ray_out[key], schema)
+            want = _as_table(oracle[key], schema)
+            assert _sorted(got) == _sorted(want), f"seed {seed} {key}: row content differs"
+    assert vocabs[0] != vocabs[1]  # the second run really is a new generation
 
 
 def test_vocab_truncation_is_distributed(results, ray_session):
@@ -162,7 +142,7 @@ def test_vocab_truncation_is_distributed(results, ray_session):
     from relation_extraction_ray.oracle import build_vocabs as oracle_vocabs, doc_rows_to_sentences
 
     cfg = KGConfig(vocab_limit=7)
-    pipe = KGPipeline(cfg, parse_concurrency=2, score_concurrency=2, batch_size=32)
+    pipe = KGPipeline(cfg, batch_size=32)
     sentences = pipe.sentences(documents_dataset(N_DOCS, override_num_blocks=8)).materialize()
     counted = count_tokens(sentences).materialize()
 
@@ -188,24 +168,6 @@ def test_adjacency_weights_consistent(results):
         dc <= w
         for dc, w in zip(adj.column("doc_count").to_pylist(), adj.column("weight").to_pylist())
     )
-
-
-def test_oneshot_empty_corpus_streaming(tmp_path, ray_session):
-    """Empty/no-triple corpus through the out_dir (bench/100-TB) path:
-    write_parquet may emit zero fragments and Dataset.sum returns None —
-    the counters must still come back exact zeros, not crash."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from relation_extraction_ray import schemas as _schemas
-    from relation_extraction_ray.pipelines.kg import KGPipeline
-
-    empty = rd.from_arrow(pa.Table.from_pylist([], schema=_schemas.DOCUMENTS))
-    pipe = KGPipeline(KGConfig(), parse_concurrency=2, score_concurrency=2, batch_size=32)
-    ds, counters = pipe.adjacency_oneshot(empty, out_dir=str(tmp_path / "adj0"))
-    assert counters["triples"] == 0 and counters["edges"] == 0
-    assert ds.count() == 0
 
 
 def test_triple_provenance_vs_bruteforce(ray_session):
