@@ -1534,7 +1534,7 @@ def silhouette_by_label(
     Scale shape: the quantized table (rows × dim × 8 B) broadcasts once
     via ``ray.put`` under ``broadcast_bytes`` (full silhouette is
     inherently all-pairs; past the bound production uses SAMPLED
-    silhouette — raise or sample upstream, the operator asserts), then
+    silhouette — the operator raises ``ValueError`` there), then
     ONE streaming scan computes each batch's rows against the broadcast
     matrix with an int64 matmul; the exchange is one label-sized
     groupby of (Σs, n) partials."""
@@ -1564,6 +1564,16 @@ def silhouette_by_label(
             .limit(sample)
             .drop_columns(["__h__"])
         )
+    # size the broadcast matrix (rows × dim int64) from the row count and
+    # one row's width BEFORE pulling the reference side to the driver
+    ref_ds = ref_ds.materialize()
+    n_ref = ref_ds.count()
+    width = len(ref_ds.take(1)[0]["embedding"]) if n_ref else 0
+    if n_ref * width * 8 > broadcast_bytes:
+        raise ValueError(
+            f"full silhouette is all-pairs: the {n_ref} x {width} reference matrix "
+            f"exceeds broadcast_bytes={broadcast_bytes}; pass sample= instead"
+        )
     rows = ref_ds.take_all()
     rows.sort(key=lambda r: r["vec_id"])
     V = np.array(
@@ -1572,9 +1582,6 @@ def silhouette_by_label(
     )
     labels = np.array([int(r["label"]) for r in rows], dtype=np.int64)
     vec_ids = np.array([int(r["vec_id"]) for r in rows], dtype=np.int64)
-    assert V.nbytes <= broadcast_bytes, (
-        "full silhouette is all-pairs; sample upstream past the broadcast bound"
-    )
     # label-sorted column order so per-label sums are contiguous reduceats
     order = np.argsort(labels, kind="stable")
     V_s, lab_s = V[order], labels[order]

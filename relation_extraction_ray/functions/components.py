@@ -408,13 +408,10 @@ def dedup_keep_one(
 
     drops = cc.map_batches(non_canon, batch_format="pyarrow").materialize()
 
-    # exact drop-set byte size from the materialized blocks' metadata-level
-    # nbytes — an aggregate-sized fold, never the values themselves
-    drop_nbytes = 0
-    n_drop = 0
-    for bt in drops.iter_batches(batch_format="pyarrow"):
-        drop_nbytes += bt.column("__drop_id__").nbytes
-        n_drop += bt.num_rows
+    # drop-set size from the materialized blocks' metadata: no drop id
+    # crosses the driver unless the broadcast path below ships them
+    drop_nbytes = drops.size_bytes()
+    n_drop = drops.count()
 
     if drop_nbytes <= broadcast_bytes:
         drop_arr = (

@@ -1,10 +1,17 @@
-"""Graph analytics over the constructed KG: distributed PageRank.
+"""Graph analytics over the constructed KG.
 
 The engine's terminal KG artifact is the adjacency table
-(``pipelines/kg.adjacency_from_triples`` — SURVEY.md A7/J7); ranking its
-entities is the canonical downstream consumer of a KG-construction
-pipeline.  PageRank here is expressed Ray-Data-first in the classic
-2-exchanges-per-iteration shape:
+(``pipelines/kg.adjacency_from_triples`` — SURVEY.md A7/J7); the
+operators here rank, traverse, peel and summarize its entity graph.
+Every iterative or wedge operator plans from an observed size: below
+:data:`LOCAL_GRAPH_BYTES_BOUND` its prepped edge table is gathered once
+(:func:`_gather`) and the recurrence runs in numpy; above it the same
+recurrence runs as keyed Ray Data exchanges.  Both paths are
+bit-identical (asserted in tests).  The undirected operators share one
+edge prep (:func:`_simple_edges`).
+
+PageRank's distributed path is the classic 2-exchanges-per-iteration
+shape:
 
 1. **Static edge prep (once)**: predicates collapse to (u, v, w) edge
    weights via per-batch partial combine + one groupby; edges then hash-
@@ -13,11 +20,11 @@ pipeline.  PageRank here is expressed Ray-Data-first in the classic
    segmented sum, never through an extra exchange.  The prepped edge
    partitions are materialized once and reused by every iteration
    (static graph, iterating ranks).
-2. **Per iteration**: ranks exchange ONCE (same hash, same partition ids
-   as the edges), the per-partition probe is a vectorized sorted-array
-   ``searchsorted`` join emitting (v, contrib) rows, and one groupby(v)
-   sums contributions; dangling/unreferenced nodes are completed by a
-   zero-contribution union (materialized once).
+2. **Per iteration**: rank rows and edge rows union into ONE exchange
+   keyed by the same partition id, the per-partition probe is a
+   vectorized sorted-array ``searchsorted`` join emitting (v, contrib)
+   rows, and one groupby(v) sums contributions; dangling/unreferenced
+   nodes are completed by a zero-contribution union (materialized once).
 
 All arithmetic is INTEGER (ranks in 1e-12 units, ``contrib = rank * w //
 ow``, ``rank' = 15%*SCALE + 85%*Σcontrib // 100``) so results are
@@ -34,11 +41,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .joins import derive_n_parts, part_array
+from .joins import derive_n_parts, hash_partitioned_groups, part_array
 
 SCALE = 10**12
 _RANK_SCHEMA = pa.schema([("node", pa.string()), ("rank", pa.int64())])
 _CONTRIB_SCHEMA = pa.schema([("node", pa.string()), ("contrib", pa.int64())])
+_DIST_SCHEMA = pa.schema([("node", pa.string()), ("dist", pa.int64())])
 
 
 def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
@@ -99,17 +107,6 @@ def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Data
     )
 
 
-#: Pin edge partitions in the object store (one ``ray.put`` each, fetched
-#: zero-copy per worker) when the collapsed edge table is below this —
-#: the static side then never re-enters the per-iteration exchange
-#: (shuffled rows/iteration drop from edges+ranks to ranks only; at the
-#: 10⁶-edge probe wall-clock is within noise of the union path because
-#: the contribution groupby dominates there, but the exchange-volume
-#: reduction is what matters on a real network).  Above the bound,
-#: iterations fall back to re-unioning the edge dataset (correct at any
-#: size; bit-equality tested against the pinned path).
-PIN_EDGES_BYTES_BOUND = 2 << 30
-
 #: Below this collapsed-edge byte size the iterative operators run their
 #: integer recurrences LOCALLY in one numpy pass (gathered once, no
 #: per-iteration exchange) — bit-identical by exact-integer construction
@@ -119,6 +116,45 @@ PIN_EDGES_BYTES_BOUND = 2 << 30
 #: PageRank on a 625-edge KG: 50 s distributed, <1 s local).  The
 #: distributed path stays the only path above the bound.
 LOCAL_GRAPH_BYTES_BOUND = 64 << 20
+
+
+def _gather(ds: ray.data.Dataset) -> pa.Table | None:
+    """The local planner's one driver gather: ``ds``'s non-empty blocks
+    concatenated, or None when it holds no rows (callers then return
+    their typed empty output)."""
+    tabs = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
+    return pa.concat_tables(tabs) if tabs else None
+
+
+def _simple_edges(
+    adjacency: ray.data.Dataset, n_parts: int, weighted: bool = False
+) -> ray.data.Dataset:
+    """Distinct undirected edges of the KG entity graph as canonical
+    ``a < b`` rows (self-loops dropped, predicates and direction
+    collapsed), plus ``w`` = Σweight over both directions when
+    ``weighted``.  Each batch pre-dedups before ONE (a, b)-keyed
+    exchange; the result is not materialized."""
+    cols = ["a", "b", "w"] if weighted else ["a", "b"]
+    aggs = [("w", "sum")] if weighted else []
+
+    def dedup(t: pa.Table) -> pa.Table:
+        return t.group_by(["a", "b"]).aggregate(aggs).rename_columns(cols)
+
+    def canon(batch: pa.Table) -> pa.Table:
+        u, v = batch.column("src_id"), batch.column("dst_id")
+        keep = pc.invert(pc.equal(u, v))
+        u, v = u.filter(keep), v.filter(keep)
+        t = {"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v)}
+        if weighted:
+            t["w"] = batch.column("weight").cast(pa.int64()).filter(keep)
+        return dedup(pa.table(t))
+
+    return hash_partitioned_groups(
+        adjacency.map_batches(canon, batch_format="pyarrow"),
+        ["a", "b"],
+        lambda part: dedup(part.select(cols)),
+        n_parts,
+    )
 
 
 def _probe_contribs(
@@ -150,13 +186,14 @@ def pagerank(
     adjacency: ray.data.Dataset,
     iters: int = 5,
     damping_pct: int = 85,
-    pin_bytes_bound: int = PIN_EDGES_BYTES_BOUND,
     seed_pct: int | None = None,
 ) -> ray.data.Dataset:
     """Integer PageRank over the adjacency table: returns (node, rank)
-    with rank in 1e-12 units, sorted by (rank desc, node asc).
-    ``pin_bytes_bound=0`` forces the re-union fallback (tested
-    bit-identical to the pinned path).
+    with rank in 1e-12 units, sorted by (rank desc, node asc).  Below
+    :data:`LOCAL_GRAPH_BYTES_BOUND` the iterations run locally in numpy;
+    above it each iteration re-unions the static edge partitions with
+    the rank rows in one keyed exchange (module doc).  Both paths are
+    bit-identical.
 
     ``seed_pct`` switches to PERSONALIZED PageRank: the teleport
     distribution concentrates on the md5-bucket landmark set
@@ -179,13 +216,9 @@ def pagerank(
     # 50 s distributed vs <1 s local).  Above the bound the keyed
     # exchanges below are unchanged.
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        et = pa.concat_tables(
-            [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        ) if n_edges else None
+        et = _gather(edges)
         if et is None:
-            return ray.data.from_arrow(
-                pa.table({"node": pa.array([], pa.string()), "rank": pa.array([], pa.int64())})
-            )
+            return ray.data.from_arrow(_RANK_SCHEMA.empty_table())
         eu = et.column("u").to_numpy(zero_copy_only=False)
         ev = et.column("v").to_numpy(zero_copy_only=False)
         w = et.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -212,25 +245,6 @@ def pagerank(
             {"node": pa.array(node_arr), "rank": pa.array(rank, pa.int64())}
         )
         return ray.data.from_arrow(out).sort(["rank", "node"], descending=[True, False])
-
-    # Pin the static side: below the byte bound, collect each edge
-    # partition ONCE (sorted by u for the probe) into the object store —
-    # per-iteration exchanges then carry only the rank rows.  The graph
-    # is static across iterations; re-shuffling it every round was
-    # measured as ~70 % of iteration wall at 10⁶ edges.
-    edge_refs: dict[int, "ray.ObjectRef"] | None = None
-    if edges.size_bytes() <= pin_bytes_bound:
-        bufs: dict[int, list[pa.Table]] = {}
-        for b in edges.iter_batches(batch_format="pyarrow"):
-            for pid in pc.unique(b.column("part")).to_pylist():
-                bufs.setdefault(pid, []).append(
-                    b.filter(pc.equal(b.column("part"), pid))
-                )
-        edge_refs = {}
-        for pid, tabs in bufs.items():
-            t = pa.concat_tables(tabs).sort_by([("u", "ascending"), ("v", "ascending")])
-            edge_refs[pid] = ray.put(t.select(["u", "v", "w", "ow"]))
-        del bufs
 
     def node_partial(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -271,24 +285,6 @@ def pagerank(
     def tag_ranks(batch: pa.Table) -> pa.Table:
         t = pa.table({"u": batch.column("node"), "rank": batch.column("rank")})
         return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def probe_pinned(part: pa.Table) -> pa.Table:
-        """Ranks-only partition; this partition's (sorted) edges fetched
-        zero-copy from the object store."""
-        if part.num_rows == 0:
-            return _CONTRIB_SCHEMA.empty_table()
-        ref = edge_refs.get(part.column("part")[0].as_py())
-        if ref is None:
-            return _CONTRIB_SCHEMA.empty_table()
-        et = ray.get(ref)
-        return _probe_contribs(
-            part.column("u").to_numpy(zero_copy_only=False),
-            part.column("rank").to_numpy(zero_copy_only=False),
-            et.column("u").to_numpy(zero_copy_only=False),
-            et.column("w").to_numpy(zero_copy_only=False),
-            et.column("ow").to_numpy(zero_copy_only=False),
-            et.column("v").combine_chunks(),
-        )
 
     for _ in range(iters):
         tagged = ranks.map_batches(tag_ranks, batch_format="pyarrow")
@@ -340,16 +336,10 @@ def pagerank(
                 part.column("v").filter(em).combine_chunks(),
             )
 
-        if edge_refs is not None:
-            # pinned path: only rank rows cross the exchange
-            contribs = tagged.groupby("part").map_groups(
-                probe_pinned, batch_format="pyarrow"
-            )
-        else:
-            unioned = tagged.map_batches(rank_side, batch_format="pyarrow").union(
-                edges.map_batches(edge_side, batch_format="pyarrow")
-            )
-            contribs = unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
+        unioned = tagged.map_batches(rank_side, batch_format="pyarrow").union(
+            edges.map_batches(edge_side, batch_format="pyarrow")
+        )
+        contribs = unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
 
         summed = (
             contribs.union(zeros)
@@ -403,37 +393,16 @@ def triangle_count(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     """
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-
-    def undirected(batch: pa.Table) -> pa.Table:
-        u = batch.column("src_id")
-        v = batch.column("dst_id")
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        lo = pc.min_element_wise(u, v)
-        hi = pc.max_element_wise(u, v)
-        t = pa.table({"a": lo, "b": hi})
-        t = t.group_by(["a", "b"]).aggregate([]).sort_by([("a", "ascending"), ("b", "ascending")])
-        return t.append_column("part", part_array(t, ["a", "b"], n_parts))
-
-    def dedup_part(part: pa.Table) -> pa.Table:
-        return part.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-
-    edges = (
-        adjacency.map_batches(undirected, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_part, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _simple_edges(adjacency, n_parts).materialize()
 
     # Small-graph planner (round 5): below LOCAL_GRAPH_BYTES_BOUND count
     # triangles locally over the gathered deduped edge set (Σ common
     # neighbors over edges = 3·triangles; exact integers, bit-equal to
     # the wedge exchanges — asserted in tests).
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
+        et = _gather(edges)
         n_tri = 0
-        if tabs:
-            et = pa.concat_tables(tabs)
+        if et is not None:
             a = et.column("a").to_pylist()
             b = et.column("b").to_pylist()
             nbrs: dict[str, set] = {}
@@ -652,27 +621,7 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     report cn = 0)."""
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-
-    def undirected(batch: pa.Table) -> pa.Table:
-        u = batch.column("src_id")
-        v = batch.column("dst_id")
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        lo = pc.min_element_wise(u, v)
-        hi = pc.max_element_wise(u, v)
-        t = pa.table({"a": lo, "b": hi})
-        t = t.group_by(["a", "b"]).aggregate([])
-        return t.append_column("part", part_array(t, ["a", "b"], n_parts))
-
-    def dedup_part(part: pa.Table) -> pa.Table:
-        return part.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-
-    edges = (
-        adjacency.map_batches(undirected, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_part, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _simple_edges(adjacency, n_parts).materialize()
 
     # Small-graph planner (round 5, the pagerank/hits convention): below
     # LOCAL_GRAPH_BYTES_BOUND the deduped edge set is gathered once and
@@ -693,10 +642,9 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
                 ("jacc_micro", pa.int64()),
             ]
         )
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(out_schema.empty_table())
-        et = pa.concat_tables(tabs)
         a = et.column("a").to_pylist()
         b = et.column("b").to_pylist()
         nbrs: dict[str, set] = {}
@@ -1012,38 +960,19 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
     keyed exchange).  Rounds stop at the fixpoint (a round that kills
     nobody) or after ``max_rounds``; extra rounds past the fixpoint are
     no-ops, which is what lets the SQL oracle unroll a FIXED round count
-    and still compare exactly.  Surviving edges re-materialize per round
-    (the static-input analogue of PageRank's pinned edges)."""
+    and still compare exactly.  Surviving edges re-materialize per round."""
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-
-    def undirected(batch: pa.Table) -> pa.Table:
-        u, v = batch.column("src_id"), batch.column("dst_id")
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        t = pa.table({"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v)})
-        t = t.group_by(["a", "b"]).aggregate([])
-        return t.append_column("part", part_array(t, ["a", "b"], n_parts))
-
-    def dedup_part(part: pa.Table) -> pa.Table:
-        return part.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-
-    edges = (
-        adjacency.map_batches(undirected, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_part, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _simple_edges(adjacency, n_parts).materialize()
 
     # Small-graph planner (round 5): local synchronized peeling —
     # identical integer degrees and round semantics (tests).
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(
                 pa.table({"node": pa.array([], pa.string()), "deg": pa.array([], pa.int64())})
             )
-        et = pa.concat_tables(tabs)
         a = et.column("a").to_numpy(zero_copy_only=False)
         b = et.column("b").to_numpy(zero_copy_only=False)
         node_arr = np.unique(np.concatenate([a, b]))
@@ -1150,23 +1079,7 @@ def degree_histogram(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     from ray.data.aggregate import Sum
 
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-
-    def undirected(batch: pa.Table) -> pa.Table:
-        u, v = batch.column("src_id"), batch.column("dst_id")
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        t = pa.table({"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v)})
-        t = t.group_by(["a", "b"]).aggregate([])
-        return t.append_column("part", part_array(t, ["a", "b"], n_parts))
-
-    def dedup_part(part: pa.Table) -> pa.Table:
-        return part.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-
-    edges = (
-        adjacency.map_batches(undirected, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedup_part, batch_format="pyarrow")
-    )
+    edges = _simple_edges(adjacency, n_parts)
 
     def deg_partial(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -1216,8 +1129,6 @@ def pred_bigrams(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     join ever enumerates the paths themselves (a hub with 10⁶ in × 10⁶
     out edges contributes |preds|² rows, not 10¹²)."""
     from ray.data.aggregate import Sum
-
-    from .joins import hash_partitioned_groups
 
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
 
@@ -1297,34 +1208,27 @@ def pred_bigrams(adjacency: ray.data.Dataset) -> ray.data.Dataset:
 
 # --- multi-source BFS: hop distance from hash-seeded landmarks ---------------
 
-def _undirected_both_dirs(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
-    """Distinct undirected simple edges of the KG entity graph,
-    materialized BOTH directions as (u, v) rows (self-loops dropped,
-    predicates/weights ignored) and hash-partitioned by ``u`` — the
-    static probe side shared by :func:`bfs_hops` and
-    :func:`label_propagation`.  Dedup is exact: canonical (min, max)
-    pairs flow through one keyed exchange before mirroring."""
+def _undirected_both_dirs(
+    adjacency: ray.data.Dataset, n_parts: int, weighted: bool = False
+) -> ray.data.Dataset:
+    """:func:`_simple_edges` materialized BOTH directions as (u, v) rows
+    (plus the pair's summed weight ``w`` when ``weighted``), tagged with
+    ``part`` = hash(u) — the static probe side shared by
+    :func:`bfs_hops`, :func:`sssp_hops`, :func:`label_propagation` and
+    :func:`harmonic_centrality`."""
 
-    def canon(batch: pa.Table) -> pa.Table:
-        u, v = batch.column("src_id"), batch.column("dst_id")
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        t = pa.table({"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v)})
-        t = t.group_by(["a", "b"]).aggregate([])
-        return t.append_column("part", part_array(t, ["a", "b"], n_parts))
-
-    def mirror(part: pa.Table) -> pa.Table:
-        d = part.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-        a, b = d.column("a").combine_chunks(), d.column("b").combine_chunks()
-        t = pa.table(
-            {"u": pa.concat_arrays([a, b]), "v": pa.concat_arrays([b, a])}
-        )
+    def mirror(batch: pa.Table) -> pa.Table:
+        a, b = batch.column("a").combine_chunks(), batch.column("b").combine_chunks()
+        t = {"u": pa.concat_arrays([a, b]), "v": pa.concat_arrays([b, a])}
+        if weighted:
+            w = batch.column("w").combine_chunks()
+            t["w"] = pa.concat_arrays([w, w])
+        t = pa.table(t)
         return t.append_column("part", part_array(t, ["u"], n_parts))
 
     return (
-        adjacency.map_batches(canon, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(mirror, batch_format="pyarrow")
+        _simple_edges(adjacency, n_parts, weighted)
+        .map_batches(mirror, batch_format="pyarrow")
         .materialize()
     )
 
@@ -1345,68 +1249,57 @@ def bfs_seed_mask(nodes: "pa.Array | pa.ChunkedArray", pct: int) -> pa.Array:
     )
 
 
-def bfs_hops(
+def _min_plus_hops(
     adjacency: ray.data.Dataset,
-    seed_pct: int = 5,
-    max_hops: int = 6,
-    seeds: list[str] | None = None,
+    seed_mask: "callable",
+    rounds: int,
+    weighted: bool,
 ) -> ray.data.Dataset:
-    """Multi-source BFS hop distance over the undirected KG entity graph
-    (the landmark-distance feature of graph ML / KG QA: how many hops is
-    each entity from the nearest seed): sources are the deterministic
-    md5-bucket ``seed_pct``% of nodes; output is (node, dist) for every
-    node REACHED within ``max_hops`` (unreached nodes carry no row —
-    distance ∞ stays implicit, never materialized).
+    """Synchronous multi-source min-plus relaxation over the undirected
+    KG entity graph, shared by :func:`bfs_hops` (edge length 1) and
+    :func:`sssp_hops` (edge length = the pair's summed weight):
+    ``dist'(v) = min(dist(v), min_u dist(u) + len(u, v))`` for exactly
+    ``rounds`` rounds from the nodes ``seed_mask(nodes)`` selects.
+    Returns (node, dist) for every reached node, sorted by node.
 
-    Scale shape: the mirrored edge table partitions once and pins
-    (static graph, iterating frontier, the PageRank discipline); each
-    round the current distance table exchanges ONCE through the same
-    hash as the edges, the per-partition probe is a vectorized
-    sorted-array ``searchsorted`` join emitting (neighbor, dist+1)
+    Relaxation is MONOTONE (min of ints), so a fixed round count is
+    deterministic at any partitioning, a fixed-depth SQL unroll compares
+    exactly, and rounds past convergence are no-ops.  Below
+    :data:`LOCAL_GRAPH_BYTES_BOUND` the rounds run locally in numpy over
+    the gathered mirrored edges; above it each round unions the static
+    mirrored-edge partitions with the distance rows in ONE exchange
+    keyed by the same hash, the per-partition probe is a vectorized
+    sorted-array ``searchsorted`` join emitting (neighbor, dist + len)
     candidates pre-combined locally (min per neighbor), and one
-    ``groupby(node).min`` folds candidates into the running distances.
-    Distance relaxation is MONOTONE (min of ints), so running exactly
-    ``max_hops`` rounds is deterministic at any partitioning and a
-    fixed-depth SQL unroll compares exactly — rounds past convergence
-    are no-ops.  Per-round exchange volume is O(frontier ∪ dists), never
-    O(edges): the edge side is static."""
+    ``groupby(node).min`` folds them into the running distances."""
     from ray.data.aggregate import Min
 
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-    edges = _undirected_both_dirs(adjacency, n_parts)
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    edges = _undirected_both_dirs(adjacency, n_parts, weighted)
 
-    # Small-graph planner (round 5): below LOCAL_GRAPH_BYTES_BOUND run
-    # the monotone integer relaxation locally over the gathered mirrored
-    # edge table — exactly max_hops synchronous rounds, bit-equal to the
-    # distributed exchanges (asserted in tests); unchanged above.
+    # Small-graph planner (round 5): exactly ``rounds`` synchronous
+    # rounds locally, bit-equal to the distributed exchanges (tests).
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
-            return ray.data.from_arrow(
-                pa.table({"node": pa.array([], pa.string()), "dist": pa.array([], pa.int64())})
-            )
-        et = pa.concat_tables(tabs)
+        et = _gather(edges)
+        if et is None:
+            return ray.data.from_arrow(_DIST_SCHEMA.empty_table())
         u = et.column("u").to_numpy(zero_copy_only=False)
         v = et.column("v").to_numpy(zero_copy_only=False)
+        if weighted:
+            length = et.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
+        else:
+            length = np.ones(len(u), np.int64)
         node_arr = np.unique(u)  # mirrored: every endpoint appears as u
         ui = np.searchsorted(node_arr, u)
         vi = np.searchsorted(node_arr, v)
-        if seeds is not None:
-            seed_mask = pc.is_in(
-                pa.array(node_arr), value_set=pa.array(sorted(seeds), pa.string())
-            ).to_numpy(zero_copy_only=False)
-        else:
-            seed_mask = bfs_seed_mask(pa.array(node_arr), seed_pct).to_numpy(
-                zero_copy_only=False
-            )
+        seeded = seed_mask(pa.array(node_arr)).to_numpy(zero_copy_only=False)
         INF = np.iinfo(np.int64).max
-        dist = np.where(seed_mask, 0, INF).astype(np.int64)
-        for _ in range(max_hops):
+        dist = np.where(seeded, 0, INF).astype(np.int64)
+        for _ in range(rounds):
             du = dist[ui]
             ok = du != INF
             cand = np.full(len(node_arr), INF, np.int64)
-            np.minimum.at(cand, vi[ok], du[ok] + 1)
+            np.minimum.at(cand, vi[ok], du[ok] + length[ok])
             dist = np.minimum(dist, cand)
         reached = dist != INF
         return ray.data.from_arrow(
@@ -1420,16 +1313,9 @@ def bfs_hops(
 
     def seed_partial(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
-        if seeds is not None:  # explicit single/few-source mode
-            hit = pc.is_in(nodes, value_set=pa.array(sorted(seeds), pa.string()))
-        else:
-            hit = bfs_seed_mask(nodes, seed_pct)
-        picked = nodes.filter(hit)
+        picked = nodes.filter(seed_mask(nodes))
         return pa.table(
-            {
-                "node": picked,
-                "dist": pa.array(np.zeros(len(picked), np.int64)),
-            }
+            {"node": picked, "dist": pa.array(np.zeros(len(picked), np.int64))}
         )
 
     # node set = distinct u of the mirrored table (covers every endpoint);
@@ -1440,46 +1326,47 @@ def bfs_hops(
         .materialize()
     )
 
-    cand_schema = pa.schema([("node", pa.string()), ("dist", pa.int64())])
+    # distance rows ride the edge schema with a -1 edge length; edge rows
+    # carry dist -1, which is how the probe tells the two sides apart
+    edge_cols = ["u", "v", "w"] if weighted else ["u", "v"]
 
     def dist_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "u": batch.column("node"),
-                "v": batch.column("node"),
-                "dist": batch.column("dist").cast(pa.int64()),
-            }
-        )
+        t = {"u": batch.column("node"), "v": batch.column("node")}
+        if weighted:
+            t["w"] = pa.array(np.full(batch.num_rows, -1, np.int64))
+        t["dist"] = batch.column("dist").cast(pa.int64())
+        t = pa.table(t)
         return t.append_column("part", part_array(t, ["u"], n_parts))
 
     def edge_tag(batch: pa.Table) -> pa.Table:
-        cols = ["u", "v", "part"] if "part" in batch.column_names else ["u", "v"]
-        t = batch.select(cols)
-        if "part" not in t.column_names:
-            t = t.append_column("part", part_array(t, ["u"], n_parts))
+        t = batch.select(edge_cols + ["part"])
         return t.append_column(
             "dist", pa.array(np.full(t.num_rows, -1, np.int64))
-        ).select(["u", "v", "dist", "part"])
+        ).select(edge_cols + ["dist", "part"])
 
     def probe(part: pa.Table) -> pa.Table:
         d = part.column("dist").to_numpy(zero_copy_only=False)
         is_dist = d >= 0
         if not is_dist.any() or is_dist.all():
-            return cand_schema.empty_table()
+            return _DIST_SCHEMA.empty_table()
         dn = part.column("u").to_numpy(zero_copy_only=False)[is_dist].astype(str)
         dv = d[is_dist]
         order = np.argsort(dn, kind="mergesort")
         dn, dv = dn[order], dv[order]
         eu = part.column("u").to_numpy(zero_copy_only=False)[~is_dist].astype(str)
+        if weighted:
+            length = part.column("w").to_numpy(zero_copy_only=False)[~is_dist]
+        else:
+            length = np.ones(len(eu), np.int64)
         pos = np.minimum(np.searchsorted(dn, eu), len(dn) - 1)
         hit = dn[pos] == eu
         if not hit.any():
-            return cand_schema.empty_table()
+            return _DIST_SCHEMA.empty_table()
         ev = part.column("v").filter(pa.array(~is_dist)).combine_chunks()
         t = pa.table(
             {
                 "node": ev.filter(pa.array(hit)),
-                "dist": pa.array(dv[pos[hit]] + 1, pa.int64()),
+                "dist": pa.array(dv[pos[hit]] + length[hit], pa.int64()),
             }
         )
         # local min combine before the node exchange
@@ -1487,7 +1374,7 @@ def bfs_hops(
             t.group_by(["node"]).aggregate([("dist", "min")]).rename_columns(["node", "dist"])
         )
 
-    for _ in range(max_hops):
+    for _ in range(rounds):
         tagged = edges.map_batches(edge_tag, batch_format="pyarrow").union(
             dist.map_batches(dist_tag, batch_format="pyarrow")
         )
@@ -1506,6 +1393,37 @@ def bfs_hops(
         )
 
     return dist.sort("node")
+
+
+def bfs_hops(
+    adjacency: ray.data.Dataset,
+    seed_pct: int = 5,
+    max_hops: int = 6,
+    seeds: list[str] | None = None,
+) -> ray.data.Dataset:
+    """Multi-source BFS hop distance over the undirected KG entity graph
+    (the landmark-distance feature of graph ML / KG QA: how many hops is
+    each entity from the nearest seed): sources are the deterministic
+    md5-bucket ``seed_pct``% of nodes, or exactly the ``seeds`` nodes
+    when given; output is (node, dist) for every node REACHED within
+    ``max_hops`` (unreached nodes carry no row — distance ∞ stays
+    implicit, never materialized).
+
+    The min-plus relaxation of :func:`_min_plus_hops` with every edge of
+    length 1: local numpy rounds below the small-graph bound, one
+    edge ∪ distance exchange per round above it."""
+    if seeds is not None:  # explicit single/few-source mode
+        chosen = pa.array(sorted(seeds), pa.string())
+
+        def seed_mask(nodes):
+            return pc.is_in(nodes, value_set=chosen)
+
+    else:
+
+        def seed_mask(nodes):
+            return bfs_seed_mask(nodes, seed_pct)
+
+    return _min_plus_hops(adjacency, seed_mask, max_hops, weighted=False)
 
 
 # --- synchronous label propagation: community detection -----------------------
@@ -1530,8 +1448,6 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
     tallies per round, the LPA lower bound."""
     from ray.data.aggregate import Sum
 
-    from .joins import hash_partitioned_groups
-
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
     edges = _undirected_both_dirs(adjacency, n_parts)
@@ -1539,12 +1455,11 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
     # Small-graph planner (round 5): local synchronous LPA — identical
     # argmax/tie-break over exact integer tallies (tests); unchanged above.
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(
                 pa.table({"node": pa.array([], pa.string()), "community": pa.array([], pa.string())})
             )
-        et = pa.concat_tables(tabs)
         u = et.column("u").to_numpy(zero_copy_only=False)
         v = et.column("v").to_numpy(zero_copy_only=False)
         node_arr = np.unique(u)
@@ -1685,15 +1600,14 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     neighbors joined on the same md5-mod index).
 
     Scale shape: distinct (u, v) edges partition once by hash(u), sort
-    per partition, and pin across steps; each step the frontier
+    per partition, and materialize once; each step the frontier
     (walk_id, node) exchanges through the same hash, the per-partition
     probe finds each node's neighbor run with TWO searchsorted calls and
     gathers the picked neighbor by index arithmetic — the only per-row
     Python is the md5 draw itself (one digest per live walk per step,
     the portable-hash price every md5-keyed oracle pays).  Frontier
-    volume is ≤ n_walks rows per step; the edge side never re-shuffles
-    logically (re-unioned here; pin via ray.put below the PageRank
-    bound is the stated cluster optimization)."""
+    volume is ≤ n_walks rows per step; the static edge side re-unions
+    with the frontier in the same exchange every step."""
     import hashlib
 
     n_edges = adjacency.count()
@@ -1724,8 +1638,8 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     # ledger (tests); walk_pairs and kg_node_embeddings inherit via
     # composition.  Unchanged above the bound.
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(
                 pa.table(
                     {
@@ -1735,7 +1649,7 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
                     }
                 )
             )
-        et = pa.concat_tables(tabs).sort_by([("u", "ascending"), ("v", "ascending")])
+        et = et.sort_by([("u", "ascending"), ("v", "ascending")])
         eu = et.column("u").to_numpy(zero_copy_only=False).astype(str)
         ev = et.column("v").to_numpy(zero_copy_only=False)
         wids = np.unique(eu)
@@ -1899,8 +1813,6 @@ def walk_pairs(
     |Δstep| ≤ window over the walk replay)."""
     from ray.data.aggregate import Sum
 
-    from .joins import hash_partitioned_groups
-
     walks = random_walks(adjacency, walk_len=walk_len)
     n_parts = derive_n_parts(walks.count(), rows_per_part=65536)
 
@@ -2009,161 +1921,11 @@ def sssp_hops(
     relaxes ``dist'(v) = min(dist(v), min_u dist(u) + w(u,v))``.  All
     integer, monotone min — exactly ``rounds`` rounds run, a fixed-depth
     SQL unroll compares exactly, extra rounds past convergence are
-    no-ops.  Same per-round shape as bfs_hops (static pinned edges, one
-    dist exchange, searchsorted probe, groupby-min) with the weight
-    riding the edge rows."""
-    from ray.data.aggregate import Min
-
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-
-    def canon(batch: pa.Table) -> pa.Table:
-        u, v = batch.column("src_id"), batch.column("dst_id")
-        w = batch.column("weight").cast(pa.int64())
-        keep = pc.invert(pc.equal(u, v))
-        u, v, w = u.filter(keep), v.filter(keep), w.filter(keep)
-        t = (
-            pa.table(
-                {"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v), "w": w}
-            )
-            .group_by(["a", "b"])
-            .aggregate([("w", "sum")])
-            .rename_columns(["a", "b", "w"])
-        )
-        return t.append_column("part", part_array(t, ["a", "b"], n_parts))
-
-    def mirror(part: pa.Table) -> pa.Table:
-        d = (
-            part.select(["a", "b", "w"])
-            .group_by(["a", "b"])
-            .aggregate([("w", "sum")])
-            .rename_columns(["a", "b", "w"])
-        )
-        a, b = d.column("a").combine_chunks(), d.column("b").combine_chunks()
-        w = d.column("w").combine_chunks()
-        t = pa.table(
-            {
-                "u": pa.concat_arrays([a, b]),
-                "v": pa.concat_arrays([b, a]),
-                "w": pa.concat_arrays([w, w]),
-            }
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    edges = (
-        adjacency.map_batches(canon, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(mirror, batch_format="pyarrow")
-        .materialize()
+    no-ops.  The same :func:`_min_plus_hops` relaxation as bfs_hops,
+    with the weight riding the mirrored edge rows."""
+    return _min_plus_hops(
+        adjacency, lambda nodes: bfs_seed_mask(nodes, seed_pct), rounds, weighted=True
     )
-
-    # Small-graph planner (round 5): local synchronous Bellman-Ford over
-    # the gathered mirrored weighted edges — exactly ``rounds`` rounds,
-    # bit-equal to the distributed exchanges (tests); unchanged above.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
-            return ray.data.from_arrow(
-                pa.table({"node": pa.array([], pa.string()), "dist": pa.array([], pa.int64())})
-            )
-        et = pa.concat_tables(tabs)
-        u = et.column("u").to_numpy(zero_copy_only=False)
-        v = et.column("v").to_numpy(zero_copy_only=False)
-        w = et.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-        node_arr = np.unique(u)
-        ui = np.searchsorted(node_arr, u)
-        vi = np.searchsorted(node_arr, v)
-        seed_mask = bfs_seed_mask(pa.array(node_arr), seed_pct).to_numpy(
-            zero_copy_only=False
-        )
-        INF = np.iinfo(np.int64).max
-        dist = np.where(seed_mask, 0, INF).astype(np.int64)
-        for _ in range(rounds):
-            du = dist[ui]
-            ok = du != INF
-            cand = np.full(len(node_arr), INF, np.int64)
-            np.minimum.at(cand, vi[ok], du[ok] + w[ok])
-            dist = np.minimum(dist, cand)
-        reached = dist != INF
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array(node_arr[reached]),
-                    "dist": pa.array(dist[reached], pa.int64()),
-                }
-            )
-        ).sort("node")
-
-    def seed_partial(part: pa.Table) -> pa.Table:
-        nodes = pc.unique(part.column("u").combine_chunks())
-        picked = nodes.filter(bfs_seed_mask(nodes, seed_pct))
-        return pa.table(
-            {"node": picked, "dist": pa.array(np.zeros(len(picked), np.int64))}
-        )
-
-    dist = (
-        edges.groupby("part").map_groups(seed_partial, batch_format="pyarrow").materialize()
-    )
-
-    cand_schema = pa.schema([("node", pa.string()), ("dist", pa.int64())])
-
-    def dist_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "u": batch.column("node"),
-                "v": batch.column("node"),
-                "w": pa.array(np.full(batch.num_rows, -1, np.int64)),
-                "dist": batch.column("dist").cast(pa.int64()),
-            }
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def edge_tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(["u", "v", "w", "part"])
-        return t.append_column(
-            "dist", pa.array(np.full(t.num_rows, -1, np.int64))
-        ).select(["u", "v", "w", "dist", "part"])
-
-    def probe(part: pa.Table) -> pa.Table:
-        d = part.column("dist").to_numpy(zero_copy_only=False)
-        is_dist = d >= 0
-        if not is_dist.any() or is_dist.all():
-            return cand_schema.empty_table()
-        dn = part.column("u").to_numpy(zero_copy_only=False)[is_dist].astype(str)
-        dv = d[is_dist]
-        order = np.argsort(dn, kind="mergesort")
-        dn, dv = dn[order], dv[order]
-        eu = part.column("u").to_numpy(zero_copy_only=False)[~is_dist].astype(str)
-        ew = part.column("w").to_numpy(zero_copy_only=False)[~is_dist]
-        pos = np.minimum(np.searchsorted(dn, eu), len(dn) - 1)
-        hit = dn[pos] == eu
-        if not hit.any():
-            return cand_schema.empty_table()
-        ev = part.column("v").filter(pa.array(~is_dist)).combine_chunks()
-        t = pa.table(
-            {
-                "node": ev.filter(pa.array(hit)),
-                "dist": pa.array(dv[pos[hit]] + ew[hit], pa.int64()),
-            }
-        )
-        return (
-            t.group_by(["node"]).aggregate([("dist", "min")]).rename_columns(["node", "dist"])
-        )
-
-    for _ in range(rounds):
-        tagged = edges.map_batches(edge_tag, batch_format="pyarrow").union(
-            dist.map_batches(dist_tag, batch_format="pyarrow")
-        )
-        cand = tagged.groupby("part").map_groups(probe, batch_format="pyarrow")
-        dist = (
-            dist.union(cand)
-            .groupby("node")
-            .aggregate(Min("dist", alias_name="dist"))
-            .repartition(n_parts)  # block-count bound (see bfs_hops)
-            .materialize()
-        )
-
-    return dist.sort("node")
 
 
 # --- GNN minibatch sampling: k-hop deterministic fanout ----------------------
@@ -2185,7 +1947,7 @@ def fanout_sample(
     reached twice expands once).
 
     Scale shape: distinct directed edges partition once by hash(src) and
-    pin; each hop the frontier exchanges through the same hash, the
+    materialize; each hop the frontier exchanges through the same hash, the
     per-partition probe finds each node's run with two searchsorted
     calls, ranks candidates with ONE vectorized argsort over
     (node, hash) and keeps rank ≤ fanout — per-hop exchange volume is
@@ -2223,10 +1985,10 @@ def fanout_sample(
         out_schema_l = pa.schema(
             [("hop", pa.int64()), ("src", pa.string()), ("dst", pa.string())]
         )
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(out_schema_l.empty_table())
-        et = pa.concat_tables(tabs).sort_by([("u", "ascending"), ("v", "ascending")])
+        et = et.sort_by([("u", "ascending"), ("v", "ascending")])
         eu = et.column("u").to_numpy(zero_copy_only=False).astype(str)
         ev = et.column("v").to_numpy(zero_copy_only=False).astype(str)
         uniq = np.unique(eu)
@@ -2376,6 +2138,10 @@ def fanout_sample(
             .materialize()
         )
 
+    # the hops are materialized, so counting them is metadata-only; an
+    # all-empty sort would come back schema-less
+    if not any(d.count() for d in sampled_hops):
+        return ray.data.from_arrow(out_schema.empty_table())
     out = sampled_hops[0]
     for d in sampled_hops[1:]:
         out = out.union(d)
@@ -2406,31 +2172,15 @@ def modularity(
 
     from ray.data.aggregate import Sum
 
-    from .joins import hash_partitioned_groups
-
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-
-    def canon(batch: pa.Table) -> pa.Table:
-        u, v = batch.column("src_id"), batch.column("dst_id")
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        t = pa.table({"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v)})
-        return t.group_by(["a", "b"]).aggregate([])
-
-    def dedup(part: pa.Table) -> pa.Table:
-        return part.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-
-    edges = hash_partitioned_groups(
-        adjacency.map_batches(canon, batch_format="pyarrow"), ["a", "b"], dedup, n_parts
-    )
+    edges = _simple_edges(adjacency, n_parts).materialize()
 
     # Small-graph planner (round 5): local integer sufficient stats —
     # identical finalize expression (tests); unchanged above the bound.
-    edges = edges.materialize()
     comm = communities.materialize()
     if edges.size_bytes() + comm.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(
                 pa.table(
                     {
@@ -2440,7 +2190,6 @@ def modularity(
                     }
                 )
             )
-        et = pa.concat_tables(tabs)
         a = et.column("a").to_pylist()
         b = et.column("b").to_pylist()
         lab = {}
@@ -2605,23 +2354,8 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
 
     from ray.data.aggregate import Sum
 
-    from .joins import hash_partitioned_groups
-
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-
-    def canon(batch: pa.Table) -> pa.Table:
-        u, v = batch.column("src_id"), batch.column("dst_id")
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        t = pa.table({"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v)})
-        return t.group_by(["a", "b"]).aggregate([])
-
-    def dedup(part: pa.Table) -> pa.Table:
-        return part.select(["a", "b"]).group_by(["a", "b"]).aggregate([])
-
-    edges = hash_partitioned_groups(
-        adjacency.map_batches(canon, batch_format="pyarrow"), ["a", "b"], dedup, n_parts
-    ).materialize()
+    edges = _simple_edges(adjacency, n_parts).materialize()
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -2644,10 +2378,9 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
 
     # Small-graph planner (round 5): local integer sufficient stats with
     # the identical fixed IEEE finalize (tests); unchanged above.
-    edges = edges.materialize()
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(
                 pa.table(
                     {
@@ -2657,7 +2390,6 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
                     }
                 )
             )
-        et = pa.concat_tables(tabs)
         ea = et.column("a").to_numpy(zero_copy_only=False)
         eb = et.column("b").to_numpy(zero_copy_only=False)
         node_arr = np.unique(np.concatenate([ea, eb]))
@@ -2879,8 +2611,6 @@ def reciprocity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     the driver folds a partitions-sized table."""
     from ray.data.aggregate import Sum
 
-    from .joins import hash_partitioned_groups
-
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2956,7 +2686,7 @@ def harmonic_centrality(
     reaches ≥ 1 landmark within ``max_hops``.
 
     Scale shape: the bfs_hops machinery lifted to the composite
-    (node, seed) key — pinned mirrored-edge partitions, per round ONE
+    (node, seed) key — static mirrored-edge partitions, per round ONE
     dist exchange through the edge hash; the per-partition probe is a
     sorted searchsorted-range + prefix-sum gather (one edge row fans out
     to its u's seed rows, the band-join kernel) with a local
@@ -2974,8 +2704,8 @@ def harmonic_centrality(
     # a [V, S] distance matrix — identical per-term integer rounding and
     # round count (tests); guarded by V·S cells as well as bytes.
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        if not tabs:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(
                 pa.table(
                     {
@@ -2985,7 +2715,6 @@ def harmonic_centrality(
                     }
                 )
             )
-        et = pa.concat_tables(tabs)
         u = et.column("u").to_numpy(zero_copy_only=False)
         v = et.column("v").to_numpy(zero_copy_only=False)
         node_arr = np.unique(u)
@@ -3405,11 +3134,7 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-def hits(
-    adjacency: ray.data.Dataset,
-    iters: int = 3,
-    pin_bytes_bound: int = PIN_EDGES_BYTES_BOUND,
-) -> ray.data.Dataset:
+def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     """HITS hubs & authorities (Kleinberg) over the DIRECTED distinct
     edge set of the adjacency table — the link-analysis dual of
     PageRank: a good hub points at good authorities, a good authority
@@ -3428,11 +3153,8 @@ def hits(
     score rows into the matching partition, probes with one vectorized
     searchsorted, pre-sums contributions per destination INSIDE the
     partition, and folds one global max (a scalar) for the rescale.
-    Below the pagerank pinning byte bound the mirrored edge partitions
-    are ray.put ONCE and fetched zero-copy in the probe, so the
-    per-half-step exchange carries only score rows; above it (or with
-    ``pin_bytes_bound=0``) iterations re-union the edge dataset —
-    bit-equality of the two paths is tested."""
+    Below :data:`LOCAL_GRAPH_BYTES_BOUND` the half-steps run locally in
+    numpy instead — bit-equality of the two paths is tested."""
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
     SCALE6 = 10**6
@@ -3480,10 +3202,8 @@ def hits(
     # seconds of fixed latency (3-iteration HITS on the 625-edge KG
     # measured 108 s distributed).  Above the bound: unchanged exchanges.
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        fwd = pa.concat_tables(
-            [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
-        ) if n_edges else None
-        if fwd is None or fwd.num_rows == 0:
+        fwd = _gather(edges)
+        if fwd is None:
             return ray.data.from_arrow(
                 pa.table(
                     {
@@ -3520,27 +3240,6 @@ def hits(
                 }
             )
         ).sort("node")
-
-    # Pin the static side (the pagerank convention, same byte bound):
-    # below the bound each mirrored edge partition is ray.put ONCE and
-    # fetched zero-copy inside the probe, so per-half-step exchanges
-    # carry only score rows; above it, iterations re-union the edge
-    # dataset (bit-equal by construction, correct at any size).
-    edge_refs: dict[int, "ray.ObjectRef"] | None = None
-    if edges.size_bytes() <= pin_bytes_bound:
-        bufs: dict[int, list[pa.Table]] = {}
-        for b in edges.iter_batches(batch_format="pyarrow"):
-            for pid in pc.unique(b.column("part")).to_pylist():
-                bufs.setdefault(pid, []).append(
-                    b.filter(pc.equal(b.column("part"), pid))
-                )
-        edge_refs = {}
-        for pid, tabs in bufs.items():
-            t = pa.concat_tables(tabs).sort_by(
-                [("dir", "ascending"), ("key", "ascending"), ("other", "ascending")]
-            )
-            edge_refs[pid] = ray.put(t.select(["key", "other", "dir"]))
-        del bufs
 
     def node_partial(batch: pa.Table) -> pa.Table:
         return pa.table({"node": pc.unique(batch.column("key").combine_chunks())})
@@ -3628,46 +3327,10 @@ def hits(
                 .rename_columns(["node", "contrib"])
             )
 
-        def probe_pinned(part: pa.Table) -> pa.Table:
-            """Score-rows-only partition; this partition's pinned edges
-            fetched zero-copy and filtered to the needed direction."""
-            if part.num_rows == 0:
-                return contrib_schema.empty_table()
-            ref = edge_refs.get(part.column("part")[0].as_py())
-            if ref is None:
-                return contrib_schema.empty_table()
-            et = ray.get(ref)
-            et = et.filter(pc.equal(et.column("dir"), direction))
-            if et.num_rows == 0:
-                return contrib_schema.empty_table()
-            sk = part.column("key").to_numpy(zero_copy_only=False)
-            sv = part.column("s").to_numpy(zero_copy_only=False)
-            order = np.argsort(sk, kind="mergesort")
-            sk, sv = sk[order], sv[order]
-            ek = et.column("key").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(sk, ek)
-            return (
-                pa.table(
-                    {
-                        "node": et.column("other"),
-                        "contrib": pa.array(sv[pos], pa.int64()),
-                    }
-                )
-                .group_by(["node"])
-                .aggregate([("contrib", "sum")])
-                .rename_columns(["node", "contrib"])
-            )
-
-        if edge_refs is not None:
-            tagged = scores.map_batches(score_side, batch_format="pyarrow")
-            grouped = tagged.groupby("part").map_groups(
-                probe_pinned, batch_format="pyarrow"
-            )
-        else:
-            unioned = scores.map_batches(score_side, batch_format="pyarrow").union(
-                edges.map_batches(edge_side, batch_format="pyarrow")
-            )
-            grouped = unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
+        unioned = scores.map_batches(score_side, batch_format="pyarrow").union(
+            edges.map_batches(edge_side, batch_format="pyarrow")
+        )
+        grouped = unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
         raw = (
             grouped
             .union(zeros)
@@ -3758,10 +3421,9 @@ def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dat
     # Small-graph planner (round 5): local source/sink peeling with the
     # identical round ledger (tests); unchanged above the bound.
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        tabs = [b for b in edges.iter_batches(batch_format="pyarrow") if b.num_rows]
+        et = _gather(edges)
         ou_r, ou_rm, ou_c = [], [], []
-        if tabs:
-            et = pa.concat_tables(tabs)
+        if et is not None:
             u = et.column("u").to_numpy(zero_copy_only=False)
             v = et.column("v").to_numpy(zero_copy_only=False)
             node_arr = np.unique(np.concatenate([u, v]))
@@ -3894,8 +3556,7 @@ def diameter_2sweep(
     farthest-node ties break lexicographically.  Output one row:
     (src, ecc_src, far_node, diameter_lb, far_node_2).
 
-    Scale shape: two :func:`bfs_hops` runs (pinned static edge
-    partitions, score-rows-only per-round exchange) plus two max/min
+    Scale shape: two :func:`bfs_hops` runs plus two max/min
     aggregates over the nodes-sized distance table — nothing beyond the
     BFS discipline."""
     from ray.data.aggregate import Min

@@ -178,10 +178,16 @@ def resumable_exchange(
     files = [os.path.join(o_dir, f"part-{p}.parquet") for p in parts]
     files = [f for f in files if os.path.exists(f) and pq.ParquetFile(f).metadata.num_rows > 0]
     if not files:
-        # every partition produced zero rows — type the empty result from
-        # any part's kernel output schema
-        probe = per_partition(pq.read_table(os.path.join(in_dir, f"part-{parts[0]}.parquet")).slice(0, 0)) if parts else None
-        return ray.data.from_arrow(probe if probe is not None else pa.table({}))
+        # every partition produced zero rows, or the input had none: type
+        # the empty result by running the kernel on an empty input table
+        if parts:
+            empty_in = pq.read_table(os.path.join(in_dir, f"part-{parts[0]}.parquet")).slice(0, 0)
+        else:
+            sch = ds.schema()
+            if sch is None:  # schema-less empty input: nothing to type from
+                return ray.data.from_arrow(pa.table({}))
+            empty_in = pa.schema(list(zip(sch.names, sch.types))).empty_table()
+        return ray.data.from_arrow(per_partition(empty_in))
     return ray.data.read_parquet(files)
 
 

@@ -112,17 +112,6 @@ def test_triangle_count_star_skew_and_directions(ray_session):
     assert int(got["n_triangles"][0]) == 1
 
 
-def test_pagerank_pinned_equals_union_path(ray_session):
-    """pin_bytes_bound=0 forces the re-union fallback; both paths must be
-    bit-identical (integer arithmetic, same partition function)."""
-    from relation_extraction_ray.functions.graph import pagerank
-
-    ds = ray.data.from_arrow(_adj(ROWS)).repartition(3)
-    pinned = pagerank(ds, iters=3).to_pandas()
-    union = pagerank(ds, iters=3, pin_bytes_bound=0).to_pandas()
-    assert pinned.equals(union)
-
-
 def _ref_edge_jaccard(rows):
     import collections
 
@@ -1128,24 +1117,6 @@ def test_trim_core_closed_forms(ray_session):
     assert [(r["round"], r["removed"], r["core_after"]) for r in got] == [(1, 0, 1)]
 
 
-def test_hits_pinned_equals_union_path(ray_session):
-    """pin_bytes_bound=0 forces the re-union fallback — bit-identical
-    to the pinned path on a random multigraph."""
-    from relation_extraction_ray.functions.graph import hits
-
-    rng = np.random.default_rng(11)
-    rows = [
-        (f"n{int(a)}", "p", f"n{int(b)}", 1)
-        for a, b in rng.integers(0, 25, size=(120, 2))
-        if a != b
-    ]
-    ds = ray.data.from_arrow(_adj(rows)).repartition(5)
-    pinned = hits(ds).take_all()
-    union = hits(ray.data.from_arrow(_adj(rows)).repartition(5),
-                 pin_bytes_bound=0).take_all()
-    assert pinned == union and len(pinned) > 0
-
-
 def test_diameter_2sweep_closed_forms(ray_session):
     """Path a-b-c-d-e: src = 'a', ecc 4, far 'e', second sweep returns
     to 'a' with the same diameter (exact on trees).  A cycle of 6 has
@@ -1221,3 +1192,21 @@ def test_local_planner_bit_equal_to_distributed(ray_session):
             dist = rows(make(), cols)
         assert local == dist, cols
         assert len(local) > 0
+
+    # Self-loop-only graph: the undirected operators see an empty edge
+    # set, and both paths must still agree on rows AND column names.  The
+    # cases close over ``kg_adjacency``, so rebinding it re-runs them all.
+    kg_adjacency = ray.data.from_arrow(
+        _adj([("n01", "p", "n01", 2), ("n02", "p", "n02", 1)])
+    ).repartition(2)
+
+    def shape(ds, cols):
+        ds = ds.materialize()
+        schema = ds.schema()
+        return (schema.names if schema is not None else None), rows(ds, cols)
+
+    for make, cols in cases:
+        local = shape(make(), cols)
+        with mock.patch.object(G, "LOCAL_GRAPH_BYTES_BOUND", 0):
+            dist = shape(make(), cols)
+        assert local == dist, cols

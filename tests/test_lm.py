@@ -386,3 +386,25 @@ def test_silhouette_sampled(ray_session):
         for l, (cnt, ssum) in per_label.items()
     )
     assert got == want
+
+
+def test_silhouette_broadcast_bound_raises(ray_session):
+    """A reference matrix past ``broadcast_bytes`` is refused with a
+    ValueError (which survives ``python -O``) before any driver gather."""
+    import pyarrow as pa
+    import pytest
+    import ray
+
+    from relation_extraction_ray.functions.ann import silhouette_by_label
+
+    t = pa.table(
+        {
+            "vec_id": pa.array([0, 1, 2], pa.int64()),
+            "embedding": pa.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], pa.list_(pa.float32())),
+            "label": pa.array([0, 0, 1], pa.int32()),
+        }
+    )
+    # 3 rows × 2 dims × 8 B = 48 B of int64 matrix
+    with pytest.raises(ValueError, match="broadcast_bytes"):
+        silhouette_by_label(ray.data.from_arrow(t), broadcast_bytes=47)
+    assert len(silhouette_by_label(ray.data.from_arrow(t), broadcast_bytes=48).take_all()) == 2

@@ -117,6 +117,18 @@ def test_resume_after_deleted_parts(ray_session, tmp_path):
         assert open(os.path.join(o_dir, f), "rb").read() == byte0[f]  # byte-identical
 
 
+def test_empty_input_returns_typed_kernel_output(ray_session, tmp_path):
+    """An empty input spills no partition; the result still carries the
+    kernel's output columns, not a schema-less table."""
+    empty = ray.data.from_arrow(
+        pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+    )
+    fp = input_fingerprint("empty")
+    got = resumable_exchange(empty, ["k"], _sum_kernel(None), 8, str(tmp_path / "ckpt"), fp)
+    assert got.schema().names == ["k", "v_sum"]
+    assert got.count() == 0
+
+
 def test_worker_kill_retries_part(ray_session, tmp_path):
     """A hard worker kill (os._exit) inside one part's kernel is retried
     by Ray; the atomic tmp+rename write means the retried part lands
