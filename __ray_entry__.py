@@ -2727,8 +2727,9 @@ def _q_pagerank_personal(sf_dir: str):
 
 def _q_hits(sf_dir: str):
     """HITS hubs & authorities (3 rounds, integer max-rescale) over the
-    pipeline's adjacency — the link-analysis dual of PageRank; mirrored
-    u-/v-keyed edge partitions, one keyed exchange per half-step."""
+    pipeline's adjacency — the link-analysis dual of PageRank; one
+    u- or v-keyed cogroup of scores with the distinct edges per
+    half-step."""
     from relation_extraction_ray.functions.graph import hits
 
     return hits(_kg_run()["adjacency"], iters=3)
@@ -2736,7 +2737,7 @@ def _q_hits(sf_dir: str):
 
 def _q_kg_diameter(sf_dir: str):
     """Double-sweep diameter lower bound of the KG entity graph: two
-    pinned-edge BFS runs from deterministic endpoints, max/min folds
+    BFS runs from deterministic endpoints, max/min folds
     over the nodes-sized distance table."""
     from relation_extraction_ray.functions.graph import diameter_2sweep
 

@@ -8,20 +8,23 @@ Every iterative or wedge operator plans from an observed size: below
 (:func:`_gather`) and the recurrence runs in numpy; above it the same
 recurrence runs as keyed Ray Data exchanges.  Both paths are
 bit-identical (asserted in tests).  The undirected operators share one
-edge prep (:func:`_simple_edges`).
+edge prep (:func:`_simple_edges`), the directed walkers one
+(:func:`_directed_edges`).  Every two-input exchange of a distributed
+round — static edges ⋈ frontier, ranks, scores, labels or degrees — is
+one :func:`..joins.cogroup` call: the two sides are hashed on their own
+key columns, so the static preps carry no partition column.
 
 PageRank's distributed path is the classic 2-exchanges-per-iteration
 shape:
 
 1. **Static edge prep (once)**: predicates collapse to (u, v, w) edge
-   weights via per-batch partial combine + one groupby; edges then hash-
-   partition by source ``u`` and — because ALL of u's out-edges land in
-   u's partition — the out-weight ``ow(u)`` is computed locally with a
-   segmented sum, never through an extra exchange.  The prepped edge
-   partitions are materialized once and reused by every iteration
-   (static graph, iterating ranks).
-2. **Per iteration**: rank rows and edge rows union into ONE exchange
-   keyed by the same partition id, the per-partition probe is a
+   weights via per-batch partial combine + one exchange keyed by the
+   source ``u`` — because ALL of u's out-edges land in u's partition,
+   the out-weight ``ow(u)`` is computed locally with a segmented sum,
+   never through an extra exchange.  The prepped edges are materialized
+   once and reused by every iteration (static graph, iterating ranks).
+2. **Per iteration**: rank rows and edge rows co-partition on the node
+   key in ONE ``cogroup`` exchange, the per-partition probe is a
    vectorized sorted-array ``searchsorted`` join emitting (v, contrib)
    rows, and one groupby(v) sums contributions; dangling/unreferenced
    nodes are completed by a zero-contribution union (materialized once).
@@ -41,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .joins import derive_n_parts, hash_partitioned_groups, part_array
+from .joins import cogroup, derive_n_parts, hash_partitioned_groups
 
 SCALE = 10**12
 _RANK_SCHEMA = pa.schema([("node", pa.string()), ("rank", pa.int64())])
@@ -54,8 +57,11 @@ def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Data
     the local out-weight ``ow`` attached per edge; sorted by u within
     each partition (the probe side of the iteration join)."""
 
+    def collapse(t: pa.Table) -> pa.Table:
+        return t.group_by(["u", "v"]).aggregate([("w", "sum")]).rename_columns(["u", "v", "w"])
+
     def partial(batch: pa.Table) -> pa.Table:
-        t = (
+        return collapse(
             pa.table(
                 {
                     "u": batch.column("src_id"),
@@ -63,48 +69,20 @@ def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Data
                     "w": batch.column("weight").cast(pa.int64()),
                 }
             )
-            .group_by(["u", "v"])
-            .aggregate([("w", "sum")])
-            .rename_columns(["u", "v", "w"])
         )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
 
     def prep_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.schema(
-                [("u", pa.string()), ("v", pa.string()), ("w", pa.int64()),
-                 ("ow", pa.int64()), ("part", pa.int32())]
-            ).empty_table()
         # collapse duplicate (u,v) across input batches, then local ow(u)
-        t = (
-            part.group_by(["u", "v"])
-            .aggregate([("w", "sum")])
-            .rename_columns(["u", "v", "w"])
-            .sort_by([("u", "ascending"), ("v", "ascending")])
-        )
+        t = collapse(part).sort_by([("u", "ascending"), ("v", "ascending")])
         u = t.column("u").to_numpy(zero_copy_only=False)
         w = t.column("w").to_numpy(zero_copy_only=False)
-        new_u = np.concatenate([[True], u[1:] != u[:-1]])
-        starts = np.flatnonzero(new_u)
-        seg_sums = np.add.reduceat(w, starts)
-        ow = np.repeat(seg_sums, np.diff(np.concatenate([starts, [len(u)]])))
-        pid = part.column("part")[0].as_py()
-        return pa.table(
-            {
-                "u": t.column("u"),
-                "v": t.column("v"),
-                "w": t.column("w"),
-                "ow": pa.array(ow, pa.int64()),
-                "part": pa.array(np.full(len(u), pid, np.int32)),
-            }
-        )
+        starts = np.flatnonzero(np.concatenate([[True], u[1:] != u[:-1]]))
+        ow = np.repeat(np.add.reduceat(w, starts), np.diff(np.append(starts, len(u))))
+        return t.append_column("ow", pa.array(ow, pa.int64()))
 
-    return (
-        adjacency.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(prep_part, batch_format="pyarrow")
-        .materialize()
-    )
+    return hash_partitioned_groups(
+        adjacency.map_batches(partial, batch_format="pyarrow"), ["u"], prep_part, n_parts
+    ).materialize()
 
 
 #: Below this collapsed-edge byte size the iterative operators run their
@@ -124,6 +102,31 @@ def _gather(ds: ray.data.Dataset) -> pa.Table | None:
     their typed empty output)."""
     tabs = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
     return pa.concat_tables(tabs) if tabs else None
+
+
+def _zero_contribs(edges: ray.data.Dataset) -> ray.data.Dataset:
+    """(node, contrib = 0) for every distinct endpoint of the (u, v) edge
+    rows, materialized: the zero-contribution union that keeps dangling
+    and unreferenced nodes in every iteration's per-node sum (pagerank,
+    hits) and the node set their scores start from."""
+
+    def node_partial(batch: pa.Table) -> pa.Table:
+        both = pa.concat_arrays(
+            [batch.column("u").combine_chunks(), batch.column("v").combine_chunks()]
+        )
+        return pa.table({"node": pc.unique(both)})
+
+    def zero_row(group: pa.Table) -> pa.Table:
+        return pa.table(
+            {"node": group.column("node").slice(0, 1), "contrib": pa.array([0], pa.int64())}
+        )
+
+    return (
+        edges.map_batches(node_partial, batch_format="pyarrow")
+        .groupby("node")
+        .map_groups(zero_row, batch_format="pyarrow")
+        .materialize()
+    )
 
 
 def _simple_edges(
@@ -155,6 +158,27 @@ def _simple_edges(
         lambda part: dedup(part.select(cols)),
         n_parts,
     )
+
+
+def _directed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
+    """Distinct directed (u, v) edges of the KG (predicates collapsed,
+    self-loops kept), exchanged on hash(u) and sorted by (u, v) within
+    each partition, materialized — the static side shared by
+    :func:`random_walks`, :func:`fanout_sample`, :func:`hits` and
+    :func:`trim_core`.  Each batch pre-dedups before the one exchange."""
+
+    def dedup(t: pa.Table) -> pa.Table:
+        return t.group_by(["u", "v"]).aggregate([])
+
+    def canon(batch: pa.Table) -> pa.Table:
+        return dedup(pa.table({"u": batch.column("src_id"), "v": batch.column("dst_id")}))
+
+    def sort_part(part: pa.Table) -> pa.Table:
+        return dedup(part.select(["u", "v"])).sort_by([("u", "ascending"), ("v", "ascending")])
+
+    return hash_partitioned_groups(
+        adjacency.map_batches(canon, batch_format="pyarrow"), ["u"], sort_part, n_parts
+    ).materialize()
 
 
 def _probe_contribs(
@@ -191,9 +215,9 @@ def pagerank(
     """Integer PageRank over the adjacency table: returns (node, rank)
     with rank in 1e-12 units, sorted by (rank desc, node asc).  Below
     :data:`LOCAL_GRAPH_BYTES_BOUND` the iterations run locally in numpy;
-    above it each iteration re-unions the static edge partitions with
-    the rank rows in one keyed exchange (module doc).  Both paths are
-    bit-identical.
+    above it each iteration co-partitions the static edges with the
+    rank rows in one :func:`cogroup` exchange (module doc).  Both paths
+    are bit-identical.
 
     ``seed_pct`` switches to PERSONALIZED PageRank: the teleport
     distribution concentrates on the md5-bucket landmark set
@@ -246,28 +270,7 @@ def pagerank(
         )
         return ray.data.from_arrow(out).sort(["rank", "node"], descending=[True, False])
 
-    def node_partial(batch: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [batch.column("u").combine_chunks(), batch.column("v").combine_chunks()]
-        )
-        return pa.table({"node": pc.unique(both)})
-
-    nodes = (
-        edges.map_batches(node_partial, batch_format="pyarrow")
-        .groupby("node")
-        .map_groups(lambda t: t.slice(0, 1), batch_format="pyarrow")
-        .materialize()
-    )
-
-    def zero_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "contrib": pa.array(np.zeros(batch.num_rows, np.int64)),
-            }
-        )
-
-    zeros = nodes.map_batches(zero_rows, batch_format="pyarrow").materialize()
+    zeros = _zero_contribs(edges)
     base = (100 - damping_pct) * SCALE // 100
 
     def init_ranks(batch: pa.Table) -> pa.Table:
@@ -280,67 +283,22 @@ def pagerank(
             r = np.where(seed, SCALE, 0).astype(np.int64)
         return pa.table({"node": batch.column("node"), "rank": pa.array(r)})
 
-    ranks = nodes.map_batches(init_ranks, batch_format="pyarrow")
+    ranks = zeros.map_batches(init_ranks, batch_format="pyarrow")
 
-    def tag_ranks(batch: pa.Table) -> pa.Table:
-        t = pa.table({"u": batch.column("node"), "rank": batch.column("rank")})
-        return t.append_column("part", part_array(t, ["u"], n_parts))
+    def probe(rk: pa.Table, e: pa.Table) -> pa.Table:
+        if e.num_rows == 0:
+            return _CONTRIB_SCHEMA.empty_table()
+        return _probe_contribs(
+            rk.column("node").to_numpy(zero_copy_only=False),
+            rk.column("rank").to_numpy(zero_copy_only=False),
+            e.column("u").to_numpy(zero_copy_only=False),
+            e.column("w").to_numpy(zero_copy_only=False),
+            e.column("ow").to_numpy(zero_copy_only=False),
+            e.column("v").combine_chunks(),
+        )
 
     for _ in range(iters):
-        tagged = ranks.map_batches(tag_ranks, batch_format="pyarrow")
-
-        # Per-partition probe: a map_groups over the UNION of rank rows
-        # and edge rows (side-tagged), so both arrive in one exchange
-        # keyed by the SAME partition id (edges carry theirs from prep).
-        def rank_side(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {
-                    "u": batch.column("u"),
-                    "v": pa.array([None] * batch.num_rows, pa.string()),
-                    "w": pa.array(np.zeros(batch.num_rows, np.int64)),
-                    "ow": pa.array(np.zeros(batch.num_rows, np.int64)),
-                    "rank": batch.column("rank"),
-                    "is_edge": pa.array(np.zeros(batch.num_rows, np.int8)),
-                    "part": batch.column("part"),
-                }
-            )
-            return t
-
-        def edge_side(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "u": batch.column("u"),
-                    "v": batch.column("v"),
-                    "w": batch.column("w"),
-                    "ow": batch.column("ow"),
-                    "rank": pa.array(np.zeros(batch.num_rows, np.int64)),
-                    "is_edge": pa.array(np.ones(batch.num_rows, np.int8)),
-                    "part": batch.column("part"),
-                }
-            )
-
-        def probe(part: pa.Table) -> pa.Table:
-            if part.num_rows == 0:
-                return _CONTRIB_SCHEMA.empty_table()
-            is_edge = part.column("is_edge").to_numpy(zero_copy_only=False) == 1
-            if not is_edge.any():
-                return _CONTRIB_SCHEMA.empty_table()
-            u = part.column("u").to_numpy(zero_copy_only=False)
-            em = pa.array(is_edge)
-            return _probe_contribs(
-                u[~is_edge],
-                part.column("rank").to_numpy(zero_copy_only=False)[~is_edge],
-                u[is_edge],
-                part.column("w").to_numpy(zero_copy_only=False)[is_edge],
-                part.column("ow").to_numpy(zero_copy_only=False)[is_edge],
-                part.column("v").filter(em).combine_chunks(),
-            )
-
-        unioned = tagged.map_batches(rank_side, batch_format="pyarrow").union(
-            edges.map_batches(edge_side, batch_format="pyarrow")
-        )
-        contribs = unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
-
+        contribs = cogroup(ranks, edges, ["node"], ["u"], probe, n_parts)
         summed = (
             contribs.union(zeros)
             .groupby("node")
@@ -374,233 +332,18 @@ def triangle_count(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     adjacency table (predicates collapsed, self-loops dropped, direction
     ignored) — one row ``{n_triangles}``.
 
-    The scale shape is degree-ordered wedge enumeration (the MapReduce
-    triangle algorithm of Suri & Vassilvitskii, WWW'11): every edge is
-    oriented from the endpoint that is SMALLER in the total order
-    ``(degree, node)`` to the larger, which bounds every out-degree at
-    O(sqrt(m)) and hence the wedge set at O(m^1.5) regardless of skew —
-    a star graph generates zero wedges at its hub.  Stages, all keyed
-    exchanges (no broadcast of anything graph-sized):
-
-    1. dedup to canonical undirected edges (groupby on the edge key);
-    2. degree per node (flat-map endpoints → groupby count);
-    3. attach each endpoint's degree with two co-partitioned side-tagged
-       unions (the same vectorized searchsorted probe PageRank uses);
-    4. orient; group oriented edges by source; emit all out-neighbor
-       pairs per source, vectorized (repeat/concat index arithmetic);
-    5. co-partition wedges with oriented edges on the (lo, hi) pair key
-       and count matches per partition; tiny final sum.
-    """
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-    edges = _simple_edges(adjacency, n_parts).materialize()
-
-    # Small-graph planner (round 5): below LOCAL_GRAPH_BYTES_BOUND count
-    # triangles locally over the gathered deduped edge set (Σ common
-    # neighbors over edges = 3·triangles; exact integers, bit-equal to
-    # the wedge exchanges — asserted in tests).
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        et = _gather(edges)
-        n_tri = 0
-        if et is not None:
-            a = et.column("a").to_pylist()
-            b = et.column("b").to_pylist()
-            nbrs: dict[str, set] = {}
-            for x, y in zip(a, b):
-                nbrs.setdefault(x, set()).add(y)
-                nbrs.setdefault(y, set()).add(x)
-            tot = 0
-            for x, y in zip(a, b):
-                s1, s2 = nbrs[x], nbrs[y]
-                tot += len(s1 & s2) if len(s1) <= len(s2) else len(s2 & s1)
-            n_tri = tot // 3
-        return ray.data.from_arrow(
-            pa.table({"n_triangles": pa.array([n_tri], pa.int64())})
-        )
-
-    def endpoints(batch: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [batch.column("a").combine_chunks(), batch.column("b").combine_chunks()]
-        )
-        vc = pc.value_counts(both)
-        return pa.table(
-            {"node": vc.field("values"), "deg": vc.field("counts").cast(pa.int64())}
-        )
-
-    degrees = (
-        edges.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("node")
-        .sum("deg")
-        .map_batches(lambda t: t.rename_columns(["node", "deg"]), batch_format="pyarrow")
-        .materialize()
+    Composition, not new machinery (the :func:`clustering_coefficient`
+    discipline): :func:`edge_jaccard` emits every edge's common-neighbor
+    count, and each triangle credits each of its three edges exactly
+    once, so the count is Σ n_common // 3 — exact integers on both of
+    edge_jaccard's paths.  The scale shape is therefore edge_jaccard's
+    degree-ordered wedge enumeration (Suri & Vassilvitskii, WWW'11:
+    out-degree bounded O(√m), so the wedge set is O(m^1.5) regardless
+    of skew) plus one scalar sum."""
+    total = edge_jaccard(adjacency).sum("n_common")  # None on an empty edge set
+    return ray.data.from_arrow(
+        pa.table({"n_triangles": pa.array([int(total or 0) // 3], pa.int64())})
     )
-
-    def _attach(
-        edge_ds: ray.data.Dataset,
-        key: str,
-        out_col: str,
-        edge_schema: pa.Schema,
-    ) -> ray.data.Dataset:
-        """Co-partition edges (keyed by ``key``) with degrees; append
-        ``out_col`` = deg(key) via a per-partition searchsorted probe."""
-
-        def edge_tag(batch: pa.Table) -> pa.Table:
-            t = batch.append_column(
-                "node", batch.column(key)
-            ).append_column("deg", pa.array(np.zeros(batch.num_rows, np.int64)))
-            t = t.append_column("is_edge", pa.array(np.ones(batch.num_rows, np.int8)))
-            return t.append_column("part", part_array(batch, [key], n_parts))
-
-        def deg_tag(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            cols = {}
-            for name, typ in zip(edge_cols, edge_types):
-                cols[name] = pa.nulls(n, typ)
-            cols["node"] = batch.column("node")
-            cols["deg"] = batch.column("deg")
-            cols["is_edge"] = pa.array(np.zeros(n, np.int8))
-            t = pa.table(cols)
-            return t.append_column(
-                "part", part_array(pa.table({"k": batch.column("node")}), ["k"], n_parts)
-            )
-
-        edge_cols = list(edge_schema.names)
-        edge_types = [edge_schema.field(c).type for c in edge_cols]
-
-        def probe(part: pa.Table) -> pa.Table:
-            is_e = part.column("is_edge").to_numpy(zero_copy_only=False) == 1
-            if not is_e.any():
-                sch = pa.schema(
-                    [(c, pa.string()) for c in edge_cols] + [(out_col, pa.int64())]
-                )
-                return sch.empty_table()
-            nodes_ = part.column("node").to_numpy(zero_copy_only=False)
-            dn = nodes_[~is_e]
-            dv = part.column("deg").to_numpy(zero_copy_only=False)[~is_e]
-            order = np.argsort(dn, kind="mergesort")
-            dn, dv = dn[order], dv[order]
-            pos = np.searchsorted(dn, nodes_[is_e])
-            out = {c: part.column(c).filter(pa.array(is_e)) for c in edge_cols}
-            out[out_col] = pa.array(dv[pos], pa.int64())
-            return pa.table(out)
-
-        unioned = edge_ds.map_batches(edge_tag, batch_format="pyarrow").union(
-            degrees.map_batches(deg_tag, batch_format="pyarrow")
-        )
-        return unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
-
-    ab_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-    with_da = _attach(edges, "a", "deg_a", ab_schema)
-    with_db = _attach(
-        with_da, "b", "deg_b", ab_schema.append(pa.field("deg_a", pa.int64()))
-    )
-
-    def orient(batch: pa.Table) -> pa.Table:
-        """src = endpoint smaller in the (deg, node) total order."""
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        da = batch.column("deg_a").to_numpy(zero_copy_only=False)
-        db = batch.column("deg_b").to_numpy(zero_copy_only=False)
-        a_first = (da < db) | ((da == db) & (a < b))
-        src = np.where(a_first, a, b)
-        dst = np.where(a_first, b, a)
-        ds_ = np.where(a_first, da, db)
-        dd = np.where(a_first, db, da)
-        t = pa.table(
-            {
-                "src": pa.array(src, pa.string()),
-                "dst": pa.array(dst, pa.string()),
-                "dsrc": pa.array(ds_.astype(np.int64)),
-                "ddst": pa.array(dd.astype(np.int64)),
-            }
-        )
-        return t.append_column("part", part_array(t, ["src"], n_parts))
-
-    oriented = with_db.map_batches(orient, batch_format="pyarrow").materialize()
-
-    wedge_schema = pa.schema([("lo", pa.string()), ("hi", pa.string())])
-
-    def wedges(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return wedge_schema.empty_table()
-        t = part.sort_by(
-            [("src", "ascending"), ("ddst", "ascending"), ("dst", "ascending")]
-        )
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        dst = t.column("dst").to_numpy(zero_copy_only=False)
-        new = np.concatenate([[True], src[1:] != src[:-1]])
-        starts = np.flatnonzero(new)
-        lens = np.diff(np.concatenate([starts, [len(src)]]))
-        # all ordered pairs (i < j) within each group, vectorized:
-        # for a group of length L there are L*(L-1)/2 pairs
-        n_pairs = lens * (lens - 1) // 2
-        if int(n_pairs.sum()) == 0:
-            return wedge_schema.empty_table()
-        lo_idx, hi_idx = [], []
-        for s, l in zip(starts.tolist(), lens.tolist()):
-            if l < 2:
-                continue
-            iu = np.triu_indices(l, k=1)
-            lo_idx.append(iu[0] + s)
-            hi_idx.append(iu[1] + s)
-        lo_i = np.concatenate(lo_idx)
-        hi_i = np.concatenate(hi_idx)
-        # rows are sorted by (ddst, dst) within the group, i.e. by the
-        # (deg, node) total order — so (lo, hi) matches the orientation
-        return pa.table({"lo": pa.array(dst[lo_i], pa.string()), "hi": pa.array(dst[hi_i], pa.string())})
-
-    def wedge_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column("part", part_array(batch, ["lo", "hi"], n_parts))
-
-    wedge_ds = (
-        oriented.groupby("part")
-        .map_groups(wedges, batch_format="pyarrow")
-        .map_batches(wedge_part, batch_format="pyarrow")
-    )
-
-    def edge_key_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "lo": batch.column("src"),
-                "hi": batch.column("dst"),
-                "is_edge": pa.array(np.ones(batch.num_rows, np.int8)),
-            }
-        )
-        return t.append_column("part", part_array(t, ["lo", "hi"], n_parts))
-
-    def wedge_tag(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "lo": batch.column("lo"),
-                "hi": batch.column("hi"),
-                "is_edge": pa.array(np.zeros(batch.num_rows, np.int8)),
-                "part": batch.column("part"),
-            }
-        )
-
-    joined = wedge_ds.map_batches(wedge_tag, batch_format="pyarrow").union(
-        oriented.map_batches(edge_key_tag, batch_format="pyarrow")
-    )
-
-    def count_part(part: pa.Table) -> pa.Table:
-        is_e = part.column("is_edge").to_numpy(zero_copy_only=False) == 1
-        if not is_e.any() or is_e.all():
-            return pa.table({"n": pa.array([0], pa.int64())})
-        lo = part.column("lo").to_numpy(zero_copy_only=False)
-        hi = part.column("hi").to_numpy(zero_copy_only=False)
-        ek = np.char.add(np.char.add(lo[is_e].astype(str), "\x00"), hi[is_e].astype(str))
-        wk = np.char.add(np.char.add(lo[~is_e].astype(str), "\x00"), hi[~is_e].astype(str))
-        ek.sort()
-        pos = np.searchsorted(ek, wk)
-        pos_c = np.minimum(pos, len(ek) - 1)
-        n = int((ek[pos_c] == wk).sum())
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    per_part = joined.groupby("part").map_groups(count_part, batch_format="pyarrow")
-
-    # the per-partition counts are one int each: tiny final driver fold
-    s = int(per_part.to_pandas()["n"].sum())
-    return ray.data.from_arrow(pa.table({"n_triangles": pa.array([s], pa.int64())}))
 
 
 def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -611,14 +354,25 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     cn)`` in integer micro-units — the classic link-prediction /
     entity-resolution feature over a constructed KG.
 
-    Scale shape: the same degree-ordered wedge machinery as
-    :func:`triangle_count` (out-degree bounded O(√m), all keyed
-    exchanges, nothing graph-sized broadcast), except matched wedges emit
-    THREE per-edge credit rows (each triangle touches 3 edges), which are
-    pre-combined per partition before one edge-keyed groupby; the final
-    attach joins credits + endpoint degrees back onto the full edge set
-    co-partitioned on the edge key (LEFT semantics — triangle-free edges
-    report cn = 0)."""
+    Scale shape: degree-ordered wedge enumeration (Suri & Vassilvitskii,
+    WWW'11), all keyed exchanges, nothing graph-sized broadcast:
+
+    1. canonical undirected edges (:func:`_simple_edges`) and a
+       combine-fed endpoint degree count;
+    2. each endpoint's degree attaches through one :func:`cogroup`
+       (a per-partition searchsorted probe);
+    3. every edge is oriented from the endpoint smaller in the
+       ``(degree, node)`` total order, which bounds out-degree at O(√m)
+       and the wedge set at O(m^1.5) regardless of skew; each source's
+       out-neighbor pairs are the wedges (vectorized triu indices);
+    4. wedges cogroup with the oriented edges on the (lo, hi) key; each
+       closed wedge emits THREE per-edge credit rows (a triangle touches
+       3 edges), pre-combined per partition before one edge-keyed groupby;
+    5. credits cogroup back onto the full edge set on the edge key (LEFT
+       semantics — triangle-free edges report cn = 0).
+
+    :func:`triangle_count`, :func:`clustering_coefficient` and
+    :func:`ktruss` all compose this operator."""
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
     edges = _simple_edges(adjacency, n_parts).materialize()
@@ -628,9 +382,9 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     # degrees / common-neighbor counts / the micro-Jaccard are computed
     # locally — identical integers and the identical float64 rounding
     # expression, so bit-equal to the wedge-exchange path (asserted in
-    # tests).  This also collapses ktruss and clustering_coefficient,
-    # which compose this operator (5-round ktruss on the 625-edge KG
-    # measured 43 s distributed).  Above the bound: unchanged exchanges.
+    # tests).  This also collapses triangle_count, ktruss and
+    # clustering_coefficient, which compose this operator (5-round ktruss
+    # on the 625-edge KG measured 43 s distributed).
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
         out_schema = pa.schema(
             [
@@ -692,92 +446,28 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
         .materialize()
     )
 
-    def _attach(
-        edge_ds: ray.data.Dataset,
-        lookup: ray.data.Dataset,
-        key: str,
-        out_col: str,
-        edge_schema: pa.Schema,
-        default: int | None = None,
-        lookup_keys: list[str] | None = None,
-    ) -> ray.data.Dataset:
-        """Co-partition ``edge_ds`` (on ``key`` — one column, or the
-        composite (a, b) pair when ``lookup_keys`` is set) with ``lookup``
-        rows (node/deg or a/b/val); append ``out_col`` via a sorted
-        searchsorted probe.  ``default`` None = every key must hit (degree
-        attach); an int = LEFT semantics (credit attach)."""
-        lk = lookup_keys or ["node"]
-        edge_cols = list(edge_schema.names)
-        edge_types = [edge_schema.field(c).type for c in edge_cols]
+    def _ck(tab: pa.Table, cols: list[str]) -> np.ndarray:
+        """Composite string key of ``cols`` (NUL-joined)."""
+        out = tab.column(cols[0]).to_numpy(zero_copy_only=False).astype(str)
+        for c in cols[1:]:
+            nxt = tab.column(c).to_numpy(zero_copy_only=False).astype(str)
+            out = np.char.add(np.char.add(out, "\x00"), nxt)
+        return out
 
-        def _ck(tab: pa.Table, cols: list[str]) -> np.ndarray:
-            parts_ = [tab.column(c).to_numpy(zero_copy_only=False).astype(str) for c in cols]
-            out = parts_[0]
-            for nxt in parts_[1:]:
-                out = np.char.add(np.char.add(out, "\x00"), nxt)
-            return out
+    def attach_degree(edge_ds: ray.data.Dataset, key: str, out_col: str) -> ray.data.Dataset:
+        """Append ``out_col`` = deg(``key``) via a per-partition sorted
+        searchsorted probe (every edge endpoint has a degree row)."""
 
-        part_cols = [key] if lookup_keys is None else ["a", "b"]
+        def probe(e: pa.Table, d: pa.Table) -> pa.Table:
+            dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
+            order = np.argsort(dn, kind="mergesort")
+            dv = d.column("deg").to_numpy(zero_copy_only=False)[order]
+            pos = np.searchsorted(dn[order], _ck(e, [key]))
+            return e.append_column(out_col, pa.array(dv[pos], pa.int64()))
 
-        def edge_tag(batch: pa.Table) -> pa.Table:
-            t = batch
-            for c in lk:
-                if c not in t.schema.names:
-                    t = t.append_column(c, pa.nulls(batch.num_rows, pa.string()))
-            t = t.append_column("val", pa.array(np.zeros(batch.num_rows, np.int64)))
-            t = t.append_column("is_edge", pa.array(np.ones(batch.num_rows, np.int8)))
-            return t.append_column("part", part_array(batch, part_cols, n_parts))
+        return cogroup(edge_ds, degrees, [key], ["node"], probe, n_parts)
 
-        def lk_tag(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            cols = {c: pa.nulls(n, typ) for c, typ in zip(edge_cols, edge_types)}
-            for c in lk:
-                cols[c] = batch.column(c)
-            val_col = [c for c in batch.schema.names if c not in lk][0]
-            cols["val"] = batch.column(val_col).cast(pa.int64())
-            cols["is_edge"] = pa.array(np.zeros(n, np.int8))
-            t = pa.table(cols)
-            return t.append_column(
-                "part", part_array(batch.select(lk), lk, n_parts)
-            )
-
-        def probe(part: pa.Table) -> pa.Table:
-            is_e = part.column("is_edge").to_numpy(zero_copy_only=False) == 1
-            if not is_e.any():
-                sch = pa.schema(
-                    list(zip(edge_cols, edge_types)) + [(out_col, pa.int64())]
-                )
-                return sch.empty_table()
-            if lookup_keys is None:
-                probe_k = part.column(key).to_numpy(zero_copy_only=False).astype(str)[is_e]
-                lk_k = _ck(part.filter(pa.array(~is_e)), lk)
-            else:
-                probe_k = _ck(part.filter(pa.array(is_e)), ["a", "b"])
-                lk_k = _ck(part.filter(pa.array(~is_e)), lk)
-            lv = part.column("val").to_numpy(zero_copy_only=False)[~is_e]
-            order = np.argsort(lk_k, kind="mergesort")
-            lk_k, lv = lk_k[order], lv[order]
-            pos = np.searchsorted(lk_k, probe_k)
-            out = {c: part.column(c).filter(pa.array(is_e)) for c in edge_cols}
-            if default is None:
-                out[out_col] = pa.array(lv[pos], pa.int64())
-            else:
-                pos_c = np.minimum(pos, max(len(lk_k) - 1, 0))
-                hit = (len(lk_k) > 0) & (lk_k[pos_c] == probe_k) if len(lk_k) else np.zeros(len(probe_k), bool)
-                vals = np.where(hit, lv[pos_c] if len(lk_k) else 0, default)
-                out[out_col] = pa.array(vals.astype(np.int64), pa.int64())
-            return pa.table(out)
-
-        unioned = edge_ds.map_batches(edge_tag, batch_format="pyarrow").union(
-            lookup.map_batches(lk_tag, batch_format="pyarrow")
-        )
-        return unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
-
-    ab = pa.schema([("a", pa.string()), ("b", pa.string())])
-    with_da = _attach(edges, degrees, "a", "deg_a", ab)
-    with_db = _attach(
-        with_da, degrees, "b", "deg_b", ab.append(pa.field("deg_a", pa.int64()))
-    ).materialize()
+    with_db = attach_degree(attach_degree(edges, "a", "deg_a"), "b", "deg_b").materialize()
 
     def orient(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_numpy(zero_copy_only=False)
@@ -785,14 +475,13 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
         da = batch.column("deg_a").to_numpy(zero_copy_only=False)
         db = batch.column("deg_b").to_numpy(zero_copy_only=False)
         a_first = (da < db) | ((da == db) & (a < b))
-        t = pa.table(
+        return pa.table(
             {
                 "src": pa.array(np.where(a_first, a, b), pa.string()),
                 "dst": pa.array(np.where(a_first, b, a), pa.string()),
                 "ddst": pa.array(np.where(a_first, db, da).astype(np.int64)),
             }
         )
-        return t.append_column("part", part_array(t, ["src"], n_parts))
 
     oriented = with_db.map_batches(orient, batch_format="pyarrow").materialize()
 
@@ -801,8 +490,6 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     )
 
     def wedges(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return wedge_schema.empty_table()
         t = part.sort_by(
             [("src", "ascending"), ("ddst", "ascending"), ("dst", "ascending")]
         )
@@ -822,6 +509,8 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
             hi_idx.append(iu[1] + s)
         lo_i = np.concatenate(lo_idx)
         hi_i = np.concatenate(hi_idx)
+        # rows are sorted by (ddst, dst) within each source, i.e. by the
+        # (deg, node) total order — so (lo, hi) matches the orientation
         return pa.table(
             {
                 "lo": pa.array(dst[lo_i], pa.string()),
@@ -830,60 +519,25 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    wedge_ds = (
-        oriented.groupby("part")
-        .map_groups(wedges, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.append_column("part", part_array(t, ["lo", "hi"], n_parts)),
-            batch_format="pyarrow",
-        )
-    )
-
-    def edge_key_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "lo": batch.column("src"),
-                "hi": batch.column("dst"),
-                "apex": pa.nulls(batch.num_rows, pa.string()),
-                "is_edge": pa.array(np.ones(batch.num_rows, np.int8)),
-            }
-        )
-        return t.append_column("part", part_array(t, ["lo", "hi"], n_parts))
-
-    def wedge_tag(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "lo": batch.column("lo"),
-                "hi": batch.column("hi"),
-                "apex": batch.column("apex"),
-                "is_edge": pa.array(np.zeros(batch.num_rows, np.int8)),
-                "part": batch.column("part"),
-            }
-        )
-
-    joined = wedge_ds.map_batches(wedge_tag, batch_format="pyarrow").union(
-        oriented.map_batches(edge_key_tag, batch_format="pyarrow")
-    )
+    wedge_ds = hash_partitioned_groups(oriented, ["src"], wedges, n_parts)
 
     credit_schema = pa.schema(
         [("a", pa.string()), ("b", pa.string()), ("cn", pa.int64())]
     )
 
-    def credit_part(part: pa.Table) -> pa.Table:
-        is_e = part.column("is_edge").to_numpy(zero_copy_only=False) == 1
-        if not is_e.any() or is_e.all():
+    def credit_part(w: pa.Table, e: pa.Table) -> pa.Table:
+        if w.num_rows == 0 or e.num_rows == 0:
             return credit_schema.empty_table()
-        lo = part.column("lo").to_numpy(zero_copy_only=False).astype(str)
-        hi = part.column("hi").to_numpy(zero_copy_only=False).astype(str)
-        ek = np.char.add(np.char.add(lo[is_e], "\x00"), hi[is_e])
+        ek = _ck(e, ["src", "dst"])
         ek.sort()
-        wl, wh = lo[~is_e], hi[~is_e]
+        wl = w.column("lo").to_numpy(zero_copy_only=False).astype(str)
+        wh = w.column("hi").to_numpy(zero_copy_only=False).astype(str)
         wk = np.char.add(np.char.add(wl, "\x00"), wh)
         pos = np.minimum(np.searchsorted(ek, wk), len(ek) - 1)
         hit = ek[pos] == wk
         if not hit.any():
             return credit_schema.empty_table()
-        ap = part.column("apex").to_numpy(zero_copy_only=False).astype(str)[~is_e][hit]
+        ap = w.column("apex").to_numpy(zero_copy_only=False).astype(str)[hit]
         wl, wh = wl[hit], wh[hit]
         # each closed triangle {apex, lo, hi} credits its 3 edges, each
         # keyed canonical (name-min, name-max)
@@ -902,25 +556,27 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
+    # wedges meet the oriented edges on the degree-ordered (lo, hi) key
     credits = (
-        joined.groupby("part")
-        .map_groups(credit_part, batch_format="pyarrow")
+        cogroup(wedge_ds, oriented, ["lo", "hi"], ["src", "dst"], credit_part, n_parts)
         .groupby(["a", "b"])
         .sum("cn")
         .map_batches(lambda t: t.rename_columns(["a", "b", "cn"]), batch_format="pyarrow")
     )
 
-    abdd = pa.schema(
-        [
-            ("a", pa.string()),
-            ("b", pa.string()),
-            ("deg_a", pa.int64()),
-            ("deg_b", pa.int64()),
-        ]
-    )
-    with_cn = _attach(
-        with_db, credits, "a", "n_common", abdd, default=0, lookup_keys=["a", "b"]
-    )
+    def attach_cn(e: pa.Table, c: pa.Table) -> pa.Table:
+        """LEFT attach: triangle-free edges have no credit row (cn = 0)."""
+        ek = _ck(e, ["a", "b"])
+        cn = np.zeros(len(ek), np.int64)
+        if c.num_rows:
+            ck = _ck(c, ["a", "b"])
+            order = np.argsort(ck, kind="mergesort")
+            ck, cv = ck[order], c.column("cn").to_numpy(zero_copy_only=False)[order]
+            pos = np.minimum(np.searchsorted(ck, ek), len(ck) - 1)
+            cn = np.where(ck[pos] == ek, cv[pos], 0).astype(np.int64)
+        return e.append_column("n_common", pa.array(cn, pa.int64()))
+
+    with_cn = cogroup(with_db, credits, ["a", "b"], ["a", "b"], attach_cn, n_parts)
 
     def finish(batch: pa.Table) -> pa.Table:
         cn = batch.column("n_common").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -953,7 +609,7 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
     k-core (Matula & Beck's peel, batch-synchronous).
 
     Scale shape: per round, (1) one combine-fed endpoint exchange for
-    degrees, (2) two side-tagged co-partitioned exchanges that keep only
+    degrees, (2) two :func:`cogroup` exchanges that keep only
     edges whose ``a`` / ``b`` endpoint is alive (vectorized ``is_in``
     probe per partition — the alive set is never broadcast, so a round
     that kills 90 % of a 10¹⁰-node graph ships labels only through the
@@ -1016,52 +672,21 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
             .aggregate(ray.data.aggregate.Sum("d", alias_name="deg"))
         )
 
-    edge_keep_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-
     def keep_alive(e: ray.data.Dataset, alive: ray.data.Dataset, key: str) -> ray.data.Dataset:
-        def edge_tag(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {
-                    "key": batch.column(key),
-                    "a": batch.column("a"),
-                    "b": batch.column("b"),
-                    "side": pa.array(np.zeros(batch.num_rows, np.int8)),
-                }
-            )
-            return t.append_column("part", part_array(t, ["key"], n_parts))
+        """Edges whose ``key`` endpoint is alive: a per-partition is_in
+        probe against the alive node rows co-partitioned with them."""
 
-        def alive_tag(batch: pa.Table) -> pa.Table:
-            nodes = batch.column("node")
-            t = pa.table(
-                {
-                    "key": nodes,
-                    "a": nodes,
-                    "b": nodes,
-                    "side": pa.array(np.ones(batch.num_rows, np.int8)),
-                }
-            )
-            return t.append_column("part", part_array(t, ["key"], n_parts))
+        def probe(ep: pa.Table, al: pa.Table) -> pa.Table:
+            hit = pc.is_in(ep.column(key), value_set=al.column("node").combine_chunks())
+            return ep.filter(hit)
 
-        def probe(part: pa.Table) -> pa.Table:
-            side = part.column("side").to_numpy(zero_copy_only=False)
-            is_e = side == 0
-            if not is_e.any():
-                return edge_keep_schema.empty_table()
-            alive_keys = part.column("key").filter(pa.array(~is_e)).combine_chunks()
-            epart = part.filter(pa.array(is_e))
-            hit = pc.is_in(epart.column("key"), value_set=alive_keys)
-            return epart.filter(hit).select(["a", "b"])
-
-        tagged = e.map_batches(edge_tag, batch_format="pyarrow").union(
-            alive.map_batches(alive_tag, batch_format="pyarrow")
-        )
-        return tagged.groupby("part").map_groups(probe, batch_format="pyarrow")
+        return cogroup(e, alive, [key], ["node"], probe, n_parts)
 
     deg = degrees(edges).materialize()
     for _ in range(max_rounds):
         if deg.filter(expr=f"deg < {k}").count() == 0:
             break
-        alive = deg.filter(expr=f"deg >= {k}")
+        alive = deg.filter(expr=f"deg >= {k}").materialize()
         edges = keep_alive(edges, alive, "a")
         edges = keep_alive(edges, alive, "b").materialize()
         deg = degrees(edges).materialize()
@@ -1212,10 +837,9 @@ def _undirected_both_dirs(
     adjacency: ray.data.Dataset, n_parts: int, weighted: bool = False
 ) -> ray.data.Dataset:
     """:func:`_simple_edges` materialized BOTH directions as (u, v) rows
-    (plus the pair's summed weight ``w`` when ``weighted``), tagged with
-    ``part`` = hash(u) — the static probe side shared by
-    :func:`bfs_hops`, :func:`sssp_hops`, :func:`label_propagation` and
-    :func:`harmonic_centrality`."""
+    (plus the pair's summed weight ``w`` when ``weighted``) — the static
+    probe side shared by :func:`bfs_hops`, :func:`sssp_hops`,
+    :func:`label_propagation` and :func:`harmonic_centrality`."""
 
     def mirror(batch: pa.Table) -> pa.Table:
         a, b = batch.column("a").combine_chunks(), batch.column("b").combine_chunks()
@@ -1223,8 +847,7 @@ def _undirected_both_dirs(
         if weighted:
             w = batch.column("w").combine_chunks()
             t["w"] = pa.concat_arrays([w, w])
-        t = pa.table(t)
-        return t.append_column("part", part_array(t, ["u"], n_parts))
+        return pa.table(t)
 
     return (
         _simple_edges(adjacency, n_parts, weighted)
@@ -1266,9 +889,9 @@ def _min_plus_hops(
     deterministic at any partitioning, a fixed-depth SQL unroll compares
     exactly, and rounds past convergence are no-ops.  Below
     :data:`LOCAL_GRAPH_BYTES_BOUND` the rounds run locally in numpy over
-    the gathered mirrored edges; above it each round unions the static
-    mirrored-edge partitions with the distance rows in ONE exchange
-    keyed by the same hash, the per-partition probe is a vectorized
+    the gathered mirrored edges; above it each round co-partitions the
+    static mirrored edges with the distance rows in ONE :func:`cogroup`
+    exchange on the node key, the per-partition probe is a vectorized
     sorted-array ``searchsorted`` join emitting (neighbor, dist + len)
     candidates pre-combined locally (min per neighbor), and one
     ``groupby(node).min`` folds them into the running distances."""
@@ -1319,53 +942,27 @@ def _min_plus_hops(
         )
 
     # node set = distinct u of the mirrored table (covers every endpoint);
-    # distinct-per-partition is exact because the mirror step partitions by u
-    dist = (
-        edges.groupby("part")
-        .map_groups(seed_partial, batch_format="pyarrow")
-        .materialize()
-    )
+    # distinct-per-partition is exact because the exchange is keyed by u
+    dist = hash_partitioned_groups(edges, ["u"], seed_partial, n_parts).materialize()
 
-    # distance rows ride the edge schema with a -1 edge length; edge rows
-    # carry dist -1, which is how the probe tells the two sides apart
-    edge_cols = ["u", "v", "w"] if weighted else ["u", "v"]
-
-    def dist_tag(batch: pa.Table) -> pa.Table:
-        t = {"u": batch.column("node"), "v": batch.column("node")}
-        if weighted:
-            t["w"] = pa.array(np.full(batch.num_rows, -1, np.int64))
-        t["dist"] = batch.column("dist").cast(pa.int64())
-        t = pa.table(t)
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def edge_tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(edge_cols + ["part"])
-        return t.append_column(
-            "dist", pa.array(np.full(t.num_rows, -1, np.int64))
-        ).select(edge_cols + ["dist", "part"])
-
-    def probe(part: pa.Table) -> pa.Table:
-        d = part.column("dist").to_numpy(zero_copy_only=False)
-        is_dist = d >= 0
-        if not is_dist.any() or is_dist.all():
+    def probe(e: pa.Table, d: pa.Table) -> pa.Table:
+        if e.num_rows == 0 or d.num_rows == 0:
             return _DIST_SCHEMA.empty_table()
-        dn = part.column("u").to_numpy(zero_copy_only=False)[is_dist].astype(str)
-        dv = d[is_dist]
+        dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
         order = np.argsort(dn, kind="mergesort")
-        dn, dv = dn[order], dv[order]
-        eu = part.column("u").to_numpy(zero_copy_only=False)[~is_dist].astype(str)
+        dn, dv = dn[order], d.column("dist").to_numpy(zero_copy_only=False)[order]
+        eu = e.column("u").to_numpy(zero_copy_only=False).astype(str)
         if weighted:
-            length = part.column("w").to_numpy(zero_copy_only=False)[~is_dist]
+            length = e.column("w").to_numpy(zero_copy_only=False)
         else:
             length = np.ones(len(eu), np.int64)
         pos = np.minimum(np.searchsorted(dn, eu), len(dn) - 1)
         hit = dn[pos] == eu
         if not hit.any():
             return _DIST_SCHEMA.empty_table()
-        ev = part.column("v").filter(pa.array(~is_dist)).combine_chunks()
         t = pa.table(
             {
-                "node": ev.filter(pa.array(hit)),
+                "node": e.column("v").combine_chunks().filter(pa.array(hit)),
                 "dist": pa.array(dv[pos[hit]] + length[hit], pa.int64()),
             }
         )
@@ -1375,10 +972,7 @@ def _min_plus_hops(
         )
 
     for _ in range(rounds):
-        tagged = edges.map_batches(edge_tag, batch_format="pyarrow").union(
-            dist.map_batches(dist_tag, batch_format="pyarrow")
-        )
-        cand = tagged.groupby("part").map_groups(probe, batch_format="pyarrow")
+        cand = cogroup(edges, dist, ["u"], ["node"], probe, n_parts)
         # repartition BEFORE materializing: the aggregate emits as many
         # blocks as it receives, and dist feeds next round's union — without
         # the bound, block count (and per-block scheduling overhead)
@@ -1493,47 +1087,26 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
         nodes = pc.unique(part.column("u").combine_chunks())
         return pa.table({"node": nodes, "label": nodes})
 
-    labels = (
-        edges.groupby("part").map_groups(init_labels, batch_format="pyarrow").materialize()
-    )
+    labels = hash_partitioned_groups(edges, ["u"], init_labels, n_parts).materialize()
 
     tally_schema = pa.schema(
         [("node", pa.string()), ("label", pa.string()), ("cnt", pa.int64())]
     )
 
-    def label_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "u": batch.column("node"),
-                "v": batch.column("label"),
-                "side": pa.array(np.ones(batch.num_rows, np.int8)),
-            }
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def edge_tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(["u", "v"])
-        t = t.append_column("side", pa.array(np.zeros(t.num_rows, np.int8)))
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def probe(part: pa.Table) -> pa.Table:
-        side = part.column("side").to_numpy(zero_copy_only=False)
-        is_lab = side == 1
-        if not is_lab.any() or is_lab.all():
+    def probe(e: pa.Table, lab: pa.Table) -> pa.Table:
+        if e.num_rows == 0 or lab.num_rows == 0:
             return tally_schema.empty_table()
-        ln = part.column("u").to_numpy(zero_copy_only=False)[is_lab].astype(str)
-        lv = part.column("v").to_numpy(zero_copy_only=False)[is_lab].astype(str)
+        ln = lab.column("node").to_numpy(zero_copy_only=False).astype(str)
         order = np.argsort(ln, kind="mergesort")
-        ln, lv = ln[order], lv[order]
-        eu = part.column("u").to_numpy(zero_copy_only=False)[~is_lab].astype(str)
+        ln, lv = ln[order], lab.column("label").to_numpy(zero_copy_only=False).astype(str)[order]
+        eu = e.column("u").to_numpy(zero_copy_only=False).astype(str)
         pos = np.minimum(np.searchsorted(ln, eu), len(ln) - 1)
         hit = ln[pos] == eu
         if not hit.any():
             return tally_schema.empty_table()
-        ev = part.column("v").filter(pa.array(~is_lab)).combine_chunks()
         t = pa.table(
             {
-                "node": ev.filter(pa.array(hit)),
+                "node": e.column("v").combine_chunks().filter(pa.array(hit)),
                 "label": pa.array(lv[pos[hit]], pa.string()),
             }
         )
@@ -1564,17 +1137,14 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
         return s.filter(pa.array(first)).select(["node", "label"])
 
     for _ in range(rounds):
-        tagged = edges.map_batches(edge_tag, batch_format="pyarrow").union(
-            labels.map_batches(label_tag, batch_format="pyarrow")
-        )
         tallies = (
-            tagged.groupby("part")
-            .map_groups(probe, batch_format="pyarrow")
+            cogroup(edges, labels, ["u"], ["node"], probe, n_parts)
             .groupby(["node", "label"])
             .aggregate(Sum("cnt", alias_name="cnt"))
         )
         # repartition bounds the label block count across rounds (labels
-        # re-enter next round's union; see bfs_hops for the growth mode)
+        # re-enter next round's exchange; see _min_plus_hops for the
+        # growth mode)
         labels = (
             hash_partitioned_groups(tallies, ["node"], argmax_part, n_parts)
             .repartition(n_parts)
@@ -1599,39 +1169,21 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     parallelism AND exactly replayable in SQL (row_number over sorted
     neighbors joined on the same md5-mod index).
 
-    Scale shape: distinct (u, v) edges partition once by hash(u), sort
-    per partition, and materialize once; each step the frontier
-    (walk_id, node) exchanges through the same hash, the per-partition
-    probe finds each node's neighbor run with TWO searchsorted calls and
-    gathers the picked neighbor by index arithmetic — the only per-row
-    Python is the md5 draw itself (one digest per live walk per step,
-    the portable-hash price every md5-keyed oracle pays).  Frontier
-    volume is ≤ n_walks rows per step; the static edge side re-unions
-    with the frontier in the same exchange every step."""
+    Scale shape: the distinct (u, v) edges come from
+    :func:`_directed_edges` (one exchange on hash(u), sorted per
+    partition, materialized once); each step the frontier (walk_id,
+    node) meets them in one :func:`cogroup` on the node key, and the
+    per-partition probe finds each node's neighbor run with TWO
+    searchsorted calls and gathers the picked neighbor by index
+    arithmetic — the only per-row Python is the md5 draw itself (one
+    digest per live walk per step, the portable-hash price every
+    md5-keyed oracle pays).  Frontier volume is ≤ n_walks rows per step;
+    the static edge side is re-hashed into the same exchange every step."""
     import hashlib
 
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-
-    def dedup(batch: pa.Table) -> pa.Table:
-        t = (
-            pa.table({"u": batch.column("src_id"), "v": batch.column("dst_id")})
-            .group_by(["u", "v"])
-            .aggregate([])
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def sort_part(part: pa.Table) -> pa.Table:
-        d = part.select(["u", "v"]).group_by(["u", "v"]).aggregate([])
-        d = d.sort_by([("u", "ascending"), ("v", "ascending")])
-        return d.append_column("part", part_array(d, ["u"], n_parts))
-
-    edges = (
-        adjacency.map_batches(dedup, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sort_part, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _directed_edges(adjacency, n_parts)
 
     # Small-graph planner (round 5): local walk simulation over the
     # globally sorted edge array — identical md5 draws, runs and step
@@ -1700,9 +1252,7 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
         nodes = pc.unique(part.column("u").combine_chunks())
         return pa.table({"walk_id": nodes, "node": nodes})
 
-    frontier = (
-        edges.groupby("part").map_groups(starts_part, batch_format="pyarrow").materialize()
-    )
+    frontier = hash_partitioned_groups(edges, ["u"], starts_part, n_parts).materialize()
 
     out_rows = [
         frontier.map_batches(
@@ -1713,35 +1263,16 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
 
     step_schema = pa.schema([("walk_id", pa.string()), ("node", pa.string())])
 
-    def frontier_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "u": batch.column("node"),
-                "v": batch.column("walk_id"),
-                "side": pa.array(np.ones(batch.num_rows, np.int8)),
-            }
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def edge_tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(["u", "v", "part"])
-        return t.append_column("side", pa.array(np.zeros(t.num_rows, np.int8))).select(
-            ["u", "v", "side", "part"]
-        )
-
     def make_step(t: int):
-        def step_part(part: pa.Table) -> pa.Table:
-            side = part.column("side").to_numpy(zero_copy_only=False)
-            is_f = side == 1
-            if not is_f.any() or is_f.all():
+        def step_part(e: pa.Table, f: pa.Table) -> pa.Table:
+            if e.num_rows == 0 or f.num_rows == 0:
                 return step_schema.empty_table()
-            fe = part.filter(pa.array(~is_f))
-            # edges arrive already sorted per partition, but the union may
+            # edges arrive sorted per partition, but the exchange may
             # interleave blocks — re-sort (cheap, partition-local)
-            fe = fe.sort_by([("u", "ascending"), ("v", "ascending")])
+            fe = e.sort_by([("u", "ascending"), ("v", "ascending")])
             eu = fe.column("u").to_numpy(zero_copy_only=False).astype(str)
-            cur = part.column("u").to_numpy(zero_copy_only=False)[is_f].astype(str)
-            wid = part.column("v").to_numpy(zero_copy_only=False)[is_f].astype(str)
+            cur = f.column("node").to_numpy(zero_copy_only=False).astype(str)
+            wid = f.column("walk_id").to_numpy(zero_copy_only=False).astype(str)
             lo = np.searchsorted(eu, cur, side="left")
             hi = np.searchsorted(eu, cur, side="right")
             deg = hi - lo
@@ -1765,14 +1296,10 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
         return step_part
 
     for t in range(1, walk_len + 1):
-        tagged = edges.map_batches(edge_tag, batch_format="pyarrow").union(
-            frontier.map_batches(frontier_tag, batch_format="pyarrow")
-        )
         # repartition bounds frontier blocks (frontier re-enters next
-        # step's union; see bfs_hops for the growth mode)
+        # step's exchange; see _min_plus_hops for the growth mode)
         frontier = (
-            tagged.groupby("part")
-            .map_groups(make_step(t), batch_format="pyarrow")
+            cogroup(edges, frontier, ["u"], ["node"], make_step(t), n_parts)
             .repartition(n_parts)
             .materialize()
         )
@@ -1946,38 +1473,20 @@ def fanout_sample(
     Frontier dedup per hop keeps the expansion set-valued (a node
     reached twice expands once).
 
-    Scale shape: distinct directed edges partition once by hash(src) and
-    materialize; each hop the frontier exchanges through the same hash, the
-    per-partition probe finds each node's run with two searchsorted
-    calls, ranks candidates with ONE vectorized argsort over
-    (node, hash) and keeps rank ≤ fanout — per-hop exchange volume is
-    the frontier, and emitted edges are ≤ |frontier|·fanout by
+    Scale shape: the distinct directed edges come from
+    :func:`_directed_edges` (one exchange on hash(src), materialized
+    once); each hop the frontier meets them in one :func:`cogroup` on
+    the node key, the per-partition probe finds each node's run with two
+    searchsorted calls, ranks candidates by the md5 edge hash and keeps
+    rank ≤ fanout — per-hop exchange volume is the frontier plus the
+    re-hashed static edges, and emitted edges are ≤ |frontier|·fanout by
     construction (the sampling bound that makes 10¹²-edge graphs
     trainable)."""
     import hashlib
 
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-
-    def dedup(batch: pa.Table) -> pa.Table:
-        t = (
-            pa.table({"u": batch.column("src_id"), "v": batch.column("dst_id")})
-            .group_by(["u", "v"])
-            .aggregate([])
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def sort_part(part: pa.Table) -> pa.Table:
-        d = part.select(["u", "v"]).group_by(["u", "v"]).aggregate([])
-        d = d.sort_by([("u", "ascending"), ("v", "ascending")])
-        return d.append_column("part", part_array(d, ["u"], n_parts))
-
-    edges = (
-        adjacency.map_batches(dedup, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sort_part, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _directed_edges(adjacency, n_parts)
 
     # Small-graph planner (round 5): local hop simulation — identical
     # md5 ranking, fanout cut and set-valued frontier dedup (tests).
@@ -2035,45 +1544,21 @@ def fanout_sample(
         nodes = pc.unique(part.column("u").combine_chunks())
         return pa.table({"node": nodes.filter(bfs_seed_mask(nodes, seed_pct))})
 
-    frontier = (
-        edges.groupby("part").map_groups(seeds_part, batch_format="pyarrow").materialize()
-    )
+    frontier = hash_partitioned_groups(edges, ["u"], seeds_part, n_parts).materialize()
 
     out_schema = pa.schema(
         [("hop", pa.int64()), ("src", pa.string()), ("dst", pa.string())]
     )
     sampled_hops: list[ray.data.Dataset] = []
 
-    def frontier_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "u": batch.column("node"),
-                "v": batch.column("node"),
-                "side": pa.array(np.ones(batch.num_rows, np.int8)),
-            }
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def edge_tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(["u", "v", "part"])
-        return t.append_column("side", pa.array(np.zeros(t.num_rows, np.int8))).select(
-            ["u", "v", "side", "part"]
-        )
-
     def make_hop(h: int, fanout: int):
-        def hop_part(part: pa.Table) -> pa.Table:
-            side = part.column("side").to_numpy(zero_copy_only=False)
-            is_f = side == 1
-            if not is_f.any() or is_f.all():
+        def hop_part(e: pa.Table, f: pa.Table) -> pa.Table:
+            if e.num_rows == 0 or f.num_rows == 0:
                 return out_schema.empty_table()
-            fe = part.filter(pa.array(~is_f)).sort_by(
-                [("u", "ascending"), ("v", "ascending")]
-            )
+            fe = e.sort_by([("u", "ascending"), ("v", "ascending")])
             eu = fe.column("u").to_numpy(zero_copy_only=False).astype(str)
             ev = fe.column("v").to_numpy(zero_copy_only=False).astype(str)
-            cur = np.unique(
-                part.column("u").to_numpy(zero_copy_only=False)[is_f].astype(str)
-            )
+            cur = np.unique(f.column("node").to_numpy(zero_copy_only=False).astype(str))
             lo = np.searchsorted(eu, cur, side="left")
             hi = np.searchsorted(eu, cur, side="right")
             keep_src, keep_dst = [], []
@@ -2115,13 +1600,9 @@ def fanout_sample(
         return hop_part
 
     for h, f in enumerate(fanouts):
-        tagged = edges.map_batches(edge_tag, batch_format="pyarrow").union(
-            frontier.map_batches(frontier_tag, batch_format="pyarrow")
-        )
         hop_edges = (
-            tagged.groupby("part")
-            .map_groups(make_hop(h, f), batch_format="pyarrow")
-            .repartition(n_parts)  # block-count bound (see bfs_hops)
+            cogroup(edges, frontier, ["u"], ["node"], make_hop(h, f), n_parts)
+            .repartition(n_parts)  # block-count bound (see _min_plus_hops)
             .materialize()
         )
         sampled_hops.append(hop_edges)
@@ -2162,8 +1643,8 @@ def modularity(
     (n_edges, n_communities, q_nano).
 
     Scale shape: distinct canonical (a,b) edges flow through one keyed
-    dedup exchange; community labels attach with TWO side-tagged
-    node-keyed exchanges (searchsorted probe per partition — the
+    dedup exchange; community labels attach with TWO node-keyed
+    :func:`cogroup` exchanges (searchsorted probe per partition — the
     label_propagation join shape, never a broadcast of the label
     table); per-batch partials fold every labeled edge to ≤ |C| (c,
     m_c, D_c) counter rows before the final aggregate-sized groupby.
@@ -2225,56 +1706,26 @@ def modularity(
         )
     communities = comm
 
-    def attach_label(
-        keyed: ray.data.Dataset, cols: list[str], key: str, out: str
-    ) -> ray.data.Dataset:
-        """One side-tagged exchange keyed on ``key``: label rows carry
-        (node → community), edge rows pick their key's label via a
-        per-partition searchsorted probe (self-label fallback).
-        ``cols`` is the edge side's payload schema (all string)."""
+    def attach_label(keyed: ray.data.Dataset, key: str, out: str) -> ray.data.Dataset:
+        """Append ``out`` = community(``key``) via one :func:`cogroup` with
+        the (node, community) rows and a per-partition searchsorted probe
+        (self-label fallback for unlabeled nodes)."""
 
-        def tag_lab(batch: pa.Table) -> pa.Table:
-            return pa.Table.from_pydict(
-                {
-                    **{c: pa.nulls(batch.num_rows, pa.string()) for c in cols},
-                    key: batch.column("node"),
-                    "_lab": batch.column("community"),
-                }
-            )
-
-        def tag_edge(batch: pa.Table) -> pa.Table:
-            if "part" in batch.column_names:
-                batch = batch.drop_columns(["part"])
-            return batch.append_column("_lab", pa.nulls(batch.num_rows, pa.string()))
-
-        tagged = keyed.map_batches(tag_edge, batch_format="pyarrow").union(
-            communities.map_batches(tag_lab, batch_format="pyarrow")
-        )
-
-        def probe(part: pa.Table) -> pa.Table:
-            lab_mask = pc.is_valid(part.column("_lab")).to_numpy(zero_copy_only=False)
-            keys = part.column(key).to_numpy(zero_copy_only=False).astype(str)
-            labs = part.column("_lab").to_numpy(zero_copy_only=False)
-            ln, lv = keys[lab_mask], labs[lab_mask].astype(str)
+        def probe(e: pa.Table, lab: pa.Table) -> pa.Table:
+            ln = lab.column("node").to_numpy(zero_copy_only=False).astype(str)
             order = np.argsort(ln, kind="mergesort")
-            ln, lv = ln[order], lv[order]
-            epart = part.filter(pa.array(~lab_mask)).drop_columns(["_lab"])
-            ek = keys[~lab_mask]
+            ln = ln[order]
+            lv = lab.column("community").to_numpy(zero_copy_only=False).astype(str)[order]
+            ek = e.column(key).to_numpy(zero_copy_only=False).astype(str)
+            got = ek
             if len(ln):
                 pos = np.minimum(np.searchsorted(ln, ek), len(ln) - 1)
-                hit = ln[pos] == ek
-                got = np.where(hit, lv[pos], ek)  # self-label fallback
-            else:
-                got = ek
-            if "part" in epart.column_names:
-                epart = epart.drop_columns(["part"])
-            return epart.append_column(out, pa.array(got, pa.string()))
+                got = np.where(ln[pos] == ek, lv[pos], ek)
+            return e.append_column(out, pa.array(got, pa.string()))
 
-        return hash_partitioned_groups(tagged, [key], probe, n_parts)
+        return cogroup(keyed, communities, [key], ["node"], probe, n_parts)
 
-    labeled = attach_label(
-        attach_label(edges, ["a", "b"], "a", "ca"), ["a", "b", "ca"], "b", "cb"
-    )
+    labeled = attach_label(attach_label(edges, "a", "ca"), "b", "cb")
 
     def partial(batch: pa.Table) -> pa.Table:
         ca = batch.column("ca").to_numpy(zero_copy_only=False).astype(str)
@@ -2345,7 +1796,7 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     Scale shape: distinct canonical edges flow through one keyed dedup
     exchange; degrees are a combine-fed endpoint value_counts groupby
     (≤ distinct nodes per batch cross the wire); degrees attach to the
-    two endpoints via TWO side-tagged node-keyed exchanges with a
+    two endpoints via TWO node-keyed :func:`cogroup` exchanges with a
     per-partition searchsorted probe (the modularity label-join shape —
     the degree table is never broadcast); each labeled batch then folds
     to ONE integer 4-tuple, so the final exchange is four numbers per
@@ -2420,66 +1871,25 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
         )
     n_nodes = deg.count()
 
-    def attach_deg(
-        keyed: ray.data.Dataset, payload: list[tuple[str, pa.DataType]], key: str, out: str
-    ) -> ray.data.Dataset:
-        """One side-tagged exchange keyed on ``key``: degree rows carry
-        (node → deg), edge rows pick their key's degree via a
-        per-partition searchsorted probe.  ``payload`` is the edge
-        side's (name, type) schema."""
+    def attach_deg(keyed: ray.data.Dataset, key: str, out: str) -> ray.data.Dataset:
+        """Append ``out`` = deg(``key``) via one :func:`cogroup` with the
+        (node, deg) rows and a per-partition searchsorted probe."""
 
-        def tag_deg(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    **{
-                        c: (
-                            batch.column("node")
-                            if c == key
-                            else pa.nulls(batch.num_rows, t)
-                        )
-                        for c, t in payload
-                    },
-                    "_deg": batch.column("deg").cast(pa.int64()),
-                }
-            )
+        def probe(e: pa.Table, d: pa.Table) -> pa.Table:
+            dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
+            order = np.argsort(dn, kind="mergesort")
+            dn = dn[order]
+            dv = d.column("deg").to_numpy(zero_copy_only=False).astype(np.int64)[order]
+            ek = e.column(key).to_numpy(zero_copy_only=False).astype(str)
+            got = np.zeros(len(ek), np.int64)
+            if len(dn):
+                pos = np.minimum(np.searchsorted(dn, ek), len(dn) - 1)
+                got = np.where(dn[pos] == ek, dv[pos], 0).astype(np.int64)
+            return e.append_column(out, pa.array(got, pa.int64()))
 
-        def tag_edge(batch: pa.Table) -> pa.Table:
-            if "part" in batch.column_names:
-                batch = batch.drop_columns(["part"])
-            return batch.append_column("_deg", pa.nulls(batch.num_rows, pa.int64()))
+        return cogroup(keyed, deg, [key], ["node"], probe, n_parts)
 
-        tagged = keyed.map_batches(tag_edge, batch_format="pyarrow").union(
-            deg.map_batches(tag_deg, batch_format="pyarrow")
-        )
-
-        def probe(part: pa.Table) -> pa.Table:
-            lab_mask = pc.is_valid(part.column("_deg")).to_numpy(zero_copy_only=False)
-            keys = part.column(key).to_numpy(zero_copy_only=False).astype(str)
-            vals = part.column("_deg").to_numpy(zero_copy_only=False)
-            ln = keys[lab_mask]
-            lv = vals[lab_mask].astype(np.int64)
-            order = np.argsort(ln, kind="mergesort")
-            ln, lv = ln[order], lv[order]
-            epart = part.filter(pa.array(~lab_mask)).drop_columns(["_deg"])
-            ek = keys[~lab_mask]
-            if len(ln):
-                pos = np.minimum(np.searchsorted(ln, ek), len(ln) - 1)
-                hit = ln[pos] == ek
-                got = np.where(hit, lv[pos], 0).astype(np.int64)
-            else:
-                got = np.zeros(len(ek), np.int64)
-            if "part" in epart.column_names:
-                epart = epart.drop_columns(["part"])
-            return epart.append_column(out, pa.array(got, pa.int64()))
-
-        return hash_partitioned_groups(tagged, [key], probe, n_parts)
-
-    labeled = attach_deg(
-        attach_deg(edges, [("a", pa.string()), ("b", pa.string())], "a", "da"),
-        [("a", pa.string()), ("b", pa.string()), ("da", pa.int64())],
-        "b",
-        "db",
-    )
+    labeled = attach_deg(attach_deg(edges, "a", "da"), "b", "db")
 
     def partial(batch: pa.Table) -> pa.Table:
         x = batch.column("da").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2545,7 +1955,14 @@ def clustering_coefficient(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     batch; isolated nodes never appear (no edges)."""
     from ray.data.aggregate import Max, Sum
 
-    ej = edge_jaccard(adjacency)
+    ej = edge_jaccard(adjacency).materialize()
+    if ej.count() == 0:  # an all-empty aggregate would come back schema-less
+        return ray.data.from_arrow(
+            pa.schema(
+                [("node", pa.string()), ("deg", pa.int64()), ("n_tri", pa.int64()),
+                 ("coef_milli", pa.int64())]
+            ).empty_table()
+        )
 
     def explode(batch: pa.Table) -> pa.Table:
         node = pa.concat_arrays(
@@ -2686,8 +2103,9 @@ def harmonic_centrality(
     reaches ≥ 1 landmark within ``max_hops``.
 
     Scale shape: the bfs_hops machinery lifted to the composite
-    (node, seed) key — static mirrored-edge partitions, per round ONE
-    dist exchange through the edge hash; the per-partition probe is a
+    (node, seed) key — static mirrored edges, per round ONE
+    :func:`cogroup` of them with the dist rows on the node key; the
+    per-partition probe is a
     sorted searchsorted-range + prefix-sum gather (one edge row fans out
     to its u's seed rows, the band-join kernel) with a local
     (node, seed) min combine before the keyed fold.  Relaxation stays
@@ -2762,46 +2180,22 @@ def harmonic_centrality(
             }
         )
 
-    dist = (
-        edges.groupby("part")
-        .map_groups(seed_partial, batch_format="pyarrow")
-        .materialize()
-    )
+    dist = hash_partitioned_groups(edges, ["u"], seed_partial, n_parts).materialize()
 
     cand_schema = pa.schema(
         [("node", pa.string()), ("seed", pa.string()), ("dist", pa.int64())]
     )
 
-    def dist_tag(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "u": batch.column("node"),
-                "v": batch.column("node"),
-                "seed": batch.column("seed"),
-                "dist": batch.column("dist").cast(pa.int64()),
-            }
-        )
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def edge_tag(batch: pa.Table) -> pa.Table:
-        t = batch.select(["u", "v"])
-        t = t.append_column("seed", pa.nulls(t.num_rows, pa.string()))
-        t = t.append_column("dist", pa.array(np.full(t.num_rows, -1, np.int64)))
-        return t.append_column("part", part_array(t, ["u"], n_parts))
-
-    def probe(part: pa.Table) -> pa.Table:
-        d = part.column("dist").to_numpy(zero_copy_only=False)
-        is_dist = d >= 0
-        if not is_dist.any() or is_dist.all():
+    def probe(e: pa.Table, d: pa.Table) -> pa.Table:
+        if e.num_rows == 0 or d.num_rows == 0:
             return cand_schema.empty_table()
-        u = part.column("u").to_numpy(zero_copy_only=False).astype(str)
-        dn = u[is_dist]
-        ds = part.column("seed").to_numpy(zero_copy_only=False)[is_dist].astype(str)
-        dv = d[is_dist]
+        dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
         order = np.argsort(dn, kind="mergesort")
-        dn, ds, dv = dn[order], ds[order], dv[order]
-        eu = u[~is_dist]
-        ev = part.column("v").to_numpy(zero_copy_only=False)[~is_dist].astype(str)
+        dn = dn[order]
+        ds = d.column("seed").to_numpy(zero_copy_only=False).astype(str)[order]
+        dv = d.column("dist").to_numpy(zero_copy_only=False)[order]
+        eu = e.column("u").to_numpy(zero_copy_only=False).astype(str)
+        ev = e.column("v").to_numpy(zero_copy_only=False).astype(str)
         lo = np.searchsorted(dn, eu, "left")
         hi = np.searchsorted(dn, eu, "right")
         cnt = hi - lo
@@ -2825,10 +2219,7 @@ def harmonic_centrality(
         )
 
     for _ in range(max_hops):
-        tagged = edges.map_batches(edge_tag, batch_format="pyarrow").union(
-            dist.map_batches(dist_tag, batch_format="pyarrow")
-        )
-        cand = tagged.groupby("part").map_groups(probe, batch_format="pyarrow")
+        cand = cogroup(edges, dist, ["u"], ["node"], probe, n_parts)
 
         def cand_norm(batch: pa.Table) -> pa.Table:
             return batch.select(["node", "seed", "dist"])
@@ -2917,7 +2308,13 @@ def ktruss(adjacency: ray.data.Dataset, k: int = 3, max_rounds: int = 5) -> ray.
     # support reported over the FINAL edge set (no further filter —
     # exactly max_rounds peel rounds, matching the SQL unroll depth;
     # post-fixpoint early exit is a no-op so the sets agree)
-    final = edge_jaccard(surviving)
+    final = edge_jaccard(surviving).materialize()
+    if final.count() == 0:  # an all-empty sort would come back schema-less
+        return ray.data.from_arrow(
+            pa.schema(
+                [("node_a", pa.string()), ("node_b", pa.string()), ("support", pa.int64())]
+            ).empty_table()
+        )
 
     def out(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -3145,12 +2542,11 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     replays bit-exactly; envelope: max in/out-degree × 10¹² must fit
     int64 — degree ≤ 9·10⁶, far past the KG's hubs).
 
-    Scale shape: distinct directed edges are MIRRORED once — a u-keyed
-    row for the hub→authority probe and a v-keyed row for the
-    authority→hub probe — and both exchanges are hash-partitioned by
-    that key with cross-batch dedup reduce-side (the pagerank
-    ``_collapsed_edges`` prep shape); each half-step unions the current
-    score rows into the matching partition, probes with one vectorized
+    Scale shape: the distinct directed edges come from
+    :func:`_directed_edges` (materialized once); each half-step
+    co-partitions the current score rows with them in one
+    :func:`cogroup` — keyed on ``u`` for the hub→authority probe, on
+    ``v`` for the authority→hub probe — probes with one vectorized
     searchsorted, pre-sums contributions per destination INSIDE the
     partition, and folds one global max (a scalar) for the rescale.
     Below :data:`LOCAL_GRAPH_BYTES_BOUND` the half-steps run locally in
@@ -3158,52 +2554,18 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
     SCALE6 = 10**6
-
-    def mirror(batch: pa.Table) -> pa.Table:
-        t = (
-            pa.table({"u": batch.column("src_id"), "v": batch.column("dst_id")})
-            .group_by(["u", "v"])
-            .aggregate([])
-        )
-        fwd = pa.table({"key": t.column("u"), "other": t.column("v")})
-        bwd = pa.table({"key": t.column("v"), "other": t.column("u")})
-        fwd = fwd.append_column("dir", pa.array(np.zeros(t.num_rows, np.int8)))
-        bwd = bwd.append_column("dir", pa.array(np.ones(t.num_rows, np.int8)))
-        out = pa.concat_tables([fwd, bwd])
-        return out.append_column("part", part_array(out, ["key"], n_parts))
-
-    edge_prep_schema = pa.schema(
-        [("key", pa.string()), ("other", pa.string()), ("dir", pa.int8()),
-         ("part", pa.int32())]
-    )
-
-    def prep_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return edge_prep_schema.empty_table()
-        t = part.group_by(["key", "other", "dir"]).aggregate([])
-        pid = part.column("part")[0].as_py()
-        t = t.sort_by([("dir", "ascending"), ("key", "ascending"), ("other", "ascending")])
-        return t.append_column(
-            "part", pa.array(np.full(t.num_rows, pid, np.int32))
-        )
-
-    edges = (
-        adjacency.map_batches(mirror, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(prep_part, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _directed_edges(adjacency, n_parts)
 
     # Small-graph planner (round 5, the pagerank convention): below
-    # LOCAL_GRAPH_BYTES_BOUND the whole mirrored edge table is gathered
+    # LOCAL_GRAPH_BYTES_BOUND the whole directed edge table is gathered
     # once and the exact-integer half-steps run in numpy with no
     # per-half-step exchange — bit-identical (integer sums + max-rescale
     # only; asserted in tests), and each of the 2·iters all-to-alls costs
     # seconds of fixed latency (3-iteration HITS on the 625-edge KG
     # measured 108 s distributed).  Above the bound: unchanged exchanges.
     if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
-        fwd = _gather(edges)
-        if fwd is None:
+        et = _gather(edges)
+        if et is None:
             return ray.data.from_arrow(
                 pa.table(
                     {
@@ -3213,9 +2575,8 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
                     }
                 )
             )
-        f = fwd.filter(pc.equal(fwd.column("dir"), 0))
-        eu = f.column("key").to_numpy(zero_copy_only=False)
-        ev = f.column("other").to_numpy(zero_copy_only=False)
+        eu = et.column("u").to_numpy(zero_copy_only=False)
+        ev = et.column("v").to_numpy(zero_copy_only=False)
         node_arr = np.unique(np.concatenate([eu, ev]))
         ui = np.searchsorted(node_arr, eu)
         vi = np.searchsorted(node_arr, ev)
@@ -3241,25 +2602,7 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
             )
         ).sort("node")
 
-    def node_partial(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": pc.unique(batch.column("key").combine_chunks())})
-
-    nodes = (
-        edges.map_batches(node_partial, batch_format="pyarrow")
-        .groupby("node")
-        .map_groups(lambda t: t.slice(0, 1), batch_format="pyarrow")
-        .materialize()
-    )
-
-    def zero_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "contrib": pa.array(np.zeros(batch.num_rows, np.int64)),
-            }
-        )
-
-    zeros = nodes.map_batches(zero_rows, batch_format="pyarrow").materialize()
+    zeros = _zero_contribs(edges)
 
     def init_scores(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -3269,70 +2612,26 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
             }
         )
 
-    def half_step(scores: ray.data.Dataset, direction: int) -> ray.data.Dataset:
-        """direction 0: auth(other) += score(key=u) over fwd edge rows;
-        direction 1: hub(other) += score(key=v) over bwd edge rows."""
+    def half_step(scores: ray.data.Dataset, src: str, dst: str) -> ray.data.Dataset:
+        """score'(dst) = Σ score(src) over the edges, rescaled: (u, v)
+        gives the authority half-step, (v, u) the hub half-step."""
 
-        def score_side(batch: pa.Table) -> pa.Table:
-            t = pa.table({"key": batch.column("node"), "s": batch.column("s")})
-            t = t.append_column("part", part_array(t, ["key"], n_parts))
-            return pa.table(
-                {
-                    "key": t.column("key"),
-                    "other": pa.array([None] * t.num_rows, pa.string()),
-                    "dir": pa.array(np.full(t.num_rows, -1, np.int8)),
-                    "s": t.column("s"),
-                    "part": t.column("part"),
-                }
-            )
-
-        def edge_side(batch: pa.Table) -> pa.Table:
-            keep = pc.equal(batch.column("dir"), direction)
-            t = batch.filter(keep)
-            return pa.table(
-                {
-                    "key": t.column("key"),
-                    "other": t.column("other"),
-                    "dir": t.column("dir"),
-                    "s": pa.array(np.zeros(t.num_rows, np.int64)),
-                    "part": t.column("part"),
-                }
-            )
-
-        contrib_schema = pa.schema([("node", pa.string()), ("contrib", pa.int64())])
-
-        def probe(part: pa.Table) -> pa.Table:
-            if part.num_rows == 0:
-                return contrib_schema.empty_table()
-            d = part.column("dir").to_numpy(zero_copy_only=False)
-            is_edge = d >= 0
-            if not is_edge.any() or is_edge.all():
-                return contrib_schema.empty_table()
-            k = part.column("key").to_numpy(zero_copy_only=False)
-            sk, sv = k[~is_edge], part.column("s").to_numpy(zero_copy_only=False)[~is_edge]
+        def probe(sc: pa.Table, e: pa.Table) -> pa.Table:
+            if sc.num_rows == 0 or e.num_rows == 0:
+                return _CONTRIB_SCHEMA.empty_table()
+            sk = sc.column("node").to_numpy(zero_copy_only=False)
             order = np.argsort(sk, kind="mergesort")
-            sk, sv = sk[order], sv[order]
-            ek = k[is_edge]
-            pos = np.searchsorted(sk, ek)
-            contrib = sv[pos]
+            sv = sc.column("s").to_numpy(zero_copy_only=False)[order]
+            pos = np.searchsorted(sk[order], e.column(src).to_numpy(zero_copy_only=False))
             return (
-                pa.table(
-                    {
-                        "node": part.column("other").filter(pa.array(is_edge)),
-                        "contrib": pa.array(contrib, pa.int64()),
-                    }
-                )
+                pa.table({"node": e.column(dst), "contrib": pa.array(sv[pos], pa.int64())})
                 .group_by(["node"])
                 .aggregate([("contrib", "sum")])
                 .rename_columns(["node", "contrib"])
             )
 
-        unioned = scores.map_batches(score_side, batch_format="pyarrow").union(
-            edges.map_batches(edge_side, batch_format="pyarrow")
-        )
-        grouped = unioned.groupby("part").map_groups(probe, batch_format="pyarrow")
         raw = (
-            grouped
+            cogroup(scores, edges, ["node"], [src], probe, n_parts)
             .union(zeros)
             .groupby("node")
             .sum("contrib")
@@ -3352,11 +2651,11 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
 
         return raw.map_batches(rescale, batch_format="pyarrow")
 
-    hubs = nodes.map_batches(init_scores, batch_format="pyarrow")
+    hubs = zeros.map_batches(init_scores, batch_format="pyarrow")
     auths = None
     for _ in range(iters):
-        auths = half_step(hubs, 0)
-        hubs = half_step(auths, 1)
+        auths = half_step(hubs, "u", "v")
+        hubs = half_step(auths, "v", "u")
 
     def side(col: str):
         def f(batch: pa.Table) -> pa.Table:
@@ -3402,21 +2701,8 @@ def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dat
     edge set re-derives per round from the survivor set; each round is
     two combine-fed degree groupbys plus one survivor semi-join —
     exchange volume ∝ surviving edges, monotonically shrinking."""
-    import pyarrow.compute as pc
-
-    def edge_partial(batch: pa.Table) -> pa.Table:
-        return (
-            pa.table({"u": batch.column("src_id"), "v": batch.column("dst_id")})
-            .group_by(["u", "v"])
-            .aggregate([])
-        )
-
-    edges = (
-        adjacency.map_batches(edge_partial, batch_format="pyarrow")
-        .groupby(["u", "v"])
-        .map_groups(lambda t: t.slice(0, 1), batch_format="pyarrow")
-        .materialize()
-    )
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    edges = _directed_edges(adjacency, n_parts)
 
     # Small-graph planner (round 5): local source/sink peeling with the
     # identical round ledger (tests); unchanged above the bound.

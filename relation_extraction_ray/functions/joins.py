@@ -16,6 +16,12 @@ multi-string-key sort groupbys).  The sort now compares tiny ints with
 partition to hash-join in one vectorizable pass.  ``n_parts`` is derived
 from the pair count, so partitions stay bounded at 100-TB scale while the
 sandbox pays near-zero exchange overhead.
+
+Two exchange shapes cover the hand-partitioned operators:
+:func:`hash_partitioned_groups` hands each partition of ONE input to a
+kernel, and :func:`cogroup` co-partitions TWO inputs on their keys and
+hands the kernel both sides of each partition in their own columns (the
+static-edges ⋈ frontier probe of every distributed graph round).
 """
 
 from __future__ import annotations
@@ -358,6 +364,74 @@ def hash_partitioned_groups(
         .groupby("part")
         .map_groups(per_partition, batch_format=batch_format)
     )
+
+
+_SIDE, _PART = "__cogroup_side", "__cogroup_part"
+
+
+def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
+    schema = ds.schema()
+    return pa.schema([]) if schema is None else schema.base_schema
+
+
+def cogroup(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    left_on: list[str],
+    right_on: list[str],
+    per_partition: "callable",
+    n_parts: int,
+) -> ray.data.Dataset:
+    """Two-input co-partitioned exchange: each side is hashed on its own
+    key columns (``part_array``, so equal key VALUES land in the same
+    partition whatever the column names — ``["u"]`` meets ``["node"]``),
+    both ride ONE ``groupby.map_groups`` exchange, and
+    ``per_partition(left_rows, right_rows)`` runs once per non-empty
+    partition with each side in its own columns.  A side with no rows in
+    a partition arrives as its typed empty table.
+
+    Both inputs are materialized first, so their schemas are read from
+    block metadata (never by re-running a lazy plan).  The union pads
+    each side with typed nulls for the other side's columns; a column
+    name shared by the two sides must carry the same type on both, or
+    ``ValueError`` is raised before anything runs."""
+    left, right = left.materialize(), right.materialize()
+    ls, rs = _arrow_schema(left), _arrow_schema(right)
+    for name in sorted(set(ls.names) & set(rs.names)):
+        if ls.field(name).type != rs.field(name).type:
+            raise ValueError(
+                f"cogroup: column {name!r} is {ls.field(name).type} on the left "
+                f"but {rs.field(name).type} on the right"
+            )
+    fields = [pa.field(f.name, f.type) for f in ls]
+    fields += [pa.field(f.name, f.type) for f in rs if f.name not in ls.names]
+    union_schema = pa.schema(fields + [(_SIDE, pa.int8()), (_PART, pa.int32())])
+
+    def tagger(side: int, on: list[str], own: pa.Schema):
+        def tag(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            if n == 0:
+                return union_schema.empty_table()
+            cols = [
+                batch.column(f.name) if f.name in own.names else pa.nulls(n, f.type)
+                for f in fields
+            ]
+            cols += [pa.array(np.full(n, side, np.int8)), part_array(batch, on, n_parts)]
+            return pa.Table.from_arrays(cols, schema=union_schema)
+
+        return tag
+
+    def run(group: pa.Table) -> pa.Table:
+        is_left = pc.equal(group.column(_SIDE), 0)
+        return per_partition(
+            group.filter(is_left).select(ls.names),
+            group.filter(pc.invert(is_left)).select(rs.names),
+        )
+
+    tagged = left.map_batches(tagger(0, left_on, ls), batch_format="pyarrow").union(
+        right.map_batches(tagger(1, right_on, rs), batch_format="pyarrow")
+    )
+    return tagged.groupby(_PART).map_groups(run, batch_format="pyarrow")
 
 
 def table_digest(

@@ -158,26 +158,3 @@ class Manifest:
             except Exception:
                 return None
         return e
-
-
-def write_shard(table: pa.Table, out_dir: str, stage: str, shard: int, fmt: str = "parquet") -> str:
-    """Write one shard's output as a single fragment under
-    ``<out>/<stage>/shard=<i>/part.<ext>`` (resumable layout: partitioned
-    by shard, never one giant file).  ``fmt="jsonl"`` mirrors the
-    reference's line-delimited-JSON interchange files (S4,
-    ``wiki2sdp.py:318-328``) for downstream tooling that reads JSONL."""
-    d = os.path.join(out_dir, stage, f"shard={shard}")
-    os.makedirs(d, exist_ok=True)
-    ext = "parquet" if fmt == "parquet" else "json"
-    tmp = os.path.join(d, f".part.{ext}.tmp")
-    if fmt == "parquet":
-        pq.write_table(table, tmp)
-    else:
-        import json as _json
-
-        with open(tmp, "w") as f:
-            for row in table.to_pylist():
-                f.write(_json.dumps(row, sort_keys=True) + "\n")
-    final = os.path.join(d, f"part.{ext}")
-    os.replace(tmp, final)  # atomic: a crashed write never looks complete
-    return final

@@ -1,13 +1,13 @@
 """Entity-link disambiguator (SURVEY.md T8; north-star "entity-link
-disambiguator" actor pool).
+disambiguator" stage).
 
 The reference uses raw lowercased surface forms as entity identities
 (``wiki2sdp.py:184``); the engine adds a KB-linking stage between scoring
 and canonicalization:
 
 * a small knowledge base (alias → candidate KB entries) is broadcast once
-  via ``ray.put`` and pinned per actor in ``__init__`` — the classic
-  broadcast-join, no shuffle;
+  via ``ray.put`` and fetched once per worker by the cached stage's
+  ``__init__`` — the classic broadcast-join, no shuffle;
 * disambiguation among candidate senses is deterministic: score =
   alias-match strength + context-token overlap with the entry's type
   hints, ties by kb_id — pure function of (surface, context), identical
@@ -16,7 +16,7 @@ and canonicalization:
   downstream canonicalization degrades gracefully (NIL entities).
 
 A production deployment swaps ``score_candidates`` for a model forward
-pass; the Ray plumbing (broadcast KB, actor pool, batch shapes) is what
+pass; the Ray plumbing (broadcast KB, task stage, batch shapes) is what
 this module fixes.
 """
 
@@ -81,9 +81,10 @@ def link_surface(surface: str, context: set[str], cands: list[dict] | None) -> t
 
 
 class LinkerStage:
-    """Actor-pool stage: triples → triples + (subj_kb, obj_kb) columns.
+    """Task stage: triples → triples + (subj_kb, obj_kb) columns.
 
-    KB fetched zero-copy once per actor; context = the doc's surface
+    KB fetched zero-copy once per worker (the stage instance is cached
+    per worker process); context = the doc's surface
     tokens present in the row (subj/obj/pred words)."""
 
     def __init__(self, kb_ref) -> None:
@@ -148,7 +149,6 @@ def kb_nbytes(kb: dict[str, list[dict]]) -> int:
 def link_triples(
     triples: ray.data.Dataset,
     kb: dict[str, list[dict]],
-    concurrency=(1, 8),
     broadcast_bytes: int = _KB_BROADCAST_BYTES,
 ) -> ray.data.Dataset:
     """Entity-link a triples dataset against ``kb``, picking the join

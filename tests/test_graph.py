@@ -1190,7 +1190,12 @@ def test_local_planner_bit_equal_to_distributed(ray_session):
         local = rows(make(), cols)
         with mock.patch.object(G, "LOCAL_GRAPH_BYTES_BOUND", 0):
             dist = rows(make(), cols)
+            # every test graph derives ONE partition; force four so the
+            # distributed exchanges really co-partition their two sides
+            with mock.patch.object(G, "derive_n_parts", lambda n, **kw: 4):
+                dist4 = rows(make(), cols)
         assert local == dist, cols
+        assert local == dist4, cols
         assert len(local) > 0
 
     # Self-loop-only graph: the undirected operators see an empty edge
@@ -1210,3 +1215,4 @@ def test_local_planner_bit_equal_to_distributed(ray_session):
         with mock.patch.object(G, "LOCAL_GRAPH_BYTES_BOUND", 0):
             dist = shape(make(), cols)
         assert local == dist, cols
+        assert local[0] is not None, cols  # typed, never schema-less

@@ -89,18 +89,6 @@ def test_kg_jsonl_checkpoints_match_parquet(tmp_path, ray_session):
         json.loads(f.readline())  # every line is one standalone JSON object
 
 
-def test_write_shard_jsonl(tmp_path):
-    import json
-
-    from relation_extraction_ray.state.lineage import write_shard
-
-    tab = pa.table({"a": pa.array([1, 2], pa.int64()), "b": ["x", "y"]})
-    path = write_shard(tab, str(tmp_path), "counts", 3, fmt="jsonl")
-    assert path.endswith("part.json")
-    rows = [json.loads(l) for l in open(path)]
-    assert rows == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-
-
 def test_io_roundtrip(tmp_path, ray_session):
     assert backend() in ("lance", "parquet")
     docs = documents_dataset(25, override_num_blocks=2)

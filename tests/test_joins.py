@@ -9,6 +9,7 @@ import pyarrow as pa
 import pytest
 
 from relation_extraction_ray.functions.joins import (
+    cogroup,
     hash_columns,
     pair_payload_join,
     part_array,
@@ -87,6 +88,74 @@ def test_pair_payload_join_matches_dict_join(ray_session):
     )
     got = sorted((r["a"], r["b"], r["payload_a"], r["payload_b"]) for r in out)
     assert got == want
+
+
+@pytest.mark.parametrize("n_parts", [1, 3])
+def test_cogroup_matches_dict_cogroup(ray_session, n_parts):
+    """cogroup co-locates equal key VALUES across differently named key
+    columns, hands each side over in its own typed columns (a typed empty
+    table when a partition has no rows of that side), and equals a plain
+    dict co-group."""
+    import ray
+
+    rng = np.random.default_rng(11)
+    left = [(f"k{int(k)}", int(x)) for k, x in rng.integers(0, 12, size=(50, 2))]
+    right = [(f"k{int(k)}", f"y{int(y)}") for k, y in rng.integers(6, 18, size=(40, 2))]
+    left += [("only_left", 7)]
+    right += [("only_right", "z")]
+    left_ds = ray.data.from_arrow(
+        pa.table({"k": [r[0] for r in left], "x": pa.array([r[1] for r in left], pa.int64())})
+    ).repartition(4)
+    right_ds = ray.data.from_arrow(
+        pa.table({"node": [r[0] for r in right], "y": [r[1] for r in right]})
+    ).repartition(3)
+    left_schema = pa.schema([("k", pa.string()), ("x", pa.int64())])
+    right_schema = pa.schema([("node", pa.string()), ("y", pa.string())])
+
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        assert lt.schema.equals(left_schema) and rt.schema.equals(right_schema)
+        lk, lx = lt.column("k").to_pylist(), lt.column("x").to_pylist()
+        rk, ry = rt.column("node").to_pylist(), rt.column("y").to_pylist()
+        keys = sorted(set(lk) | set(rk))
+        return pa.table(
+            {
+                "key": pa.array(keys, pa.string()),
+                "xs": pa.array(
+                    [sorted(x for k2, x in zip(lk, lx) if k2 == k) for k in keys],
+                    pa.list_(pa.int64()),
+                ),
+                "ys": pa.array(
+                    [sorted(y for k2, y in zip(rk, ry) if k2 == k) for k in keys],
+                    pa.list_(pa.string()),
+                ),
+                "one_sided": pa.array([lt.num_rows == 0 or rt.num_rows == 0] * len(keys)),
+            }
+        )
+
+    out = cogroup(left_ds, right_ds, ["k"], ["node"], kernel, n_parts).take_all()
+    want: dict = {}
+    for k, x in left:
+        want.setdefault(k, ([], []))[0].append(x)
+    for k, y in right:
+        want.setdefault(k, ([], []))[1].append(y)
+    got = sorted((r["key"], list(r["xs"]), list(r["ys"])) for r in out)
+    # every key exactly once: both sides of a key met in ONE partition
+    assert got == sorted((k, sorted(xs), sorted(ys)) for k, (xs, ys) in want.items())
+
+    # an empty right side reaches the kernel as its typed empty table
+    empty_right = ray.data.from_arrow(right_schema.empty_table())
+    out = cogroup(left_ds, empty_right, ["k"], ["node"], kernel, n_parts).take_all()
+    assert all(r["one_sided"] and r["ys"] == [] for r in out)
+    assert sorted(r["key"] for r in out) == sorted({k for k, _ in left})
+
+
+def test_cogroup_rejects_conflicting_shared_column(ray_session):
+    import ray
+
+    left = ray.data.from_arrow(pa.table({"k": ["a"], "v": pa.array([1], pa.int64())}))
+    right = ray.data.from_arrow(pa.table({"k": ["a"], "v": ["one"]}))
+    with pytest.raises(ValueError, match="'v'"):
+        cogroup(left, right, ["k"], ["k"], lambda lt, rt: lt, 2)
 
 
 def test_powers_block_tiling_exact():
