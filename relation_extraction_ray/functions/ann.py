@@ -553,8 +553,8 @@ def embed_neardup_pairs(
     )
 
     # --- exact cosine verify: hash-partitioned pair↔vector join ----------
-    # (functions/joins.py pair_payload_join — exchanges keyed by a tiny int
-    # partition column rather than per-vec-id sort keys)
+    # (functions/joins.py pair_payload_join — two cogroup exchanges keyed by
+    # a tiny int partition column rather than per-vec-id sort keys)
 
     # candidate id set built on the driver from the materialized pairs —
     # the broadcast that follows bounds driver memory anyway, so a

@@ -31,10 +31,12 @@ aggregate per round, no old↔new join.
 Scale shape (100 TB): the label table holds only nodes that appear in
 at least one pair — O(|dup pairs|), ≪ corpus.  Below a byte bound the
 round joins labels onto edges via one broadcast dict (``ray.put`` once,
-read per batch); above it the round is two hash-partitioned exchanges
-(:func:`..functions.joins.pair_payload_join`) keyed on
-``blake2b(id) % n_parts``, same planner split as ``verify_jaccard`` /
-``state/linker.py``.  Per-round label tables are ``materialize()``-d —
+read per batch); above it the round is the two
+:func:`..functions.joins.cogroup` exchanges of
+:func:`..functions.joins.pair_payload_join` (hash of the id
+``% n_parts``) and, from round 3, one pointer-jump ``cogroup`` of the
+label table with itself — the same planner split as ``verify_jaccard``
+/ ``state/linker.py``.  Per-round label tables are ``materialize()``-d —
 deliberately: they are the SMALL side, and re-deriving round k's labels
 lazily would re-run all k-1 prior shuffles.
 
@@ -50,7 +52,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from .joins import derive_n_parts, pair_payload_join, part_array
+from .joins import cogroup, derive_n_parts, pair_payload_join
 
 # broadcast-vs-partitioned planner bound for the per-round label join
 # (labels are (int64 id → int64 label) dict entries, ~64 B each in a
@@ -59,7 +61,8 @@ from .joins import derive_n_parts, pair_payload_join, part_array
 # driver RSS finishing in 2 rounds / ~60 s with exact ground truth, so
 # the broadcast path is preferred well past the linker's 32 MiB KB
 # budget; above it the pair_payload_join rounds keep driver memory flat
-# at the cost of 4 keyed exchanges per round.
+# at the cost of 3-4 keyed exchanges per round (pair_payload_join's two
+# cogroups, the min-label groupby and, from round 3, the pointer jump).
 _BROADCAST_LABEL_BYTES = 256 << 20
 _EST_LABEL_BYTES = 64
 
@@ -275,61 +278,33 @@ def connected_components(
 
 
 def _pointer_jump(labels: ray.data.Dataset, id_type: pa.DataType, n_parts: int) -> ray.data.Dataset:
-    """label ← label[label] for every node, as ONE keyed exchange of the
-    label table against itself (cheaper than the generic
+    """label ← label[label] for every node, as ONE :func:`cogroup` of the
+    label table with itself (cheaper than the generic
     :func:`pair_payload_join`, which would spend a second exchange
-    resolving the ``node`` leg we don't need).  Every label row ships
-    twice — once keyed on ``part(node)`` as the lookup side (role S),
-    once keyed on ``part(lab)`` as the probe side (role P); per
-    partition a vectorized ``index_in`` probe replaces each probe row's
-    lab with the lab of the node it points at.  Labels are node ids of
-    nodes present in the table, so the probe always hits (a miss keeps
-    the old lab — still correct, jumping is an accelerator not a
-    correctness step); node rows are unique so no re-aggregation is
-    needed."""
+    resolving the ``node`` leg we don't need).  The lookup side is keyed
+    on ``node``; the probe side carries its label cast to ``id_type`` and
+    is keyed on that (the cast comes first: equal values of different
+    types hash to different partitions).  Per partition a vectorized
+    ``index_in`` probe replaces each probe row's lab with the lab of the
+    node it points at.  Labels are node ids of nodes present in the
+    table, so the probe always hits (a miss keeps the old lab — still
+    correct, jumping is an accelerator not a correctness step); node rows
+    are unique so no re-aggregation is needed."""
     import pyarrow.compute as pc
 
-    def two_legs(t: pa.Table) -> pa.Table:
-        node = t.column("node").combine_chunks().cast(id_type)
-        lab64 = t.column("lab").combine_chunks().cast(pa.int64())
-        lab_id = lab64.cast(id_type)
-        n = t.num_rows
+    def with_target(t: pa.Table) -> pa.Table:
+        return t.append_column("__to__", t.column("lab").cast(id_type))
+
+    def jump(lookup: pa.Table, probe: pa.Table) -> pa.Table:
+        idx = pc.index_in(probe.column("__to__"), value_set=lookup.column("node").combine_chunks())
+        jumped = pc.take(lookup.column("lab").combine_chunks(), idx)
+        new_lab = pc.if_else(pc.is_valid(jumped), jumped, probe.column("lab"))
         return pa.Table.from_arrays(
-            [
-                pa.concat_arrays(
-                    [
-                        part_array(pa.table({"k": node}), ["k"], n_parts),
-                        part_array(pa.table({"k": lab_id}), ["k"], n_parts),
-                    ]
-                ),
-                pa.array(["S"] * n + ["P"] * n),
-                pa.concat_arrays([node, node]),
-                pa.concat_arrays([lab64, lab64]),
-            ],
-            names=["part", "role", "node", "lab"],
+            [probe.column("node"), new_lab.cast(pa.int64())], names=["node", "lab"]
         )
 
-    def jump(group: pa.Table) -> pa.Table:
-        roles = group.column("role").combine_chunks().to_numpy(zero_copy_only=False)
-        smask = roles == "S"
-        s_rows = group.filter(pa.array(smask))
-        p_rows = group.filter(pa.array(~smask))
-        idx = pc.index_in(
-            p_rows.column("lab").combine_chunks().cast(id_type),
-            value_set=s_rows.column("node").combine_chunks(),
-        )
-        jumped = pc.take(s_rows.column("lab").combine_chunks(), idx)
-        new_lab = pc.if_else(pc.is_valid(jumped), jumped, p_rows.column("lab").combine_chunks())
-        return pa.Table.from_arrays(
-            [p_rows.column("node").combine_chunks(), new_lab.cast(pa.int64())],
-            names=["node", "lab"],
-        )
-
-    return (
-        labels.map_batches(two_legs, batch_format="pyarrow")
-        .groupby("part", num_partitions=n_parts)
-        .map_groups(jump, batch_format="pyarrow")
-    )
+    probe = labels.map_batches(with_target, batch_format="pyarrow")
+    return cogroup(labels, probe, ["node"], ["__to__"], jump, n_parts)
 
 
 def _global_min(node_lab: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
@@ -392,9 +367,9 @@ def dedup_keep_one(
       corpus — no shuffle of document rows;
     * above the bound (a heavily duplicated crawl: 30-60 % dup rate
       makes the drop set O(corpus)): a **hash-partitioned reduce-side
-      anti-join** — docs and drop ids co-partitioned by
-      ``hash(id) % n_parts`` through one keyed exchange, each partition
-      filtered independently; driver memory stays flat.  Bit-identical
+      anti-join** — one :func:`..joins.cogroup` of docs and drop ids on
+      the id key (it materializes the docs), each partition filtered
+      independently; driver memory stays flat.  Bit-identical
       to the broadcast path (asserted in
       ``tests/test_components.py::test_keep_one_partitioned_bitequal``).
     """
@@ -439,50 +414,23 @@ def dedup_keep_one(
         return docs.map_batches(keep, batch_format="pyarrow")
 
     # --- partitioned anti-join (the >broadcast-bound path) ----------------
-    # One keyed exchange moving docs rows + drop ids; each reduce group
+    # One cogroup of docs with the drop ids on the id key: each partition
     # holds every doc and every drop id of one hash partition, so the
-    # in-group is_in is exact.  Docs and drops union through a shared
-    # schema: drop rows carry nulls in every non-id column plus a marker.
-    doc_schema = docs.schema()
-    names = list(doc_schema.names)
-    types = list(doc_schema.types)
-    n_parts = derive_n_parts(n_drop, rows_per_part=1 << 16)
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part__", part_array(batch, [id_col], n_parts)
-        ).append_column(
-            "__isdrop__", pa.array(np.zeros(batch.num_rows, dtype=bool), pa.bool_())
-        )
-
-    def tag_drops(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = []
-        for nm, t in zip(names, types):
-            if nm == id_col:
-                cols.append(batch.column("__drop_id__").combine_chunks().cast(t))
-            else:
-                cols.append(pa.nulls(n, t))
-        t2 = pa.Table.from_arrays(cols, names=names)
-        return t2.append_column(
-            "__part__", part_array(t2, [id_col], n_parts)
-        ).append_column(
-            "__isdrop__", pa.array(np.ones(n, dtype=bool), pa.bool_())
-        )
-
-    tagged = docs.map_batches(tag_docs, batch_format="pyarrow").union(
-        drops.map_batches(tag_drops, batch_format="pyarrow")
+    # in-partition is_in is exact.  Drop ids take the doc id type first
+    # (equal values of different types hash to different partitions).
+    id_type = docs.schema().base_schema.field(id_col).type
+    drop_ids = drops.map_batches(
+        lambda t: pa.table({"__drop_id__": t.column("__drop_id__").cast(id_type)}),
+        batch_format="pyarrow",
     )
 
-    def anti(group: pa.Table) -> pa.Table:
-        is_drop = group.column("__isdrop__").combine_chunks()
-        drop_ids = group.column(id_col).filter(is_drop).combine_chunks()
-        doc_rows = group.filter(pa.compute.invert(is_drop))
-        if len(drop_ids):
-            mask = pa.compute.invert(
-                pa.compute.is_in(doc_rows.column(id_col), value_set=drop_ids)
-            )
-            doc_rows = doc_rows.filter(mask)
-        return doc_rows.drop_columns(["__part__", "__isdrop__"])
+    def anti(doc_rows: pa.Table, drop_rows: pa.Table) -> pa.Table:
+        if drop_rows.num_rows == 0:
+            return doc_rows
+        drop_set = drop_rows.column("__drop_id__").combine_chunks()
+        return doc_rows.filter(
+            pa.compute.invert(pa.compute.is_in(doc_rows.column(id_col), value_set=drop_set))
+        )
 
-    return tagged.groupby("__part__").map_groups(anti, batch_format="pyarrow")
+    n_parts = derive_n_parts(n_drop, rows_per_part=1 << 16)
+    return cogroup(docs, drop_ids, [id_col], ["__drop_id__"], anti, n_parts)

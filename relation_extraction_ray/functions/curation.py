@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .joins import derive_n_parts, hash_partitioned_groups
+from .joins import cogroup, derive_n_parts, hash_partitioned_groups
 
 
 def _md5_u64_col(ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -342,8 +342,8 @@ def leakage_safe_split(
     Scale shape: the label table is O(|dup pairs|) ≪ corpus (components
     never emits singletons).  Below ``broadcast_bytes`` it ships ONCE
     via ``ray.put`` and the corpus takes a single shuffle-free scan;
-    above the bound docs and labels flow through ONE side-tagged
-    doc-id-keyed exchange and join reduce-side (same planner split as
+    above the bound the doc ids and the labels meet in ONE doc-id-keyed
+    :func:`..joins.cogroup` and join reduce-side (same planner split as
     ``state/linker.py`` / ``verify_jaccard``) — bit-identical outputs,
     pytest-asserted."""
     from .components import connected_components
@@ -387,28 +387,23 @@ def leakage_safe_split(
 
         return ids_only.map_batches(attach, batch_format="pyarrow").sort("doc_id")
 
-    # partitioned reduce-side join: one side-tagged doc-id-keyed exchange
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = batch.column(key_col).cast(pa.int64())
-        return pa.table(
-            {"doc_id": ids, "canonical_id": pa.nulls(len(ids), pa.int64())}
-        )
-
-    tagged = ids_only.map_batches(tag_docs, batch_format="pyarrow").union(
-        labels.map_batches(
-            lambda t: t.select(["doc_id", "canonical_id"]), batch_format="pyarrow"
-        )
+    # partitioned reduce-side join: one doc-id-keyed cogroup of the doc
+    # ids with the labels (both int64, so equal ids co-partition)
+    lab_schema = pa.schema([("doc_id", pa.int64()), ("canonical_id", pa.int64())])
+    ids = ids_only.map_batches(
+        lambda t: pa.table({"doc_id": t.column(key_col).cast(pa.int64())}),
+        batch_format="pyarrow",
+    )
+    labs = labels.map_batches(
+        lambda t: t.select(lab_schema.names).cast(lab_schema), batch_format="pyarrow"
     )
 
-    def per_part(part: pa.Table) -> pa.Table:
-        cid_col = part.column("canonical_id")
-        is_lab = pc.is_valid(cid_col).to_numpy(zero_copy_only=False)
-        ids = part.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        lab_ids = ids[is_lab]
-        lab_cids = cid_col.to_numpy(zero_copy_only=False)[is_lab].astype(np.int64)
+    def per_part(id_rows: pa.Table, lab_rows: pa.Table) -> pa.Table:
+        d_ids = id_rows.column("doc_id").to_numpy()
+        lab_ids = lab_rows.column("doc_id").to_numpy()
+        lab_cids = lab_rows.column("canonical_id").to_numpy()
         order = np.argsort(lab_ids, kind="stable")
         lab_ids, lab_cids = lab_ids[order], lab_cids[order]
-        d_ids = ids[~is_lab]
         if len(lab_ids) == 0:
             return assign(d_ids, d_ids)
         pos = np.searchsorted(lab_ids, d_ids)
@@ -418,9 +413,7 @@ def leakage_safe_split(
         return assign(d_ids, cids)
 
     n_parts = derive_n_parts(docs.count(), rows_per_part=65536)
-    return hash_partitioned_groups(tagged, ["doc_id"], per_part, n_parts).sort(
-        "doc_id"
-    )
+    return cogroup(ids, labs, ["doc_id"], ["doc_id"], per_part, n_parts).sort("doc_id")
 
 
 def weighted_sample(

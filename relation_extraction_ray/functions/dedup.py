@@ -35,6 +35,7 @@ from .joins import (
     group_runs,
     hash_partitioned_groups,
     pair_payload_join,
+    table_digest,
 )
 
 
@@ -354,11 +355,12 @@ def verify_jaccard(
 
       1. semi-join prune: the candidate doc-id SET (ids only, bounded by
          2×|pairs|) is broadcast; only those docs get shingled;
-      2. :func:`functions.joins.pair_payload_join` — two hash-partitioned
-         exchanges keyed by ``blake2b(id) % n_parts`` (``n_parts`` derived
-         from the pair count) stamping both docs' shingle sets onto each
-         pair; exchanging on a tiny int key instead of per-doc string keys
-         removed ~8 s of sort overhead per query at sf0.1;
+      2. :func:`functions.joins.pair_payload_join` — two
+         :func:`functions.joins.cogroup` exchanges partitioned by the hash
+         of the id ``% n_parts`` (``n_parts`` derived from the pair count)
+         stamping both docs' shingle sets onto each pair; exchanging on a
+         tiny int key instead of per-doc string keys removed ~8 s of sort
+         overhead per query at sf0.1;
       3. a vectorless but batch-amortized map computes the exact Jaccard.
 
     Output: (doc_a, doc_b, jaccard_micro) for pairs ≥ threshold, with the
@@ -813,9 +815,9 @@ def fuzzy_ed1_pairs(
     kernel output is checkpointed to parquet under a footer-validated
     manifest, so a killed run re-uses every finished partition on rerun
     (byte-identical; asserted in ``tests/test_resume.py``).  The
-    checkpoint fingerprint folds only (operator, col, row count) — use a
-    fresh ``resume_dir`` per logical input, as with any checkpoint
-    directory."""
+    checkpoint fingerprint folds (operator, col, row count) and the
+    :func:`..joins.table_digest` of ``col``, so a changed input recomputes
+    instead of reusing stale partitions."""
     import pyarrow.compute as pc
 
     n_vals = ds.count()
@@ -909,7 +911,8 @@ def fuzzy_ed1_pairs(
 
         from ..state.resume import input_fingerprint, resumable_exchange
 
-        fp = input_fingerprint("fuzzy_ed1_pairs", col, str(n_vals), str(n_parts))
+        digest = table_digest([("in", ds, [col])]).to_pylist()
+        fp = input_fingerprint("fuzzy_ed1_pairs", col, str(n_vals), str(n_parts), str(digest))
         cands = resumable_exchange(
             keyed, ["k"], candidates, n_parts, os.path.join(resume_dir, "candidates"), fp
         )

@@ -21,7 +21,11 @@ Two exchange shapes cover the hand-partitioned operators:
 :func:`hash_partitioned_groups` hands each partition of ONE input to a
 kernel, and :func:`cogroup` co-partitions TWO inputs on their keys and
 hands the kernel both sides of each partition in their own columns (the
-static-edges ⋈ frontier probe of every distributed graph round).
+static-edges ⋈ frontier probe of every distributed graph round, and
+every other two-input reduce-side join: :func:`pair_payload_join`, the
+KB-sharded linker, the components pointer jump and keep-one anti-join,
+the leakage split and the provenance attach).  :func:`pair_payload_join`
+is two ``cogroup`` calls that share one ``index_in`` probe.
 """
 
 from __future__ import annotations
@@ -177,10 +181,6 @@ def part_array(batch: pa.Table, cols: list[str], n_parts: int) -> pa.Array:
     )
 
 
-def _part_array(col: pa.ChunkedArray, n_parts: int) -> pa.Array:
-    return part_array(pa.table({"k": col}), ["k"], n_parts)
-
-
 def derive_n_parts(n_rows: int, rows_per_part: int = 4096, cap: int = 256) -> int:
     """Partition count from data size: 1 at sandbox scale (no exchange
     fan-out at all), growing to ``cap`` as the pair set grows."""
@@ -211,6 +211,15 @@ def group_runs(sort_key: np.ndarray):
     return starts, ends
 
 
+def _cast_to(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
+    """``ds``'s ``schema`` columns cast to it and materialized; typed even
+    when ``ds`` has no rows (a map over an empty dataset drops the schema)."""
+    out = ds.map_batches(
+        lambda t: t.select(schema.names).cast(schema), batch_format="pyarrow"
+    ).materialize()
+    return out if out.count() else ray.data.from_arrow(schema.empty_table())
+
+
 def pair_payload_join(
     pairs: ray.data.Dataset,
     payloads: ray.data.Dataset,
@@ -219,128 +228,30 @@ def pair_payload_join(
     n_parts: int,
 ) -> ray.data.Dataset:
     """``pairs(a, b)`` ⋈ ``payloads(id, payload)`` →
-    ``(a, b, payload_a, payload_b)`` in two hash-partitioned exchanges.
-
-    Pass 1 partitions pairs by ``part(a)`` alongside the payloads by
-    ``part(id)`` and stamps ``payload_a``; pass 2 re-partitions by
-    ``part(b)`` and stamps ``payload_b``.  Pairs whose ids have no payload
-    row are dropped (inner join).  Payload rows are assumed semi-join
-    pruned by the caller, so each exchange moves O(|pairs|) rows.
+    ``(a, b, payload_a, payload_b)`` as two :func:`cogroup` exchanges:
+    pairs keyed on ``a`` meet the payloads keyed on ``id`` and gain
+    ``payload_a``, then that result keyed on ``b`` meets them again and
+    gains ``payload_b``.  One ``index_in`` probe serves both.  Pairs
+    whose ids have no payload row are dropped (inner join).  Payload
+    rows are assumed semi-join pruned by the caller, so each exchange
+    moves O(|pairs|) rows; they are cast and materialized once for both
+    exchanges, and the pairs and the first join's output are
+    materialized by :func:`cogroup`.
     """
-    mid_schema = pa.schema(
-        [
-            ("part", pa.int32()),
-            ("role", pa.string()),
-            ("id", id_type),
-            ("a", id_type),
-            ("b", id_type),
-            ("payload", payload_type),
-            ("payload_a", payload_type),
-        ]
-    )
-    out_schema = pa.schema(
-        [("a", id_type), ("b", id_type), ("payload_a", payload_type), ("payload_b", payload_type)]
-    )
+    pairs = _cast_to(pairs, pa.schema([("a", id_type), ("b", id_type)]))
+    payloads = _cast_to(payloads, pa.schema([("id", id_type), ("payload", payload_type)]))
 
-    def payload_leg(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ids = batch.column("id").combine_chunks().cast(id_type)
-        return pa.Table.from_arrays(
-            [
-                _part_array(batch.column("id"), n_parts),
-                pa.array(["S"] * n),
-                ids,
-                pa.nulls(n, id_type),
-                pa.nulls(n, id_type),
-                batch.column("payload").combine_chunks().cast(payload_type),
-                pa.nulls(n, payload_type),
-            ],
-            schema=mid_schema,
-        )
+    def attach(key: str, out: str):
+        def probe(pt: pa.Table, st: pa.Table) -> pa.Table:
+            idx = pc.index_in(pt.column(key), value_set=st.column("id").combine_chunks())
+            keep = pc.is_valid(idx)
+            payload = pc.take(st.column("payload").combine_chunks(), idx.filter(keep))
+            return pt.filter(keep).append_column(out, payload)
 
-    def pair_leg(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        a = batch.column("a").combine_chunks().cast(id_type)
-        return pa.Table.from_arrays(
-            [
-                _part_array(batch.column("a"), n_parts),
-                pa.array(["P"] * n),
-                pa.nulls(n, id_type),
-                a,
-                batch.column("b").combine_chunks().cast(id_type),
-                pa.nulls(n, payload_type),
-                pa.nulls(n, payload_type),
-            ],
-            schema=mid_schema,
-        )
+        return probe
 
-    def _split_roles(group: pa.Table):
-        roles = group.column("role").combine_chunks().to_numpy(zero_copy_only=False)
-        smask, pmask = roles == "S", roles == "P"
-        if not smask.any() or not pmask.any():
-            return None, None
-        return group.filter(pa.array(smask)), group.filter(pa.array(pmask))
-
-    def _lookup(pt: pa.Table, key_col: str, st: pa.Table):
-        """Vectorized hash-join probe: indices of ``pt[key_col]`` in
-        ``st['id']`` → (kept pair rows, their payload rows)."""
-        ids = st.column("id").combine_chunks()
-        idx = pc.index_in(pt.column(key_col).combine_chunks(), value_set=ids)
-        keep = pc.is_valid(idx)
-        kept = pt.filter(keep)
-        payload = pc.take(st.column("payload").combine_chunks(), idx.filter(keep))
-        return kept, payload
-
-    def attach_a(group: pa.Table) -> pa.Table:
-        st, pt = _split_roles(group)
-        if st is None:
-            return mid_schema.empty_table()
-        kept, payload_a = _lookup(pt, "a", st)
-        n = kept.num_rows
-        b_col = kept.column("b").combine_chunks()
-        return pa.Table.from_arrays(
-            [
-                part_array(pa.table({"k": b_col}), ["k"], n_parts),
-                pa.array(["P"] * n),
-                pa.nulls(n, id_type),
-                kept.column("a").combine_chunks(),
-                b_col,
-                pa.nulls(n, payload_type),
-                payload_a.cast(payload_type),
-            ],
-            schema=mid_schema,
-        )
-
-    def finish_b(group: pa.Table) -> pa.Table:
-        st, pt = _split_roles(group)
-        if st is None:
-            return out_schema.empty_table()
-        kept, payload_b = _lookup(pt, "b", st)
-        return pa.Table.from_arrays(
-            [
-                kept.column("a").combine_chunks(),
-                kept.column("b").combine_chunks(),
-                kept.column("payload_a").combine_chunks(),
-                payload_b.cast(payload_type),
-            ],
-            schema=out_schema,
-        )
-
-    leg_s = payloads.map_batches(payload_leg, batch_format="pyarrow")
-    leg_p = pairs.map_batches(pair_leg, batch_format="pyarrow")
-    # num_partitions bounds the exchange fan-out to the derived partition
-    # count — without it the sort emits one reduce task per input block,
-    # and task scheduling (not data) dominates on small sides
-    mid = (
-        leg_s.union(leg_p)
-        .groupby("part", num_partitions=n_parts)
-        .map_groups(attach_a, batch_format="pyarrow")
-    )
-    return (
-        leg_s.union(mid)
-        .groupby("part", num_partitions=n_parts)
-        .map_groups(finish_b, batch_format="pyarrow")
-    )
+    with_a = cogroup(pairs, payloads, ["a"], ["id"], attach("a", "payload_a"), n_parts)
+    return cogroup(with_a, payloads, ["b"], ["id"], attach("b", "payload_b"), n_parts)
 
 
 def hash_partitioned_groups(
@@ -388,7 +299,14 @@ def cogroup(
     both ride ONE ``groupby.map_groups`` exchange, and
     ``per_partition(left_rows, right_rows)`` runs once per non-empty
     partition with each side in its own columns.  A side with no rows in
-    a partition arrives as its typed empty table.
+    a partition arrives as its typed empty table; when both inputs are
+    empty the kernel runs once on the two typed empty tables, so the
+    result is typed either way (unless a side carries no schema — a map
+    over no rows drops it — which leaves nothing to type from and gives
+    an untyped empty result).  The exchange has exactly ``n_parts``
+    reduce tasks (``num_partitions``): without that bound the sort runs
+    one reduce task per input block, and on small sides scheduling, not
+    data, dominates.
 
     Both inputs are materialized first, so their schemas are read from
     block metadata (never by re-running a lazy plan).  The union pads
@@ -405,6 +323,8 @@ def cogroup(
             )
     fields = [pa.field(f.name, f.type) for f in ls]
     fields += [pa.field(f.name, f.type) for f in rs if f.name not in ls.names]
+    if left.count() == 0 and right.count() == 0 and ls.names and rs.names:
+        return ray.data.from_arrow(per_partition(ls.empty_table(), rs.empty_table()))
     union_schema = pa.schema(fields + [(_SIDE, pa.int8()), (_PART, pa.int32())])
 
     def tagger(side: int, on: list[str], own: pa.Schema):
@@ -431,7 +351,9 @@ def cogroup(
     tagged = left.map_batches(tagger(0, left_on, ls), batch_format="pyarrow").union(
         right.map_batches(tagger(1, right_on, rs), batch_format="pyarrow")
     )
-    return tagged.groupby(_PART).map_groups(run, batch_format="pyarrow")
+    return tagged.groupby(_PART, num_partitions=n_parts).map_groups(
+        run, batch_format="pyarrow"
+    )
 
 
 def table_digest(

@@ -6181,9 +6181,10 @@ def _purchase_matrix(
     ``resume_dir``: checkpoint the orderkey exchange through
     :func:`..state.resume.resumable_exchange` (footer-validated per-part
     parquet + manifest) so a killed CF run resumes with only the missing
-    partitions recomputed; fingerprint folds the two tables' row counts —
-    use a fresh dir per logical input."""
-    from .joins import derived_num_parts, hash_partitioned_groups
+    partitions recomputed; the fingerprint folds the two tables' row
+    counts and the :func:`.joins.table_digest` of the key columns the
+    stitch reads, so a changed input recomputes."""
+    from .joins import derived_num_parts, hash_partitioned_groups, table_digest
 
     n_parts = derived_num_parts()
 
@@ -6251,8 +6252,14 @@ def _purchase_matrix(
     else:
         from ..state.resume import input_fingerprint, resumable_exchange
 
+        digest = table_digest(
+            [
+                ("lineitem", lineitem, ["l_orderkey", "l_partkey"]),
+                ("orders", orders, ["o_orderkey", "o_custkey"]),
+            ]
+        ).to_pylist()
         fp = input_fingerprint(
-            "purchase_matrix", str(lineitem.count()), str(orders.count()), str(n_parts)
+            "purchase_matrix", str(lineitem.count()), str(orders.count()), str(n_parts), str(digest)
         )
         stitched = resumable_exchange(both, ["okey"], stitch, n_parts, resume_dir, fp)
     cp = (

@@ -864,76 +864,16 @@ def triple_provenance(triples: "ray.data.Dataset") -> "ray.data.Dataset":
         .aggregate(Sum("n_docs", alias_name="n_docs"))
     )
 
-    # both sides are triple-keyed and tiny relative to the corpus; attach
-    # with one more keyed exchange (side-tagged union, searchsorted-free:
-    # Arrow join on the 3-part key via groupby is overkill — the counts
-    # table is the same key set, so a sorted merge per partition suffices)
-    from ..functions.joins import derive_n_parts, hash_partitioned_groups
+    # both sides are triple-keyed, tiny relative to the corpus and hold the
+    # same key set: one keyed cogroup attaches n_docs to the base roll-up
+    from ..functions.joins import cogroup, derive_n_parts
 
-    def tag(side: int):
-        def f(batch: "pa.Table") -> "pa.Table":
-            cols = {
-                "subj": batch.column("subj"),
-                "pred": batch.column("pred"),
-                "obj": batch.column("obj"),
-                "side": pa.array(np.full(batch.num_rows, side, np.int8)),
-            }
-            if side == 0:
-                cols["n_mentions"] = batch.column("n_mentions")
-                cols["min_doc"] = batch.column("min_doc")
-                cols["max_doc"] = batch.column("max_doc")
-                cols["n_docs"] = pa.array(np.zeros(batch.num_rows, np.int64))
-            else:
-                # neutral elements: 0 for the sums, "" for the string maxes
-                # (both sides are already globally reduced, so the merge is
-                # an attach — "" < every real doc id)
-                empty = pa.array([""] * batch.num_rows, pa.string())
-                cols["n_mentions"] = pa.array(np.zeros(batch.num_rows, np.int64))
-                cols["min_doc"] = empty
-                cols["max_doc"] = empty
-                cols["n_docs"] = batch.column("n_docs")
-            return pa.table(cols)
+    keys = ["subj", "pred", "obj"]
 
-        return f
-
-    both = base.map_batches(tag(0), batch_format="pyarrow").union(
-        nd.map_batches(tag(1), batch_format="pyarrow")
-    )
-
-    out_schema = pa.schema(
-        [
-            ("subj", pa.string()),
-            ("pred", pa.string()),
-            ("obj", pa.string()),
-            ("n_mentions", pa.int64()),
-            ("n_docs", pa.int64()),
-            ("min_doc", pa.string()),
-            ("max_doc", pa.string()),
-        ]
-    )
-
-    def merge_part(part: "pa.Table") -> "pa.Table":
-        if part.num_rows == 0:
-            return out_schema.empty_table()
-        g = (
-            part.group_by(["subj", "pred", "obj"])
-            .aggregate(
-                [("n_mentions", "sum"), ("n_docs", "sum"), ("min_doc", "max"), ("max_doc", "max")]
-            )
-        )
-        return pa.table(
-            {
-                "subj": g.column("subj"),
-                "pred": g.column("pred"),
-                "obj": g.column("obj"),
-                "n_mentions": g.column("n_mentions_sum").cast(pa.int64()),
-                "n_docs": g.column("n_docs_sum").cast(pa.int64()),
-                "min_doc": g.column("min_doc_max"),
-                "max_doc": g.column("max_doc_max"),
-            }
+    def attach_n_docs(b: "pa.Table", n: "pa.Table") -> "pa.Table":
+        return b.join(n, keys=keys, join_type="left outer").select(
+            keys + ["n_mentions", "n_docs", "min_doc", "max_doc"]
         )
 
     n_parts = derive_n_parts(max(triples.count() // 4, 1), rows_per_part=65536)
-    return hash_partitioned_groups(both, ["subj", "pred", "obj"], merge_part, n_parts).sort(
-        ["subj", "pred", "obj"]
-    )
+    return cogroup(base, nd, keys, keys, attach_n_docs, n_parts).sort(keys)

@@ -176,169 +176,93 @@ def link_triples_partitioned(
 ) -> ray.data.Dataset:
     """KB-sharded reduce-side entity linking (the >broadcast-bound path).
 
-    Two hash-partitioned exchanges, the same reduce-side-join shape as
-    ``functions/joins.pair_payload_join``: exchange 1 co-locates every
-    triple row with the KB alias shard of ``surface_norm(subj)`` and links
-    the subject; exchange 2 re-keys the rows by ``surface_norm(obj)`` and
-    links the object.  The KB ships as rows (alias norm → JSON candidate
-    list) alongside the data — never materialized on any single worker —
-    while unmatched surfaces keep the broadcast path's NIL fallback (left
-    join, unlike ``pair_payload_join``'s inner join).  Disambiguation calls
-    the same :func:`link_surface`/:func:`row_context` helpers as the
-    broadcast path, so the two strategies are bit-identical (asserted in
-    ``tests/test_linker_skew.py``).
+    Two :func:`..functions.joins.cogroup` exchanges against the KB rows
+    ``(norm, payload)`` (alias norm → JSON candidate list): the triple
+    rows keyed on ``surface_norm(subj)`` meet their KB alias shard and
+    the subject is linked; the linked rows, re-keyed on
+    ``surface_norm(obj)``, meet it again and the object is linked.  The
+    KB ships as rows alongside the data — never materialized on any
+    single worker — while unmatched surfaces keep the broadcast path's
+    NIL fallback (left join, unlike ``pair_payload_join``'s inner join).
+    Disambiguation calls the same :func:`link_surface`/:func:`row_context`
+    helpers as the broadcast path, and the output keeps its column
+    order, so the two strategies are bit-identical (asserted in
+    ``tests/test_linker_skew.py``, also at 4 partitions).
 
     At 100 TB: triples rows cross two bounded keyed exchanges (the standard
-    reduce-side join cost), KB shards are ``O(|KB| / n_parts)`` each, and
+    reduce-side join cost; ``cogroup`` materializes the triples and the
+    subject-linked rows), KB shards are ``O(|KB| / n_parts)`` each, and
     ``n_parts`` derives from the alias count — no driver or per-worker
     whole-KB copy anywhere.  In production the alias table would be read
     from parquet shards; the dict→rows conversion here mirrors
     :func:`build_kb`'s in-memory contract."""
     import json
 
-    from ..functions.joins import derive_n_parts, part_array
+    from ..functions.joins import cogroup, derive_n_parts
 
-    base = triples.schema()
-    base_fields = list(zip(base.names, base.types))
     n_parts = n_parts or derive_n_parts(len(kb), rows_per_part=20_000, cap=256)
-
-    kb_table = pa.table(
-        {
-            "norm": pa.array(list(kb.keys()), pa.string()),
-            "payload": pa.array(
-                [json.dumps(c, sort_keys=True) for c in kb.values()], pa.string()
-            ),
-        }
+    kb_ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "norm": pa.array(list(kb.keys()), pa.string()),
+                "payload": pa.array(
+                    [json.dumps(c, sort_keys=True) for c in kb.values()], pa.string()
+                ),
+            }
+        )
     )
+    subj_key, obj_key = "__subj_norm__", "__obj_norm__"
 
-    extra = [
-        ("role", pa.string()),
-        ("norm", pa.string()),
-        ("payload", pa.string()),
-        ("subj_kb", pa.string()),
-        ("subj_linked", pa.bool_()),
-    ]
-    mid_schema = pa.schema([("part", pa.int32())] + extra + base_fields)
-    out_schema = pa.schema(
-        base_fields
-        + [
-            ("subj_kb", pa.string()),
-            ("obj_kb", pa.string()),
-            ("subj_linked", pa.bool_()),
-            ("obj_linked", pa.bool_()),
-        ]
-    )
-
-    def kb_leg(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.Table.from_arrays(
-            [
-                part_array(batch, ["norm"], n_parts),
-                pa.array(["K"] * n),
-                batch.column("norm").combine_chunks(),
-                batch.column("payload").combine_chunks(),
-                pa.nulls(n, pa.string()),
-                pa.nulls(n, pa.bool_()),
-            ]
-            + [pa.nulls(n, t) for _, t in base_fields],
-            schema=mid_schema,
-        )
-
-    def row_leg(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        norms = pa.array(
-            [surface_norm(s) for s in batch.column("subj").to_pylist()], pa.string()
-        )
-        return pa.Table.from_arrays(
-            [
-                part_array(pa.table({"k": norms}), ["k"], n_parts),
-                pa.array(["P"] * n),
-                norms,
-                pa.nulls(n, pa.string()),
-                pa.nulls(n, pa.string()),
-                pa.nulls(n, pa.bool_()),
-            ]
-            + [batch.column(name).combine_chunks().cast(t) for name, t in base_fields],
-            schema=mid_schema,
-        )
-
-    def _split(group: pa.Table):
-        import numpy as np
-
-        roles = group.column("role").combine_chunks().to_numpy(zero_copy_only=False)
-        kmask = roles == "K"
-        kt, pt = group.filter(pa.array(kmask)), group.filter(pa.array(~kmask))
+    def link_side(rows: pa.Table, kt: pa.Table, side: int):
+        """(kb ids, linked flags) of the subj (0) or obj (1) of ``rows``."""
         lookup = {
             n: json.loads(p)
-            for n, p in zip(
-                kt.column("norm").to_pylist(), kt.column("payload").to_pylist()
-            )
+            for n, p in zip(kt.column("norm").to_pylist(), kt.column("payload").to_pylist())
         }
-        return lookup, pt
+        kb_ids, oks = [], []
+        for s, o, p in zip(
+            rows.column("subj").to_pylist(),
+            rows.column("obj").to_pylist(),
+            rows.column("pred").to_pylist(),
+        ):
+            surface = (s, o)[side]
+            cands = lookup.get(surface_norm(surface))
+            kb_id, ok = link_surface(surface, row_context(s, o, p), cands)
+            kb_ids.append(kb_id)
+            oks.append(ok)
+        return pa.array(kb_ids, pa.string()), pa.array(oks, pa.bool_())
 
-    def link_subj(group: pa.Table) -> pa.Table:
-        lookup, pt = _split(group)
-        n = pt.num_rows
-        if n == 0:
-            return mid_schema.empty_table()
-        subs = pt.column("subj").to_pylist()
-        objs = pt.column("obj").to_pylist()
-        preds = pt.column("pred").to_pylist()
-        s_kb, s_ok, o_norms = [], [], []
-        for s, o, p in zip(subs, objs, preds):
-            kb_id, ok = link_surface(s, row_context(s, o, p), lookup.get(surface_norm(s)))
-            s_kb.append(kb_id)
-            s_ok.append(ok)
-            o_norms.append(surface_norm(o))
-        o_norm_arr = pa.array(o_norms, pa.string())
-        return pa.Table.from_arrays(
-            [
-                part_array(pa.table({"k": o_norm_arr}), ["k"], n_parts),
-                pa.array(["P"] * n),
-                o_norm_arr,
-                pa.nulls(n, pa.string()),
-                pa.array(s_kb, pa.string()),
-                pa.array(s_ok, pa.bool_()),
-            ]
-            + [pt.column(name).combine_chunks() for name, _ in base_fields],
-            schema=mid_schema,
+    def with_subj_key(batch: pa.Table) -> pa.Table:
+        norms = [surface_norm(s) for s in batch.column("subj").to_pylist()]
+        return batch.append_column(subj_key, pa.array(norms, pa.string()))
+
+    def link_subj(rows: pa.Table, kt: pa.Table) -> pa.Table:
+        s_kb, s_ok = link_side(rows, kt, 0)
+        o_norms = [surface_norm(o) for o in rows.column("obj").to_pylist()]
+        return (
+            rows.drop_columns([subj_key])
+            .append_column("subj_kb", s_kb)
+            .append_column("subj_linked", s_ok)
+            .append_column(obj_key, pa.array(o_norms, pa.string()))
         )
 
-    def link_obj(group: pa.Table) -> pa.Table:
-        lookup, pt = _split(group)
-        if pt.num_rows == 0:
-            return out_schema.empty_table()
-        subs = pt.column("subj").to_pylist()
-        objs = pt.column("obj").to_pylist()
-        preds = pt.column("pred").to_pylist()
-        o_kb, o_ok = [], []
-        for s, o, p in zip(subs, objs, preds):
-            kb_id, ok = link_surface(o, row_context(s, o, p), lookup.get(surface_norm(o)))
-            o_kb.append(kb_id)
-            o_ok.append(ok)
+    def link_obj(rows: pa.Table, kt: pa.Table) -> pa.Table:
+        o_kb, o_ok = link_side(rows, kt, 1)
+        rows = rows.drop_columns([obj_key])
+        base = rows.drop_columns(["subj_kb", "subj_linked"])
         return pa.Table.from_arrays(
-            [pt.column(name).combine_chunks() for name, _ in base_fields]
-            + [
-                pt.column("subj_kb").combine_chunks(),
-                pa.array(o_kb, pa.string()),
-                pt.column("subj_linked").combine_chunks(),
-                pa.array(o_ok, pa.bool_()),
-            ],
-            schema=out_schema,
+            base.columns + [rows.column("subj_kb"), o_kb, rows.column("subj_linked"), o_ok],
+            names=base.column_names + [name for name, _ in LINKED_TRIPLES_EXTRA],
         )
 
-    kb_ds = ray.data.from_arrow(kb_table).map_batches(kb_leg, batch_format="pyarrow")
-    rows = triples.map_batches(row_leg, batch_format="pyarrow")
-    mid = (
-        kb_ds.union(rows)
-        .groupby("part", num_partitions=n_parts)
-        .map_groups(link_subj, batch_format="pyarrow")
-    )
-    return (
-        kb_ds.union(mid)
-        .groupby("part", num_partitions=n_parts)
-        .map_groups(link_obj, batch_format="pyarrow")
-    )
+    keyed = triples.map_batches(with_subj_key, batch_format="pyarrow").materialize()
+    if keyed.count() == 0:  # a map over no rows carries no schema
+        base = triples.schema()
+        return ray.data.from_arrow(
+            pa.schema(list(zip(base.names, base.types)) + LINKED_TRIPLES_EXTRA).empty_table()
+        )
+    subj_linked = cogroup(keyed, kb_ds, [subj_key], ["norm"], link_subj, n_parts)
+    return cogroup(subj_linked, kb_ds, [obj_key], ["norm"], link_obj, n_parts)
 
 
 def synth_kb(seed: int = 42) -> list[dict]:

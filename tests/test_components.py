@@ -62,11 +62,25 @@ def test_components_match_union_find(ray_session):
     assert got == _union_find(ROWS)
 
 
-def test_partitioned_path_bit_equal_to_broadcast(ray_session):
-    """broadcast_bytes=0 forces the pair_payload_join path every round."""
+def test_partitioned_path_bit_equal_to_broadcast(ray_session, monkeypatch):
+    """broadcast_bytes=0 forces the pair_payload_join path every round
+    (and the pointer jump from round 3 on the chain); the second arm
+    forces 4 partitions, so the exchanges really co-partition."""
+    import random
+
+    from relation_extraction_ray.functions import components
+
     bc = _result_tuples(connected_components(_pairs(ROWS)))
     pt = _result_tuples(connected_components(_pairs(ROWS), broadcast_bytes=0))
     assert bc == pt
+
+    rng = random.Random(42)
+    rand = [(rng.randrange(200), rng.randrange(200)) for _ in range(200)]
+    rand = [(a, b) for a, b in rand if a != b]
+    monkeypatch.setattr(components, "derive_n_parts", lambda n, **kw: 4)
+    assert _result_tuples(connected_components(_pairs(ROWS), broadcast_bytes=0)) == bc
+    got = _result_tuples(connected_components(_pairs(rand), broadcast_bytes=0))
+    assert got == _union_find(rand)
 
 
 def test_empty_pairs(ray_session):
@@ -112,7 +126,7 @@ def test_dedup_keep_one(ray_session):
     assert kept2 == list(range(10))
 
 
-def test_keep_one_partitioned_bitequal(ray_session):
+def test_keep_one_partitioned_bitequal(ray_session, monkeypatch):
     """broadcast_bytes=0 forces the hash-partitioned reduce-side
     anti-join; it must return the exact same kept rows (values AND
     schema) as the broadcast is_in path."""
@@ -137,5 +151,12 @@ def test_keep_one_partitioned_bitequal(ray_session):
     pt = norm(dedup_keep_one(docs, pairs, broadcast_bytes=0))
     assert list(bc.columns) == list(pt.columns)
     assert bc.equals(pt)
+    # the same anti-join co-partitioned over 4 partitions
+    from relation_extraction_ray.functions import components
+
+    monkeypatch.setattr(components, "derive_n_parts", lambda n, **kw: 4)
+    pt4 = norm(dedup_keep_one(docs, pairs, broadcast_bytes=0))
+    assert list(bc.columns) == list(pt4.columns)
+    assert bc.equals(pt4)
     # drop set: non-canonical members {2,3,9,40,41,21}
     assert sorted(bc["doc_id"]) == sorted(set(range(50)) - {2, 3, 9, 40, 41, 21})

@@ -115,7 +115,7 @@ def test_budget_select_exact_fit_boundary(ray_session):
     assert sum(r["n_tokens"] for r in got) == budget
 
 
-def test_leakage_safe_split_cluster_atomic_and_paths_identical(ray_session):
+def test_leakage_safe_split_cluster_atomic_and_paths_identical(ray_session, monkeypatch):
     """(a) every dup cluster lands entirely in ONE split, (b) the split
     rule is the documented md5 bucket of the canonical id, (c) the
     partitioned reduce-side path is bit-identical to broadcast, (d)
@@ -135,6 +135,13 @@ def test_leakage_safe_split_cluster_atomic_and_paths_identical(ray_session):
     bro = leakage_safe_split(docs, pairs).to_pandas()
     part = leakage_safe_split(docs, pairs, broadcast_bytes=0).to_pandas()
     assert bro.equals(part)
+    # the partitioned path co-partitioned over 4 partitions
+    from relation_extraction_ray.functions import components, curation
+
+    monkeypatch.setattr(curation, "derive_n_parts", lambda n, **kw: 4)
+    monkeypatch.setattr(components, "derive_n_parts", lambda n, **kw: 4)
+    part4 = leakage_safe_split(docs, pairs, broadcast_bytes=0).to_pandas()
+    assert bro.equals(part4)
 
     got = bro.set_index("doc_id")
     assert len(got) == 100

@@ -6,6 +6,7 @@ output is unchanged)."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from relation_extraction_ray.functions.joins import (
@@ -147,6 +148,46 @@ def test_cogroup_matches_dict_cogroup(ray_session, n_parts):
     out = cogroup(left_ds, empty_right, ["k"], ["node"], kernel, n_parts).take_all()
     assert all(r["one_sided"] and r["ys"] == [] for r in out)
     assert sorted(r["key"] for r in out) == sorted({k for k, _ in left})
+
+
+def test_cogroup_two_empty_inputs_typed(ray_session):
+    """Two empty inputs run the kernel once on both typed empty tables,
+    so the result carries the kernel's schema (not a schema-less empty)."""
+    import ray
+
+    left = ray.data.from_arrow(pa.schema([("k", pa.string()), ("x", pa.int64())]).empty_table())
+    right = ray.data.from_arrow(pa.schema([("node", pa.string())]).empty_table())
+
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({"k": lt.column("k"), "x2": pc.multiply(lt.column("x"), 2)})
+
+    out = cogroup(left, right, ["k"], ["node"], kernel, 3)
+    assert out.count() == 0
+    assert out.schema().names == ["k", "x2"]
+    assert out.schema().base_schema.field("x2").type == pa.int64()
+
+    # a schema-less side (a map over no rows) has nothing to type from:
+    # the result is empty and the kernel never sees a column-less table
+    schemaless = left.map_batches(lambda t: t, batch_format="pyarrow").materialize()
+    assert schemaless.schema() is None
+    assert cogroup(schemaless, right, ["k"], ["node"], kernel, 3).count() == 0
+
+
+def test_pair_payload_join_empty_payloads_typed(ray_session):
+    """No payload rows at all: every pair is dropped, and the empty result
+    keeps the (a, b, payload_a, payload_b) schema like the other empty
+    cases (empty pairs, no id hits)."""
+    import ray
+
+    pairs = ray.data.from_arrow(pa.table({"a": ["d0", "d1"], "b": ["d1", "d2"]}))
+    payload_type = pa.list_(pa.string())
+    payloads = ray.data.from_arrow(
+        pa.schema([("id", pa.string()), ("payload", payload_type)]).empty_table()
+    )
+    out = pair_payload_join(pairs, payloads, pa.string(), payload_type, n_parts=3)
+    assert out.count() == 0
+    assert out.schema().names == ["a", "b", "payload_a", "payload_b"]
+    assert out.schema().base_schema.field("payload_b").type == payload_type
 
 
 def test_cogroup_rejects_conflicting_shared_column(ray_session):

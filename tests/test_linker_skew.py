@@ -18,6 +18,7 @@ from relation_extraction_ray.sources.synth import documents_dataset
 from relation_extraction_ray.state.linker import (
     build_kb,
     link_triples,
+    link_triples_partitioned,
     nil_id,
     surface_norm,
     synth_kb,
@@ -89,6 +90,9 @@ def test_partitioned_linker_matches_broadcast(ray_session):
     parted = sorted(link_triples(ds, kb, broadcast_bytes=0).take_all(), key=key)
     assert len(broadcast) == len(parted) > 0
     assert broadcast == parted
+    # the same two exchanges co-partitioned over 4 partitions
+    parted4 = sorted(link_triples_partitioned(ds, kb, n_parts=4).take_all(), key=key)
+    assert broadcast == parted4
     # the ambiguous + NIL cases actually exercised both branches
     by_sh = {r["span_hash"]: r for r in parted if r["doc_id"] == "x"}
     assert by_sh[0]["subj_kb"] == "kb_x" and not by_sh[0]["obj_linked"]

@@ -170,7 +170,7 @@ def test_adjacency_weights_consistent(results):
     )
 
 
-def test_triple_provenance_vs_bruteforce(ray_session):
+def test_triple_provenance_vs_bruteforce(ray_session, monkeypatch):
     from collections import defaultdict
 
     import pyarrow as pa
@@ -199,6 +199,15 @@ def test_triple_provenance_vs_bruteforce(ray_session):
         for (s, p, o), (n, docs) in want.items()
     )
     assert got == expect
+    # the n_docs attach co-partitioned over 4 partitions
+    from relation_extraction_ray.functions import joins
+
+    monkeypatch.setattr(joins, "derive_n_parts", lambda n, **kw: 4)
+    got4 = [
+        (r["subj"], r["pred"], r["obj"], r["n_mentions"], r["n_docs"], r["min_doc"], r["max_doc"])
+        for r in triple_provenance(ds).take_all()
+    ]
+    assert got4 == expect
 
 
 def test_merge_adjacency_equals_full_run(ray_session):

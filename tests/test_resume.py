@@ -202,6 +202,34 @@ def test_fuzzy_pairs_resumable(ray_session, tmp_path):
     assert r2 == ref
 
 
+def test_fuzzy_pairs_resume_detects_changed_content(ray_session, tmp_path):
+    """A resume dir written for one input must not be reused for another
+    input with the same row and distinct counts: changing one c_name
+    gives the same result as a fresh run without resume."""
+    from relation_extraction_ray.functions.dedup import fuzzy_ed1_pairs
+
+    def rows(ds, resume_dir):
+        return sorted(
+            (r["a"], r["b"], r["kind"])
+            for r in fuzzy_ed1_pairs(ds, "c_name", resume_dir=resume_dir).take_all()
+        )
+
+    names = pa.concat_tables(
+        ray.data.read_parquet(f"{SF}/customer.parquet", columns=["c_name"])
+        .iter_batches(batch_format="pyarrow")
+    ).column("c_name").to_pylist()
+    changed = list(names)
+    changed[0] = "Unrelated Name"
+    assert len(set(changed)) == len(set(names)) and "Unrelated Name" not in names
+    orig = ray.data.from_arrow(pa.table({"c_name": names}))
+    edited = ray.data.from_arrow(pa.table({"c_name": changed}))
+    d = str(tmp_path / "fz")
+    assert rows(orig, d) == rows(orig, None)
+    fresh = rows(edited, None)
+    assert fresh != rows(orig, None)
+    assert rows(edited, d) == fresh
+
+
 def test_alias_clusters_resumable(ray_session, tmp_path):
     """alias_clusters composes the resumable fuzzy join + components."""
     import pyarrow.compute as pc
