@@ -2852,7 +2852,8 @@ def _q_pred_cardinality(sf_dir: str):
 
 def _q_kg_components(sf_dir: str):
     """Component-size histogram of the KG entity graph: canonical-edge
-    dedup partials, adaptive pointer-jumping CC, size-histogram fold."""
+    dedup partials, CC (one numpy kernel below the graph planner bound,
+    pointer-jumping exchange rounds above it), size-histogram fold."""
     from relation_extraction_ray.functions.graph import component_size_hist
 
     return component_size_hist(_kg_run()["adjacency"])

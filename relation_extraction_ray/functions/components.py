@@ -6,39 +6,39 @@ runs next is folding those pairs into **clusters** and electing one
 canonical document per cluster (keep-one dedup).  That is connected
 components on the pair graph.
 
-Algorithm: iterative **min-label propagation** ("hash-to-min" family,
-Rastogi et al., "Finding Connected Components in Map-Reduce in
-Logarithmic Rounds", ICDE 2013 — the simple variant here).  Each round
-every edge forwards ``min(label_a, label_b)`` to both endpoints and each
-node keeps the min of what it heard and what it had:
+Planner: the same size split as every iterative operator in
+``functions/graph.py``, read from :data:`.graph.LOCAL_GRAPH_BYTES_BOUND`
+at call time (patching that one attribute forces both modules):
 
-    labels ← (messages ∪ labels).groupby(node).min(label)
+* **below the bound** the edge table is gathered once
+  (``graph._gather``) and folded by ONE numpy call,
+  :func:`_cc_kernel` — min-label propagation with pointer jumping over
+  a dense node index.  No rounds, no per-node Python state.
+* **above the bound** the rounds run partitioned: iterative **min-label
+  propagation** ("hash-to-min" family, Rastogi et al., "Finding
+  Connected Components in Map-Reduce in Logarithmic Rounds", ICDE 2013
+  — the simple variant here).  Each round every edge forwards
+  ``min(label_a, label_b)`` to both endpoints and each node keeps the
+  min of what it heard and what it had:
 
-Each round is augmented with **pointer jumping** (label ← label[label]:
-driver-side path compression in broadcast mode, where the map is
-already resident; in partitioned mode one extra self-join of the label
-table, engaged adaptively from round 3 so the common ≤2-round clique
-workload never pays it), so total rounds are O(log diameter) —
-near-dup clusters are
-near-cliques (diameter 1-2, the init scan already reaches the fixpoint
-and the loop runs one confirmation round) and even an adversarial
-chain-shaped graph needs only logarithmically many keyed exchanges,
-each moving O(|edges|) rows.  Labels only ever *decrease*, so
-``sum(label)`` is monotone non-increasing and a round that leaves it
-unchanged is the fixpoint — convergence is one tiny driver-side
-aggregate per round, no old↔new join.
+      labels ← (messages ∪ labels).groupby(node).min(label)
 
-Scale shape (100 TB): the label table holds only nodes that appear in
-at least one pair — O(|dup pairs|), ≪ corpus.  Below a byte bound the
-round joins labels onto edges via one broadcast dict (``ray.put`` once,
-read per batch); above it the round is the two
-:func:`..functions.joins.cogroup` exchanges of
-:func:`..functions.joins.pair_payload_join` (hash of the id
-``% n_parts``) and, from round 3, one pointer-jump ``cogroup`` of the
-label table with itself — the same planner split as ``verify_jaccard``
-/ ``state/linker.py``.  Per-round label tables are ``materialize()``-d —
-deliberately: they are the SMALL side, and re-deriving round k's labels
-lazily would re-run all k-1 prior shuffles.
+  The edge↔label join is the two :func:`..functions.joins.cogroup`
+  exchanges of :func:`..functions.joins.pair_payload_join` (hash of the
+  id ``% n_parts``).  From round 3 one pointer-jump ``cogroup`` of the
+  label table with itself (label ← label[label]) is added: near-dup
+  clusters are near-cliques that converge in ≤ 2 rounds and never pay
+  it, while chain-shaped graphs need O(log diameter) rounds instead of
+  O(diameter).  Labels only ever *decrease*, so ``sum(label)`` is
+  monotone non-increasing and a round that leaves it unchanged is the
+  fixpoint — convergence is one tiny driver-side aggregate per round.
+  Per-round label tables are ``materialize()``-d — deliberately: they
+  are the SMALL side, and re-deriving round k's labels lazily would
+  re-run all k-1 prior shuffles.
+
+Both paths give the same rows: roots are component-min ids, sizes are
+node counts.  Scale shape: the label table holds only nodes that appear
+in at least one pair — O(|dup pairs|), ≪ corpus.
 
 Reference: no counterpart (the reference never clusters its near-dups);
 engine addition per the LLM-data-pipeline mandate.
@@ -52,25 +52,16 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from . import graph
 from .joins import cogroup, derive_n_parts, pair_payload_join
 
-# broadcast-vs-partitioned planner bound for the per-round label join
-# (labels are (int64 id → int64 label) dict entries, ~64 B each in a
-# Python dict).  256 MiB ≈ 4M clustered nodes: the 1M-pair probe
-# (BASELINE.md round 4) measured a 1.23M-node label dict at ~100 MB
-# driver RSS finishing in 2 rounds / ~60 s with exact ground truth, so
-# the broadcast path is preferred well past the linker's 32 MiB KB
-# budget; above it the pair_payload_join rounds keep driver memory flat
-# at the cost of 3-4 keyed exchanges per round (pair_payload_join's two
-# cogroups, the min-label groupby and, from round 3, the pointer jump).
-_BROADCAST_LABEL_BYTES = 256 << 20
-_EST_LABEL_BYTES = 64
+_OUT_NAMES = ["doc_id", "canonical_id", "cluster_size"]
 
 
 def _empty_result(id_type: pa.DataType) -> ray.data.Dataset:
     empty = pa.Table.from_arrays(
         [pa.array([], id_type), pa.array([], id_type), pa.array([], pa.int64())],
-        names=["doc_id", "canonical_id", "cluster_size"],
+        names=_OUT_NAMES,
     )
     return ray.data.from_arrow(empty)
 
@@ -80,31 +71,39 @@ def _min_by_node(tab: pa.Table) -> pa.Table:
     return tab.group_by("node").aggregate([("lab", "min")]).rename_columns(["node", "lab"])
 
 
-class _RelabelBroadcastStage:
-    """Per-batch edge relabel against a broadcast {node: label} dict
-    (``ray.get`` once per worker process via ``cached_stage_fn``)."""
+def _cc_kernel(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connected components of the integer edge list ``(a[i], b[i])`` →
+    ``(doc_id, canonical_id, cluster_size)`` over every endpoint, sorted
+    by ``(canonical_id, doc_id)``; ``canonical_id`` is the component-min
+    id.  Self-loops and duplicate or reversed pairs are harmless.
 
-    def __init__(self, lab_ref, id_type) -> None:
-        self.lab = ray.get(lab_ref)
-        self.id_type = id_type
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lab = self.lab
-        a = batch.column("a").to_pylist()
-        b = batch.column("b").to_pylist()
-        la = np.array([lab[x] for x in a], dtype=np.int64)
-        lb = np.array([lab[x] for x in b], dtype=np.int64)
-        m = np.minimum(la, lb)
-        out = pa.Table.from_arrays(
-            [
-                pa.concat_arrays(
-                    [batch.column("a").combine_chunks(), batch.column("b").combine_chunks()]
-                ).cast(self.id_type),
-                pa.array(np.concatenate([m, m]), pa.int64()),
-            ],
-            names=["node", "lab"],
-        )
-        return _min_by_node(out)
+    Nodes get a dense index in ascending id order (``np.unique``), so the
+    min index of a component is its min id.  Each pass sends
+    ``min(lab[a], lab[b])`` to both endpoints AND to their current labels
+    (hooking the two trees together), then pointer-jumps
+    ``lab ← lab[lab]`` until every node points at a root.  Labels only
+    decrease and always name a node of the same component; a pass that
+    changes nothing leaves every edge with equal end labels, i.e. one
+    root — the component min, whose own label can never drop — per
+    component."""
+    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ia, ib = inv[: len(a)], inv[len(a) :]
+    lab = np.arange(len(nodes))
+    while True:
+        prev = lab.copy()
+        m = np.minimum(lab[ia], lab[ib])
+        for idx in (lab[ia], lab[ib], ia, ib):
+            np.minimum.at(lab, idx, m)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+        if np.array_equal(lab, prev):
+            break
+    size = np.bincount(lab, minlength=len(nodes))
+    order = np.lexsort((nodes, lab))
+    return nodes[order], nodes[lab[order]], size[lab[order]]
 
 
 def connected_components(
@@ -112,7 +111,6 @@ def connected_components(
     id_a: str = "doc_a",
     id_b: str = "doc_b",
     max_rounds: int = 64,
-    broadcast_bytes: int = _BROADCAST_LABEL_BYTES,
     round_stats: list | None = None,
 ) -> ray.data.Dataset:
     """Fold a pair table into duplicate clusters.
@@ -122,7 +120,12 @@ def connected_components(
     id (the member a keep-one dedup would keep), ``cluster_size`` the
     component's node count.  Nodes in no pair are singletons by
     definition and are deliberately NOT emitted (output stays
-    O(|dup pairs|), not O(corpus)).
+    O(|dup pairs|), not O(corpus)).  Ids must be integers (they are
+    labelled as int64); ``doc_id``/``canonical_id`` keep the input type.
+
+    ``round_stats``, when given, receives one record per round — a
+    single ``{"mode": "local", ...}`` record below the graph planner
+    bound, ``{"mode": "partitioned", ...}`` records above it.
     """
     pairs = pairs.materialize()
     sch = pairs.schema()
@@ -134,6 +137,27 @@ def connected_components(
         lambda t: t.select([id_a, id_b]).rename_columns(["a", "b"]),
         batch_format="pyarrow",
     ).materialize()
+
+    if edges.size_bytes() <= graph.LOCAL_GRAPH_BYTES_BOUND:
+        t0 = _time.monotonic()
+        tab = graph._gather(edges)
+        if tab is None:
+            return _empty_result(id_type)
+        doc, canon, size = _cc_kernel(
+            *(tab.column(c).cast(pa.int64()).to_numpy() for c in ("a", "b"))
+        )
+        if round_stats is not None:
+            round_stats.append(
+                {"mode": "local", "wall_s": round(_time.monotonic() - t0, 2),
+                 "label_sum": int(canon.sum())}
+            )
+        return ray.data.from_arrow(
+            pa.Table.from_arrays(
+                [pa.array(doc).cast(id_type), pa.array(canon).cast(id_type), pa.array(size, pa.int64())],
+                names=_OUT_NAMES,
+            )
+        )
+
     if edges.count() == 0:
         return _empty_result(id_type)
 
@@ -171,76 +195,40 @@ def connected_components(
     labels = _global_min(labels, n_parts).materialize()
     prev_sum = _label_sum(labels)
 
-    n_nodes = labels.count()
-    use_broadcast = n_nodes * _EST_LABEL_BYTES <= broadcast_bytes
-
     for rnd in range(max_rounds):
-        if use_broadcast:
-            from ..taskexec import cached_stage_fn
+        joined = pair_payload_join(
+            edges,
+            labels.map_batches(
+                lambda t: t.rename_columns(["id", "payload"]), batch_format="pyarrow"
+            ),
+            id_type,
+            pa.int64(),
+            n_parts,
+        )
 
-            lab_map: dict = {}
-            for bt in labels.iter_batches(batch_format="pyarrow"):
-                lab_map.update(
-                    zip(
-                        bt.column("node").to_pylist(),
-                        bt.column("lab").to_pylist(),
-                    )
+        def relabel(batch: pa.Table) -> pa.Table:
+            la = batch.column("payload_a").to_numpy(zero_copy_only=False)
+            lb = batch.column("payload_b").to_numpy(zero_copy_only=False)
+            m = np.minimum(la, lb).astype(np.int64)
+            return _min_by_node(
+                pa.Table.from_arrays(
+                    [
+                        pa.concat_arrays(
+                            [
+                                batch.column("a").combine_chunks(),
+                                batch.column("b").combine_chunks(),
+                            ]
+                        ).cast(id_type),
+                        pa.array(np.concatenate([m, m]), pa.int64()),
+                    ],
+                    names=["node", "lab"],
                 )
-            # path compression (pointer jumping, driver-side — the map is
-            # already resident here): collapse label chains so a round
-            # propagates ROOTS, not one-hop labels.  Turns O(diameter)
-            # rounds into O(log d) on chain-shaped graphs; no-op on the
-            # near-clique dup-cluster workload.  Labels are node ids, so
-            # label-of-label is always defined.
-            for k in lab_map:
-                r = lab_map[k]
-                while lab_map.get(r, r) != r:
-                    r = lab_map[r]
-                lab_map[k] = r
-            lab_ref = ray.put(lab_map)
-            messages = edges.map_batches(
-                cached_stage_fn(
-                    _RelabelBroadcastStage,
-                    lab_ref.hex(),
-                    {"lab_ref": lab_ref, "id_type": id_type},
-                ),
-                batch_format="pyarrow",
-            )
-        else:
-            joined = pair_payload_join(
-                edges,
-                labels.map_batches(
-                    lambda t: t.rename_columns(["id", "payload"]), batch_format="pyarrow"
-                ),
-                id_type,
-                pa.int64(),
-                n_parts,
             )
 
-            def relabel(batch: pa.Table) -> pa.Table:
-                la = batch.column("payload_a").to_numpy(zero_copy_only=False)
-                lb = batch.column("payload_b").to_numpy(zero_copy_only=False)
-                m = np.minimum(la, lb).astype(np.int64)
-                return _min_by_node(
-                    pa.Table.from_arrays(
-                        [
-                            pa.concat_arrays(
-                                [
-                                    batch.column("a").combine_chunks(),
-                                    batch.column("b").combine_chunks(),
-                                ]
-                            ).cast(id_type),
-                            pa.array(np.concatenate([m, m]), pa.int64()),
-                        ],
-                        names=["node", "lab"],
-                    )
-                )
-
-            messages = joined.map_batches(relabel, batch_format="pyarrow")
-
+        messages = joined.map_batches(relabel, batch_format="pyarrow")
         t_round = _time.monotonic()
         labels = _global_min(messages.union(labels), n_parts).materialize()
-        if not use_broadcast and rnd >= 2:
+        if rnd >= 2:
             # distributed pointer jump: one extra keyed join per round
             # replaces each label with its label's label (monotone:
             # label[x] <= x always, so label[lab] <= lab) — O(log d)
@@ -255,8 +243,8 @@ def connected_components(
         cur_sum = _label_sum(labels)
         if round_stats is not None:
             round_stats.append(
-                {"mode": "broadcast" if use_broadcast else "partitioned",
-                 "wall_s": round(_time.monotonic() - t_round, 2), "label_sum": cur_sum}
+                {"mode": "partitioned", "wall_s": round(_time.monotonic() - t_round, 2),
+                 "label_sum": cur_sum}
             )
         if cur_sum == prev_sum:
             break
@@ -271,7 +259,7 @@ def connected_components(
                 group.column("lab").combine_chunks().cast(id_type),
                 pa.array(np.full(n, n, dtype=np.int64), pa.int64()),
             ],
-            names=["doc_id", "canonical_id", "cluster_size"],
+            names=_OUT_NAMES,
         )
 
     return labels.groupby("lab").map_groups(stamp_size, batch_format="pyarrow")

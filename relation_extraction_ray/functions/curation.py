@@ -340,8 +340,10 @@ def leakage_safe_split(
     'train'.  Output: (doc_id, canonical_id, split).
 
     Scale shape: the label table is O(|dup pairs|) ≪ corpus (components
-    never emits singletons).  Below ``broadcast_bytes`` it ships ONCE
-    via ``ray.put`` and the corpus takes a single shuffle-free scan;
+    never emits singletons).  Below ``broadcast_bytes`` its two id
+    columns ship ONCE via ``ray.put`` as Arrow arrays and the corpus
+    takes a single shuffle-free scan, each batch attaching canonicals
+    with one ``index_in`` probe (a miss is a singleton: its own id);
     above the bound the doc ids and the labels meet in ONE doc-id-keyed
     :func:`..joins.cogroup` and join reduce-side (same planner split as
     ``state/linker.py`` / ``verify_jaccard``) — bit-identical outputs,
@@ -370,26 +372,30 @@ def leakage_safe_split(
 
     labels = connected_components(pairs).materialize()
     ids_only = docs.select_columns([key_col])
+    lab_schema = pa.schema([("doc_id", pa.int64()), ("canonical_id", pa.int64())])
 
-    if labels.count() * 64 <= broadcast_bytes:
-        lab = {
-            r["doc_id"]: r["canonical_id"]
-            for b in labels.iter_batches(batch_format="pyarrow")
-            for r in b.select(["doc_id", "canonical_id"]).to_pylist()
-        }
-        ref = ray.put(lab)
+    if labels.size_bytes() <= broadcast_bytes:
+        lab = pa.concat_tables(
+            [lab_schema.empty_table()]
+            + [
+                b.select(lab_schema.names).cast(lab_schema)
+                for b in labels.iter_batches(batch_format="pyarrow")
+            ]
+        )
+        ref = ray.put(
+            (lab.column("doc_id").combine_chunks(), lab.column("canonical_id").combine_chunks())
+        )
 
         def attach(batch: pa.Table) -> pa.Table:
-            m = ray.get(ref)
-            ids = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            cids = np.array([m.get(int(i), int(i)) for i in ids], np.int64)
-            return assign(ids, cids)
+            lab_ids, lab_cids = ray.get(ref)
+            ids = batch.column(key_col).cast(pa.int64())
+            cids = pc.take(lab_cids, pc.index_in(ids, value_set=lab_ids))
+            return assign(ids.to_numpy(), pc.coalesce(cids, ids).to_numpy())
 
         return ids_only.map_batches(attach, batch_format="pyarrow").sort("doc_id")
 
     # partitioned reduce-side join: one doc-id-keyed cogroup of the doc
     # ids with the labels (both int64, so equal ids co-partition)
-    lab_schema = pa.schema([("doc_id", pa.int64()), ("canonical_id", pa.int64())])
     ids = ids_only.map_batches(
         lambda t: pa.table({"doc_id": t.column(key_col).cast(pa.int64())}),
         batch_format="pyarrow",

@@ -2464,9 +2464,10 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     Output per size: (size, n_components), ascending.
 
     Scale shape: per-batch canonical-edge Arrow dedup partials, the
-    engine's adaptive-pointer-jumping :func:`..components.connected_components`
-    (O(log n) rounds, broadcast labels below a byte bound, keyed
-    exchanges above), then a combine-fed (size → node count) fold whose
+    engine's :func:`..components.connected_components` (one numpy kernel
+    call over the gathered edges below :data:`LOCAL_GRAPH_BYTES_BOUND`,
+    pointer-jumping keyed-exchange rounds above it), then a combine-fed
+    (size → node count) fold whose
     output is bounded by distinct sizes; the driver divides node counts
     by size — n_components·size == n_nodes is asserted."""
     from ray.data.aggregate import Sum

@@ -5,9 +5,10 @@ The reference uses raw lowercased surface forms as entity identities
 (``wiki2sdp.py:184``); the engine adds a KB-linking stage between scoring
 and canonicalization:
 
-* a small knowledge base (alias → candidate KB entries) is broadcast once
-  via ``ray.put`` and fetched once per worker by the cached stage's
-  ``__init__`` — the classic broadcast-join, no shuffle;
+* a small knowledge base (alias → candidate KB entries) is broadcast
+  via ``ray.put`` once per KB content per Ray session and fetched once
+  per worker by the cached stage's ``__init__`` — the classic
+  broadcast-join, no shuffle;
 * disambiguation among candidate senses is deterministic: score =
   alias-match strength + context-token overlap with the entry's type
   hints, ties by kb_id — pure function of (surface, context), identical
@@ -22,6 +23,8 @@ this module fixes.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 
 import pyarrow as pa
 import ray
@@ -146,19 +149,42 @@ def kb_nbytes(kb: dict[str, list[dict]]) -> int:
     return total
 
 
+#: The last broadcast KB: ((node id, content digest), ref).  One entry, so
+#: the driver pins at most one KB copy in the object store.
+_KB_REF: tuple[tuple[str, str], ray.ObjectRef] | None = None
+
+
+def _kb_ref(kb: dict[str, list[dict]]) -> ray.ObjectRef:
+    """The object ref of ``kb``, put once per KB content per Ray session.
+
+    Keyed on the pickled content's digest, so an equal KB built again
+    reuses the ref and any edit puts a new one; and on the session's node
+    id, which changes when Ray restarts, so a ref from a dead session is
+    never handed out."""
+    global _KB_REF
+    key = (
+        ray.get_runtime_context().get_node_id(),
+        hashlib.blake2b(pickle.dumps(kb)).hexdigest(),
+    )
+    if _KB_REF is None or _KB_REF[0] != key:
+        _KB_REF = (key, ray.put(kb))
+    return _KB_REF[1]
+
+
 def link_triples(
     triples: ray.data.Dataset,
     kb: dict[str, list[dict]],
     broadcast_bytes: int = _KB_BROADCAST_BYTES,
 ) -> ray.data.Dataset:
     """Entity-link a triples dataset against ``kb``, picking the join
-    strategy by KB size: small KBs are broadcast (``ray.put`` once, read in
-    every task — no shuffle); KBs above ``broadcast_bytes`` are hash-sharded
-    by alias norm and joined reduce-side (:func:`link_triples_partitioned`),
-    bit-identically."""
+    strategy by KB size: small KBs are broadcast (read in every task — no
+    shuffle); KBs above ``broadcast_bytes`` are hash-sharded by alias norm
+    and joined reduce-side (:func:`link_triples_partitioned`),
+    bit-identically.  The broadcast KB is ``ray.put`` once per KB content
+    per Ray session: repeated calls with an equal KB reuse one object."""
     if kb_nbytes(kb) > broadcast_bytes and triples.schema() is not None:
         return link_triples_partitioned(triples, kb)
-    kb_ref = ray.put(kb)
+    kb_ref = _kb_ref(kb)
     # task map with a per-worker stage cache — the KB ref ray.get is the
     # only state; actor-pool spin-up cost more than the whole query
     from ..taskexec import cached_stage_fn

@@ -1,10 +1,15 @@
 """Connected components (duplicate-cluster folding) — functions/components.py."""
 
+from unittest import mock
+
+import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relation_extraction_ray.functions.components import connected_components
+from relation_extraction_ray.functions.components import _cc_kernel, connected_components
 
 
 def _pairs(rows):
@@ -62,25 +67,86 @@ def test_components_match_union_find(ray_session):
     assert got == _union_find(ROWS)
 
 
-def test_partitioned_path_bit_equal_to_broadcast(ray_session, monkeypatch):
-    """broadcast_bytes=0 forces the pair_payload_join path every round
-    (and the pointer jump from round 3 on the chain); the second arm
-    forces 4 partitions, so the exchanges really co-partition."""
+def test_partitioned_path_bit_equal_to_local(ray_session, monkeypatch):
+    """A zero graph planner bound forces the pair_payload_join path every
+    round (and the pointer jump from round 3 on the chain); the second
+    arm forces 4 partitions, so the exchanges really co-partition."""
     import random
 
-    from relation_extraction_ray.functions import components
+    from relation_extraction_ray.functions import components, graph
 
     bc = _result_tuples(connected_components(_pairs(ROWS)))
-    pt = _result_tuples(connected_components(_pairs(ROWS), broadcast_bytes=0))
+    monkeypatch.setattr(graph, "LOCAL_GRAPH_BYTES_BOUND", 0)
+    pt = _result_tuples(connected_components(_pairs(ROWS)))
     assert bc == pt
 
     rng = random.Random(42)
     rand = [(rng.randrange(200), rng.randrange(200)) for _ in range(200)]
     rand = [(a, b) for a, b in rand if a != b]
     monkeypatch.setattr(components, "derive_n_parts", lambda n, **kw: 4)
-    assert _result_tuples(connected_components(_pairs(ROWS), broadcast_bytes=0)) == bc
-    got = _result_tuples(connected_components(_pairs(rand), broadcast_bytes=0))
+    assert _result_tuples(connected_components(_pairs(ROWS))) == bc
+    got = _result_tuples(connected_components(_pairs(rand)))
     assert got == _union_find(rand)
+
+
+# random integer edge lists with self-loops (a == b is drawn freely),
+# duplicates and reversed duplicates of drawn edges
+EDGES = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=40
+).flatmap(
+    lambda rows: st.lists(st.sampled_from(rows), max_size=6).map(
+        lambda extra: rows + extra + [(b, a) for a, b in extra]
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGES)
+def test_kernel_matches_union_find(rows):
+    a, b = (np.array(c, np.int64) for c in zip(*rows))
+    doc, canon, size = _cc_kernel(a, b)
+    got = list(zip(doc.tolist(), canon.tolist(), size.tolist()))
+    assert got == sorted(got, key=lambda r: (r[1], r[0]))
+    assert sorted(got) == _union_find(rows)
+
+
+@settings(max_examples=5, deadline=None)
+@given(EDGES)
+def test_local_equals_union_find_and_partitioned(ray_session, rows):
+    from relation_extraction_ray.functions import graph
+
+    local = _result_tuples(connected_components(_pairs(rows)))
+    assert local == _union_find(rows)
+    with mock.patch.object(graph, "LOCAL_GRAPH_BYTES_BOUND", 0):
+        assert _result_tuples(connected_components(_pairs(rows))) == local
+
+
+def test_long_chain_is_one_local_call(ray_session):
+    """A 2,000-node chain (shuffled ids, so no label order helps) folds in
+    one local kernel call: one round record, mode "local"."""
+    rng = np.random.default_rng(7)
+    ids = rng.permutation(2000).tolist()
+    rows = list(zip(ids[:-1], ids[1:]))
+    stats: list = []
+    got = _result_tuples(connected_components(_pairs(rows), round_stats=stats))
+    assert got == _union_find(rows)
+    assert [r["mode"] for r in stats] == ["local"]
+
+
+def test_int32_ids_keep_their_type(ray_session):
+    pairs = ray.data.from_arrow(
+        pa.table({"doc_a": pa.array([3, 5], pa.int32()), "doc_b": pa.array([4, 3], pa.int32())})
+    )
+    out = connected_components(pairs)
+    sch = out.schema().base_schema
+    assert sch.field("doc_id").type == pa.int32()
+    assert sch.field("canonical_id").type == pa.int32()
+    assert sch.field("cluster_size").type == pa.int64()
+    assert sorted(out.take_all(), key=lambda r: r["doc_id"]) == [
+        {"doc_id": 3, "canonical_id": 3, "cluster_size": 3},
+        {"doc_id": 4, "canonical_id": 3, "cluster_size": 3},
+        {"doc_id": 5, "canonical_id": 3, "cluster_size": 3},
+    ]
 
 
 def test_empty_pairs(ray_session):

@@ -178,3 +178,87 @@ def test_canonicalization_handles_zipf_head(ray_session):
     counts = sorted((e["count"] for e in ents), reverse=True)
     assert counts[0] > 3 * (counts[len(counts) // 2] or 1)  # head exists
     assert sum(e["count"] for e in ents) == 2 * out["triples"].count()
+
+
+# --- broadcast KB reuse ------------------------------------------------------
+
+
+def _one_row(subj: str) -> ray.data.Dataset:
+    return ray.data.from_arrow(
+        pa.Table.from_pylist(
+            [{"doc_id": "d", "sent_id": 0, "subj": subj, "pred": "Cause-Effect(e1,e2)",
+              "obj": "thing", "score": 0.5, "span_hash": 0}]
+        )
+    )
+
+
+def _reuse_kb(alias: str):
+    return build_kb(
+        [{"kb_id": "kb_reuse", "name": "reusable entity", "aliases": [alias], "type_hints": []}]
+    )
+
+
+def test_equal_kb_content_is_put_once(ray_session, monkeypatch):
+    """Two calls with equal-content KBs built separately make one
+    ray.put; a KB with one changed alias makes a new put and links the
+    new alias."""
+    kbs = [_reuse_kb("first alias"), _reuse_kb("first alias"), _reuse_kb("other alias")]
+    assert kbs[0] == kbs[1] and kbs[0] is not kbs[1]
+    real_put = ray.put
+    puts = []
+
+    def spy(value, *args, **kwargs):
+        if any(value is kb for kb in kbs):
+            puts.append(value)
+        return real_put(value, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", spy)
+    first = link_triples(_one_row("first alias"), kbs[0]).take_all()
+    again = link_triples(_one_row("first alias"), kbs[1]).take_all()
+    assert len(puts) == 1
+    assert first == again and first[0]["subj_kb"] == "kb_reuse"
+
+    edited = link_triples(_one_row("other alias"), kbs[2]).take_all()
+    assert len(puts) == 2 and puts[1] is kbs[2]
+    assert edited[0]["subj_kb"] == "kb_reuse" and edited[0]["subj_linked"]
+    # the old alias is gone from the edited KB
+    stale = link_triples(_one_row("first alias"), kbs[2]).take_all()
+    assert len(puts) == 2 and not stale[0]["subj_linked"]
+
+
+def test_kb_ref_survives_ray_restart():
+    """Link, restart Ray, link the same KB again: the second call must not
+    reuse the dead session's ref (it would hang or fail) and must give
+    the same rows."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import json, sys
+import pyarrow as pa
+import ray
+from relation_extraction_ray.state.linker import build_kb, link_triples, synth_kb
+
+def run():
+    ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+    rows = pa.Table.from_pylist(
+        [{"doc_id": "d", "sent_id": 0, "subj": "bank", "pred": "Cause-Effect(e1,e2)",
+          "obj": "mystery", "score": 0.5, "span_hash": 0}]
+    )
+    out = link_triples(ray.data.from_arrow(rows), build_kb(synth_kb())).take_all()
+    ray.shutdown()
+    return out
+
+print(json.dumps([run(), run()]))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    first, second = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert first == second and len(first) == 1
