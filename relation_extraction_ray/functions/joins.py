@@ -10,7 +10,7 @@ sf0.1 with sub-millisecond useful compute).
 
 This module keys the exchange by a SMALL derived integer partition column
 (``blake2b(id) % n_parts``) instead — the same trick the KG canonicalize /
-adjacency groupbys use (pipelines/kg.py:596,666, measured 5-10× faster than
+adjacency groupbys use (``pipelines/kg.py``, measured 5-10× faster than
 multi-string-key sort groupbys).  The sort now compares tiny ints with
 ``n_parts`` distinct values, and each ``map_groups`` call receives a whole
 partition to hash-join in one vectorizable pass.  ``n_parts`` is derived
@@ -26,6 +26,9 @@ every other two-input reduce-side join: :func:`pair_payload_join`, the
 KB-sharded linker, the components pointer jump and keep-one anti-join,
 the leakage split and the provenance attach).  :func:`pair_payload_join`
 is two ``cogroup`` calls that share one ``index_in`` probe.
+:func:`coalesce_for_exchange` is the one rule for coalescing an
+exchange's input blocks (used by the KG entities, adjacency and merge
+exchanges).
 """
 
 from __future__ import annotations
@@ -197,6 +200,26 @@ def derived_num_parts(factor: int = 2, minimum: int = 8) -> int:
     except Exception:  # cluster not initialised yet
         cpus = 8
     return max(minimum, cpus * factor)
+
+
+# Ray Data's sort exchange creates M_blocks × N_parts shuffle objects whose
+# owner metadata lives in the DRIVER's core worker: a 512-block groupby
+# held 927 MB of driver heap (329 MB with a coalesce in front of it, flat
+# thereafter).  Below this many objects the coalesce costs as much as the
+# exchange it guards, so it is skipped.
+_MAX_EXCHANGE_OBJECTS = 1024
+
+
+def coalesce_for_exchange(ds: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
+    """``ds`` materialized, and coalesced to ``n_parts`` blocks only when
+    its ``num_blocks() × n_parts`` exchange objects exceed
+    ``_MAX_EXCHANGE_OBJECTS``.  Meant for per-batch partials in front of a
+    keyed exchange: they are bounded by the distinct keys per batch, and
+    the exchange that follows is a barrier anyway."""
+    ds = ds.materialize()
+    if ds.num_blocks() * n_parts > _MAX_EXCHANGE_OBJECTS:
+        ds = ds.repartition(n_parts)
+    return ds
 
 
 def group_runs(sort_key: np.ndarray):

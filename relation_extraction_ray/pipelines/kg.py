@@ -20,12 +20,17 @@ Scale notes (SURVEY.md §4, §7.5):
   combiners** inside ``map_batches`` so the shuffled volume is bounded by
   (#distinct keys per batch), not by row count.  Head-entity skew therefore
   collapses before the shuffle: a batch with 10^5 mentions of one entity
-  emits ONE partial row for it.
+  emits ONE partial row for it.  The entities, adjacency and merge
+  exchanges coalesce their partials only when blocks × partitions is
+  large (``joins.coalesce_for_exchange``).
 * The parse→extract chain needs the corpus twice (vocab ids are global
   frequency ranks — the reference's one real barrier).  At scale we parse
   ONCE, persist the parsed ``sentences`` table to Parquet (resumable
-  artifact), and run both passes over that columnar table; tokens never
-  round-trip through spaCy-style object graphs.
+  artifact), and run both passes over that columnar table.  Tokens never
+  round-trip through per-token Python objects: parse builds the
+  ``tokens`` column from flat field arrays plus offsets, extract reads it
+  back the same way, and the scorer pads the id lists from their flat
+  values and offsets.
 * Every stage is deterministic and idempotent (pure functions of its input
   batch + broadcast state), so Ray task retries cannot change output.
 """
@@ -39,7 +44,7 @@ import ray
 from .. import schemas
 from ..config import KGConfig
 from ..nlp.labeler import LABEL2INT, OTHER, label_path
-from ..nlp.parser import Sentence, parse_sentence, split_sentences
+from ..nlp.parser import Sentence, noun_chunk_spans, parse_sentence, split_sentences
 from ..nlp.sdp import (
     finalize_vocab,
     is_ok_sdp,
@@ -48,11 +53,16 @@ from ..nlp.sdp import (
     vocab2idx,
 )
 from ..sources.synth import span_sequence_hash
-from ..state.scorer import pad_paths, score_batch, weights_fixture
+from ..state.scorer import pad_flat, score_batch, weights_fixture
 
 # ---------------------------------------------------------------------------
 # Stage 1: documents -> sentences (parse)
 # ---------------------------------------------------------------------------
+
+
+# ``Sentence`` attributes named like their token-struct field; the
+# struct's ``text`` field is ``Sentence.tokens``
+_TOKEN_FIELDS = [f.name for f in schemas.TOKEN_STRUCT if f.name != "text"]
 
 
 class ParseStage:
@@ -63,6 +73,11 @@ class ParseStage:
     once per worker process, never per batch.  Media spans are untouched;
     their identity travels as ``span_hash`` (the per-row span-sequence
     invariant carrier, BASELINE.json input_hint).
+
+    The ``tokens`` column is built columnar: each parsed ``Sentence``
+    extends the seven flat token-field lists and one running offset, and
+    the ``list<struct>`` column is assembled from those arrays — no Python
+    object per token.
     """
 
     def __init__(self) -> None:
@@ -72,7 +87,9 @@ class ParseStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_pylist()
         spans_col = batch.column("spans").to_pylist()
-        out: dict[str, list] = {k: [] for k in ("doc_id", "span_idx", "sent_id", "text", "tokens", "span_hash")}
+        out: dict[str, list] = {k: [] for k in ("doc_id", "span_idx", "sent_id", "text", "span_hash")}
+        children: dict[str, list] = {f.name: [] for f in schemas.TOKEN_STRUCT}
+        offsets = [0]
         for doc_id, spans in zip(doc_ids, spans_col):
             spans = spans or []
             shash = span_sequence_hash(
@@ -88,46 +105,20 @@ class ParseStage:
                     out["span_idx"].append(span_idx)
                     out["sent_id"].append(sent_id)
                     out["text"].append(text)
-                    out["tokens"].append(
-                        [
-                            {
-                                "text": s.tokens[i],
-                                "idx": s.idx[i],
-                                "pos": s.pos[i],
-                                "dep": s.dep[i],
-                                "head": s.head[i],
-                                "is_punct": s.is_punct[i],
-                                "like_num": s.like_num[i],
-                            }
-                            for i in range(len(s))
-                        ]
-                    )
                     out["span_hash"].append(shash)
+                    children["text"].extend(s.tokens)
+                    for name in _TOKEN_FIELDS:
+                        children[name].extend(getattr(s, name))
+                    offsets.append(offsets[-1] + len(s))
                     sent_id += 1
-        return pa.Table.from_pydict(out, schema=schemas.SENTENCES)
-
-
-def sentence_from_tokens(text: str, tokens: list[dict]) -> Sentence:
-    """Rebuild the columnar Sentence from a persisted token row — no
-    re-parsing; the token table IS the parse."""
-    return Sentence(
-        text=text,
-        tokens=[t["text"] for t in tokens],
-        idx=[t["idx"] for t in tokens],
-        pos=[t["pos"] for t in tokens],
-        dep=[t["dep"] for t in tokens],
-        head=[t["head"] for t in tokens],
-        is_punct=[t["is_punct"] for t in tokens],
-        like_num=[t["like_num"] for t in tokens],
-        chunks=[],
-    )
-
-
-def _rechunk(sent: Sentence) -> Sentence:
-    from ..nlp.parser import noun_chunk_spans
-
-    sent.chunks = noun_chunk_spans(sent.pos)
-    return sent
+        fields = list(schemas.TOKEN_STRUCT)
+        structs = pa.StructArray.from_arrays(
+            [pa.array(children[f.name], f.type) for f in fields], fields=fields
+        )
+        tokens = pa.ListArray.from_arrays(
+            pa.array(offsets, pa.int32()), structs, type=schemas.SENTENCES.field("tokens").type
+        )
+        return pa.Table.from_pydict({**out, "tokens": tokens}, schema=schemas.SENTENCES)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +259,11 @@ class ExtractEncodeStage:
     Vocab dicts and the optional dep-structure whitelist arrive as ONE
     ``ray.put`` object ref — fetched zero-copy once per worker in
     ``__init__``, never re-shipped per batch (SURVEY.md J1/J4).
+
+    The ``tokens`` column is read once per batch as seven flat field
+    lists plus the list offsets; each ``Sentence`` is a slice of those
+    lists.  The columns a candidate copies from its sentence row
+    (``doc_id``, ``sent_id``, ``span_hash``) are one ``take`` by row index.
     """
 
     def __init__(self, vocab_ref, cfg: KGConfig) -> None:
@@ -282,19 +278,33 @@ class ExtractEncodeStage:
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return schemas.ENCODED.empty_table()
         cfg = self.cfg
+        tokens = batch.column("tokens").combine_chunks()
+        offsets = tokens.offsets.to_numpy()
+        # combine_chunks rebases the offsets to 0 in pyarrow 16; the slice
+        # keeps the read exact if a sliced single chunk comes back as-is
+        flat = tokens.values.slice(offsets[0], offsets[-1] - offsets[0])
+        cols = {
+            f.name: flat.field(f.name).to_numpy(zero_copy_only=False).tolist()
+            for f in schemas.TOKEN_STRUCT
+        }
+        bounds = (offsets - offsets[0]).tolist()
+        word_get, dep_get, pos_get = self.word_v.get, self.dep_v.get, self.pos_v.get
+        word_oov, dep_oov, pos_oov = self.oov_id, self.dep_v["<OOV>"], self.pos_v["<OOV>"]
         out: dict[str, list] = {k: [] for k in (
-            "doc_id", "sent_id", "pair_id", "path_words", "word_ids", "dep_ids", "pos_ids",
-            "target_ids", "length", "subj", "obj", "verdict", "span_hash",
+            "row", "pair_id", "path_words", "word_ids", "dep_ids", "pos_ids",
+            "target_ids", "length", "subj", "obj", "verdict",
         )}
-        for doc_id, sent_id, text, tokens, shash in zip(
-            batch.column("doc_id").to_pylist(),
-            batch.column("sent_id").to_pylist(),
-            batch.column("text").to_pylist(),
-            batch.column("tokens").to_pylist(),
-            batch.column("span_hash").to_pylist(),
-        ):
-            sent = _rechunk(sentence_from_tokens(text, tokens))
+        for row, text in enumerate(batch.column("text").to_pylist()):
+            lo, hi = bounds[row], bounds[row + 1]
+            sent = Sentence(
+                text=text,
+                tokens=cols["text"][lo:hi],
+                **{name: cols[name][lo:hi] for name in _TOKEN_FIELDS},
+            )
+            sent.chunks = noun_chunk_spans(sent.pos)
             for pair_id, sdp in enumerate(
                 sentence_to_sdps(
                     sent,
@@ -305,19 +315,19 @@ class ExtractEncodeStage:
                 )
             ):
                 path = post_process_path(sdp["path"])
-                word_ids = [vocab2idx(t[0], self.word_v) for t in path]
-                dep_ids = [vocab2idx(t[1], self.dep_v) for t in path]
-                pos_ids = [vocab2idx(t[2], self.pos_v) for t in path]
-                target_ids = [vocab2idx(sdp["target"][0], self.word_v), vocab2idx(sdp["target"][1], self.word_v)]
+                subj, obj = sdp["target"]
+                word_ids = [word_get(t[0], word_oov) for t in path]
+                dep_ids = [dep_get(t[1], dep_oov) for t in path]
+                pos_ids = [pos_get(t[2], pos_oov) for t in path]
+                target_ids = [word_get(subj, word_oov), word_get(obj, word_oov)]
                 good = is_ok_sdp(
                     list(zip(word_ids, dep_ids, pos_ids)),
                     target_ids,
-                    self.oov_id,
+                    word_oov,
                     ok_dep_structures=self.ok_ids,
                     oov_percent=cfg.oov_percent,
                 )
-                out["doc_id"].append(doc_id)
-                out["sent_id"].append(sent_id)
+                out["row"].append(row)
                 out["pair_id"].append(pair_id)
                 out["path_words"].append([t[0] for t in path])
                 out["word_ids"].append(word_ids)
@@ -325,10 +335,12 @@ class ExtractEncodeStage:
                 out["pos_ids"].append(pos_ids)
                 out["target_ids"].append(target_ids)
                 out["length"].append(len(path))
-                out["subj"].append(sdp["target"][0])
-                out["obj"].append(sdp["target"][1])
+                out["subj"].append(subj)
+                out["obj"].append(obj)
                 out["verdict"].append("GOOD" if good else "BAD")
-                out["span_hash"].append(shash)
+        rows = pa.array(out.pop("row"), pa.int64())
+        for name in ("doc_id", "sent_id", "span_hash"):
+            out[name] = batch.column(name).take(rows)
         return pa.Table.from_pydict(out, schema=schemas.ENCODED)
 
 
@@ -337,12 +349,20 @@ class ExtractEncodeStage:
 # ---------------------------------------------------------------------------
 
 
+def _pad_list_column(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """``list<int32>`` column → zero-padded [B, T] int32 + lengths, read
+    from the list's flat values and offsets (no Python lists)."""
+    arr = col.combine_chunks()
+    return pad_flat(arr.values.to_numpy(zero_copy_only=False), arr.offsets.to_numpy())
+
+
 class ScorerStage:
     """Relation scorer (SURVEY.md T2): GRU weights are built ONCE per
     worker in ``__init__`` (pure function of vocab sizes + seed —
     bit-identical across workers and parallelism levels), batches are
-    padded and scored fully vectorized.  ``cfg.model_scale`` repeats the
-    forward pass to emulate a heavier model; the output is unchanged."""
+    padded from the id list columns' flat values and offsets and scored
+    fully vectorized.  ``cfg.model_scale`` repeats the forward pass to
+    emulate a heavier model; the output is unchanged."""
 
     def __init__(self, sizes_ref, cfg: KGConfig) -> None:
         vw, vd, vp = ray.get(sizes_ref)
@@ -352,10 +372,8 @@ class ScorerStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return schemas.TRIPLES.empty_table()
-        w, d, p, lengths = pad_paths(
-            batch.column("word_ids").to_pylist(),
-            batch.column("dep_ids").to_pylist(),
-            batch.column("pos_ids").to_pylist(),
+        (w, lengths), (d, _), (p, _) = (
+            _pad_list_column(batch.column(name)) for name in ("word_ids", "dep_ids", "pos_ids")
         )
         for _ in range(self.model_scale):
             _, probs = score_batch(self.wts, w, d, p, lengths)
@@ -415,7 +433,7 @@ def _partial_mentions(batch: pa.Table) -> pa.Table:
 
 
 # canonical definitions live with the other partitioning utilities
-from ..functions.joins import derived_num_parts, part_array  # noqa: E402  (re-export)
+from ..functions.joins import coalesce_for_exchange, derived_num_parts, part_array  # noqa: E402  (re-export)
 
 
 def entities_from_triples(triples: ray.data.Dataset, n_parts: int | None = None) -> ray.data.Dataset:
@@ -464,7 +482,7 @@ def entities_from_triples(triples: ray.data.Dataset, n_parts: int | None = None)
         )
 
     return (
-        triples.map_batches(partial, batch_format="pyarrow")
+        coalesce_for_exchange(triples.map_batches(partial, batch_format="pyarrow"), n_parts)
         .groupby("part")
         .map_groups(reduce_part, batch_format="pyarrow")
     )
@@ -558,15 +576,11 @@ def adjacency_from_triples(triples: ray.data.Dataset, n_parts: int | None = None
         )
 
     return (
-        triples.map_batches(partial, batch_format="pyarrow")
-        # coalesce the edge-partial blocks BEFORE the keyed exchange: Ray
-        # Data's sort shuffle creates M_blocks × N_reduce objects whose
-        # owner metadata lives in the DRIVER's core worker — measured
-        # 927 MB of driver heap for a 512-block groupby in vanilla
-        # ray.data (round-5 10⁷-doc probe; 329 MB with a coalesce, flat
-        # thereafter).  Edge partials are distinct-edge-bounded, so the
-        # repartition moves little data.
-        .repartition(n_parts)
+        # the edge partials are coalesced to n_parts blocks only when
+        # blocks × n_parts exceeds joins._MAX_EXCHANGE_OBJECTS: the sort
+        # exchange's M × N objects cost driver heap at many blocks, while
+        # at few blocks the coalesce costs as much as the exchange
+        coalesce_for_exchange(triples.map_batches(partial, batch_format="pyarrow"), n_parts)
         .groupby("part")
         .map_groups(reduce_part, batch_format="pyarrow")
     )
@@ -632,8 +646,7 @@ def merge_adjacency(
         )
 
     return (
-        base.union(delta)
-        .map_batches(partial, batch_format="pyarrow")
+        coalesce_for_exchange(base.union(delta).map_batches(partial, batch_format="pyarrow"), n_parts)
         .groupby("part")
         .map_groups(reduce_part, batch_format="pyarrow")
     )

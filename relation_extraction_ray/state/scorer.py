@@ -17,6 +17,7 @@ with weights built once per actor in ``__init__`` (SURVEY.md T2).
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -125,22 +126,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def pad_flat(values: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One ragged id column in Arrow list layout — flat ``values`` plus
+    ``offsets`` [B + 1], where a non-zero ``offsets[0]`` is a sliced list —
+    densified to a zero-padded [B, T] int32 matrix + lengths [B] int32
+    (reference batch layout: ``data_handler.py:106-124``).  One
+    fancy-index scatter, no per-row Python."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets).astype(np.int32)
+    b = len(lengths)
+    t = max(1, int(lengths.max()) if b else 1)
+    out = np.zeros((b, t), dtype=np.int32)
+    rows = np.repeat(np.arange(b), lengths)
+    cols = np.arange(len(rows)) - np.repeat(offsets[:-1] - offsets[0], lengths)
+    out[rows, cols] = np.asarray(values)[offsets[0] : offsets[-1]]
+    return out, lengths
+
+
 def pad_paths(
     word_ids: list[list[int]], dep_ids: list[list[int]], pos_ids: list[list[int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Densify ragged id lists to zero-padded [B, T] int32 + lengths [B]
-    (reference batch layout: ``data_handler.py:106-124``)."""
-    b = len(word_ids)
-    lengths = np.array([len(p) for p in word_ids], dtype=np.int32)
-    t = max(1, int(lengths.max()) if b else 1)
-    w = np.zeros((b, t), dtype=np.int32)
-    d = np.zeros((b, t), dtype=np.int32)
-    p = np.zeros((b, t), dtype=np.int32)
-    for i in range(b):
-        n = lengths[i]
-        w[i, :n] = word_ids[i]
-        d[i, :n] = dep_ids[i]
-        p[i, :n] = pos_ids[i]
+    """Densify ragged id lists to zero-padded [B, T] int32 + lengths [B]:
+    the lists are concatenated and padded by :func:`pad_flat`."""
+    offsets = np.zeros(len(word_ids) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in word_ids], out=offsets[1:])
+
+    def flat(rows: list[list[int]]) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int32, count=int(offsets[-1]))
+
+    w, lengths = pad_flat(flat(word_ids), offsets)
+    d, _ = pad_flat(flat(dep_ids), offsets)
+    p, _ = pad_flat(flat(pos_ids), offsets)
     return w, d, p, lengths
 
 

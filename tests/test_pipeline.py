@@ -253,3 +253,122 @@ def test_merge_adjacency_equals_full_run(ray_session):
     # commutative
     swapped = merge_adjacency(adj_b, adj_a).sort(["src_id", "pred", "dst_id"]).take_all()
     assert swapped == merged
+
+
+@pytest.fixture(scope="module")
+def encode_stage_and_sentences(ray_session):
+    """An ``ExtractEncodeStage`` with the vocab of a small parsed corpus,
+    and that corpus's sentences as one combined table."""
+    import ray
+
+    from relation_extraction_ray.nlp.sdp import finalize_vocab
+    from relation_extraction_ray.pipelines.kg import ExtractEncodeStage, ParseStage, _partial_token_counts
+
+    sentences = ParseStage()(corpus_table(40)).combine_chunks()
+    counts = {"word": {}, "dep": {}, "pos": {}}
+    summed = _partial_token_counts(sentences).group_by(["kind", "token"]).aggregate([("count", "sum")])
+    for r in summed.to_pylist():
+        counts[r["kind"]][r["token"]] = r["count_sum"]
+    (_, w2i, _), (_, d2i, _), (_, p2i, _) = (finalize_vocab(counts[k]) for k in ("word", "dep", "pos"))
+    stage = ExtractEncodeStage(ray.put((w2i, d2i, p2i, None)), KGConfig())
+    return stage, sentences
+
+
+def test_extract_encode_reads_sliced_and_chunked_tokens(encode_stage_and_sentences):
+    """The flat-slice ``Sentence`` rebuild reads the batch's own rows: a
+    sliced batch (non-zero first list offset) and a 2-chunk ``tokens``
+    column encode exactly like an unsliced single-chunk copy."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    stage, sentences = encode_stage_and_sentences
+    n_rows = sentences.num_rows
+    full = stage(sentences)
+    assert full.num_rows > 0 and full.schema == schemas.ENCODED
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, n_rows), st.integers(0, n_rows), st.integers(0, n_rows))
+    def check(k, n, cut):
+        sliced = sentences.slice(k, n)
+        fresh = pa.Table.from_pylist(sliced.to_pylist(), schema=schemas.SENTENCES)
+        assert stage(sliced).equals(stage(fresh))
+        chunked = pa.concat_tables([sentences.slice(0, cut), sentences.slice(cut)])
+        assert chunked.column("tokens").num_chunks == 2
+        assert stage(chunked).equals(full)
+
+    check()
+
+
+def _coalesce_rule_outputs(triples, monkeypatch, bound: int) -> tuple[list, int]:
+    """Sorted rows of entities, adjacency and merge over ``triples`` with
+    the exchange bound patched to ``bound``, and the ``repartition``
+    calls they made."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+    from relation_extraction_ray.pipelines.kg import (
+        adjacency_from_triples,
+        entities_from_triples,
+        merge_adjacency,
+    )
+
+    calls = []
+    real = ray.data.Dataset.repartition
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", bound)
+    monkeypatch.setattr(ray.data.Dataset, "repartition", spy)
+    keys = ["src_id", "pred", "dst_id"]
+    head = triples.filter(expr="doc_id < 'd018'")
+    tail = triples.filter(expr="doc_id >= 'd018'")
+    rows = [
+        entities_from_triples(triples, n_parts=4).sort("canonical_id").take_all(),
+        adjacency_from_triples(triples, n_parts=4).sort(keys).take_all(),
+        merge_adjacency(
+            adjacency_from_triples(head, n_parts=4), adjacency_from_triples(tail, n_parts=4), n_parts=4
+        ).sort(keys).take_all(),
+    ]
+    monkeypatch.undo()
+    return rows, len(calls)
+
+
+def test_exchange_coalesce_rule(ray_session, monkeypatch):
+    """``coalesce_for_exchange`` coalesces only when blocks × n_parts
+    exceeds ``_MAX_EXCHANGE_OBJECTS``, and the KG exchanges give the same
+    rows whether they coalesce or not."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    pool = ["Paris", "paris", "France", "Ada Lovelace", "ada lovelace", "London", "UK"]
+    n = 400
+    table = pa.Table.from_pydict(
+        {
+            "doc_id": [f"d{i % 37:03d}" for i in range(n)],
+            "sent_id": pa.array([i % 5 for i in range(n)], pa.int32()),
+            "subj": [pool[i % len(pool)] for i in range(n)],
+            "pred": [("capital_of", "born_in")[i % 2] for i in range(n)],
+            "obj": [pool[(3 * i + 1) % len(pool)] for i in range(n)],
+            "score": pa.array([0.5] * n, pa.float32()),
+            "span_hash": pa.array(range(n), pa.uint64()),
+        },
+        schema=schemas.TRIPLES,
+    )
+    triples = ray.data.from_arrow(table).repartition(16).materialize()
+    assert triples.num_blocks() == 16
+
+    always, n_always = _coalesce_rule_outputs(triples, monkeypatch, 0)
+    never, n_never = _coalesce_rule_outputs(triples, monkeypatch, 10**9)
+    assert always == never and all(always)
+    assert n_never == 0
+    assert n_always == 5  # entities, adjacency, the merge and its two inputs
+
+    # the rule itself, at the bound: 16 blocks × 4 parts = 64 objects
+    ds = ray.data.range(64, override_num_blocks=16).materialize()
+    monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", 64)
+    assert joins.coalesce_for_exchange(ds, 4).num_blocks() == 16
+    monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", 63)
+    assert joins.coalesce_for_exchange(ds, 4).materialize().num_blocks() == 4

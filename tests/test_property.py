@@ -306,3 +306,117 @@ def test_asof_kernel_matches_bruteforce(data):
         (int(u), int(b)): int(e) for u, b, e in zip(c_user, c_bucket, c_eid)
     }
     assert got_c == {k: v[1] for k, v in want_c.items()}
+
+
+# --- flat-offsets padding vs the per-row loop --------------------------------
+
+RAGGED_IDS = st.lists(st.lists(st.integers(0, 2**31 - 1), max_size=9), max_size=12)
+
+
+def _pad_loop(word_ids, dep_ids, pos_ids):
+    """The per-row padding loop ``pad_paths`` ran before ``pad_flat``."""
+    b = len(word_ids)
+    lengths = np.array([len(p) for p in word_ids], dtype=np.int32)
+    t = max(1, int(lengths.max()) if b else 1)
+    w, d, p = (np.zeros((b, t), dtype=np.int32) for _ in range(3))
+    for i in range(b):
+        n = lengths[i]
+        w[i, :n] = word_ids[i]
+        d[i, :n] = dep_ids[i]
+        p[i, :n] = pos_ids[i]
+    return w, d, p, lengths
+
+
+def _assert_same_pads(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(RAGGED_IDS, st.data())
+def test_pad_flat_matches_loop(rows, data):
+    from relation_extraction_ray.state.scorer import pad_flat, pad_paths
+
+    deps = [[v % 97 for v in r] for r in rows]
+    poss = [[v % 13 for v in r] for r in rows]
+    want = _pad_loop(rows, deps, poss)
+    _assert_same_pads(pad_paths(rows, deps, poss), want)
+    # a sliced ListArray: non-zero first offset, values past the slice
+    k = data.draw(st.integers(0, len(rows)))
+    n = data.draw(st.integers(0, len(rows) - k))
+    sliced = pa.array(rows, pa.list_(pa.int32())).slice(k, n)
+    got, lengths = pad_flat(sliced.values.to_numpy(), sliced.offsets.to_numpy())
+    w, _, _, want_lengths = _pad_loop(rows[k : k + n], deps[k : k + n], poss[k : k + n])
+    _assert_same_pads([got, lengths], [w, want_lengths])
+
+
+# --- ParseStage's flat tokens column vs one dict per token --------------------
+
+WORDS = st.sampled_from(
+    ["The", "cat", "sat", "on", "a", "mat", "Paris", "is", "in", "France", "42", "of", ".", ",", "!", "?", "--"]
+)
+SPAN = st.one_of(
+    st.builds(
+        lambda words, sep: {"kind": "text", "text": sep.join(words), "media_ref": "", "offset": 0},
+        st.lists(WORDS, max_size=14),
+        st.sampled_from([" ", "  "]),
+    ),
+    st.builds(
+        lambda ref: {"kind": "image", "text": "", "media_ref": ref, "offset": 0},
+        st.text(alphabet="abc", max_size=4),
+    ),
+)
+
+
+def _parse_reference(batch: pa.Table) -> pa.Table:
+    """The per-token-dict ``tokens`` build ``ParseStage`` used before it
+    went columnar."""
+    from relation_extraction_ray import schemas
+    from relation_extraction_ray.nlp.parser import parse_sentence, split_sentences
+    from relation_extraction_ray.sources.synth import span_sequence_hash
+
+    out = {k: [] for k in ("doc_id", "span_idx", "sent_id", "text", "tokens", "span_hash")}
+    for doc_id, spans in zip(batch.column("doc_id").to_pylist(), batch.column("spans").to_pylist()):
+        spans = spans or []
+        shash = span_sequence_hash(
+            [s["kind"] for s in spans], [s["text"] for s in spans], [s["media_ref"] for s in spans]
+        )
+        sent_id = 0
+        for span_idx, span in enumerate(spans):
+            if span["kind"] != "text":
+                continue
+            for text in split_sentences(span["text"]):
+                s = parse_sentence(text)
+                out["doc_id"].append(doc_id)
+                out["span_idx"].append(span_idx)
+                out["sent_id"].append(sent_id)
+                out["text"].append(text)
+                out["tokens"].append(
+                    [
+                        {
+                            "text": s.tokens[i], "idx": s.idx[i], "pos": s.pos[i], "dep": s.dep[i],
+                            "head": s.head[i], "is_punct": s.is_punct[i], "like_num": s.like_num[i],
+                        }
+                        for i in range(len(s))
+                    ]
+                )
+                out["span_hash"].append(shash)
+                sent_id += 1
+    return pa.Table.from_pydict(out, schema=schemas.SENTENCES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.lists(SPAN, max_size=4)), max_size=6))
+def test_parse_stage_flat_tokens_match_dict_build(docs):
+    from relation_extraction_ray import schemas
+    from relation_extraction_ray.pipelines.kg import ParseStage
+
+    batch = pa.Table.from_pydict(
+        {"doc_id": [f"d{i}" for i in range(len(docs))], "spans": docs}, schema=schemas.DOCUMENTS
+    )
+    got = ParseStage()(batch)
+    want = _parse_reference(batch)
+    assert got.schema == want.schema == schemas.SENTENCES
+    assert got.equals(want)
