@@ -7,11 +7,12 @@ canonical document per cluster (keep-one dedup).  That is connected
 components on the pair graph.
 
 Planner: the same size split as every iterative operator in
-``functions/graph.py``, read from :data:`.graph.LOCAL_GRAPH_BYTES_BOUND`
-at call time (patching that one attribute forces both modules):
+``functions/graph.py`` and every keyed exchange, :func:`.joins.fits_local`
+against :data:`.joins.LOCAL_BYTES_BOUND` read at call time (patching that
+one attribute forces graph.py, this module and the exchanges together):
 
-* **below the bound** the edge table is gathered once
-  (``graph._gather``) and folded by ONE numpy call,
+* **at or below the bound** the pair table is gathered once
+  (``graph._gather``, no projection job) and folded by ONE numpy call,
   :func:`_cc_kernel` — min-label propagation with pointer jumping over
   a dense node index.  No rounds, no per-node Python state.
 * **above the bound** the rounds run partitioned: iterative **min-label
@@ -53,7 +54,7 @@ import pyarrow as pa
 import ray.data
 
 from . import graph
-from .joins import cogroup, derive_n_parts, pair_payload_join
+from .joins import cogroup, derive_n_parts, fits_local, pair_payload_join
 
 _OUT_NAMES = ["doc_id", "canonical_id", "cluster_size"]
 
@@ -133,18 +134,13 @@ def connected_components(
         return _empty_result(pa.int64())
     id_type = sch.types[sch.names.index(id_a)]
 
-    edges = pairs.map_batches(
-        lambda t: t.select([id_a, id_b]).rename_columns(["a", "b"]),
-        batch_format="pyarrow",
-    ).materialize()
-
-    if edges.size_bytes() <= graph.LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(pairs):
         t0 = _time.monotonic()
-        tab = graph._gather(edges)
+        tab = graph._gather(pairs)
         if tab is None:
             return _empty_result(id_type)
         doc, canon, size = _cc_kernel(
-            *(tab.column(c).cast(pa.int64()).to_numpy() for c in ("a", "b"))
+            *(tab.column(c).cast(pa.int64()).to_numpy() for c in (id_a, id_b))
         )
         if round_stats is not None:
             round_stats.append(
@@ -158,6 +154,10 @@ def connected_components(
             )
         )
 
+    edges = pairs.map_batches(
+        lambda t: t.select([id_a, id_b]).rename_columns(["a", "b"]),
+        batch_format="pyarrow",
+    ).materialize()
     if edges.count() == 0:
         return _empty_result(id_type)
 
@@ -373,10 +373,9 @@ def dedup_keep_one(
 
     # drop-set size from the materialized blocks' metadata: no drop id
     # crosses the driver unless the broadcast path below ships them
-    drop_nbytes = drops.size_bytes()
     n_drop = drops.count()
 
-    if drop_nbytes <= broadcast_bytes:
+    if fits_local(drops, bound=broadcast_bytes):
         drop_arr = (
             pa.concat_arrays(
                 [

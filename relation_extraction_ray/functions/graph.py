@@ -3,16 +3,21 @@
 The engine's terminal KG artifact is the adjacency table
 (``pipelines/kg.adjacency_from_triples`` — SURVEY.md A7/J7); the
 operators here rank, traverse, peel and summarize its entity graph.
-Every iterative or wedge operator plans from an observed size: below
-:data:`LOCAL_GRAPH_BYTES_BOUND` its prepped edge table is gathered once
-(:func:`_gather`) and the recurrence runs in numpy; above it the same
+Every iterative or wedge operator plans from an observed size with the
+engine's one probe, :func:`..joins.fits_local`: at or below
+:data:`..joins.LOCAL_BYTES_BOUND` (read at call time) its prepped edge
+table is gathered once (:func:`_gather`) and the recurrence runs in
+numpy, its one-block result sorted in Arrow; above it the same
 recurrence runs as keyed Ray Data exchanges.  Both paths are
-bit-identical (asserted in tests).  The undirected operators share one
-edge prep (:func:`_simple_edges`), the directed walkers one
-(:func:`_directed_edges`).  Every two-input exchange of a distributed
-round — static edges ⋈ frontier, ranks, scores, labels or degrees — is
-one :func:`..joins.cogroup` call: the two sides are hashed on their own
-key columns, so the static preps carry no partition column.
+bit-identical (asserted in tests).  The edge preps are
+:func:`..joins.hash_partitioned_groups` calls, so below the same bound
+they too reduce in one call instead of a sort exchange.  The undirected
+operators share one edge prep (:func:`_simple_edges`), the directed
+walkers one (:func:`_directed_edges`).  Every two-input exchange of a
+distributed round — static edges ⋈ frontier, ranks, scores, labels or
+degrees — is one :func:`..joins.cogroup` call: the two sides are hashed
+on their own key columns, so the static preps carry no partition
+column.
 
 PageRank's distributed path is the classic 2-exchanges-per-iteration
 shape:
@@ -44,7 +49,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .joins import cogroup, derive_n_parts, hash_partitioned_groups
+from .joins import cogroup, derive_n_parts, fits_local, hash_partitioned_groups
 
 SCALE = 10**12
 _RANK_SCHEMA = pa.schema([("node", pa.string()), ("rank", pa.int64())])
@@ -83,17 +88,6 @@ def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Data
     return hash_partitioned_groups(
         adjacency.map_batches(partial, batch_format="pyarrow"), ["u"], prep_part, n_parts
     ).materialize()
-
-
-#: Below this collapsed-edge byte size the iterative operators run their
-#: integer recurrences LOCALLY in one numpy pass (gathered once, no
-#: per-iteration exchange) — bit-identical by exact-integer construction
-#: and asserted against the distributed rounds in tests.  ~64 MB ≈ 1.3M
-#: collapsed edges: every ray.data all-to-all costs seconds of fixed
-#: scheduling latency, which dominated small-graph queries (5-iteration
-#: PageRank on a 625-edge KG: 50 s distributed, <1 s local).  The
-#: distributed path stays the only path above the bound.
-LOCAL_GRAPH_BYTES_BOUND = 64 << 20
 
 
 def _gather(ds: ray.data.Dataset) -> pa.Table | None:
@@ -214,7 +208,7 @@ def pagerank(
 ) -> ray.data.Dataset:
     """Integer PageRank over the adjacency table: returns (node, rank)
     with rank in 1e-12 units, sorted by (rank desc, node asc).  Below
-    :data:`LOCAL_GRAPH_BYTES_BOUND` the iterations run locally in numpy;
+    :data:`..joins.LOCAL_BYTES_BOUND` the iterations run locally in numpy;
     above it each iteration co-partitions the static edges with the
     rank rows in one :func:`cogroup` exchange (module doc).  Both paths
     are bit-identical.
@@ -230,7 +224,7 @@ def pagerank(
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
     edges = _collapsed_edges(adjacency, n_parts)
 
-    # Small-graph planner (round 5): below LOCAL_GRAPH_BYTES_BOUND the
+    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
     # whole collapsed edge table is gathered once and the integer
     # iterations run in numpy with NO per-iteration exchange — the rank
     # recurrence is exact integer arithmetic, so this is bit-identical
@@ -239,7 +233,7 @@ def pagerank(
     # small-KG queries (5-iteration PageRank on a 625-edge KG measured
     # 50 s distributed vs <1 s local).  Above the bound the keyed
     # exchanges below are unchanged.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(_RANK_SCHEMA.empty_table())
@@ -268,7 +262,9 @@ def pagerank(
         out = pa.table(
             {"node": pa.array(node_arr), "rank": pa.array(rank, pa.int64())}
         )
-        return ray.data.from_arrow(out).sort(["rank", "node"], descending=[True, False])
+        return ray.data.from_arrow(
+            out.sort_by([("rank", "descending"), ("node", "ascending")])
+        )
 
     zeros = _zero_contribs(edges)
     base = (100 - damping_pct) * SCALE // 100
@@ -378,14 +374,14 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     edges = _simple_edges(adjacency, n_parts).materialize()
 
     # Small-graph planner (round 5, the pagerank/hits convention): below
-    # LOCAL_GRAPH_BYTES_BOUND the deduped edge set is gathered once and
+    # joins.LOCAL_BYTES_BOUND the deduped edge set is gathered once and
     # degrees / common-neighbor counts / the micro-Jaccard are computed
     # locally — identical integers and the identical float64 rounding
     # expression, so bit-equal to the wedge-exchange path (asserted in
     # tests).  This also collapses triangle_count, ktruss and
     # clustering_coefficient, which compose this operator (5-round ktruss
     # on the 625-edge KG measured 43 s distributed).
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         out_schema = pa.schema(
             [
                 ("node_a", pa.string()),
@@ -623,7 +619,7 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
 
     # Small-graph planner (round 5): local synchronized peeling —
     # identical integer degrees and round semantics (tests).
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(
@@ -653,8 +649,8 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
                     "node": pa.array(node_arr[keep]),
                     "deg": pa.array(deg[keep], pa.int64()),
                 }
-            )
-        ).sort("node")
+            ).sort_by("node")
+        )
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -888,7 +884,7 @@ def _min_plus_hops(
     Relaxation is MONOTONE (min of ints), so a fixed round count is
     deterministic at any partitioning, a fixed-depth SQL unroll compares
     exactly, and rounds past convergence are no-ops.  Below
-    :data:`LOCAL_GRAPH_BYTES_BOUND` the rounds run locally in numpy over
+    :data:`..joins.LOCAL_BYTES_BOUND` the rounds run locally in numpy over
     the gathered mirrored edges; above it each round co-partitions the
     static mirrored edges with the distance rows in ONE :func:`cogroup`
     exchange on the node key, the per-partition probe is a vectorized
@@ -902,7 +898,7 @@ def _min_plus_hops(
 
     # Small-graph planner (round 5): exactly ``rounds`` synchronous
     # rounds locally, bit-equal to the distributed exchanges (tests).
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(_DIST_SCHEMA.empty_table())
@@ -931,8 +927,8 @@ def _min_plus_hops(
                     "node": pa.array(node_arr[reached]),
                     "dist": pa.array(dist[reached], pa.int64()),
                 }
-            )
-        ).sort("node")
+            ).sort_by("node")
+        )
 
     def seed_partial(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
@@ -1048,7 +1044,7 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
 
     # Small-graph planner (round 5): local synchronous LPA — identical
     # argmax/tie-break over exact integer tallies (tests); unchanged above.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(
@@ -1080,8 +1076,8 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
                     "node": pa.array(node_arr),
                     "community": pa.array(node_arr[lab]),
                 }
-            )
-        ).sort("node")
+            ).sort_by("node")
+        )
 
     def init_labels(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
@@ -1189,7 +1185,7 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     # globally sorted edge array — identical md5 draws, runs and step
     # ledger (tests); walk_pairs and kg_node_embeddings inherit via
     # composition.  Unchanged above the bound.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(
@@ -1245,8 +1241,8 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
                     "step": pa.array(np.concatenate(s_col), pa.int64()),
                     "node": pa.array(np.concatenate(n_col).astype(object), pa.string()),
                 }
-            )
-        ).sort(["walk_id", "step"])
+            ).sort_by([("walk_id", "ascending"), ("step", "ascending")])
+        )
 
     def starts_part(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
@@ -1490,7 +1486,7 @@ def fanout_sample(
 
     # Small-graph planner (round 5): local hop simulation — identical
     # md5 ranking, fanout cut and set-valued frontier dedup (tests).
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         out_schema_l = pa.schema(
             [("hop", pa.int64()), ("src", pa.string()), ("dst", pa.string())]
         )
@@ -1537,8 +1533,8 @@ def fanout_sample(
                     "dst": pa.array(list(np.concatenate(dst_col)), pa.string()),
                 },
                 schema=out_schema_l,
-            )
-        ).sort(["hop", "src", "dst"])
+            ).sort_by([("hop", "ascending"), ("src", "ascending"), ("dst", "ascending")])
+        )
 
     def seeds_part(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
@@ -1659,7 +1655,7 @@ def modularity(
     # Small-graph planner (round 5): local integer sufficient stats —
     # identical finalize expression (tests); unchanged above the bound.
     comm = communities.materialize()
-    if edges.size_bytes() + comm.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges, comm):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(
@@ -1829,7 +1825,7 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
 
     # Small-graph planner (round 5): local integer sufficient stats with
     # the identical fixed IEEE finalize (tests); unchanged above.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(
@@ -2121,7 +2117,7 @@ def harmonic_centrality(
     # Small-graph planner (round 5): local joint multi-landmark BFS over
     # a [V, S] distance matrix — identical per-term integer rounding and
     # round count (tests); guarded by V·S cells as well as bytes.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(
@@ -2166,8 +2162,8 @@ def harmonic_centrality(
                         "n_reached": pa.array(n_reached[keep], pa.int64()),
                         "h_micro": pa.array(h[keep], pa.int64()),
                     }
-                )
-            ).sort("node")
+                ).sort_by("node")
+            )
 
     def seed_partial(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
@@ -2465,13 +2461,11 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
 
     Scale shape: per-batch canonical-edge Arrow dedup partials, the
     engine's :func:`..components.connected_components` (one numpy kernel
-    call over the gathered edges below :data:`LOCAL_GRAPH_BYTES_BOUND`,
-    pointer-jumping keyed-exchange rounds above it), then a combine-fed
-    (size → node count) fold whose
-    output is bounded by distinct sizes; the driver divides node counts
-    by size — n_components·size == n_nodes is asserted."""
-    from ray.data.aggregate import Sum
-
+    call over the gathered edges below :data:`..joins.LOCAL_BYTES_BOUND`,
+    pointer-jumping keyed-exchange rounds above it), then per-batch
+    (size → node count) partials folded in Arrow on the driver (bounded
+    by distinct sizes, so no exchange); the driver divides node counts by
+    size — n_components·size == n_nodes is asserted."""
     from .components import connected_components
 
     def hex16_to_i64(ids: np.ndarray) -> np.ndarray:
@@ -2511,24 +2505,23 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
+    # partials are bounded by the distinct sizes per batch: fold them on
+    # the driver in Arrow instead of a groupby exchange
+    empty = size_partial(pa.table({"cluster_size": pa.array([], pa.int64())}))
+    partials = comp.map_batches(size_partial, batch_format="pyarrow")
     hist = (
-        comp.map_batches(size_partial, batch_format="pyarrow")
-        .groupby("size")
-        .aggregate(Sum("n_nodes", alias_name="n_nodes"))
-        .take_all()
-    )  # ≤ distinct sizes
-    sizes = sorted(int(r["size"]) for r in hist)
-    nn = {int(r["size"]): int(r["n_nodes"]) for r in hist}
-    for s in sizes:
-        if nn[s] % s != 0:
-            raise AssertionError(f"component bookkeeping broken at size {s}")
+        pa.concat_tables([empty, *partials.iter_batches(batch_format="pyarrow")])
+        .group_by("size")
+        .aggregate([("n_nodes", "sum")])
+        .sort_by("size")
+    )
+    sizes = hist.column("size").to_numpy()
+    nn = hist.column("n_nodes_sum").to_numpy()
+    broken = sizes[nn % sizes != 0]
+    if len(broken):
+        raise AssertionError(f"component bookkeeping broken at size {int(broken[0])}")
     return ray.data.from_arrow(
-        pa.table(
-            {
-                "size": pa.array(sizes, pa.int64()),
-                "n_components": pa.array([nn[s] // s for s in sizes], pa.int64()),
-            }
-        )
+        pa.table({"size": pa.array(sizes, pa.int64()), "n_components": pa.array(nn // sizes, pa.int64())})
     )
 
 
@@ -2550,7 +2543,7 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     ``v`` for the authority→hub probe — probes with one vectorized
     searchsorted, pre-sums contributions per destination INSIDE the
     partition, and folds one global max (a scalar) for the rescale.
-    Below :data:`LOCAL_GRAPH_BYTES_BOUND` the half-steps run locally in
+    Below :data:`..joins.LOCAL_BYTES_BOUND` the half-steps run locally in
     numpy instead — bit-equality of the two paths is tested."""
     n_edges = adjacency.count()
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
@@ -2558,13 +2551,13 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     edges = _directed_edges(adjacency, n_parts)
 
     # Small-graph planner (round 5, the pagerank convention): below
-    # LOCAL_GRAPH_BYTES_BOUND the whole directed edge table is gathered
+    # joins.LOCAL_BYTES_BOUND the whole directed edge table is gathered
     # once and the exact-integer half-steps run in numpy with no
     # per-half-step exchange — bit-identical (integer sums + max-rescale
     # only; asserted in tests), and each of the 2·iters all-to-alls costs
     # seconds of fixed latency (3-iteration HITS on the 625-edge KG
     # measured 108 s distributed).  Above the bound: unchanged exchanges.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         if et is None:
             return ray.data.from_arrow(
@@ -2600,8 +2593,8 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
                     "hub_scaled": pa.array(hub, pa.int64()),
                     "auth_scaled": pa.array(auth, pa.int64()),
                 }
-            )
-        ).sort("node")
+            ).sort_by("node")
+        )
 
     zeros = _zero_contribs(edges)
 
@@ -2707,7 +2700,7 @@ def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dat
 
     # Small-graph planner (round 5): local source/sink peeling with the
     # identical round ledger (tests); unchanged above the bound.
-    if edges.size_bytes() <= LOCAL_GRAPH_BYTES_BOUND:
+    if fits_local(edges):
         et = _gather(edges)
         ou_r, ou_rm, ou_c = [], [], []
         if et is not None:

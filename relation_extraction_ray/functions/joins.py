@@ -26,9 +26,18 @@ every other two-input reduce-side join: :func:`pair_payload_join`, the
 KB-sharded linker, the components pointer jump and keep-one anti-join,
 the leakage split and the provenance attach).  :func:`pair_payload_join`
 is two ``cogroup`` calls that share one ``index_in`` probe.
-:func:`coalesce_for_exchange` is the one rule for coalescing an
-exchange's input blocks (used by the KG entities, adjacency and merge
-exchanges).
+
+Both plan on their materialized input with ONE size probe,
+:func:`fits_local`, against ONE bound, :data:`LOCAL_BYTES_BOUND`: an
+input at or below it runs the kernel ONCE over all rows, as one
+``map_batches`` batch on a worker (what a 1-partition exchange would
+hand it, without the sort shuffle and its M×N objects), and the result
+is re-cut into about ``n_parts`` blocks for the operators downstream;
+above it the keyed exchange runs, its input coalesced to ``n_parts``
+blocks only when blocks × ``n_parts`` exceeds ``_MAX_EXCHANGE_OBJECTS``.
+The graph and components operators read the same bound through the
+same probe for their local numpy paths, so patching the one attribute
+forces every planner onto its distributed path.
 """
 
 from __future__ import annotations
@@ -202,6 +211,27 @@ def derived_num_parts(factor: int = 2, minimum: int = 8) -> int:
     return max(minimum, cpus * factor)
 
 
+#: The one size bound of the engine's planners.  A hash exchange whose
+#: materialized input is at most this many bytes runs its kernel once over
+#: all rows; the iterative graph and components operators run their local
+#: numpy path below it.  ~64 MB ≈ 1.3M collapsed graph edges: every
+#: ray.data all-to-all costs fixed scheduling latency (the sort shuffles of
+#: a 16k-triple KG's entities and adjacency took 0.20 s and 0.36 s, against
+#: 0.26 s for the whole single-process canonicalize), which dominated
+#: small inputs.  Read at call time (:func:`fits_local`), so one
+#: patch of this attribute forces every planner onto its distributed path.
+LOCAL_BYTES_BOUND = 64 << 20
+
+
+def fits_local(*datasets: ray.data.Dataset, bound: int | None = None) -> bool:
+    """The one size probe: whether the summed block bytes of the
+    (materialized) ``datasets`` are at most ``bound``, by default
+    :data:`LOCAL_BYTES_BOUND` as it is when called.  Sizes come from block
+    metadata; nothing is gathered."""
+    limit = LOCAL_BYTES_BOUND if bound is None else bound
+    return sum(ds.size_bytes() for ds in datasets) <= limit
+
+
 # Ray Data's sort exchange creates M_blocks × N_parts shuffle objects whose
 # owner metadata lives in the DRIVER's core worker: a 512-block groupby
 # held 927 MB of driver heap (329 MB with a coalesce in front of it, flat
@@ -210,15 +240,29 @@ def derived_num_parts(factor: int = 2, minimum: int = 8) -> int:
 _MAX_EXCHANGE_OBJECTS = 1024
 
 
-def coalesce_for_exchange(ds: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
-    """``ds`` materialized, and coalesced to ``n_parts`` blocks only when
-    its ``num_blocks() × n_parts`` exchange objects exceed
-    ``_MAX_EXCHANGE_OBJECTS``.  Meant for per-batch partials in front of a
-    keyed exchange: they are bounded by the distinct keys per batch, and
-    the exchange that follows is a barrier anyway."""
-    ds = ds.materialize()
+def _one_call(ds: ray.data.Dataset, fn: "callable", n_rows: int, n_parts: int) -> ray.data.Dataset:
+    """``fn`` applied ONCE to all ``n_rows`` rows of ``ds``, on a worker:
+    a single ``map_batches`` batch of ``n_rows`` rows (the operator
+    bundles every block into one task).  No rows: no call.
+
+    For ``n_parts`` > 1 the result is re-cut into blocks of about
+    ``n_rows / n_parts`` rows (a streaming slice, no exchange), the block
+    count the keyed arm would emit: one block serializes every
+    downstream operator (a 600k-row single block made the ``groupby``
+    after ``cf_user_topk``'s purchase-matrix exchange 2.6× slower at
+    sf0.1 on 4 cores)."""
+    out = ds.map_batches(fn, batch_size=max(1, n_rows), batch_format="pyarrow")
+    if n_parts > 1:
+        out = out.repartition(target_num_rows_per_block=max(1, -(-n_rows // n_parts)))
+    return out
+
+
+def _coalesced(ds: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
+    """The exchange input, coalesced to ``n_parts`` blocks only when its
+    ``num_blocks() × n_parts`` exchange objects exceed
+    ``_MAX_EXCHANGE_OBJECTS``."""
     if ds.num_blocks() * n_parts > _MAX_EXCHANGE_OBJECTS:
-        ds = ds.repartition(n_parts)
+        return ds.repartition(n_parts)
     return ds
 
 
@@ -282,21 +326,37 @@ def hash_partitioned_groups(
     key_cols: list[str],
     per_partition: "callable",
     n_parts: int,
-    batch_format: str = "pyarrow",
 ) -> ray.data.Dataset:
     """Group-by replacement for high-cardinality keys: exchange on
-    ``blake2b(key) % n_parts`` only, then hand each whole partition to
-    ``per_partition`` (which must itself bucket by the logical key — a
-    plain dict pass — and may emit any schema).  Turns ``n_distinct``
-    sort groups into ``n_parts``."""
+    ``hash(key) % n_parts`` only, then hand each whole partition, with its
+    int32 ``part`` column, to ``per_partition`` (which must itself bucket
+    by the logical key and may emit any schema).  Turns ``n_distinct``
+    sort groups into ``n_parts``.
+
+    ``ds`` is materialized first.  At or below :data:`LOCAL_BYTES_BOUND`
+    (:func:`fits_local`) the kernel runs once over all rows on a worker,
+    with ``part`` = 0 — exactly what a 1-partition exchange hands it —
+    and its result is re-cut into about ``n_parts`` blocks; above it the
+    input (coalesced per ``_MAX_EXCHANGE_OBJECTS``) rides
+    one sort exchange on ``part``.  A correct kernel gives the same rows
+    either way."""
+    ds = ds.materialize()
+    if fits_local(ds):
+
+        def run_all(batch: pa.Table) -> pa.Table:
+            zeros = pa.array(np.zeros(batch.num_rows, np.int32), pa.int32())
+            return per_partition(batch.append_column("part", zeros))
+
+        return _one_call(ds, run_all, ds.count(), n_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
         return batch.append_column("part", part_array(batch, key_cols, n_parts))
 
     return (
-        ds.map_batches(add_part, batch_format="pyarrow")
+        _coalesced(ds, n_parts)
+        .map_batches(add_part, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(per_partition, batch_format=batch_format)
+        .map_groups(per_partition, batch_format="pyarrow")
     )
 
 
@@ -332,10 +392,15 @@ def cogroup(
     data, dominates.
 
     Both inputs are materialized first, so their schemas are read from
-    block metadata (never by re-running a lazy plan).  The union pads
-    each side with typed nulls for the other side's columns; a column
-    name shared by the two sides must carry the same type on both, or
-    ``ValueError`` is raised before anything runs."""
+    block metadata (never by re-running a lazy plan), and the two sides'
+    summed bytes plan the exchange (:func:`fits_local`): at or below
+    :data:`LOCAL_BYTES_BOUND` the kernel runs ONCE on all left and all
+    right rows, on a worker — what a 1-partition exchange hands it;
+    above it the keyed exchange runs, its input coalesced per
+    ``_MAX_EXCHANGE_OBJECTS``.  The union pads each side with typed nulls
+    for the other side's columns; a column name shared by the two sides
+    must carry the same type on both, or ``ValueError`` is raised before
+    anything runs."""
     left, right = left.materialize(), right.materialize()
     ls, rs = _arrow_schema(left), _arrow_schema(right)
     for name in sorted(set(ls.names) & set(rs.names)):
@@ -371,9 +436,14 @@ def cogroup(
             group.filter(pc.invert(is_left)).select(rs.names),
         )
 
+    local = fits_local(left, right)
+    if not local:
+        left, right = _coalesced(left, n_parts), _coalesced(right, n_parts)
     tagged = left.map_batches(tagger(0, left_on, ls), batch_format="pyarrow").union(
         right.map_batches(tagger(1, right_on, rs), batch_format="pyarrow")
     )
+    if local:
+        return _one_call(tagged, run, left.count() + right.count(), n_parts)
     return tagged.groupby(_PART, num_partitions=n_parts).map_groups(
         run, batch_format="pyarrow"
     )

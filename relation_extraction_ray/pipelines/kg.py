@@ -21,8 +21,9 @@ Scale notes (SURVEY.md §4, §7.5):
   (#distinct keys per batch), not by row count.  Head-entity skew therefore
   collapses before the shuffle: a batch with 10^5 mentions of one entity
   emits ONE partial row for it.  The entities, adjacency and merge
-  exchanges coalesce their partials only when blocks × partitions is
-  large (``joins.coalesce_for_exchange``).
+  exchanges are :func:`..functions.joins.hash_partitioned_groups` calls:
+  partials at or below ``joins.LOCAL_BYTES_BOUND`` are reduced by ONE
+  call on a worker, larger ones ride the keyed exchange.
 * The parse→extract chain needs the corpus twice (vocab ids are global
   frequency ranks — the reference's one real barrier).  At scale we parse
   ONCE, persist the parsed ``sentences`` table to Parquet (resumable
@@ -432,22 +433,23 @@ def _partial_mentions(batch: pa.Table) -> pa.Table:
     )
 
 
-# canonical definitions live with the other partitioning utilities
-from ..functions.joins import coalesce_for_exchange, derived_num_parts, part_array  # noqa: E402  (re-export)
+# the KG exchanges use the one planned hash exchange of functions/joins.py
+from ..functions.joins import derived_num_parts, hash_partitioned_groups  # noqa: E402
 
 
 def entities_from_triples(triples: ray.data.Dataset, n_parts: int | None = None) -> ray.data.Dataset:
-    """Canonical entity table via explicit hash-partitioned reduce: per-batch
-    partial mention counts carry ``part = hash(norm) % P`` → ONE int-key
-    groupby (a multi-string-key sort shuffle measured ~5× slower and
-    non-scaling) → per-partition dict reduce.  Each norm lands wholly in
-    one partition, so the reduce is exact; P scales with the cluster, and
-    head-entity skew is already defused by the per-batch combine."""
+    """Canonical entity table via explicit hash-partitioned reduce:
+    per-batch partial mention counts → :func:`hash_partitioned_groups` on
+    ``norm`` (one int-key exchange above the planner bound — a
+    multi-string-key sort shuffle measured ~5× slower and non-scaling —
+    or one reduce call below it) → per-partition vectorized reduce.  Each
+    norm lands wholly in one partition, so the reduce is exact; P scales
+    with the cluster, and head-entity skew is already defused by the
+    per-batch combine."""
     n_parts = n_parts or derived_num_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = _partial_mentions(batch)
-        return t.append_column("part", part_array(t, ["norm"], n_parts))
+        return _partial_mentions(batch)
 
     def reduce_part(group: pa.Table) -> pa.Table:
         # Vectorized exact reduce: ONE Arrow hash-aggregation folds the
@@ -481,10 +483,8 @@ def entities_from_triples(triples: ray.data.Dataset, n_parts: int | None = None)
             schema=schemas.ENTITIES,
         )
 
-    return (
-        coalesce_for_exchange(triples.map_batches(partial, batch_format="pyarrow"), n_parts)
-        .groupby("part")
-        .map_groups(reduce_part, batch_format="pyarrow")
+    return hash_partitioned_groups(
+        triples.map_batches(partial, batch_format="pyarrow"), ["norm"], reduce_part, n_parts
     )
 
 
@@ -536,18 +536,18 @@ def _edge_partials(batch: pa.Table) -> pa.Table:
 
 def adjacency_from_triples(triples: ray.data.Dataset, n_parts: int | None = None) -> ray.data.Dataset:
     """Exact-dedup adjacency (SURVEY.md A7/J7) via explicit hash-partitioned
-    reduce: per-batch (edge, doc) partials carry ``part = hash(edge) % P``
-    → ONE int-key shuffle → per-partition reduce computing weight /
-    exact distinct-doc count / min-doc sample.  (The previous version used
-    two multi-string-key sort groupbys — measured 5-10× slower and poorly
+    reduce: per-batch (edge, doc) partials → :func:`hash_partitioned_groups`
+    on the edge key (one int-key exchange above the planner bound, one
+    reduce call below it) → per-partition reduce computing weight / exact
+    distinct-doc count / min-doc sample.  (The previous version used two
+    multi-string-key sort groupbys — measured 5-10× slower and poorly
     scaling; the edge key lands wholly in one partition so this is exact.)
     Output is key-sorted within each partition (north-star sorted
     materialize: parquet fragments are written in partition order)."""
     n_parts = n_parts or derived_num_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = _edge_partials(batch)
-        return t.append_column("part", part_array(t, ["src_id", "pred", "dst_id"], n_parts))
+        return _edge_partials(batch)
 
     def reduce_part(group: pa.Table) -> pa.Table:
         # Vectorized exact reduce (round 4): hash-aggregate once on the
@@ -575,14 +575,11 @@ def adjacency_from_triples(triples: ray.data.Dataset, n_parts: int | None = None
             schema=schemas.ADJACENCY,
         )
 
-    return (
-        # the edge partials are coalesced to n_parts blocks only when
-        # blocks × n_parts exceeds joins._MAX_EXCHANGE_OBJECTS: the sort
-        # exchange's M × N objects cost driver heap at many blocks, while
-        # at few blocks the coalesce costs as much as the exchange
-        coalesce_for_exchange(triples.map_batches(partial, batch_format="pyarrow"), n_parts)
-        .groupby("part")
-        .map_groups(reduce_part, batch_format="pyarrow")
+    return hash_partitioned_groups(
+        triples.map_batches(partial, batch_format="pyarrow"),
+        ["src_id", "pred", "dst_id"],
+        reduce_part,
+        n_parts,
     )
 
 
@@ -602,16 +599,16 @@ def merge_adjacency(
 
     Scale shape: both sides stream through one per-batch combine (Arrow
     hash-aggregate — already near-deduped inputs collapse to one row per
-    edge per batch) into ONE int-key hash exchange, each partition reduced
-    with a single vectorized aggregate; output key-sorted per partition
-    like :func:`adjacency_from_triples`."""
+    edge per batch) into ONE :func:`hash_partitioned_groups` call on the
+    edge key, each partition reduced with a single vectorized aggregate;
+    output key-sorted per partition like :func:`adjacency_from_triples`."""
     n_parts = n_parts or derived_num_parts()
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(["src_id", "pred", "dst_id"]).aggregate(
             [("weight", "sum"), ("doc_count", "sum"), ("sample_doc_id", "min")]
         )
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "src_id": g.column("src_id"),
                 "pred": g.column("pred"),
@@ -621,9 +618,6 @@ def merge_adjacency(
                 "sample_doc_id": g.column("sample_doc_id_min"),
             },
             schema=schemas.ADJACENCY,
-        )
-        return t.append_column(
-            "part", part_array(t, ["src_id", "pred", "dst_id"], n_parts)
         )
 
     def reduce_part(group: pa.Table) -> pa.Table:
@@ -645,10 +639,11 @@ def merge_adjacency(
             schema=schemas.ADJACENCY,
         )
 
-    return (
-        coalesce_for_exchange(base.union(delta).map_batches(partial, batch_format="pyarrow"), n_parts)
-        .groupby("part")
-        .map_groups(reduce_part, batch_format="pyarrow")
+    return hash_partitioned_groups(
+        base.union(delta).map_batches(partial, batch_format="pyarrow"),
+        ["src_id", "pred", "dst_id"],
+        reduce_part,
+        n_parts,
     )
 
 

@@ -14,7 +14,12 @@ and canonicalization:
   hints, ties by kb_id — pure function of (surface, context), identical
   at any parallelism;
 * unlinkable surfaces fall back to the surface-derived canonical id, so
-  downstream canonicalization degrades gracefully (NIL entities).
+  downstream canonicalization degrades gracefully (NIL entities);
+* linking is decided once per DISTINCT surface of a batch
+  (:func:`link_column`): a norm with no candidates, or whose candidates
+  all share one ``kb_id``, links the same way in every context, so only
+  mentions of ambiguous norms (two or more distinct ``kb_id``s) are
+  scored per row against their :func:`row_context`.
 
 A production deployment swaps ``score_candidates`` for a model forward
 pass; the Ray plumbing (broadcast KB, task stage, batch shapes) is what
@@ -27,6 +32,7 @@ import hashlib
 import pickle
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 LINKED_TRIPLES_EXTRA = [
@@ -44,11 +50,14 @@ from ..nlp.normalize import nil_id, surface_norm  # noqa: E402
 
 def build_kb(entries: list[dict]) -> dict[str, list[dict]]:
     """entries: [{kb_id, name, aliases: [..], type_hints: [..]}] →
-    alias-norm → candidate list (sorted by kb_id for determinism)."""
+    alias-norm → candidate list (sorted by kb_id for determinism).  Each
+    entry is listed once per DISTINCT norm of its name and aliases (case
+    and plural variants share one norm); a repeated entry could never
+    change :func:`score_candidates`' minimum."""
     kb: dict[str, list[dict]] = {}
     for e in entries:
-        for alias in {e["name"], *e.get("aliases", [])}:
-            kb.setdefault(surface_norm(alias), []).append(e)
+        for norm in {surface_norm(a) for a in (e["name"], *e.get("aliases", []))}:
+            kb.setdefault(norm, []).append(e)
     for cands in kb.values():
         cands.sort(key=lambda e: e["kb_id"])
     return kb
@@ -83,40 +92,64 @@ def link_surface(surface: str, context: set[str], cands: list[dict] | None) -> t
     return score_candidates(norm, context, cands)["kb_id"], True
 
 
+def link_column(rows: pa.Table, side: str, lookup) -> tuple[pa.Array, pa.Array]:
+    """(kb ids, linked flags) of the ``side`` (``"subj"``/``"obj"``)
+    mentions of triple ``rows``, equal to :func:`link_surface` per row.
+
+    ``lookup(norm)`` returns a norm's candidate list (None/[] when it has
+    none).  Linking is decided once per distinct surface: a norm with no
+    candidates is NIL and a norm whose candidates share one ``kb_id``
+    links to it, whatever the context.  Only rows whose norm has two or
+    more distinct ``kb_id``s are scored with their :func:`row_context`."""
+    enc = pc.dictionary_encode(rows.column(side)).combine_chunks()
+    kb_ids, oks, ambiguous = [], [], {}
+    for i, surface in enumerate(enc.dictionary.to_pylist()):
+        norm = surface_norm(surface)
+        cands = lookup(norm)
+        if not cands:
+            kb_ids.append(nil_id(norm))
+        elif len({e["kb_id"] for e in cands}) == 1:
+            kb_ids.append(cands[0]["kb_id"])
+        else:
+            kb_ids.append(None)  # scored per row below
+            ambiguous[i] = (norm, cands)
+        oks.append(bool(cands))
+    idx = enc.indices
+    kb_col = pa.array(kb_ids, pa.string()).take(idx)
+    ok_col = pa.array(oks, pa.bool_()).take(idx)
+    if ambiguous:
+        mask = pc.is_in(idx, value_set=pa.array(list(ambiguous), idx.type))
+        picked = rows.filter(mask)
+        scored = []
+        for i, s, o, p in zip(
+            idx.filter(mask).to_pylist(),
+            picked.column("subj").to_pylist(),
+            picked.column("obj").to_pylist(),
+            picked.column("pred").to_pylist(),
+        ):
+            norm, cands = ambiguous[i]
+            scored.append(score_candidates(norm, row_context(s, o, p), cands)["kb_id"])
+        kb_col = pc.replace_with_mask(kb_col, mask, pa.array(scored, pa.string()))
+    return kb_col, ok_col
+
+
 class LinkerStage:
     """Task stage: triples → triples + (subj_kb, obj_kb) columns.
 
     KB fetched zero-copy once per worker (the stage instance is cached
-    per worker process); context = the doc's surface
-    tokens present in the row (subj/obj/pred words)."""
+    per worker process); each side is linked by :func:`link_column`, the
+    context of an ambiguous mention being the row's surface tokens
+    (subj/obj/pred words)."""
 
     def __init__(self, kb_ref) -> None:
         self.kb = ray.get(kb_ref)
 
-    def _link(self, surface: str, context: set[str]) -> tuple[str, bool]:
-        return link_surface(surface, context, self.kb.get(surface_norm(surface)))
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        subs = batch.column("subj").to_pylist()
-        objs = batch.column("obj").to_pylist()
-        preds = batch.column("pred").to_pylist()
-        s_kb, o_kb, s_ok, o_ok = [], [], [], []
-        for s, o, p in zip(subs, objs, preds):
-            context = row_context(s, o, p)
-            kb_id, ok = self._link(s, context)
-            s_kb.append(kb_id)
-            s_ok.append(ok)
-            kb_id, ok = self._link(o, context)
-            o_kb.append(kb_id)
-            o_ok.append(ok)
+        s_kb, s_ok = link_column(batch, "subj", self.kb.get)
+        o_kb, o_ok = link_column(batch, "obj", self.kb.get)
         out = batch
-        for name, arr, typ in (
-            ("subj_kb", s_kb, pa.string()),
-            ("obj_kb", o_kb, pa.string()),
-            ("subj_linked", s_ok, pa.bool_()),
-            ("obj_linked", o_ok, pa.bool_()),
-        ):
-            out = out.append_column(name, pa.array(arr, typ))
+        for (name, _), arr in zip(LINKED_TRIPLES_EXTRA, (s_kb, o_kb, s_ok, o_ok)):
+            out = out.append_column(name, arr)
         return out
 
 
@@ -207,12 +240,12 @@ def link_triples_partitioned(
     rows keyed on ``surface_norm(subj)`` meet their KB alias shard and
     the subject is linked; the linked rows, re-keyed on
     ``surface_norm(obj)``, meet it again and the object is linked.  The
-    KB ships as rows alongside the data — never materialized on any
-    single worker — while unmatched surfaces keep the broadcast path's
-    NIL fallback (left join, unlike ``pair_payload_join``'s inner join).
-    Disambiguation calls the same :func:`link_surface`/:func:`row_context`
-    helpers as the broadcast path, and the output keeps its column
-    order, so the two strategies are bit-identical (asserted in
+    KB ships as rows alongside the data — above the exchange planner
+    bound never materialized on any single worker — while unmatched
+    surfaces keep the broadcast path's NIL fallback (left join, unlike
+    ``pair_payload_join``'s inner join).  Disambiguation calls the same
+    :func:`link_column` as the broadcast path, and the output keeps its
+    column order, so the two strategies are bit-identical (asserted in
     ``tests/test_linker_skew.py``, also at 4 partitions).
 
     At 100 TB: triples rows cross two bounded keyed exchanges (the standard
@@ -239,31 +272,23 @@ def link_triples_partitioned(
     )
     subj_key, obj_key = "__subj_norm__", "__obj_norm__"
 
-    def link_side(rows: pa.Table, kt: pa.Table, side: int):
-        """(kb ids, linked flags) of the subj (0) or obj (1) of ``rows``."""
-        lookup = {
-            n: json.loads(p)
-            for n, p in zip(kt.column("norm").to_pylist(), kt.column("payload").to_pylist())
-        }
-        kb_ids, oks = [], []
-        for s, o, p in zip(
-            rows.column("subj").to_pylist(),
-            rows.column("obj").to_pylist(),
-            rows.column("pred").to_pylist(),
-        ):
-            surface = (s, o)[side]
-            cands = lookup.get(surface_norm(surface))
-            kb_id, ok = link_surface(surface, row_context(s, o, p), cands)
-            kb_ids.append(kb_id)
-            oks.append(ok)
-        return pa.array(kb_ids, pa.string()), pa.array(oks, pa.bool_())
+    def link_side(rows: pa.Table, kt: pa.Table, side: str):
+        """(kb ids, linked flags) of the subj or obj of ``rows``; only the
+        candidate lists of norms present in ``rows`` are decoded."""
+        payloads = dict(zip(kt.column("norm").to_pylist(), kt.column("payload").to_pylist()))
+
+        def lookup(norm: str):
+            payload = payloads.get(norm)
+            return None if payload is None else json.loads(payload)
+
+        return link_column(rows, side, lookup)
 
     def with_subj_key(batch: pa.Table) -> pa.Table:
         norms = [surface_norm(s) for s in batch.column("subj").to_pylist()]
         return batch.append_column(subj_key, pa.array(norms, pa.string()))
 
     def link_subj(rows: pa.Table, kt: pa.Table) -> pa.Table:
-        s_kb, s_ok = link_side(rows, kt, 0)
+        s_kb, s_ok = link_side(rows, kt, "subj")
         o_norms = [surface_norm(o) for o in rows.column("obj").to_pylist()]
         return (
             rows.drop_columns([subj_key])
@@ -273,7 +298,7 @@ def link_triples_partitioned(
         )
 
     def link_obj(rows: pa.Table, kt: pa.Table) -> pa.Table:
-        o_kb, o_ok = link_side(rows, kt, 1)
+        o_kb, o_ok = link_side(rows, kt, "obj")
         rows = rows.drop_columns([obj_key])
         base = rows.drop_columns(["subj_kb", "subj_linked"])
         return pa.Table.from_arrays(

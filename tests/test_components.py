@@ -68,15 +68,16 @@ def test_components_match_union_find(ray_session):
 
 
 def test_partitioned_path_bit_equal_to_local(ray_session, monkeypatch):
-    """A zero graph planner bound forces the pair_payload_join path every
-    round (and the pointer jump from round 3 on the chain); the second
-    arm forces 4 partitions, so the exchanges really co-partition."""
+    """A zero planner bound forces the pair_payload_join path every round
+    (and the pointer jump from round 3 on the chain) and the keyed
+    exchange arm of every cogroup; the second arm forces 4 partitions, so
+    the exchanges really co-partition."""
     import random
 
-    from relation_extraction_ray.functions import components, graph
+    from relation_extraction_ray.functions import components, joins
 
     bc = _result_tuples(connected_components(_pairs(ROWS)))
-    monkeypatch.setattr(graph, "LOCAL_GRAPH_BYTES_BOUND", 0)
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
     pt = _result_tuples(connected_components(_pairs(ROWS)))
     assert bc == pt
 
@@ -113,11 +114,11 @@ def test_kernel_matches_union_find(rows):
 @settings(max_examples=5, deadline=None)
 @given(EDGES)
 def test_local_equals_union_find_and_partitioned(ray_session, rows):
-    from relation_extraction_ray.functions import graph
+    from relation_extraction_ray.functions import joins
 
     local = _result_tuples(connected_components(_pairs(rows)))
     assert local == _union_find(rows)
-    with mock.patch.object(graph, "LOCAL_GRAPH_BYTES_BOUND", 0):
+    with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
         assert _result_tuples(connected_components(_pairs(rows))) == local
 
 
@@ -194,8 +195,10 @@ def test_dedup_keep_one(ray_session):
 
 def test_keep_one_partitioned_bitequal(ray_session, monkeypatch):
     """broadcast_bytes=0 forces the hash-partitioned reduce-side
-    anti-join; it must return the exact same kept rows (values AND
-    schema) as the broadcast is_in path."""
+    anti-join (and a zero planner bound its keyed exchange arm); it must
+    return the exact same kept rows (values AND schema) as the broadcast
+    is_in path."""
+    from relation_extraction_ray.functions import joins
     from relation_extraction_ray.functions.components import dedup_keep_one
 
     docs = ray.data.from_arrow(
@@ -214,6 +217,7 @@ def test_keep_one_partitioned_bitequal(ray_session, monkeypatch):
         return df
 
     bc = norm(dedup_keep_one(docs, pairs))
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
     pt = norm(dedup_keep_one(docs, pairs, broadcast_bytes=0))
     assert list(bc.columns) == list(pt.columns)
     assert bc.equals(pt)

@@ -132,11 +132,14 @@ def test_leakage_safe_split_cluster_atomic_and_paths_identical(ray_session, monk
     docs = ray.data.from_arrow(pa.Table.from_pylist(rows)).repartition(5)
     pairs = ray.data.from_arrow(pa.Table.from_pylist(pair_rows))
 
+    from relation_extraction_ray.functions import components, curation, joins
+
     bro = leakage_safe_split(docs, pairs).to_pandas()
+    # a zero planner bound keeps the partitioned path's exchanges keyed
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
     part = leakage_safe_split(docs, pairs, broadcast_bytes=0).to_pandas()
     assert bro.equals(part)
     # the partitioned path co-partitioned over 4 partitions
-    from relation_extraction_ray.functions import components, curation
 
     monkeypatch.setattr(curation, "derive_n_parts", lambda n, **kw: 4)
     monkeypatch.setattr(components, "derive_n_parts", lambda n, **kw: 4)

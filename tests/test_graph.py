@@ -1135,13 +1135,14 @@ def test_diameter_2sweep_closed_forms(ray_session):
 
 
 def test_local_planner_bit_equal_to_distributed(ray_session):
-    """Round-5 small-graph planner: forcing LOCAL_GRAPH_BYTES_BOUND=0
-    (distributed exchanges) must give bit-identical results to the local
-    numpy path for every operator that has one."""
+    """Small-graph planner: forcing ``joins.LOCAL_BYTES_BOUND`` = 0
+    (distributed rounds AND keyed exchanges) must give bit-identical
+    results to the local numpy path for every operator that has one."""
     import random
     import unittest.mock as mock
 
     import relation_extraction_ray.functions.graph as G
+    from relation_extraction_ray.functions import joins
 
     rng = random.Random(5)
     rows = [
@@ -1188,7 +1189,7 @@ def test_local_planner_bit_equal_to_distributed(ray_session):
     ]
     for make, cols in cases:
         local = rows(make(), cols)
-        with mock.patch.object(G, "LOCAL_GRAPH_BYTES_BOUND", 0):
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
             dist = rows(make(), cols)
             # every test graph derives ONE partition; force four so the
             # distributed exchanges really co-partition their two sides
@@ -1212,7 +1213,7 @@ def test_local_planner_bit_equal_to_distributed(ray_session):
 
     for make, cols in cases:
         local = shape(make(), cols)
-        with mock.patch.object(G, "LOCAL_GRAPH_BYTES_BOUND", 0):
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
             dist = shape(make(), cols)
         assert local == dist, cols
         assert local[0] is not None, cols  # typed, never schema-less

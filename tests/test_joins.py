@@ -8,6 +8,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relation_extraction_ray.functions.joins import (
     cogroup,
@@ -60,8 +62,12 @@ def test_hash_columns_spreads_partitions():
     assert counts.max() < 2.0 * counts.mean()  # no hot partition
 
 
-def test_pair_payload_join_matches_dict_join(ray_session):
+def test_pair_payload_join_matches_dict_join(ray_session, monkeypatch):
     import ray
+
+    from relation_extraction_ray.functions import joins
+
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)  # keep the exchanges keyed
 
     rng = np.random.default_rng(3)
     ids = [f"d{i}" for i in range(60)]
@@ -92,12 +98,16 @@ def test_pair_payload_join_matches_dict_join(ray_session):
 
 
 @pytest.mark.parametrize("n_parts", [1, 3])
-def test_cogroup_matches_dict_cogroup(ray_session, n_parts):
+def test_cogroup_matches_dict_cogroup(ray_session, monkeypatch, n_parts):
     """cogroup co-locates equal key VALUES across differently named key
     columns, hands each side over in its own typed columns (a typed empty
     table when a partition has no rows of that side), and equals a plain
     dict co-group."""
     import ray
+
+    from relation_extraction_ray.functions import joins
+
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)  # keep the exchange keyed
 
     rng = np.random.default_rng(11)
     left = [(f"k{int(k)}", int(x)) for k, x in rng.integers(0, 12, size=(50, 2))]
@@ -304,3 +314,120 @@ def test_shard_advisor_skew_detection(ray_session):
     a = shard_advisor([("u", ray.data.from_arrow(uniq).repartition(1), "k")]).to_pylist()
     b = shard_advisor([("u", ray.data.from_arrow(uniq).repartition(7), "k")]).to_pylist()
     assert a == b
+
+
+# -- the planner: one call at or below the bound, a keyed exchange above --
+
+_KEYED_ROWS = st.lists(st.tuples(st.sampled_from("abcdefgh"), st.integers(-5, 5)), max_size=30)
+
+
+def _planner_settings():
+    """(bound, n_parts) of every planner arm: the keyed exchange at 1 and
+    4 partitions, and the one-call arm at the default bound."""
+    from relation_extraction_ray.functions import joins
+
+    return [(b, n) for b in (0, joins.LOCAL_BYTES_BOUND) for n in (1, 4)]
+
+
+def _sorted_rows(ds) -> list:
+    return sorted(tuple(r.values()) for r in ds.take_all())
+
+
+@settings(max_examples=6, deadline=None)
+@given(rows=_KEYED_ROWS, n_blocks=st.integers(1, 3))
+def test_hash_partitioned_groups_same_rows_every_arm(ray_session, rows, n_blocks):
+    """The one-call arm (default bound) and the keyed exchange (bound 0)
+    give equal rows at 1 and 4 partitions, empty input included; the
+    kernel always sees an int32 ``part`` column."""
+    import unittest.mock as mock
+
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    table = pa.table(
+        {"k": pa.array([k for k, _ in rows], pa.string()), "x": pa.array([x for _, x in rows], pa.int64())}
+    )
+    ds = ray.data.from_arrow(table).repartition(n_blocks)
+
+    def kernel(part: pa.Table) -> pa.Table:
+        assert part.schema.field("part").type == pa.int32()
+        return part.group_by("k").aggregate([("x", "sum"), ([], "count_all")])
+
+    outs = []
+    for bound, n_parts in _planner_settings():
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", bound):
+            outs.append(_sorted_rows(joins.hash_partitioned_groups(ds, ["k"], kernel, n_parts)))
+    want = {}
+    for k, x in rows:
+        s, n = want.get(k, (0, 0))
+        want[k] = (s + x, n + 1)
+    assert outs[0] == sorted((k, s, n) for k, (s, n) in want.items())
+    assert all(o == outs[0] for o in outs)
+
+
+def test_one_call_arm_keeps_the_exchange_block_count(ray_session):
+    """Below the bound the kernel runs once, and its result is re-cut
+    into about ``n_parts`` blocks (one block would serialize every
+    operator downstream); at one partition it stays one block."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    def kernel(part: pa.Table) -> pa.Table:
+        return part.select(["id"])
+
+    ds = ray.data.range(1000, override_num_blocks=5)
+    assert joins.hash_partitioned_groups(ds, ["id"], kernel, 4).materialize().num_blocks() == 4
+    assert joins.hash_partitioned_groups(ds, ["id"], kernel, 1).materialize().num_blocks() == 1
+    both = joins.cogroup(ds, ds, ["id"], ["id"], lambda lt, rt: pa.concat_tables([lt, rt]), 4)
+    both = both.materialize()
+    assert both.num_blocks() == 4 and both.count() == 2000
+
+
+@settings(max_examples=6, deadline=None)
+@given(left=_KEYED_ROWS, right=_KEYED_ROWS, schemaless=st.sampled_from([None, "left", "right"]))
+def test_cogroup_same_rows_every_arm(ray_session, left, right, schemaless):
+    """cogroup gives equal rows and column names in every planner arm:
+    empty sides (typed), two empty inputs, and a schema-less side (a map
+    over no rows) included."""
+    import unittest.mock as mock
+
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    left_schema = pa.schema([("k", pa.string()), ("x", pa.int64())])
+    right_schema = pa.schema([("node", pa.string()), ("y", pa.int64())])
+
+    def side(rows, schema, drop):
+        if drop:  # a map over no rows carries no schema
+            empty = ray.data.from_arrow(schema.empty_table())
+            return empty.map_batches(lambda t: t, batch_format="pyarrow").materialize()
+        return ray.data.from_arrow(pa.Table.from_pylist([dict(zip(schema.names, r)) for r in rows], schema))
+
+    lds = side(left, left_schema, schemaless == "left")
+    rds = side(right, right_schema, schemaless == "right")
+
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lk = lt.column("k").to_pylist() if lt.num_columns else []
+        rk = rt.column("node").to_pylist() if rt.num_columns else []
+        return pa.table(
+            {
+                "key": pa.array(sorted(set(lk) | set(rk)), pa.string()),
+                "n_left": pa.array([lk.count(k) for k in sorted(set(lk) | set(rk))], pa.int64()),
+                "n_right": pa.array([rk.count(k) for k in sorted(set(lk) | set(rk))], pa.int64()),
+            }
+        )
+
+    outs = []
+    for bound, n_parts in _planner_settings():
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", bound):
+            out = joins.cogroup(lds, rds, ["k"], ["node"], kernel, n_parts).materialize()
+        schema = out.schema()
+        outs.append((schema.names if schema is not None else None, _sorted_rows(out)))
+    assert all(o == outs[0] for o in outs)
+    kept_left = [] if schemaless == "left" else [k for k, _ in left]
+    kept_right = [] if schemaless == "right" else [k for k, _ in right]
+    keys = sorted(set(kept_left) | set(kept_right))
+    assert outs[0][1] == [(k, kept_left.count(k), kept_right.count(k)) for k in keys]

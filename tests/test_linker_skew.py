@@ -6,6 +6,8 @@ import random
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ray
 
@@ -56,10 +58,13 @@ def test_linker_nil_fallback(ray_session):
     assert rows[0]["obj_kb"] == nil_id(surface_norm("mystery")) and not rows[0]["obj_linked"]
 
 
-def test_partitioned_linker_matches_broadcast(ray_session):
-    """The KB-sharded reduce-side path (forced via broadcast_bytes=0) must
-    be bit-identical to the broadcast path on a corpus mixing linked,
-    ambiguous, and NIL mentions — round-4 verdict task #5."""
+def test_partitioned_linker_matches_broadcast(ray_session, monkeypatch):
+    """The KB-sharded reduce-side path (forced via broadcast_bytes=0, its
+    exchanges kept keyed by a zero planner bound) must be bit-identical
+    to the broadcast path on a corpus mixing linked, ambiguous, and NIL
+    mentions — round-4 verdict task #5."""
+    from relation_extraction_ray.functions import joins
+
     pipe = KGPipeline(batch_size=64)
     triples = pipe.run(documents_dataset(40, override_num_blocks=4))["triples"]
     # add NIL + ambiguous rows on top of the pipeline's fully-linkable set
@@ -87,6 +92,7 @@ def test_partitioned_linker_matches_broadcast(ray_session):
     )
     key = lambda r: (r["doc_id"], r["sent_id"], r["span_hash"], r["subj"], r["obj"])
     broadcast = sorted(link_triples(ds, kb).take_all(), key=key)
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
     parted = sorted(link_triples(ds, kb, broadcast_bytes=0).take_all(), key=key)
     assert len(broadcast) == len(parted) > 0
     assert broadcast == parted
@@ -99,6 +105,98 @@ def test_partitioned_linker_matches_broadcast(ray_session):
     assert by_sh[1]["subj_kb"] == "kb_place_bank"
     assert by_sh[2]["subj_kb"] == "kb_agent_bank"
 
+
+
+# --- per-surface linking ------------------------------------------------------
+
+#: Case/plural variants of linked names, an ambiguous norm ("bank": two
+#: kb_ids with different type hints), a norm with two entries under ONE
+#: kb_id ("twin"), NIL surfaces, and context words that steer "bank".
+_SURFACES = ["dog", "Dog", "DOGS", "dogs", "bank", "Bank", "banks", "twin", "Twins",
+             "mystery", "unknowable", "agent", "place"]
+_PREDS = ["Entity-Destination(e1,e2)", "Product-Producer(e2,e1)", "Other", "agent-place(e1,e2)"]
+_TRIPLE_ROWS = st.lists(
+    st.tuples(st.sampled_from(_SURFACES), st.sampled_from(_PREDS), st.sampled_from(_SURFACES)),
+    max_size=25,
+)
+
+
+def _surface_kb() -> dict:
+    return build_kb(
+        [
+            {"kb_id": "kb_dog", "name": "dog", "aliases": ["Dog", "DOG", "dogs"], "type_hints": ["agent"]},
+            {"kb_id": "kb_place_bank", "name": "bank", "aliases": ["Banks"],
+             "type_hints": ["place", "entity-destination"]},
+            {"kb_id": "kb_agent_bank", "name": "bank", "aliases": [],
+             "type_hints": ["agent", "product-producer"]},
+            {"kb_id": "kb_twin", "name": "twin", "aliases": ["Twins"], "type_hints": ["agent"]},
+            {"kb_id": "kb_twin", "name": "twin", "aliases": [], "type_hints": ["place"]},
+            {"kb_id": "kb_agent", "name": "agent", "aliases": [], "type_hints": []},
+        ]
+    )
+
+
+def _triples(rows) -> pa.Table:
+    return pa.Table.from_pylist(
+        [
+            {"doc_id": "d", "sent_id": i, "subj": s, "pred": p, "obj": o, "score": 0.5, "span_hash": i}
+            for i, (s, p, o) in enumerate(rows)
+        ],
+        schema=pa.schema(
+            [("doc_id", pa.string()), ("sent_id", pa.int64()), ("subj", pa.string()),
+             ("pred", pa.string()), ("obj", pa.string()), ("score", pa.float64()),
+             ("span_hash", pa.int64())]
+        ),
+    )
+
+
+def _per_mention(rows, kb) -> list[tuple]:
+    """The per-mention loop: ``link_surface`` on every subj and obj."""
+    from relation_extraction_ray.state.linker import link_surface, row_context
+
+    out = []
+    for i, (s, p, o) in enumerate(rows):
+        ctx = row_context(s, o, p)
+        s_kb, s_ok = link_surface(s, ctx, kb.get(surface_norm(s)))
+        o_kb, o_ok = link_surface(o, ctx, kb.get(surface_norm(o)))
+        out.append((i, s_kb, o_kb, s_ok, o_ok))
+    return out
+
+
+def _linked(table_or_rows) -> list[tuple]:
+    rows = table_or_rows.to_pylist() if isinstance(table_or_rows, pa.Table) else table_or_rows
+    return sorted((r["span_hash"], r["subj_kb"], r["obj_kb"], r["subj_linked"], r["obj_linked"]) for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_TRIPLE_ROWS)
+def test_linker_stage_equals_per_mention_loop(ray_session, rows):
+    """The broadcast path's stage, linking once per distinct surface,
+    equals ``link_surface`` per mention: NIL, one kb_id under duplicate
+    entries, ambiguous norms scored per row, case/plural variants."""
+    from relation_extraction_ray.state.linker import LinkerStage
+
+    kb = _surface_kb()
+    out = LinkerStage(ray.put(kb))(_triples(rows))
+    assert out.column_names[-4:] == ["subj_kb", "obj_kb", "subj_linked", "obj_linked"]
+    assert _linked(out) == _per_mention(rows, kb)
+
+
+@settings(max_examples=4, deadline=None)
+@given(rows=_TRIPLE_ROWS.filter(bool))
+def test_partitioned_linker_equals_per_mention_loop(ray_session, rows):
+    """The KB-sharded path gives the per-mention loop's rows too, in its
+    one-call arm and in its keyed exchange at 4 partitions."""
+    import unittest.mock as mock
+
+    from relation_extraction_ray.functions import joins
+
+    kb = _surface_kb()
+    ds = ray.data.from_arrow(_triples(rows))
+    want = _per_mention(rows, kb)
+    assert _linked(link_triples_partitioned(ds, kb).take_all()) == want
+    with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
+        assert _linked(link_triples_partitioned(ds, kb, n_parts=4).take_all()) == want
 
 def test_kb_planner_bound(ray_session):
     """link_triples picks broadcast below the byte bound and the sharded

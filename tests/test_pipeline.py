@@ -199,9 +199,11 @@ def test_triple_provenance_vs_bruteforce(ray_session, monkeypatch):
         for (s, p, o), (n, docs) in want.items()
     )
     assert got == expect
-    # the n_docs attach co-partitioned over 4 partitions
+    # the n_docs attach co-partitioned over 4 partitions (a zero planner
+    # bound keeps the cogroup on its keyed exchange arm)
     from relation_extraction_ray.functions import joins
 
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
     monkeypatch.setattr(joins, "derive_n_parts", lambda n, **kw: 4)
     got4 = [
         (r["subj"], r["pred"], r["obj"], r["n_mentions"], r["n_docs"], r["min_doc"], r["max_doc"])
@@ -299,10 +301,11 @@ def test_extract_encode_reads_sliced_and_chunked_tokens(encode_stage_and_sentenc
     check()
 
 
-def _coalesce_rule_outputs(triples, monkeypatch, bound: int) -> tuple[list, int]:
-    """Sorted rows of entities, adjacency and merge over ``triples`` with
-    the exchange bound patched to ``bound``, and the ``repartition``
-    calls they made."""
+def _coalesce_rule_outputs(triples, monkeypatch, bound: int | None) -> tuple[list, int]:
+    """Sorted rows of entities, adjacency and merge over ``triples`` on
+    the keyed exchange arm (planner bound 0) with the exchange-object
+    bound patched to ``bound`` — or on the one-call arm when ``bound`` is
+    None — and the coalescing ``repartition`` calls they made."""
     import ray
 
     from relation_extraction_ray.functions import joins
@@ -316,10 +319,13 @@ def _coalesce_rule_outputs(triples, monkeypatch, bound: int) -> tuple[list, int]
     real = ray.data.Dataset.repartition
 
     def spy(self, *args, **kwargs):
-        calls.append(self)
+        if kwargs.get("target_num_rows_per_block") is None:  # not the one-call re-cut
+            calls.append(self)
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", bound)
+    if bound is not None:
+        monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
+        monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", bound)
     monkeypatch.setattr(ray.data.Dataset, "repartition", spy)
     keys = ["src_id", "pred", "dst_id"]
     head = triples.filter(expr="doc_id < 'd018'")
@@ -336,9 +342,9 @@ def _coalesce_rule_outputs(triples, monkeypatch, bound: int) -> tuple[list, int]
 
 
 def test_exchange_coalesce_rule(ray_session, monkeypatch):
-    """``coalesce_for_exchange`` coalesces only when blocks × n_parts
-    exceeds ``_MAX_EXCHANGE_OBJECTS``, and the KG exchanges give the same
-    rows whether they coalesce or not."""
+    """The keyed exchange arm coalesces its input only when blocks ×
+    n_parts exceeds ``_MAX_EXCHANGE_OBJECTS``, and the KG exchanges give
+    the same rows whether they coalesce, do not, or run as one call."""
     import ray
 
     from relation_extraction_ray.functions import joins
@@ -362,13 +368,14 @@ def test_exchange_coalesce_rule(ray_session, monkeypatch):
 
     always, n_always = _coalesce_rule_outputs(triples, monkeypatch, 0)
     never, n_never = _coalesce_rule_outputs(triples, monkeypatch, 10**9)
-    assert always == never and all(always)
-    assert n_never == 0
+    one_call, n_one_call = _coalesce_rule_outputs(triples, monkeypatch, None)
+    assert always == never == one_call and all(always)
+    assert n_never == n_one_call == 0
     assert n_always == 5  # entities, adjacency, the merge and its two inputs
 
     # the rule itself, at the bound: 16 blocks × 4 parts = 64 objects
     ds = ray.data.range(64, override_num_blocks=16).materialize()
     monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", 64)
-    assert joins.coalesce_for_exchange(ds, 4).num_blocks() == 16
+    assert joins._coalesced(ds, 4).num_blocks() == 16
     monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", 63)
-    assert joins.coalesce_for_exchange(ds, 4).materialize().num_blocks() == 4
+    assert joins._coalesced(ds, 4).materialize().num_blocks() == 4
