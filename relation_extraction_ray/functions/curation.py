@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .joins import cogroup, derive_n_parts, hash_partitioned_groups
+from .joins import cogroup, derive_n_parts, fits_local, hash_partitioned_groups
 
 
 def _md5_u64_col(ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -374,7 +374,7 @@ def leakage_safe_split(
     ids_only = docs.select_columns([key_col])
     lab_schema = pa.schema([("doc_id", pa.int64()), ("canonical_id", pa.int64())])
 
-    if labels.size_bytes() <= broadcast_bytes:
+    if fits_local(labels, bound=broadcast_bytes):
         lab = pa.concat_tables(
             [lab_schema.empty_table()]
             + [

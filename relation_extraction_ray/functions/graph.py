@@ -3,36 +3,38 @@
 The engine's terminal KG artifact is the adjacency table
 (``pipelines/kg.adjacency_from_triples`` — SURVEY.md A7/J7); the
 operators here rank, traverse, peel and summarize its entity graph.
-Every iterative or wedge operator plans from an observed size with the
-engine's one probe, :func:`..joins.fits_local`: at or below
-:data:`..joins.LOCAL_BYTES_BOUND` (read at call time) its prepped edge
-table is gathered once (:func:`_gather`) and the recurrence runs in
-numpy, its one-block result sorted in Arrow; above it the same
-recurrence runs as keyed Ray Data exchanges.  Both paths are
-bit-identical (asserted in tests).  The edge preps are
-:func:`..joins.hash_partitioned_groups` calls, so below the same bound
-they too reduce in one call instead of a sort exchange.  The undirected
-operators share one edge prep (:func:`_simple_edges`), the directed
-walkers one (:func:`_directed_edges`).  Every two-input exchange of a
-distributed round — static edges ⋈ frontier, ranks, scores, labels or
-degrees — is one :func:`..joins.cogroup` call: the two sides are hashed
-on their own key columns, so the static preps carry no partition
-column.
+The edge preps are :func:`..joins.hash_partitioned_groups` calls; the
+undirected operators share one (:func:`_simple_edges`), the directed
+walkers another (:func:`_directed_edges`).
 
-PageRank's distributed path is the classic 2-exchanges-per-iteration
-shape:
+Every iterative operator (pagerank, hits, bfs/sssp, harmonic
+centrality, label propagation, kcore, trim core, random walks, fanout
+sampling) is written ONCE, as module-level kernels over ``pa.Table``
+plus a round loop, and run by ONE driver, :func:`_iterate`.  A round is
+a scatter kernel (static edges ⋈ state → messages keyed by the
+destination node) and a fold kernel (messages ⋈ state → next state).
+:func:`_iterate` makes the operator's one planner decision with the
+engine's one probe, :func:`..joins.fits_local`, on the prepped edges:
 
-1. **Static edge prep (once)**: predicates collapse to (u, v, w) edge
-   weights via per-batch partial combine + one exchange keyed by the
-   source ``u`` — because ALL of u's out-edges land in u's partition,
-   the out-weight ``ow(u)`` is computed locally with a segmented sum,
-   never through an extra exchange.  The prepped edges are materialized
-   once and reused by every iteration (static graph, iterating ranks).
-2. **Per iteration**: rank rows and edge rows co-partition on the node
-   key in ONE ``cogroup`` exchange, the per-partition probe is a
-   vectorized sorted-array ``searchsorted`` join emitting (v, contrib)
-   rows, and one groupby(v) sums contributions; dangling/unreferenced
-   nodes are completed by a zero-contribution union (materialized once).
+* at or below :data:`..joins.LOCAL_BYTES_BOUND` (read at call time)
+  the edges are gathered once (:func:`_gather`) and every kernel runs
+  in-process on whole tables — no Ray job per round;
+* above it every two-input step is one :func:`..joins.cogroup` (the
+  two sides hashed on their own key columns, so the static preps carry
+  no partition column) and every keyed fold one
+  :func:`..joins.hash_partitioned_groups`.  ``cogroup`` bounds its
+  reduce to ``n_parts``, so a round's output never compounds blocks.
+
+A kernel sees what one hash partition holds, so the whole table is just
+the 1-partition case and both drivers give the same rows (asserted in
+tests).
+
+PageRank's round, for instance, is the classic 2-exchanges-per-iteration
+shape: the rank rows meet the static (u, v, w, ow) edges on the node
+key, each edge carries ``rank(u) · w // ow`` to v (pre-summed per
+partition), and the contributions meet the rank rows again on v, where
+the fold sums them.  The node set comes from the edges once, so
+dangling and unreferenced nodes keep a rank row every round.
 
 All arithmetic is INTEGER (ranks in 1e-12 units, ``contrib = rank * w //
 ow``, ``rank' = 15%*SCALE + 85%*Σcontrib // 100``) so results are
@@ -44,6 +46,8 @@ deterministic).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -52,9 +56,9 @@ import ray
 from .joins import cogroup, derive_n_parts, fits_local, hash_partitioned_groups
 
 SCALE = 10**12
-_RANK_SCHEMA = pa.schema([("node", pa.string()), ("rank", pa.int64())])
-_CONTRIB_SCHEMA = pa.schema([("node", pa.string()), ("contrib", pa.int64())])
 _DIST_SCHEMA = pa.schema([("node", pa.string()), ("dist", pa.int64())])
+_MSG_SCHEMA = pa.schema([("node", pa.string()), ("msg", pa.int64())])
+_UV_SCHEMA = pa.schema([("u", pa.string()), ("v", pa.string())])
 
 
 def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
@@ -98,29 +102,163 @@ def _gather(ds: ray.data.Dataset) -> pa.Table | None:
     return pa.concat_tables(tabs) if tabs else None
 
 
-def _zero_contribs(edges: ray.data.Dataset) -> ray.data.Dataset:
-    """(node, contrib = 0) for every distinct endpoint of the (u, v) edge
-    rows, materialized: the zero-contribution union that keeps dangling
-    and unreferenced nodes in every iteration's per-node sum (pagerank,
-    hits) and the node set their scores start from."""
+class _InProcess:
+    """Runs an iterative operator's rounds on whole ``pa.Table``s in the
+    calling process: each step calls its kernel once on all rows."""
 
-    def node_partial(batch: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [batch.column("u").combine_chunks(), batch.column("v").combine_chunks()]
+    def join(self, left, right, left_on, right_on, kernel):
+        return kernel(left, right)
+
+    def groups(self, t: pa.Table, key: list[str], kernel) -> pa.Table:
+        return kernel(t)
+
+    def map(self, t: pa.Table, fn) -> pa.Table:
+        return fn(t)
+
+    def concat(self, parts: list[pa.Table]) -> pa.Table:
+        return pa.concat_tables(parts)
+
+    def count(self, t: pa.Table) -> int:
+        return t.num_rows
+
+    def max(self, t: pa.Table, col: str) -> int:
+        m = pc.max(t.column(col)).as_py()
+        return int(m) if m is not None else 0
+
+    def result(self, t: pa.Table, schema: pa.Schema, sort_keys) -> ray.data.Dataset:
+        return ray.data.from_arrow(t.select(schema.names).cast(schema).sort_by(sort_keys))
+
+
+def _empty_of(ds: ray.data.Dataset) -> pa.Table:
+    return ds.schema().base_schema.empty_table()
+
+
+class _Exchange:
+    """The same rounds as keyed Ray Data exchanges over ``n_parts``
+    partitions: a ``join`` is one :func:`cogroup`, a ``groups`` one
+    :func:`hash_partitioned_groups`, each materialized with no lineage.
+    A step that yields no rows is typed by calling its kernel on its
+    inputs' typed empty tables, so an emptied state stays typed for the
+    next round."""
+
+    def __init__(self, n_parts: int) -> None:
+        self.n_parts = n_parts
+
+    @staticmethod
+    def _typed(out: ray.data.Dataset, empty) -> ray.data.Dataset:
+        out = out.materialize()
+        if not out.count():
+            return ray.data.from_arrow(empty())
+        # a fresh dataset over the same blocks: Ray Data's stats keep every
+        # parent dataset and walk them as a tree at each execution, so a
+        # round that reads two earlier rounds' outputs doubles that walk
+        # (measured: per-round wall 0.3 s → 45 s over 12 bfs rounds)
+        return ray.data.from_arrow_refs(out.to_arrow_refs())
+
+    def join(self, left, right, left_on, right_on, kernel):
+        out = cogroup(left, right, left_on, right_on, kernel, self.n_parts)
+        return self._typed(out, lambda: kernel(_empty_of(left), _empty_of(right)))
+
+    def groups(self, ds, key, kernel):
+        out = hash_partitioned_groups(ds, key, kernel, self.n_parts)
+        return self._typed(out, lambda: kernel(_empty_of(ds)))
+
+    def map(self, ds, fn):
+        out = ds.map_batches(fn, batch_format="pyarrow")
+        return self._typed(out, lambda: fn(_empty_of(ds)))
+
+    def concat(self, parts):
+        out = parts[0]
+        for p in parts[1:]:
+            out = out.union(p)
+        return out
+
+    def count(self, ds) -> int:
+        return ds.count()
+
+    def max(self, ds, col: str) -> int:
+        m = ds.max(col)
+        return int(m) if m is not None else 0
+
+    def result(self, ds, schema: pa.Schema, sort_keys) -> ray.data.Dataset:
+        if ds.count() == 0:  # an all-empty sort would come back schema-less
+            return ray.data.from_arrow(schema.empty_table())
+        return ds.map_batches(
+            lambda t: t.select(schema.names).cast(schema), batch_format="pyarrow"
+        ).sort(
+            [k for k, _ in sort_keys], descending=[o == "descending" for _, o in sort_keys]
         )
-        return pa.table({"node": pc.unique(both)})
 
-    def zero_row(group: pa.Table) -> pa.Table:
-        return pa.table(
-            {"node": group.column("node").slice(0, 1), "contrib": pa.array([0], pa.int64())}
-        )
 
-    return (
-        edges.map_batches(node_partial, batch_format="pyarrow")
-        .groupby("node")
-        .map_groups(zero_row, batch_format="pyarrow")
-        .materialize()
-    )
+def _iterate(edges: ray.data.Dataset, schema: pa.Schema, n_parts: int, rounds):
+    """The one planner decision of an iterative operator.  ``rounds(x,
+    edges)`` is the operator written once against an executor ``x``
+    (``join`` / ``groups`` / ``map`` / ``concat`` / ``count`` / ``max``
+    / ``result``).  At or below :data:`..joins.LOCAL_BYTES_BOUND` the
+    materialized ``edges`` are gathered once — a typed empty ``schema``
+    table when they hold no rows — and run in-process
+    (:class:`_InProcess`); above it they stay a dataset and every step is
+    a keyed exchange (:class:`_Exchange`)."""
+    if fits_local(edges):
+        et = _gather(edges)
+        return rounds(_InProcess(), schema.empty_table() if et is None else et)
+    return rounds(_Exchange(n_parts), edges)
+
+
+def _endpoints(t: pa.Table) -> pa.Table:
+    """Distinct endpoints of a batch of (u, v) edges as (node)."""
+    both = pa.concat_arrays([t.column("u").combine_chunks(), t.column("v").combine_chunks()])
+    return pa.table({"node": pc.unique(both)})
+
+
+def _distinct_nodes(t: pa.Table) -> pa.Table:
+    return pa.table({"node": pc.unique(t.column("node").combine_chunks())})
+
+
+def _node_set(x, edges):
+    """Every endpoint of the (u, v) edges once, as (node) rows keyed by
+    node: the state universe of pagerank/hits and trim_core's node count."""
+    return x.groups(x.map(edges, _endpoints), ["node"], _distinct_nodes)
+
+
+def _with(t: pa.Table, col: str, values) -> pa.Table:
+    """``t`` with column ``col`` replaced by int64 ``values``."""
+    return t.set_column(t.schema.get_field_index(col), col, pa.array(values, pa.int64()))
+
+
+def _push_sum(
+    state: pa.Table, edges: pa.Table, col: str, src: str, dst: str, weighted: bool = False
+) -> pa.Table:
+    """Scatter: every edge carries its ``src`` node's ``col`` value to its
+    ``dst`` node — times ``w // ow`` when ``weighted`` (PageRank's
+    integer share) — pre-summed per destination as (node, msg).  Every
+    ``src`` of the partition has a state row."""
+    pos = pc.index_in(edges.column(src), value_set=state.column("node").combine_chunks())
+    val = pc.take(state.column(col), pos).to_numpy(zero_copy_only=False)
+    if weighted:
+        w = edges.column("w").to_numpy(zero_copy_only=False)
+        val = val * w // edges.column("ow").to_numpy(zero_copy_only=False)
+    msgs = pa.table({"node": edges.column(dst), "msg": pa.array(val, pa.int64())})
+    return msgs.group_by("node").aggregate([("msg", "sum")]).rename_columns(_MSG_SCHEMA.names)
+
+
+def _fold_sum(
+    state: pa.Table, msgs: pa.Table, col: str, damping_pct: int | None = None
+) -> pa.Table:
+    """Fold: ``col`` ← Σ msg per state node (0 where none arrived); with
+    ``damping_pct``, PageRank's ``base + damping_pct · Σ // 100``."""
+    g = msgs.group_by("node").aggregate([("msg", "sum")])
+    pos = pc.index_in(state.column("node"), value_set=g.column("node").combine_chunks())
+    s = pc.fill_null(pc.take(g.column("msg_sum"), pos), 0).to_numpy(zero_copy_only=False)
+    if damping_pct is not None:
+        s = state.column("base").to_numpy(zero_copy_only=False) + damping_pct * s // 100
+    return _with(state, col, s)
+
+
+def _semi_join(edges: pa.Table, nodes: pa.Table, col: str) -> pa.Table:
+    """Edges whose ``col`` endpoint is one of the (node) rows."""
+    keep = pc.is_in(edges.column(col), value_set=nodes.column("node").combine_chunks())
+    return edges.filter(keep)
 
 
 def _simple_edges(
@@ -175,31 +313,6 @@ def _directed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Datas
     ).materialize()
 
 
-def _probe_contribs(
-    rk_nodes: np.ndarray,
-    rk_vals: np.ndarray,
-    eu: np.ndarray,
-    w: np.ndarray,
-    ow: np.ndarray,
-    v_col: pa.Array,
-) -> pa.Table:
-    """Vectorized rank→edge probe: sorted-rank searchsorted, integer
-    contribution per edge."""
-    order = np.argsort(rk_nodes, kind="mergesort")
-    rk_nodes, rk_vals = rk_nodes[order], rk_vals[order]
-    pos = np.searchsorted(rk_nodes, eu)
-    # every edge source is a node with a rank row in this partition
-    contrib = rk_vals[pos] * w // ow
-    # local combine before the node exchange: shuffled rows per partition
-    # drop from out-edges to distinct destinations (int sum, exact)
-    return (
-        pa.table({"node": v_col, "contrib": pa.array(contrib, pa.int64())})
-        .group_by(["node"])
-        .aggregate([("contrib", "sum")])
-        .rename_columns(["node", "contrib"])
-    )
-
-
 def pagerank(
     adjacency: ray.data.Dataset,
     iters: int = 5,
@@ -207,11 +320,10 @@ def pagerank(
     seed_pct: int | None = None,
 ) -> ray.data.Dataset:
     """Integer PageRank over the adjacency table: returns (node, rank)
-    with rank in 1e-12 units, sorted by (rank desc, node asc).  Below
-    :data:`..joins.LOCAL_BYTES_BOUND` the iterations run locally in numpy;
-    above it each iteration co-partitions the static edges with the
-    rank rows in one :func:`cogroup` exchange (module doc).  Both paths
-    are bit-identical.
+    with rank in 1e-12 units, sorted by (rank desc, node asc).  Each
+    iteration is a :func:`_push_sum` scatter of the ranks over the
+    collapsed edges and a :func:`_fold_sum` into the (node, rank, base)
+    state, run by :func:`_iterate` (module doc).
 
     ``seed_pct`` switches to PERSONALIZED PageRank: the teleport
     distribution concentrates on the md5-bucket landmark set
@@ -220,107 +332,42 @@ def pagerank(
     stationary rank measures proximity to the seed entities (the
     query-anchored entity-importance feature of KG QA / recommendation).
     Same integer recurrence, same exchanges, bit-exact SQL unroll."""
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _collapsed_edges(adjacency, n_parts)
-
-    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
-    # whole collapsed edge table is gathered once and the integer
-    # iterations run in numpy with NO per-iteration exchange — the rank
-    # recurrence is exact integer arithmetic, so this is bit-identical
-    # to the distributed rounds (asserted in tests), and each ray.data
-    # all-to-all costs ~2-4 s of fixed scheduling latency that dominated
-    # small-KG queries (5-iteration PageRank on a 625-edge KG measured
-    # 50 s distributed vs <1 s local).  Above the bound the keyed
-    # exchanges below are unchanged.
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(_RANK_SCHEMA.empty_table())
-        eu = et.column("u").to_numpy(zero_copy_only=False)
-        ev = et.column("v").to_numpy(zero_copy_only=False)
-        w = et.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-        ow = et.column("ow").to_numpy(zero_copy_only=False).astype(np.int64)
-        node_arr = np.unique(np.concatenate([eu, ev]))
-        ui = np.searchsorted(node_arr, eu)
-        vi = np.searchsorted(node_arr, ev)
-        base = (100 - damping_pct) * SCALE // 100
-        if seed_pct is None:
-            rank = np.full(len(node_arr), SCALE, np.int64)
-            base_vec = np.full(len(node_arr), base, np.int64)
-        else:
-            seed = bfs_seed_mask(pa.array(node_arr), seed_pct).to_numpy(
-                zero_copy_only=False
-            )
-            rank = np.where(seed, SCALE, 0).astype(np.int64)
-            base_vec = np.where(seed, base, 0).astype(np.int64)
-        for _ in range(iters):
-            contrib = rank[ui] * w // ow
-            s = np.zeros(len(node_arr), np.int64)
-            np.add.at(s, vi, contrib)
-            rank = base_vec + damping_pct * s // 100
-        out = pa.table(
-            {"node": pa.array(node_arr), "rank": pa.array(rank, pa.int64())}
-        )
-        return ray.data.from_arrow(
-            out.sort_by([("rank", "descending"), ("node", "ascending")])
-        )
-
-    zeros = _zero_contribs(edges)
     base = (100 - damping_pct) * SCALE // 100
 
-    def init_ranks(batch: pa.Table) -> pa.Table:
+    def init_ranks(t: pa.Table) -> pa.Table:
+        """(node, rank, base): the start rank and the per-node restart
+        mass, seed-masked once for personalized PageRank."""
+        n = t.num_rows
         if seed_pct is None:
-            r = np.full(batch.num_rows, SCALE, np.int64)
+            seed = np.ones(n, bool)
         else:
-            seed = bfs_seed_mask(batch.column("node"), seed_pct).to_numpy(
-                zero_copy_only=False
-            )
-            r = np.where(seed, SCALE, 0).astype(np.int64)
-        return pa.table({"node": batch.column("node"), "rank": pa.array(r)})
-
-    ranks = zeros.map_batches(init_ranks, batch_format="pyarrow")
-
-    def probe(rk: pa.Table, e: pa.Table) -> pa.Table:
-        if e.num_rows == 0:
-            return _CONTRIB_SCHEMA.empty_table()
-        return _probe_contribs(
-            rk.column("node").to_numpy(zero_copy_only=False),
-            rk.column("rank").to_numpy(zero_copy_only=False),
-            e.column("u").to_numpy(zero_copy_only=False),
-            e.column("w").to_numpy(zero_copy_only=False),
-            e.column("ow").to_numpy(zero_copy_only=False),
-            e.column("v").combine_chunks(),
+            seed = bfs_seed_mask(t.column("node"), seed_pct).to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "node": t.column("node"),
+                "rank": pa.array(np.where(seed, SCALE, 0), pa.int64()),
+                "base": pa.array(np.where(seed, base, 0), pa.int64()),
+            }
         )
 
-    for _ in range(iters):
-        contribs = cogroup(ranks, edges, ["node"], ["u"], probe, n_parts)
-        summed = (
-            contribs.union(zeros)
-            .groupby("node")
-            .sum("contrib")
-            .map_batches(lambda t: t.rename_columns(["node", "contrib"]), batch_format="pyarrow")
+    scatter = partial(_push_sum, col="rank", src="u", dst="v", weighted=True)
+    fold = partial(_fold_sum, col="rank", damping_pct=damping_pct)
+
+    def rounds(x, edges):
+        ranks = x.map(_node_set(x, edges), init_ranks)
+        for _ in range(iters):
+            msgs = x.join(ranks, edges, ["node"], ["u"], scatter)
+            ranks = x.join(ranks, msgs, ["node"], ["node"], fold)
+        return x.result(
+            ranks,
+            pa.schema([("node", pa.string()), ("rank", pa.int64())]),
+            [("rank", "descending"), ("node", "ascending")],
         )
 
-        def new_rank(batch: pa.Table) -> pa.Table:
-            s = batch.column("contrib").to_numpy(zero_copy_only=False)
-            if seed_pct is None:
-                b = base
-            else:
-                seed = bfs_seed_mask(batch.column("node"), seed_pct).to_numpy(
-                    zero_copy_only=False
-                )
-                b = np.where(seed, base, 0).astype(np.int64)
-            return pa.table(
-                {
-                    "node": batch.column("node"),
-                    "rank": pa.array(b + damping_pct * s // 100, pa.int64()),
-                }
-            )
-
-        ranks = summed.map_batches(new_rank, batch_format="pyarrow")
-
-    return ranks.sort(["rank", "node"], descending=[True, False])
+    schema = _UV_SCHEMA.append(pa.field("w", pa.int64())).append(pa.field("ow", pa.int64()))
+    return _iterate(edges, schema, n_parts, rounds)
 
 
 def triangle_count(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -373,7 +420,7 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     n_parts = derive_n_parts(n_edges, rows_per_part=65536)
     edges = _simple_edges(adjacency, n_parts).materialize()
 
-    # Small-graph planner (round 5, the pagerank/hits convention): below
+    # Small-graph planner (round 5): below
     # joins.LOCAL_BYTES_BOUND the deduped edge set is gathered once and
     # degrees / common-neighbor counts / the micro-Jaccard are computed
     # locally — identical integers and the identical float64 rounding
@@ -604,90 +651,51 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
     removes ALL nodes under ``k`` at once, which converges to the exact
     k-core (Matula & Beck's peel, batch-synchronous).
 
-    Scale shape: per round, (1) one combine-fed endpoint exchange for
-    degrees, (2) two :func:`cogroup` exchanges that keep only
-    edges whose ``a`` / ``b`` endpoint is alive (vectorized ``is_in``
-    probe per partition — the alive set is never broadcast, so a round
-    that kills 90 % of a 10¹⁰-node graph ships labels only through the
-    keyed exchange).  Rounds stop at the fixpoint (a round that kills
-    nobody) or after ``max_rounds``; extra rounds past the fixpoint are
-    no-ops, which is what lets the SQL oracle unroll a FIXED round count
-    and still compare exactly.  Surviving edges re-materialize per round."""
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
+    Per round (:func:`_iterate`): (1) endpoint counts folded per node
+    for degrees, (2) two :func:`_semi_join` steps that keep only edges
+    whose ``a`` / ``b`` endpoint is alive (above the bound each is one
+    :func:`cogroup` — the alive set is never broadcast, so a round that
+    kills 90 % of a 10¹⁰-node graph ships labels only through the keyed
+    exchange).  Rounds stop at the fixpoint (a round that kills nobody)
+    or after ``max_rounds``; extra rounds past the fixpoint are no-ops,
+    which is what lets the SQL oracle unroll a FIXED round count and
+    still compare exactly."""
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _simple_edges(adjacency, n_parts).materialize()
+    schema = pa.schema([("node", pa.string()), ("deg", pa.int64())])
 
-    # Small-graph planner (round 5): local synchronized peeling —
-    # identical integer degrees and round semantics (tests).
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(
-                pa.table({"node": pa.array([], pa.string()), "deg": pa.array([], pa.int64())})
-            )
-        a = et.column("a").to_numpy(zero_copy_only=False)
-        b = et.column("b").to_numpy(zero_copy_only=False)
-        node_arr = np.unique(np.concatenate([a, b]))
-        ai = np.searchsorted(node_arr, a)
-        bi = np.searchsorted(node_arr, b)
-        alive_e = np.ones(len(ai), bool)
-        deg = np.bincount(np.concatenate([ai, bi]), minlength=len(node_arr)).astype(np.int64)
+    def at_least_k(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t.column("deg"), k))
+
+    def degrees(x, e):
+        return x.groups(x.map(e, _endpoint_degrees), ["node"], _sum_degrees)
+
+    def rounds(x, e):
+        deg = degrees(x, e)
         for _ in range(max_rounds):
-            # the distributed check is over EXISTING degree rows — a node
-            # with no surviving edge has no row, so deg==0 never counts
-            if not ((deg > 0) & (deg < k)).any():
+            # degree rows exist only for nodes with a surviving edge
+            alive = x.map(deg, at_least_k)
+            if x.count(alive) == x.count(deg):
                 break
-            alive_n = deg >= k
-            alive_e &= alive_n[ai] & alive_n[bi]
-            deg = np.bincount(
-                np.concatenate([ai[alive_e], bi[alive_e]]), minlength=len(node_arr)
-            ).astype(np.int64)
-        keep = (deg >= k) & (deg > 0)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array(node_arr[keep]),
-                    "deg": pa.array(deg[keep], pa.int64()),
-                }
-            ).sort_by("node")
-        )
+            e = x.join(e, alive, ["a"], ["node"], partial(_semi_join, col="a"))
+            e = x.join(e, alive, ["b"], ["node"], partial(_semi_join, col="b"))
+            deg = degrees(x, e)
+        return x.result(x.map(deg, at_least_k), schema, [("node", "ascending")])
 
-    def degree_partial(batch: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [batch.column("a").combine_chunks(), batch.column("b").combine_chunks()]
-        )
-        vc = pc.value_counts(both)
-        return pa.table(
-            {"node": vc.field("values"), "d": vc.field("counts").cast(pa.int64())}
-        )
+    ab = pa.schema([("a", pa.string()), ("b", pa.string())])
+    return _iterate(edges, ab, n_parts, rounds)
 
-    def degrees(e: ray.data.Dataset) -> ray.data.Dataset:
-        return (
-            e.map_batches(degree_partial, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(ray.data.aggregate.Sum("d", alias_name="deg"))
-        )
 
-    def keep_alive(e: ray.data.Dataset, alive: ray.data.Dataset, key: str) -> ray.data.Dataset:
-        """Edges whose ``key`` endpoint is alive: a per-partition is_in
-        probe against the alive node rows co-partitioned with them."""
+def _endpoint_degrees(t: pa.Table) -> pa.Table:
+    """Scatter of a batch of (a, b) edges: (node, deg) endpoint counts."""
+    both = pa.concat_arrays([t.column("a").combine_chunks(), t.column("b").combine_chunks()])
+    vc = pc.value_counts(both)
+    return pa.table({"node": vc.field("values"), "deg": vc.field("counts").cast(pa.int64())})
 
-        def probe(ep: pa.Table, al: pa.Table) -> pa.Table:
-            hit = pc.is_in(ep.column(key), value_set=al.column("node").combine_chunks())
-            return ep.filter(hit)
 
-        return cogroup(e, alive, [key], ["node"], probe, n_parts)
-
-    deg = degrees(edges).materialize()
-    for _ in range(max_rounds):
-        if deg.filter(expr=f"deg < {k}").count() == 0:
-            break
-        alive = deg.filter(expr=f"deg >= {k}").materialize()
-        edges = keep_alive(edges, alive, "a")
-        edges = keep_alive(edges, alive, "b").materialize()
-        deg = degrees(edges).materialize()
-
-    return deg.filter(expr=f"deg >= {k}").sort("node")
+def _sum_degrees(t: pa.Table) -> pa.Table:
+    """Fold: Σ deg per node."""
+    return t.group_by("node").aggregate([("deg", "sum")]).rename_columns(["node", "deg"])
 
 
 def degree_histogram(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -883,106 +891,60 @@ def _min_plus_hops(
 
     Relaxation is MONOTONE (min of ints), so a fixed round count is
     deterministic at any partitioning, a fixed-depth SQL unroll compares
-    exactly, and rounds past convergence are no-ops.  Below
-    :data:`..joins.LOCAL_BYTES_BOUND` the rounds run locally in numpy over
-    the gathered mirrored edges; above it each round co-partitions the
-    static mirrored edges with the distance rows in ONE :func:`cogroup`
-    exchange on the node key, the per-partition probe is a vectorized
-    sorted-array ``searchsorted`` join emitting (neighbor, dist + len)
-    candidates pre-combined locally (min per neighbor), and one
-    ``groupby(node).min`` folds them into the running distances."""
-    from ray.data.aggregate import Min
-
+    exactly, and rounds past convergence are no-ops.  Each round
+    (:func:`_iterate`) is a :func:`_relax` scatter of the distance rows
+    over the static mirrored edges — (neighbor, dist + len) candidates
+    pre-combined per partition — and a :func:`_fold_min` into the
+    running distances."""
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _undirected_both_dirs(adjacency, n_parts, weighted)
 
-    # Small-graph planner (round 5): exactly ``rounds`` synchronous
-    # rounds locally, bit-equal to the distributed exchanges (tests).
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(_DIST_SCHEMA.empty_table())
-        u = et.column("u").to_numpy(zero_copy_only=False)
-        v = et.column("v").to_numpy(zero_copy_only=False)
-        if weighted:
-            length = et.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-        else:
-            length = np.ones(len(u), np.int64)
-        node_arr = np.unique(u)  # mirrored: every endpoint appears as u
-        ui = np.searchsorted(node_arr, u)
-        vi = np.searchsorted(node_arr, v)
-        seeded = seed_mask(pa.array(node_arr)).to_numpy(zero_copy_only=False)
-        INF = np.iinfo(np.int64).max
-        dist = np.where(seeded, 0, INF).astype(np.int64)
-        for _ in range(rounds):
-            du = dist[ui]
-            ok = du != INF
-            cand = np.full(len(node_arr), INF, np.int64)
-            np.minimum.at(cand, vi[ok], du[ok] + length[ok])
-            dist = np.minimum(dist, cand)
-        reached = dist != INF
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array(node_arr[reached]),
-                    "dist": pa.array(dist[reached], pa.int64()),
-                }
-            ).sort_by("node")
-        )
-
-    def seed_partial(part: pa.Table) -> pa.Table:
+    def seeds(part: pa.Table) -> pa.Table:
+        # node set = distinct u of the mirrored table (covers every
+        # endpoint); distinct-per-partition is exact, the groups are keyed by u
         nodes = pc.unique(part.column("u").combine_chunks())
         picked = nodes.filter(seed_mask(nodes))
-        return pa.table(
-            {"node": picked, "dist": pa.array(np.zeros(len(picked), np.int64))}
-        )
+        return pa.table({"node": picked, "dist": pa.array(np.zeros(len(picked), np.int64))})
 
-    # node set = distinct u of the mirrored table (covers every endpoint);
-    # distinct-per-partition is exact because the exchange is keyed by u
-    dist = hash_partitioned_groups(edges, ["u"], seed_partial, n_parts).materialize()
+    scatter = partial(_relax, keys=["node"], weighted=weighted)
+    fold = partial(_fold_min, keys=["node"])
 
-    def probe(e: pa.Table, d: pa.Table) -> pa.Table:
-        if e.num_rows == 0 or d.num_rows == 0:
-            return _DIST_SCHEMA.empty_table()
-        dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
-        order = np.argsort(dn, kind="mergesort")
-        dn, dv = dn[order], d.column("dist").to_numpy(zero_copy_only=False)[order]
-        eu = e.column("u").to_numpy(zero_copy_only=False).astype(str)
-        if weighted:
-            length = e.column("w").to_numpy(zero_copy_only=False)
-        else:
-            length = np.ones(len(eu), np.int64)
-        pos = np.minimum(np.searchsorted(dn, eu), len(dn) - 1)
-        hit = dn[pos] == eu
-        if not hit.any():
-            return _DIST_SCHEMA.empty_table()
-        t = pa.table(
-            {
-                "node": e.column("v").combine_chunks().filter(pa.array(hit)),
-                "dist": pa.array(dv[pos[hit]] + length[hit], pa.int64()),
-            }
-        )
-        # local min combine before the node exchange
-        return (
-            t.group_by(["node"]).aggregate([("dist", "min")]).rename_columns(["node", "dist"])
-        )
+    def relax_rounds(x, edges):
+        dist = x.groups(edges, ["u"], seeds)
+        for _ in range(rounds):
+            cand = x.join(edges, dist, ["u"], ["node"], scatter)
+            dist = x.join(dist, cand, ["node"], ["node"], fold)
+        return x.result(dist, _DIST_SCHEMA, [("node", "ascending")])
 
-    for _ in range(rounds):
-        cand = cogroup(edges, dist, ["u"], ["node"], probe, n_parts)
-        # repartition BEFORE materializing: the aggregate emits as many
-        # blocks as it receives, and dist feeds next round's union — without
-        # the bound, block count (and per-block scheduling overhead)
-        # compounds exponentially across rounds (measured: 0.5→31 s/round
-        # by round 6 on a 60-node graph)
-        dist = (
-            dist.union(cand)
-            .groupby("node")
-            .aggregate(Min("dist", alias_name="dist"))
-            .repartition(n_parts)
-            .materialize()
-        )
+    return _iterate(edges, _mirrored_schema(weighted), n_parts, relax_rounds)
 
-    return dist.sort("node")
+
+def _mirrored_schema(weighted: bool) -> pa.Schema:
+    """Columns of :func:`_undirected_both_dirs`."""
+    return _UV_SCHEMA.append(pa.field("w", pa.int64())) if weighted else _UV_SCHEMA
+
+
+def _relax(edges: pa.Table, dist: pa.Table, keys: list[str], weighted: bool = False) -> pa.Table:
+    """Scatter: every edge (u, v) meets each distance row of u — one per
+    key of ``keys`` beyond ``node``, the landmark ``seed`` of
+    :func:`harmonic_centrality` — in one Arrow hash join, and offers v
+    that row's dist + len (len = ``w`` when ``weighted``, else 1),
+    min-combined per (v, key)."""
+    j = edges.join(dist, "u", right_keys="node", join_type="inner")
+    cand = pa.table(
+        {
+            "node": j.column("v"),
+            **{c: j.column(c) for c in keys[1:]},
+            "dist": pc.add(j.column("dist"), j.column("w") if weighted else 1),
+        }
+    )
+    return cand.group_by(keys).aggregate([("dist", "min")]).rename_columns(keys + ["dist"])
+
+
+def _fold_min(state: pa.Table, cand: pa.Table, keys: list[str]) -> pa.Table:
+    """Fold: the running distances ∪ the candidates, min dist per ``keys``."""
+    both = pa.concat_tables([state.select(keys + ["dist"]), cand.select(keys + ["dist"])])
+    return both.group_by(keys).aggregate([("dist", "min")]).rename_columns(keys + ["dist"])
 
 
 def bfs_hops(
@@ -1000,8 +962,7 @@ def bfs_hops(
     implicit, never materialized).
 
     The min-plus relaxation of :func:`_min_plus_hops` with every edge of
-    length 1: local numpy rounds below the small-graph bound, one
-    edge ∪ distance exchange per round above it."""
+    length 1."""
     if seeds is not None:  # explicit single/few-source mode
         chosen = pa.array(sorted(seeds), pa.string())
 
@@ -1029,127 +990,58 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
     fixed-depth SQL unroll (join → count → windowed argmax per round)
     replays it exactly.
 
-    Scale shape per round: labels exchange once through the static
-    mirrored-edge partitions (searchsorted probe emits (neighbor, label)
-    tallies pre-combined per partition), one (node, label) groupby sums
-    the tallies, and the per-node argmax is one more keyed exchange
-    resolved with a vectorized sort + first-of-run gather (the grouped-
-    MODE kernel) — no per-node dispatch.  Exchange volume is O(edges)
-    tallies per round, the LPA lower bound."""
-    from ray.data.aggregate import Sum
-
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
+    Per round (:func:`_iterate`): a :func:`_tally` scatter of the labels
+    through the static mirrored edges — (neighbor, label) tallies
+    pre-combined per partition — and an :func:`_adopt` fold, a
+    vectorized sort + first-of-run argmax per node (the grouped-MODE
+    kernel, no per-node dispatch).  Exchange volume is O(edges) tallies
+    per round, the LPA lower bound."""
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _undirected_both_dirs(adjacency, n_parts)
-
-    # Small-graph planner (round 5): local synchronous LPA — identical
-    # argmax/tie-break over exact integer tallies (tests); unchanged above.
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(
-                pa.table({"node": pa.array([], pa.string()), "community": pa.array([], pa.string())})
-            )
-        u = et.column("u").to_numpy(zero_copy_only=False)
-        v = et.column("v").to_numpy(zero_copy_only=False)
-        node_arr = np.unique(u)
-        V = np.int64(len(node_arr))
-        ui = np.searchsorted(node_arr, u).astype(np.int64)
-        vi = np.searchsorted(node_arr, v).astype(np.int64)
-        lab = np.arange(V, dtype=np.int64)  # label index == node index (sorted, so
-        # index order IS lexicographic label order — the tie-break)
-        for _ in range(rounds):
-            # tally (node=v, label=lab[u]) over the mirrored rows
-            key = vi * V + lab[ui]
-            uk, cnt = np.unique(key, return_counts=True)
-            kn, kl = uk // V, uk % V
-            # per node: max cnt, tie -> smallest label index
-            order = np.lexsort((kl, -cnt, kn))
-            kn_s = kn[order]
-            first = np.r_[True, kn_s[1:] != kn_s[:-1]]
-            new_lab = lab.copy()
-            new_lab[kn_s[first]] = kl[order][first]
-            lab = new_lab
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array(node_arr),
-                    "community": pa.array(node_arr[lab]),
-                }
-            ).sort_by("node")
-        )
 
     def init_labels(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
-        return pa.table({"node": nodes, "label": nodes})
+        return pa.table({"node": nodes, "community": nodes})
 
-    labels = hash_partitioned_groups(edges, ["u"], init_labels, n_parts).materialize()
+    def propagate(x, edges):
+        labels = x.groups(edges, ["u"], init_labels)
+        for _ in range(rounds):
+            tallies = x.join(edges, labels, ["u"], ["node"], _tally)
+            labels = x.join(labels, tallies, ["node"], ["node"], _adopt)
+        schema = pa.schema([("node", pa.string()), ("community", pa.string())])
+        return x.result(labels, schema, [("node", "ascending")])
 
-    tally_schema = pa.schema(
-        [("node", pa.string()), ("label", pa.string()), ("cnt", pa.int64())]
+    return _iterate(edges, _UV_SCHEMA, n_parts, propagate)
+
+
+def _tally(edges: pa.Table, labels: pa.Table) -> pa.Table:
+    """Scatter: every edge (u, v) offers v the label of u, counted per
+    (node, community) as ``cnt``."""
+    pos = pc.index_in(edges.column("u"), value_set=labels.column("node").combine_chunks())
+    t = pa.table(
+        {
+            "node": edges.column("v"),
+            "community": pc.take(labels.column("community"), pos),
+        }
+    ).filter(pc.is_valid(pos))
+    g = t.group_by(["node", "community"]).aggregate([([], "count_all")])
+    return g.rename_columns(["node", "community", "cnt"])
+
+
+def _adopt(labels: pa.Table, tallies: pa.Table) -> pa.Table:
+    """Fold: every node adopts its most frequent offered label, ties to
+    the lexicographically smallest; a node offered none keeps its own."""
+    g = tallies.group_by(["node", "community"]).aggregate([("cnt", "sum")])
+    s = g.sort_by([("node", "ascending"), ("cnt_sum", "descending"), ("community", "ascending")])
+    n = s.column("node").to_numpy(zero_copy_only=False)
+    best = s.filter(pa.array(np.r_[True, n[1:] != n[:-1]][: len(n)]))
+    pos = pc.index_in(labels.column("node"), value_set=best.column("node").combine_chunks())
+    won = pc.take(best.column("community"), pos)
+    return labels.set_column(
+        labels.schema.get_field_index("community"),
+        "community",
+        pc.if_else(pc.is_valid(pos), won, labels.column("community")),
     )
-
-    def probe(e: pa.Table, lab: pa.Table) -> pa.Table:
-        if e.num_rows == 0 or lab.num_rows == 0:
-            return tally_schema.empty_table()
-        ln = lab.column("node").to_numpy(zero_copy_only=False).astype(str)
-        order = np.argsort(ln, kind="mergesort")
-        ln, lv = ln[order], lab.column("label").to_numpy(zero_copy_only=False).astype(str)[order]
-        eu = e.column("u").to_numpy(zero_copy_only=False).astype(str)
-        pos = np.minimum(np.searchsorted(ln, eu), len(ln) - 1)
-        hit = ln[pos] == eu
-        if not hit.any():
-            return tally_schema.empty_table()
-        t = pa.table(
-            {
-                "node": e.column("v").combine_chunks().filter(pa.array(hit)),
-                "label": pa.array(lv[pos[hit]], pa.string()),
-            }
-        )
-        g = t.group_by(["node", "label"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "node": g.column("node"),
-                "label": g.column("label"),
-                "cnt": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    def argmax_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.schema([("node", pa.string()), ("label", pa.string())]).empty_table()
-        s = part.take(
-            pc.sort_indices(
-                part,
-                sort_keys=[
-                    ("node", "ascending"),
-                    ("cnt", "descending"),
-                    ("label", "ascending"),
-                ],
-            )
-        )
-        g = s.column("node").to_numpy(zero_copy_only=False)
-        first = np.concatenate([[True], g[1:] != g[:-1]])
-        return s.filter(pa.array(first)).select(["node", "label"])
-
-    for _ in range(rounds):
-        tallies = (
-            cogroup(edges, labels, ["u"], ["node"], probe, n_parts)
-            .groupby(["node", "label"])
-            .aggregate(Sum("cnt", alias_name="cnt"))
-        )
-        # repartition bounds the label block count across rounds (labels
-        # re-enter next round's exchange; see _min_plus_hops for the
-        # growth mode)
-        labels = (
-            hash_partitioned_groups(tallies, ["node"], argmax_part, n_parts)
-            .repartition(n_parts)
-            .materialize()
-        )
-
-    return labels.map_batches(
-        lambda t: t.rename_columns(["node", "community"]), batch_format="pyarrow"
-    ).sort("node")
 
 
 # --- deterministic random walks: the DeepWalk corpus generator ---------------
@@ -1165,155 +1057,67 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     parallelism AND exactly replayable in SQL (row_number over sorted
     neighbors joined on the same md5-mod index).
 
-    Scale shape: the distinct (u, v) edges come from
-    :func:`_directed_edges` (one exchange on hash(u), sorted per
-    partition, materialized once); each step the frontier (walk_id,
-    node) meets them in one :func:`cogroup` on the node key, and the
-    per-partition probe finds each node's neighbor run with TWO
-    searchsorted calls and gathers the picked neighbor by index
-    arithmetic — the only per-row Python is the md5 draw itself (one
-    digest per live walk per step, the portable-hash price every
-    md5-keyed oracle pays).  Frontier volume is ≤ n_walks rows per step;
-    the static edge side is re-hashed into the same exchange every step."""
-    import hashlib
-
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
+    Each step (:func:`_iterate`) the frontier (walk_id, node) meets the
+    distinct (u, v) edges of :func:`_directed_edges` in one
+    :func:`_walk_step` join on the node key, which finds each node's
+    neighbor run with TWO searchsorted calls and gathers the picked
+    neighbor by index arithmetic — the only per-row Python is the md5
+    draw itself (one digest per live walk per step, the portable-hash
+    price every md5-keyed oracle pays).  Frontier volume is ≤ n_walks
+    rows per step."""
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _directed_edges(adjacency, n_parts)
+    schema = pa.schema([("walk_id", pa.string()), ("step", pa.int64()), ("node", pa.string())])
 
-    # Small-graph planner (round 5): local walk simulation over the
-    # globally sorted edge array — identical md5 draws, runs and step
-    # ledger (tests); walk_pairs and kg_node_embeddings inherit via
-    # composition.  Unchanged above the bound.
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "walk_id": pa.array([], pa.string()),
-                        "step": pa.array([], pa.int64()),
-                        "node": pa.array([], pa.string()),
-                    }
-                )
-            )
-        et = et.sort_by([("u", "ascending"), ("v", "ascending")])
-        eu = et.column("u").to_numpy(zero_copy_only=False).astype(str)
-        ev = et.column("v").to_numpy(zero_copy_only=False)
-        wids = np.unique(eu)
-        cur = wids.copy()
-        alive = np.ones(len(wids), bool)
-        w_col = [wids]
-        s_col = [np.zeros(len(wids), np.int64)]
-        n_col = [wids]
-        for t in range(1, walk_len + 1):
-            aw = np.flatnonzero(alive)
-            if not len(aw):
-                break
-            c = cur[aw].astype(str)
-            lo = np.searchsorted(eu, c, side="left")
-            hi = np.searchsorted(eu, c, side="right")
-            deg = hi - lo
-            has = deg > 0
-            alive[aw[~has]] = False
-            aw = aw[has]
-            if not len(aw):
-                break
-            c, lo, deg = c[has], lo[has], deg[has]
-            wid = wids[aw]
-            idx = np.fromiter(
-                (
-                    int(hashlib.md5(f"{w}|{cc}|{t}".encode()).hexdigest()[:16], 16) % int(d)
-                    for w, cc, d in zip(wid, c, deg)
-                ),
-                dtype=np.int64,
-                count=len(wid),
-            )
-            nxt = np.asarray(ev[lo + idx], dtype=object).astype(str)
-            cur[aw] = nxt
-            w_col.append(wid)
-            s_col.append(np.full(len(aw), t, np.int64))
-            n_col.append(nxt)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "walk_id": pa.array(np.concatenate(w_col).astype(object), pa.string()),
-                    "step": pa.array(np.concatenate(s_col), pa.int64()),
-                    "node": pa.array(np.concatenate(n_col).astype(object), pa.string()),
-                }
-            ).sort_by([("walk_id", "ascending"), ("step", "ascending")])
-        )
-
-    def starts_part(part: pa.Table) -> pa.Table:
+    def starts(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
         return pa.table({"walk_id": nodes, "node": nodes})
 
-    frontier = hash_partitioned_groups(edges, ["u"], starts_part, n_parts).materialize()
+    def stamp(t: int):
+        return lambda b: b.append_column("step", pa.array(np.full(b.num_rows, t, np.int64)))
 
-    out_rows = [
-        frontier.map_batches(
-            lambda t: t.append_column("step", pa.array(np.zeros(t.num_rows, np.int64))),
-            batch_format="pyarrow",
-        )
-    ]
+    def walk(x, edges):
+        frontier = x.groups(edges, ["u"], starts)
+        steps = [x.map(frontier, stamp(0))]
+        for t in range(1, walk_len + 1):
+            if not x.count(frontier):
+                break
+            frontier = x.join(edges, frontier, ["u"], ["node"], partial(_walk_step, t=t))
+            steps.append(x.map(frontier, stamp(t)))
+        return x.result(x.concat(steps), schema, [("walk_id", "ascending"), ("step", "ascending")])
 
-    step_schema = pa.schema([("walk_id", pa.string()), ("node", pa.string())])
+    return _iterate(edges, _UV_SCHEMA, n_parts, walk)
 
-    def make_step(t: int):
-        def step_part(e: pa.Table, f: pa.Table) -> pa.Table:
-            if e.num_rows == 0 or f.num_rows == 0:
-                return step_schema.empty_table()
-            # edges arrive sorted per partition, but the exchange may
-            # interleave blocks — re-sort (cheap, partition-local)
-            fe = e.sort_by([("u", "ascending"), ("v", "ascending")])
-            eu = fe.column("u").to_numpy(zero_copy_only=False).astype(str)
-            cur = f.column("node").to_numpy(zero_copy_only=False).astype(str)
-            wid = f.column("walk_id").to_numpy(zero_copy_only=False).astype(str)
-            lo = np.searchsorted(eu, cur, side="left")
-            hi = np.searchsorted(eu, cur, side="right")
-            deg = hi - lo
-            alive = deg > 0
-            if not alive.any():
-                return step_schema.empty_table()
-            cur, wid, lo, deg = cur[alive], wid[alive], lo[alive], deg[alive]
-            # int(d): a 64-bit md5 int % np.int64 would silently promote to
-            # float64 (value-based casting) and corrupt the low bits
-            idx = np.fromiter(
-                (
-                    int(hashlib.md5(f"{w}|{c}|{t}".encode()).hexdigest()[:16], 16) % int(d)
-                    for w, c, d in zip(wid, cur, deg)
-                ),
-                dtype=np.int64,
-                count=len(wid),
-            )
-            picked = fe.column("v").take(pa.array(lo + idx, pa.int64()))
-            return pa.table({"walk_id": pa.array(wid, pa.string()), "node": picked})
 
-        return step_part
+def _md5_u64(keys) -> np.ndarray:
+    """The first 64 bits of md5(key) for each key string, as Python ints
+    in an object array (a 64-bit md5 int % np.int64 would silently
+    promote to float64 and corrupt the low bits)."""
+    import hashlib
 
-    for t in range(1, walk_len + 1):
-        # repartition bounds frontier blocks (frontier re-enters next
-        # step's exchange; see _min_plus_hops for the growth mode)
-        frontier = (
-            cogroup(edges, frontier, ["u"], ["node"], make_step(t), n_parts)
-            .repartition(n_parts)
-            .materialize()
-        )
-        out_rows.append(
-            frontier.map_batches(
-                lambda b, _t=t: b.append_column(
-                    "step", pa.array(np.full(b.num_rows, _t, np.int64))
-                ),
-                batch_format="pyarrow",
-            )
-        )
+    return np.array([int(hashlib.md5(k.encode()).hexdigest()[:16], 16) for k in keys], object)
 
-    out = out_rows[0]
-    for part in out_rows[1:]:
-        out = out.union(part)
-    return out.map_batches(
-        lambda b: b.select(["walk_id", "step", "node"]), batch_format="pyarrow"
-    ).sort(["walk_id", "step"])
+
+def _walk_step(edges: pa.Table, frontier: pa.Table, t: int) -> pa.Table:
+    """Step ``t`` of every walk in ``frontier`` (walk_id, node): the walk
+    at node c moves to ``sorted_out_neighbors(c)[md5_u64(walk_id|c|t) %
+    outdeg(c)]``; a walk at a node with no out-edges ends."""
+    fe = edges.sort_by([("u", "ascending"), ("v", "ascending")])
+    eu = fe.column("u").to_numpy(zero_copy_only=False).astype(str)
+    cur = frontier.column("node").to_numpy(zero_copy_only=False).astype(str)
+    wid = frontier.column("walk_id").to_numpy(zero_copy_only=False).astype(str)
+    lo = np.searchsorted(eu, cur, side="left")
+    deg = np.searchsorted(eu, cur, side="right") - lo
+    alive = deg > 0
+    cur, wid, lo, deg = cur[alive], wid[alive], lo[alive], deg[alive]
+    draw = _md5_u64([f"{w}|{c}|{t}" for w, c in zip(wid, cur)])
+    idx = (draw % deg.astype(object)).astype(np.int64)
+    return pa.table(
+        {
+            "walk_id": pa.array(wid, pa.string()),
+            "node": fe.column("v").take(pa.array(lo + idx, pa.int64())),
+        }
+    )
 
 
 def walk_pairs(
@@ -1469,160 +1273,64 @@ def fanout_sample(
     Frontier dedup per hop keeps the expansion set-valued (a node
     reached twice expands once).
 
-    Scale shape: the distinct directed edges come from
-    :func:`_directed_edges` (one exchange on hash(src), materialized
-    once); each hop the frontier meets them in one :func:`cogroup` on
-    the node key, the per-partition probe finds each node's run with two
-    searchsorted calls, ranks candidates by the md5 edge hash and keeps
-    rank ≤ fanout — per-hop exchange volume is the frontier plus the
-    re-hashed static edges, and emitted edges are ≤ |frontier|·fanout by
-    construction (the sampling bound that makes 10¹²-edge graphs
-    trainable)."""
-    import hashlib
-
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
+    Each hop (:func:`_iterate`) the frontier meets the distinct directed
+    edges of :func:`_directed_edges` in one :func:`_fanout_hop` join on
+    the node key, which finds each node's run with two searchsorted
+    calls, ranks candidates by the md5 edge hash and keeps rank ≤
+    fanout; the picked destinations are the next frontier (the join
+    brings a node's duplicates together, where the hop kernel dedups
+    them).  Emitted edges are ≤ |frontier|·fanout by construction (the
+    sampling bound that makes 10¹²-edge graphs trainable)."""
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _directed_edges(adjacency, n_parts)
+    schema = pa.schema([("hop", pa.int64()), ("src", pa.string()), ("dst", pa.string())])
 
-    # Small-graph planner (round 5): local hop simulation — identical
-    # md5 ranking, fanout cut and set-valued frontier dedup (tests).
-    if fits_local(edges):
-        out_schema_l = pa.schema(
-            [("hop", pa.int64()), ("src", pa.string()), ("dst", pa.string())]
-        )
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(out_schema_l.empty_table())
-        et = et.sort_by([("u", "ascending"), ("v", "ascending")])
-        eu = et.column("u").to_numpy(zero_copy_only=False).astype(str)
-        ev = et.column("v").to_numpy(zero_copy_only=False).astype(str)
-        uniq = np.unique(eu)
-        cur = uniq[bfs_seed_mask(pa.array(uniq), seed_pct).to_numpy(zero_copy_only=False)]
-        hop_col, src_col, dst_col = [], [], []
-        for h, fanout in enumerate(fanouts):
-            cur = np.unique(cur.astype(str))
-            lo = np.searchsorted(eu, cur, side="left")
-            hi = np.searchsorted(eu, cur, side="right")
-            nxt = []
-            for c, a_, b_ in zip(cur, lo, hi):
-                if a_ == b_:
-                    continue
-                cand = ev[a_:b_]
-                hs = np.fromiter(
-                    (
-                        int(hashlib.md5(f"fan:{c}|{x}|{h}".encode()).hexdigest()[:16], 16)
-                        for x in cand
-                    ),
-                    dtype=np.uint64,
-                    count=len(cand),
-                )
-                order = np.lexsort((cand, hs))[:fanout]
-                picked = cand[order]
-                hop_col.append(np.full(len(order), h, np.int64))
-                src_col.append(np.full(len(order), c, dtype=object))
-                dst_col.append(picked)
-                nxt.append(picked)
-            cur = np.concatenate(nxt) if nxt else np.array([], dtype=object)
-        if not hop_col:
-            return ray.data.from_arrow(out_schema_l.empty_table())
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "hop": pa.array(np.concatenate(hop_col), pa.int64()),
-                    "src": pa.array(list(np.concatenate(src_col)), pa.string()),
-                    "dst": pa.array(list(np.concatenate(dst_col)), pa.string()),
-                },
-                schema=out_schema_l,
-            ).sort_by([("hop", "ascending"), ("src", "ascending"), ("dst", "ascending")])
-        )
-
-    def seeds_part(part: pa.Table) -> pa.Table:
+    def seeds(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
         return pa.table({"node": nodes.filter(bfs_seed_mask(nodes, seed_pct))})
 
-    frontier = hash_partitioned_groups(edges, ["u"], seeds_part, n_parts).materialize()
+    def next_frontier(t: pa.Table) -> pa.Table:
+        return pa.table({"node": pc.unique(t.column("dst").combine_chunks())})
 
-    out_schema = pa.schema(
-        [("hop", pa.int64()), ("src", pa.string()), ("dst", pa.string())]
+    def sample(x, edges):
+        frontier = x.groups(edges, ["u"], seeds)
+        hops = []
+        for h, f in enumerate(fanouts):
+            hop = partial(_fanout_hop, h=h, fanout=f)
+            hops.append(x.join(edges, frontier, ["u"], ["node"], hop))
+            frontier = x.map(hops[-1], next_frontier)
+        sort_keys = [("hop", "ascending"), ("src", "ascending"), ("dst", "ascending")]
+        return x.result(x.concat(hops), schema, sort_keys)
+
+    return _iterate(edges, _UV_SCHEMA, n_parts, sample)
+
+
+def _fanout_hop(edges: pa.Table, frontier: pa.Table, h: int, fanout: int) -> pa.Table:
+    """Hop ``h`` from the distinct frontier nodes: each keeps its
+    ``fanout`` out-neighbors of smallest md5_u64('fan:'+u+'|'+v+'|'+h)
+    (ties by name) as (hop, src, dst) rows."""
+    fe = edges.sort_by([("u", "ascending"), ("v", "ascending")])
+    eu = fe.column("u").to_numpy(zero_copy_only=False).astype(str)
+    ev = fe.column("v").to_numpy(zero_copy_only=False).astype(str)
+    cur = np.unique(frontier.column("node").to_numpy(zero_copy_only=False).astype(str))
+    lo = np.searchsorted(eu, cur, side="left")
+    hi = np.searchsorted(eu, cur, side="right")
+    src, dst = [], []
+    # per frontier node: rank its run by the edge hash, keep top-f (runs
+    # are outdeg-sized; one md5 per candidate edge of the frontier only)
+    for c, a, b in zip(cur, lo, hi):
+        cand = ev[a:b]
+        hs = _md5_u64([f"fan:{c}|{x}|{h}" for x in cand]).astype(np.uint64)
+        picked = cand[np.lexsort((cand, hs))[:fanout]]
+        src += [c] * len(picked)
+        dst += picked.tolist()
+    return pa.table(
+        {
+            "hop": pa.array(np.full(len(src), h, np.int64)),
+            "src": pa.array(src, pa.string()),
+            "dst": pa.array(dst, pa.string()),
+        }
     )
-    sampled_hops: list[ray.data.Dataset] = []
-
-    def make_hop(h: int, fanout: int):
-        def hop_part(e: pa.Table, f: pa.Table) -> pa.Table:
-            if e.num_rows == 0 or f.num_rows == 0:
-                return out_schema.empty_table()
-            fe = e.sort_by([("u", "ascending"), ("v", "ascending")])
-            eu = fe.column("u").to_numpy(zero_copy_only=False).astype(str)
-            ev = fe.column("v").to_numpy(zero_copy_only=False).astype(str)
-            cur = np.unique(f.column("node").to_numpy(zero_copy_only=False).astype(str))
-            lo = np.searchsorted(eu, cur, side="left")
-            hi = np.searchsorted(eu, cur, side="right")
-            keep_src, keep_dst = [], []
-            # per frontier node: rank its run by the edge hash, keep top-f
-            # (runs are outdeg-sized; the md5 per candidate edge is the
-            # portable-hash price — one digest per candidate, candidates
-            # bounded by frontier × outdeg of the frontier only)
-            for c, a, b in zip(cur, lo, hi):
-                if a == b:
-                    continue
-                cand = ev[a:b]
-                hs = np.fromiter(
-                    (
-                        int(
-                            hashlib.md5(f"fan:{c}|{x}|{h}".encode()).hexdigest()[:16],
-                            16,
-                        )
-                        for x in cand
-                    ),
-                    dtype=np.uint64,
-                    count=len(cand),
-                )
-                order = np.lexsort((cand, hs))[:fanout]
-                keep_src.append(np.full(len(order), c, dtype=object))
-                keep_dst.append(cand[order])
-            if not keep_src:
-                return out_schema.empty_table()
-            src = np.concatenate(keep_src)
-            dst = np.concatenate(keep_dst)
-            return pa.table(
-                {
-                    "hop": pa.array(np.full(len(src), h, np.int64)),
-                    "src": pa.array(list(src), pa.string()),
-                    "dst": pa.array(list(dst), pa.string()),
-                },
-                schema=out_schema,
-            )
-
-        return hop_part
-
-    for h, f in enumerate(fanouts):
-        hop_edges = (
-            cogroup(edges, frontier, ["u"], ["node"], make_hop(h, f), n_parts)
-            .repartition(n_parts)  # block-count bound (see _min_plus_hops)
-            .materialize()
-        )
-        sampled_hops.append(hop_edges)
-
-        def next_frontier(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": pc.unique(batch.column("dst").combine_chunks())})
-
-        # dedup across partitions: one keyed pass (set-valued frontier)
-        frontier = (
-            hop_edges.map_batches(next_frontier, batch_format="pyarrow")
-            .groupby("node")
-            .map_groups(lambda t: t.slice(0, 1), batch_format="pyarrow")
-            .repartition(n_parts)
-            .materialize()
-        )
-
-    # the hops are materialized, so counting them is metadata-only; an
-    # all-empty sort would come back schema-less
-    if not any(d.count() for d in sampled_hops):
-        return ray.data.from_arrow(out_schema.empty_table())
-    out = sampled_hops[0]
-    for d in sampled_hops[1:]:
-        out = out.union(d)
-    return out.sort(["hop", "src", "dst"])
 
 
 def modularity(
@@ -2098,162 +1806,50 @@ def harmonic_centrality(
     value-exact.  Output: (node, n_reached, h_micro) for every node that
     reaches ≥ 1 landmark within ``max_hops``.
 
-    Scale shape: the bfs_hops machinery lifted to the composite
-    (node, seed) key — static mirrored edges, per round ONE
-    :func:`cogroup` of them with the dist rows on the node key; the
-    per-partition probe is a
-    sorted searchsorted-range + prefix-sum gather (one edge row fans out
-    to its u's seed rows, the band-join kernel) with a local
-    (node, seed) min combine before the keyed fold.  Relaxation stays
+    The bfs_hops rounds lifted to the composite (node, seed) key: per
+    round (:func:`_iterate`) a :func:`_relax` scatter — one edge row fans
+    out to its u's seed rows (the band join), min-combined per (node,
+    seed) — and a :func:`_fold_min` keyed on the node.  Relaxation stays
     monotone, so the fixed round count is partition-independent and the
     SQL unroll compares exactly.  Frontier volume is bounded by
     nodes × landmarks — seed_pct directly prices the accuracy/cost
     trade, which is the point of landmark approximation."""
-    from ray.data.aggregate import Min, Sum
-
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _undirected_both_dirs(adjacency, n_parts)
+    schema = pa.schema([("node", pa.string()), ("n_reached", pa.int64()), ("h_micro", pa.int64())])
 
-    # Small-graph planner (round 5): local joint multi-landmark BFS over
-    # a [V, S] distance matrix — identical per-term integer rounding and
-    # round count (tests); guarded by V·S cells as well as bytes.
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "node": pa.array([], pa.string()),
-                        "n_reached": pa.array([], pa.int64()),
-                        "h_micro": pa.array([], pa.int64()),
-                    }
-                )
-            )
-        u = et.column("u").to_numpy(zero_copy_only=False)
-        v = et.column("v").to_numpy(zero_copy_only=False)
-        node_arr = np.unique(u)
-        seed_mask = bfs_seed_mask(pa.array(node_arr), seed_pct).to_numpy(
-            zero_copy_only=False
-        )
-        S = int(seed_mask.sum())
-        if S == 0 or len(node_arr) * S <= 50_000_000:
-            ui = np.searchsorted(node_arr, u)
-            vi = np.searchsorted(node_arr, v)
-            INF = np.iinfo(np.int64).max
-            D = np.full((len(node_arr), max(S, 1)), INF, np.int64)
-            seed_idx = np.flatnonzero(seed_mask)
-            D[seed_idx, np.arange(S)] = 0
-            for _ in range(max_hops):
-                du = D[ui, :].copy()
-                fin = du != INF
-                du[fin] += 1  # masked bump — INF+1 would wrap
-                cand = np.full_like(D, INF)
-                np.minimum.at(cand, vi, du)
-                D = np.minimum(D, cand)
-            good = (D > 0) & (D != INF)
-            n_reached = good.sum(axis=1).astype(np.int64)
-            dd = np.where(good, D, 1)
-            h = np.where(good, (2_000_000 + dd) // (2 * dd), 0).sum(axis=1).astype(np.int64)
-            keep = n_reached > 0
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "node": pa.array(node_arr[keep]),
-                        "n_reached": pa.array(n_reached[keep], pa.int64()),
-                        "h_micro": pa.array(h[keep], pa.int64()),
-                    }
-                ).sort_by("node")
-            )
-
-    def seed_partial(part: pa.Table) -> pa.Table:
+    def seeds(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
         picked = nodes.filter(bfs_seed_mask(nodes, seed_pct))
         return pa.table(
+            {"node": picked, "seed": picked, "dist": pa.array(np.zeros(len(picked), np.int64))}
+        )
+
+    def harmonic(part: pa.Table) -> pa.Table:
+        """Σ over a node's reached landmarks (self excluded) of the
+        rounded 1/dist term, and their count."""
+        t = part.filter(pc.greater(part.column("dist"), 0))
+        d = t.column("dist").to_numpy(zero_copy_only=False)
+        terms = pa.table(
             {
-                "node": picked,
-                "seed": picked,
-                "dist": pa.array(np.zeros(len(picked), np.int64)),
+                "node": t.column("node"),
+                "n_reached": pa.array(np.ones(len(d), np.int64)),
+                "h_micro": pa.array((2_000_000 + d) // (2 * d), pa.int64()),
             }
         )
+        g = terms.group_by("node").aggregate([("n_reached", "sum"), ("h_micro", "sum")])
+        return g.rename_columns(schema.names)
 
-    dist = hash_partitioned_groups(edges, ["u"], seed_partial, n_parts).materialize()
+    keys = ["node", "seed"]
 
-    cand_schema = pa.schema(
-        [("node", pa.string()), ("seed", pa.string()), ("dist", pa.int64())]
-    )
+    def relax_rounds(x, edges):
+        dist = x.groups(edges, ["u"], seeds)
+        for _ in range(max_hops):
+            cand = x.join(edges, dist, ["u"], ["node"], partial(_relax, keys=keys))
+            dist = x.join(dist, cand, ["node"], ["node"], partial(_fold_min, keys=keys))
+        return x.result(x.groups(dist, ["node"], harmonic), schema, [("node", "ascending")])
 
-    def probe(e: pa.Table, d: pa.Table) -> pa.Table:
-        if e.num_rows == 0 or d.num_rows == 0:
-            return cand_schema.empty_table()
-        dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
-        order = np.argsort(dn, kind="mergesort")
-        dn = dn[order]
-        ds = d.column("seed").to_numpy(zero_copy_only=False).astype(str)[order]
-        dv = d.column("dist").to_numpy(zero_copy_only=False)[order]
-        eu = e.column("u").to_numpy(zero_copy_only=False).astype(str)
-        ev = e.column("v").to_numpy(zero_copy_only=False).astype(str)
-        lo = np.searchsorted(dn, eu, "left")
-        hi = np.searchsorted(dn, eu, "right")
-        cnt = hi - lo
-        tot = int(cnt.sum())
-        if tot == 0:
-            return cand_schema.empty_table()
-        base = np.repeat(lo, cnt)
-        within = np.arange(tot) - np.repeat(np.r_[np.int64(0), np.cumsum(cnt)[:-1]], cnt)
-        src = base + within
-        t = pa.table(
-            {
-                "node": pa.array(np.repeat(ev, cnt), pa.string()),
-                "seed": pa.array(ds[src], pa.string()),
-                "dist": pa.array(dv[src] + 1, pa.int64()),
-            }
-        )
-        return (
-            t.group_by(["node", "seed"])
-            .aggregate([("dist", "min")])
-            .rename_columns(["node", "seed", "dist"])
-        )
-
-    for _ in range(max_hops):
-        cand = cogroup(edges, dist, ["u"], ["node"], probe, n_parts)
-
-        def cand_norm(batch: pa.Table) -> pa.Table:
-            return batch.select(["node", "seed", "dist"])
-
-        dist = (
-            dist.map_batches(cand_norm, batch_format="pyarrow")
-            .union(cand.map_batches(cand_norm, batch_format="pyarrow"))
-            .groupby(["node", "seed"])
-            .aggregate(Min("dist", alias_name="dist"))
-            .repartition(n_parts)
-            .materialize()
-        )
-
-    def hpartial(batch: pa.Table) -> pa.Table:
-        d = batch.column("dist").to_numpy(zero_copy_only=False)
-        keep = d > 0
-        node = batch.column("node").filter(pa.array(keep))
-        dd = d[keep]
-        h = (2_000_000 + dd) // (2 * dd)
-        t = pa.table(
-            {
-                "node": node,
-                "n_reached": pa.array(np.ones(len(dd), np.int64)),
-                "h_micro": pa.array(h.astype(np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by("node").aggregate([("n_reached", "sum"), ("h_micro", "sum")])
-        return g.rename_columns(["node", "n_reached", "h_micro"])
-
-    return (
-        dist.map_batches(hpartial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(
-            Sum("n_reached", alias_name="n_reached"),
-            Sum("h_micro", alias_name="h_micro"),
-        )
-        .sort("node")
-    )
+    return _iterate(edges, _UV_SCHEMA, n_parts, relax_rounds)
 
 
 def ktruss(adjacency: ray.data.Dataset, k: int = 3, max_rounds: int = 5) -> ray.data.Dataset:
@@ -2536,147 +2132,50 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     replays bit-exactly; envelope: max in/out-degree × 10¹² must fit
     int64 — degree ≤ 9·10⁶, far past the KG's hubs).
 
-    Scale shape: the distinct directed edges come from
-    :func:`_directed_edges` (materialized once); each half-step
-    co-partitions the current score rows with them in one
-    :func:`cogroup` — keyed on ``u`` for the hub→authority probe, on
-    ``v`` for the authority→hub probe — probes with one vectorized
-    searchsorted, pre-sums contributions per destination INSIDE the
-    partition, and folds one global max (a scalar) for the rescale.
-    Below :data:`..joins.LOCAL_BYTES_BOUND` the half-steps run locally in
-    numpy instead — bit-equality of the two paths is tested."""
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-    SCALE6 = 10**6
+    Each half-step (:func:`_iterate`) is a :func:`_push_sum` scatter of
+    the current scores over the distinct directed edges of
+    :func:`_directed_edges` — along u → v for the authority half, v → u
+    for the hub half, pre-summed per destination — a :func:`_fold_sum`
+    into the (node, hub_scaled, auth_scaled) state, and one global max
+    (a scalar) for the rescale."""
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _directed_edges(adjacency, n_parts)
+    SCALE6 = 10**6
 
-    # Small-graph planner (round 5, the pagerank convention): below
-    # joins.LOCAL_BYTES_BOUND the whole directed edge table is gathered
-    # once and the exact-integer half-steps run in numpy with no
-    # per-half-step exchange — bit-identical (integer sums + max-rescale
-    # only; asserted in tests), and each of the 2·iters all-to-alls costs
-    # seconds of fixed latency (3-iteration HITS on the 625-edge KG
-    # measured 108 s distributed).  Above the bound: unchanged exchanges.
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "node": pa.array([], pa.string()),
-                        "hub_scaled": pa.array([], pa.int64()),
-                        "auth_scaled": pa.array([], pa.int64()),
-                    }
-                )
-            )
-        eu = et.column("u").to_numpy(zero_copy_only=False)
-        ev = et.column("v").to_numpy(zero_copy_only=False)
-        node_arr = np.unique(np.concatenate([eu, ev]))
-        ui = np.searchsorted(node_arr, eu)
-        vi = np.searchsorted(node_arr, ev)
-
-        def _half(score: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-            raw = np.zeros(len(node_arr), np.int64)
-            np.add.at(raw, dst, score[src])
-            m = int(raw.max()) if len(raw) else 0
-            return raw * SCALE6 // m if m > 0 else np.zeros(len(node_arr), np.int64)
-
-        hub = np.full(len(node_arr), SCALE6, np.int64)
-        auth = np.zeros(len(node_arr), np.int64)
-        for _ in range(iters):
-            auth = _half(hub, ui, vi)
-            hub = _half(auth, vi, ui)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array(node_arr),
-                    "hub_scaled": pa.array(hub, pa.int64()),
-                    "auth_scaled": pa.array(auth, pa.int64()),
-                }
-            ).sort_by("node")
-        )
-
-    zeros = _zero_contribs(edges)
-
-    def init_scores(batch: pa.Table) -> pa.Table:
+    def init_scores(t: pa.Table) -> pa.Table:
+        n = t.num_rows
         return pa.table(
             {
-                "node": batch.column("node"),
-                "s": pa.array(np.full(batch.num_rows, SCALE6, np.int64)),
+                "node": t.column("node"),
+                "hub_scaled": pa.array(np.full(n, SCALE6, np.int64)),
+                "auth_scaled": pa.array(np.zeros(n, np.int64)),
             }
         )
 
-    def half_step(scores: ray.data.Dataset, src: str, dst: str) -> ray.data.Dataset:
-        """score'(dst) = Σ score(src) over the edges, rescaled: (u, v)
-        gives the authority half-step, (v, u) the hub half-step."""
-
-        def probe(sc: pa.Table, e: pa.Table) -> pa.Table:
-            if sc.num_rows == 0 or e.num_rows == 0:
-                return _CONTRIB_SCHEMA.empty_table()
-            sk = sc.column("node").to_numpy(zero_copy_only=False)
-            order = np.argsort(sk, kind="mergesort")
-            sv = sc.column("s").to_numpy(zero_copy_only=False)[order]
-            pos = np.searchsorted(sk[order], e.column(src).to_numpy(zero_copy_only=False))
-            return (
-                pa.table({"node": e.column(dst), "contrib": pa.array(sv[pos], pa.int64())})
-                .group_by(["node"])
-                .aggregate([("contrib", "sum")])
-                .rename_columns(["node", "contrib"])
-            )
-
-        raw = (
-            cogroup(scores, edges, ["node"], [src], probe, n_parts)
-            .union(zeros)
-            .groupby("node")
-            .sum("contrib")
-            .map_batches(
-                lambda t: t.rename_columns(["node", "contrib"]),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-        m = raw.max("contrib")
-        m = int(m) if m is not None else 0
-
-        def rescale(batch: pa.Table) -> pa.Table:
-            c = batch.column("contrib").to_numpy(zero_copy_only=False)
-            s = (c * SCALE6 // m) if m > 0 else np.zeros(len(c), np.int64)
-            return pa.table({"node": batch.column("node"), "s": pa.array(s, pa.int64())})
-
-        return raw.map_batches(rescale, batch_format="pyarrow")
-
-    hubs = zeros.map_batches(init_scores, batch_format="pyarrow")
-    auths = None
-    for _ in range(iters):
-        auths = half_step(hubs, "u", "v")
-        hubs = half_step(auths, "v", "u")
-
-    def side(col: str):
-        def f(batch: pa.Table) -> pa.Table:
-            z = np.zeros(batch.num_rows, np.int64)
-            s_ = batch.column("s").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "node": batch.column("node"),
-                    "hub_scaled": pa.array(s_ if col == "hub" else z, pa.int64()),
-                    "auth_scaled": pa.array(s_ if col == "auth" else z, pa.int64()),
-                }
-            )
+    def rescale(col: str, m: int):
+        def f(t: pa.Table) -> pa.Table:
+            c = t.column(col).to_numpy(zero_copy_only=False)
+            return _with(t, col, c * SCALE6 // m if m > 0 else np.zeros(len(c), np.int64))
 
         return f
 
-    # every node appears exactly once per side — a sum-merge joins them
-    return (
-        hubs.map_batches(side("hub"), batch_format="pyarrow")
-        .union(auths.map_batches(side("auth"), batch_format="pyarrow"))
-        .groupby("node")
-        .sum(["hub_scaled", "auth_scaled"])
-        .map_batches(
-            lambda t: t.rename_columns(["node", "hub_scaled", "auth_scaled"]),
-            batch_format="pyarrow",
-        )
-        .sort("node")
-    )
+    def half_step(x, edges, scores, src: str, dst: str, frm: str, to: str):
+        """score'(dst) = Σ score(src) over the edges, rescaled to 10⁶ at
+        the max."""
+        msgs = x.join(scores, edges, ["node"], [src], partial(_push_sum, col=frm, src=src, dst=dst))
+        raw = x.join(scores, msgs, ["node"], ["node"], partial(_fold_sum, col=to))
+        return x.map(raw, rescale(to, x.max(raw, to)))
+
+    def rounds(x, edges):
+        scores = x.map(_node_set(x, edges), init_scores)
+        for _ in range(iters):
+            scores = half_step(x, edges, scores, "u", "v", "hub_scaled", "auth_scaled")
+            scores = half_step(x, edges, scores, "v", "u", "auth_scaled", "hub_scaled")
+        names = ["node", "hub_scaled", "auth_scaled"]
+        schema = pa.schema([(c, pa.string() if c == "node" else pa.int64()) for c in names])
+        return x.result(scores, schema, [("node", "ascending")])
+
+    return _iterate(edges, _UV_SCHEMA, n_parts, rounds)
 
 
 def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dataset:
@@ -2691,136 +2190,49 @@ def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dat
     executed round: (round, removed, core_after) — core_after of the
     last row is the cycle-core size, 0 ⇔ DAG (within the cap).
 
-    Scale shape (the kcore/ktruss peel class): the distinct directed
-    edge set re-derives per round from the survivor set; each round is
-    two combine-fed degree groupbys plus one survivor semi-join —
-    exchange volume ∝ surviving edges, monotonically shrinking."""
+    Per round (:func:`_iterate`; the kcore/ktruss peel class): the
+    survivors are the nodes whose (node, side) endpoint rows show both
+    sides, folded per node, and the edges keep both endpoints among them
+    through two :func:`_semi_join` steps — above the bound each a keyed
+    :func:`cogroup`, so nothing node-sized reaches the driver.  Exchange
+    volume ∝ surviving edges, monotonically shrinking."""
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = _directed_edges(adjacency, n_parts)
 
-    # Small-graph planner (round 5): local source/sink peeling with the
-    # identical round ledger (tests); unchanged above the bound.
-    if fits_local(edges):
-        et = _gather(edges)
-        ou_r, ou_rm, ou_c = [], [], []
-        if et is not None:
-            u = et.column("u").to_numpy(zero_copy_only=False)
-            v = et.column("v").to_numpy(zero_copy_only=False)
-            node_arr = np.unique(np.concatenate([u, v]))
-            ui = np.searchsorted(node_arr, u)
-            vi = np.searchsorted(node_arr, v)
-            alive_e = np.ones(len(ui), bool)
-            prev = len(node_arr)
-            for rnd in range(1, max_rounds + 1):
-                outs = np.zeros(len(node_arr), np.int64)
-                ins = np.zeros(len(node_arr), np.int64)
-                np.add.at(outs, ui[alive_e], 1)
-                np.add.at(ins, vi[alive_e], 1)
-                surv = (outs > 0) & (ins > 0)
-                n_surv = int(surv.sum())
-                removed = prev - n_surv
-                ou_r.append(rnd)
-                ou_rm.append(removed)
-                ou_c.append(n_surv)
-                if removed == 0 or n_surv == 0:
-                    break
-                prev = n_surv
-                alive_e &= surv[ui] & surv[vi]
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "round": pa.array(ou_r, pa.int64()),
-                    "removed": pa.array(ou_rm, pa.int64()),
-                    "core_after": pa.array(ou_c, pa.int64()),
-                }
-            )
-        )
-    out_rounds, out_removed, out_core = [], [], []
-    n_nodes = None
-    for rnd in range(1, max_rounds + 1):
-        def deg_partial(batch: pa.Table) -> pa.Table:
-            outs = pa.table({"node": batch.column("u")}).append_column(
-                "side", pa.array(np.zeros(batch.num_rows, np.int8))
-            )
-            ins = pa.table({"node": batch.column("v")}).append_column(
-                "side", pa.array(np.ones(batch.num_rows, np.int8))
-            )
-            return pa.concat_tables([outs, ins]).group_by(["node", "side"]).aggregate([])
-
-        # survivors = nodes with BOTH an out-edge and an in-edge
-        def keep_both(part: pa.Table) -> pa.Table:
-            g = part.group_by(["node"]).aggregate([("side", "count_distinct")])
-            return pa.table(
-                {"node": g.column("node").filter(pc.equal(g.column("side_count_distinct"), 2))}
-            )
-
-        survivors = (
-            edges.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("node")
-            .map_groups(keep_both, batch_format="pyarrow")
-            .materialize()
-        )
-        n_surv = survivors.count()
-        if n_nodes is None:
-            # initial node count from the round-1 degree rows
-            def node_partial(batch: pa.Table) -> pa.Table:
-                both = pa.concat_arrays(
-                    [batch.column("u").combine_chunks(), batch.column("v").combine_chunks()]
-                )
-                return pa.table({"node": pc.unique(both)})
-
-            n_nodes = (
-                edges.map_batches(node_partial, batch_format="pyarrow")
-                .groupby("node")
-                .map_groups(lambda t: t.slice(0, 1), batch_format="pyarrow")
-                .count()
-            )
-            prev = n_nodes
-        removed = prev - n_surv
-        out_rounds.append(rnd)
-        out_removed.append(removed)
-        out_core.append(n_surv)
-        if removed == 0 or n_surv == 0:
-            break
-        prev = n_surv
-        # survivor semi-join: the shrinking node set is concatenated on
-        # the driver and broadcast once per round (ray.put, zero-copy
-        # reads), applied with one vectorized is_in per batch.  This
-        # broadcast is UNCONDITIONAL — driver memory is bounded by the
-        # node universe (ids only, ~16 B/node: 10⁸ entities ≈ 1.6 GB),
-        # fine for a KG entity set but not for an arbitrary web-scale
-        # graph.  A reduce-side fallback exists in the codebase as the
-        # tagged-union hash-partitioned anti-join of
-        # functions/components.dedup_keep_one (same shape, inverted
-        # mask); wiring it here would cost two keyed exchanges of the
-        # edge table PER ROUND, which is why it is not the default.
-        surv_arr = pa.concat_arrays(
-            [
-                b.column("node").combine_chunks()
-                for b in survivors.iter_batches(batch_format="pyarrow")
-                if b.num_rows
-            ]
-        )
-        surv_ref = ray.put(surv_arr)
-
-        def filter_edges(batch: pa.Table) -> pa.Table:
-            ss = ray.get(surv_ref)
-            keep = pc.and_(
-                pc.is_in(batch.column("u").combine_chunks(), value_set=ss),
-                pc.is_in(batch.column("v").combine_chunks(), value_set=ss),
-            )
-            return batch.filter(keep)
-
-        edges = edges.map_batches(filter_edges, batch_format="pyarrow").materialize()
-    return ray.data.from_arrow(
-        pa.table(
+    def sides(t: pa.Table) -> pa.Table:
+        """Distinct (node, side) endpoint rows: 0 = has an out-edge,
+        1 = has an in-edge."""
+        u, v = t.column("u").combine_chunks(), t.column("v").combine_chunks()
+        both = pa.table(
             {
-                "round": pa.array(out_rounds, pa.int64()),
-                "removed": pa.array(out_removed, pa.int64()),
-                "core_after": pa.array(out_core, pa.int64()),
+                "node": pa.concat_arrays([u, v]),
+                "side": pa.array(np.repeat(np.array([0, 1], np.int8), t.num_rows)),
             }
         )
-    )
+        return both.group_by(["node", "side"]).aggregate([])
+
+    def both_sides(part: pa.Table) -> pa.Table:
+        g = part.group_by("node").aggregate([("side", "count_distinct")])
+        return g.filter(pc.equal(g.column("side_count_distinct"), 2)).select(["node"])
+
+    def peel(x, edges):
+        ledger = {"round": [], "removed": [], "core_after": []}
+        prev = x.count(_node_set(x, edges))
+        for rnd in range(1, max_rounds + 1 if prev else 1):  # no edges: no rounds
+            survivors = x.groups(x.map(edges, sides), ["node"], both_sides)
+            n_surv = x.count(survivors)
+            for col, val in zip(ledger, (rnd, prev - n_surv, n_surv)):
+                ledger[col].append(val)
+            if n_surv in (0, prev):
+                break
+            prev = n_surv
+            edges = x.join(edges, survivors, ["u"], ["node"], partial(_semi_join, col="u"))
+            edges = x.join(edges, survivors, ["v"], ["node"], partial(_semi_join, col="v"))
+        return ray.data.from_arrow(
+            pa.table({col: pa.array(vals, pa.int64()) for col, vals in ledger.items()})
+        )
+
+    return _iterate(edges, _UV_SCHEMA, n_parts, peel)
 
 
 def diameter_2sweep(

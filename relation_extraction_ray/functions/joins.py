@@ -33,11 +33,14 @@ input at or below it runs the kernel ONCE over all rows, as one
 ``map_batches`` batch on a worker (what a 1-partition exchange would
 hand it, without the sort shuffle and its M×N objects), and the result
 is re-cut into about ``n_parts`` blocks for the operators downstream;
-above it the keyed exchange runs, its input coalesced to ``n_parts``
-blocks only when blocks × ``n_parts`` exceeds ``_MAX_EXCHANGE_OBJECTS``.
-The graph and components operators read the same bound through the
-same probe for their local numpy paths, so patching the one attribute
-forces every planner onto its distributed path.
+above it the keyed exchange runs.  :func:`hash_partitioned_groups`
+coalesces its input to ``n_parts`` blocks only when blocks × ``n_parts``
+exceeds ``_MAX_EXCHANGE_OBJECTS``; :func:`cogroup` whenever its two
+sides hold more than ``n_parts`` blocks, so its output — which the
+iterative graph rounds feed back into the next round — never holds
+more.  The graph and components operators read the same bound through
+the same probe for their in-process paths, so patching the one
+attribute forces every planner onto its distributed path.
 """
 
 from __future__ import annotations
@@ -213,8 +216,9 @@ def derived_num_parts(factor: int = 2, minimum: int = 8) -> int:
 
 #: The one size bound of the engine's planners.  A hash exchange whose
 #: materialized input is at most this many bytes runs its kernel once over
-#: all rows; the iterative graph and components operators run their local
-#: numpy path below it.  ~64 MB ≈ 1.3M collapsed graph edges: every
+#: all rows; the iterative graph operators run their rounds in-process
+#: and components its one numpy kernel call below it.  ~64 MB ≈ 1.3M
+#: collapsed graph edges: every
 #: ray.data all-to-all costs fixed scheduling latency (the sort shuffles of
 #: a 16k-triple KG's entities and adjacency took 0.20 s and 0.36 s, against
 #: 0.26 s for the whole single-process canonicalize), which dominated
@@ -386,21 +390,22 @@ def cogroup(
     empty the kernel runs once on the two typed empty tables, so the
     result is typed either way (unless a side carries no schema — a map
     over no rows drops it — which leaves nothing to type from and gives
-    an untyped empty result).  The exchange has exactly ``n_parts``
-    reduce tasks (``num_partitions``): without that bound the sort runs
-    one reduce task per input block, and on small sides scheduling, not
-    data, dominates.
+    an untyped empty result).  The exchange has at most ``n_parts``
+    reduce tasks and output blocks: the sort behind ``map_groups`` runs
+    one reduce task per input block, so the union is coalesced to
+    ``n_parts`` blocks first whenever it holds more — on small sides
+    scheduling, not data, dominates, and an iterative caller feeding
+    each output into the next round would otherwise compound blocks.
 
     Both inputs are materialized first, so their schemas are read from
     block metadata (never by re-running a lazy plan), and the two sides'
     summed bytes plan the exchange (:func:`fits_local`): at or below
     :data:`LOCAL_BYTES_BOUND` the kernel runs ONCE on all left and all
     right rows, on a worker — what a 1-partition exchange hands it;
-    above it the keyed exchange runs, its input coalesced per
-    ``_MAX_EXCHANGE_OBJECTS``.  The union pads each side with typed nulls
-    for the other side's columns; a column name shared by the two sides
-    must carry the same type on both, or ``ValueError`` is raised before
-    anything runs."""
+    above it the keyed exchange runs.  The union pads each side with
+    typed nulls for the other side's columns; a column name shared by the
+    two sides must carry the same type on both, or ``ValueError`` is
+    raised before anything runs."""
     left, right = left.materialize(), right.materialize()
     ls, rs = _arrow_schema(left), _arrow_schema(right)
     for name in sorted(set(ls.names) & set(rs.names)):
@@ -436,14 +441,16 @@ def cogroup(
             group.filter(pc.invert(is_left)).select(rs.names),
         )
 
-    local = fits_local(left, right)
-    if not local:
-        left, right = _coalesced(left, n_parts), _coalesced(right, n_parts)
     tagged = left.map_batches(tagger(0, left_on, ls), batch_format="pyarrow").union(
         right.map_batches(tagger(1, right_on, rs), batch_format="pyarrow")
     )
-    if local:
+    if fits_local(left, right):
         return _one_call(tagged, run, left.count() + right.count(), n_parts)
+    # the sort exchange behind map_groups emits one block per input block
+    # (it ignores num_partitions), so an output fed back into the next
+    # cogroup would compound its block count round after round
+    if left.num_blocks() + right.num_blocks() > n_parts:
+        tagged = tagged.repartition(n_parts)
     return tagged.groupby(_PART, num_partitions=n_parts).map_groups(
         run, batch_format="pyarrow"
     )

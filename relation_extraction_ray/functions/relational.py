@@ -6175,7 +6175,8 @@ def _purchase_matrix(
 ) -> ray.data.Dataset:
     """(cust, part, n) purchase-count matrix via ONE orderkey-keyed
     reduce-side exchange (lineitem count partials + orders custkey rows
-    co-located, searchsorted stitch, cross-partition fold) — shared by
+    co-located, searchsorted stitch) and one (cust, part)-keyed fold
+    (:func:`.joins.hash_partitioned_groups`) — shared by
     the user- and item-CF operators; neither fact table is broadcast.
 
     ``resume_dir``: checkpoint the orderkey exchange through
@@ -6262,16 +6263,19 @@ def _purchase_matrix(
             "purchase_matrix", str(lineitem.count()), str(orders.count()), str(n_parts), str(digest)
         )
         stitched = resumable_exchange(both, ["okey"], stitch, n_parts, resume_dir, fp)
-    cp = (
-        stitched.groupby(["cust", "part"])
-        .sum("n")
-        .map_batches(
-            lambda t: t.rename_columns(["cust", "part", "n"]), batch_format="pyarrow"
-        )
-        .materialize()
-    )
 
-    return cp
+    # cross-partition fold: an Arrow group_by sum per (cust, part) hash
+    # partition; ``part`` is the exchange's partition column, so the part
+    # key travels as ``pkey``
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(["cust", "pkey"]).aggregate([("n", "sum")])
+        return g.rename_columns(["cust", "part", "n"])
+
+    keyed = stitched.map_batches(
+        lambda t: t.select(["cust", "part", "n"]).rename_columns(["cust", "pkey", "n"]),
+        batch_format="pyarrow",
+    )
+    return hash_partitioned_groups(keyed, ["cust", "pkey"], fold, n_parts).materialize()
 
 
 def cf_user_topk(

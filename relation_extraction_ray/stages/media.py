@@ -20,6 +20,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 MEDIA_SPANS = pa.schema(
@@ -259,9 +260,24 @@ PHASH_SCHEMA = pa.schema(
     ]
 )
 
-#: span_idx < 64 always (a synth doc has ≤ ~10 spans; the generator is
-#: bounded by 2·n_sent+1 ≤ 9) — uid packing headroom asserted per batch.
+#: span_idx < 64 always for synth docs (≤ ~10 spans; the generator is
+#: bounded by 2·n_sent+1 ≤ 9) — uid packing headroom, checked per row.
 _UID_SPANS = 64
+
+
+def _span_uid(doc_id: str | None, span_idx: int | None) -> tuple[int | None, str | None]:
+    """``(doc_index·64 + span_idx, None)`` for a ``doc%09d`` id (at most
+    16 digits, so the uid fits int64) and ``0 ≤ span_idx < 64``; else
+    ``(None, reason)``.  The round trip through ``%09d`` rejects any
+    other spelling of the same index, so two rows never share a uid."""
+    digits = doc_id[3:] if isinstance(doc_id, str) and doc_id.startswith("doc") else ""
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 16):
+        return None, f"doc_id {doc_id!r} is not doc%09d"
+    if f"doc{int(digits):09d}" != doc_id:
+        return None, f"doc_id {doc_id!r} is not doc%09d"
+    if span_idx is None or not 0 <= span_idx < _UID_SPANS:
+        return None, f"span_idx {span_idx!r} outside [0, {_UID_SPANS})"
+    return int(digits) * _UID_SPANS + span_idx, None
 
 
 #: Docs per near-dup locality window: the synthetic family key is
@@ -333,7 +349,9 @@ class PhashStage:
     aHash64.  Real path: PIL grayscale-resize to 8×9 when importable and
     the payload decodes; sandbox path: :func:`_fake_pixels` (backend
     recorded per row, never an exception — one bad blob must not kill a
-    100-TB run)."""
+    100-TB run).  A row whose (doc_id, span_idx) has no uid
+    (:func:`_span_uid`) is recorded, not hashed: null uid and hashes,
+    ``backend`` = ``"error: <reason>"``."""
 
     def __init__(self) -> None:
         try:
@@ -366,16 +384,21 @@ class PhashStage:
             batch.column("media_ref").to_pylist(),
             batch.column("payload").to_pylist(),
         ):
-            doc_index = int(doc_id[3:])  # synth format 'doc%09d'
-            px, backend = self._pixels(payload, kind, doc_index // _LOCALITY_DOCS)
-            assert span_idx < _UID_SPANS
+            uid, err = _span_uid(doc_id, span_idx)
+            if err is None:
+                locality = uid // _UID_SPANS // _LOCALITY_DOCS
+                px, backend = self._pixels(payload, kind, locality)
+                dh, ah = dhash64(px), ahash64(px)
+            else:
+                dh = ah = None
+                backend = f"error: {err}"
             out["doc_id"].append(doc_id)
             out["span_idx"].append(span_idx)
-            out["uid"].append(doc_index * _UID_SPANS + span_idx)
+            out["uid"].append(uid)
             out["kind"].append(kind)
             out["media_ref"].append(ref)
-            out["dhash"].append(dhash64(px))
-            out["ahash"].append(ahash64(px))
+            out["dhash"].append(dh)
+            out["ahash"].append(ah)
             out["backend"].append(backend)
         return pa.Table.from_pydict(out, schema=PHASH_SCHEMA)
 
@@ -424,8 +447,11 @@ def _dup_pairs_from_phash(
 ) -> ray.data.Dataset:
     from ..functions.dedup import hamming_pairs_from_signatures
 
+    def hashed(t: pa.Table) -> pa.Table:  # recorded-error rows carry no hash
+        return t.select(["uid", "dhash"]).filter(pc.is_valid(t.column("uid")))
+
     return hamming_pairs_from_signatures(
-        phash.select_columns(["uid", "dhash"]),
+        phash.map_batches(hashed, batch_format="pyarrow"),
         id_col="uid",
         sig_col="dhash",
         max_hamming=max_hamming,

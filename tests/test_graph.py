@@ -5,6 +5,8 @@ from collections import defaultdict
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ray
 
@@ -1217,3 +1219,130 @@ def test_local_planner_bit_equal_to_distributed(ray_session):
             dist = shape(make(), cols)
         assert local == dist, cols
         assert local[0] is not None, cols  # typed, never schema-less
+
+
+_KINDS = ("empty", "self_loops", "star", "chain", "random")
+
+
+def _graph_rows(kind: str, n: int, seed: int) -> list:
+    import random
+
+    rng = random.Random(seed)
+    node = [f"n{i:02d}" for i in range(n)]
+    if kind == "empty":
+        return []
+    if kind == "self_loops":
+        return [(x, "p", x, 1 + i % 3) for i, x in enumerate(node)]
+    if kind == "star":  # hub out to every leaf, a few leaves back in
+        return [(node[0], "p", x, 1 + i % 2) for i, x in enumerate(node[1:])] + [
+            (x, "q", node[0], 2) for x in node[1 : 1 + n // 3]
+        ]
+    if kind == "chain":
+        return [(a, "p", b, 1 + i % 3) for i, (a, b) in enumerate(zip(node, node[1:]))]
+    return [
+        (rng.choice(node), rng.choice(["p", "q"]), rng.choice(node), rng.randrange(1, 4))
+        for _ in range(3 * n)
+    ]
+
+
+def _typed_adj(rows):
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "src_id": pa.array([r[0] for r in rows], pa.string()),
+                "pred": pa.array([r[1] for r in rows], pa.string()),
+                "dst_id": pa.array([r[2] for r in rows], pa.string()),
+                "weight": pa.array([r[3] for r in rows], pa.int64()),
+            }
+        )
+    ).repartition(3)
+
+
+def _nine_operators(G):
+    return [
+        (lambda a: G.pagerank(a, iters=2), ["node", "rank"]),
+        (lambda a: G.pagerank(a, iters=1, seed_pct=30), ["node", "rank"]),
+        (lambda a: G.hits(a, iters=1), ["node", "hub_scaled", "auth_scaled"]),
+        (lambda a: G.bfs_hops(a, seed_pct=30, max_hops=3), ["node", "dist"]),
+        (lambda a: G.sssp_hops(a, seed_pct=30, rounds=2), ["node", "dist"]),
+        (
+            lambda a: G.harmonic_centrality(a, seed_pct=30, max_hops=2),
+            ["node", "n_reached", "h_micro"],
+        ),
+        (lambda a: G.label_propagation(a, rounds=2), ["node", "community"]),
+        (lambda a: G.kcore(a, k=2, max_rounds=3), ["node", "deg"]),
+        (lambda a: G.trim_core(a, max_rounds=4), ["round", "removed", "core_after"]),
+        (lambda a: G.random_walks(a, walk_len=2), ["walk_id", "step", "node"]),
+        (lambda a: G.fanout_sample(a, seed_pct=30, fanouts=(2, 1)), ["hop", "src", "dst"]),
+    ]
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    kind=st.sampled_from(_KINDS),
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**16),
+    n_parts=st.sampled_from([1, 4]),
+)
+@example(kind="empty", n=2, seed=0, n_parts=1)
+@example(kind="self_loops", n=3, seed=0, n_parts=4)
+@example(kind="star", n=7, seed=0, n_parts=4)
+@example(kind="chain", n=6, seed=0, n_parts=1)
+@example(kind="random", n=8, seed=1, n_parts=4)
+def test_iterate_drivers_same_rows(ray_session, kind, n, seed, n_parts):
+    """Every iterative operator gives the same rows and column names
+    under both of :func:`_iterate`'s drivers: in-process (the default
+    bound) and keyed exchanges (``joins.LOCAL_BYTES_BOUND`` = 0) over
+    ``n_parts`` partitions."""
+    import unittest.mock as mock
+
+    import relation_extraction_ray.functions.graph as G
+    from relation_extraction_ray.functions import joins
+
+    adjacency = _typed_adj(_graph_rows(kind, n, seed))
+
+    def shape(ds, cols):
+        ds = ds.materialize()
+        names = ds.schema().names if ds.schema() is not None else None
+        return names, sorted(tuple(r[c] for c in cols) for r in ds.take_all())
+
+    for op, cols in _nine_operators(G):
+        in_process = shape(op(adjacency), cols)
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0), mock.patch.object(
+            G, "derive_n_parts", lambda rows, **kw: n_parts
+        ):
+            exchanged = shape(op(adjacency), cols)
+        assert in_process == exchanged, (kind, cols)
+        assert in_process[0] == cols
+
+
+def test_exchange_rounds_keep_at_most_n_parts_blocks(ray_session):
+    """Above the bound every round of ``_min_plus_hops`` and
+    ``label_propagation`` is ``cogroup`` calls, and each call's output
+    holds at most ``n_parts`` blocks however many rounds run — a round
+    output that re-enters the next round cannot compound its block
+    count."""
+    import unittest.mock as mock
+
+    import relation_extraction_ray.functions.graph as G
+    from relation_extraction_ray.functions import joins
+
+    adjacency = _typed_adj(_graph_rows("chain", 12, 0)).repartition(6)
+    blocks = []
+    real_cogroup = G.cogroup
+
+    def counting_cogroup(*args, **kwargs):
+        out = real_cogroup(*args, **kwargs).materialize()
+        blocks.append(out.num_blocks())
+        return out
+
+    with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0), mock.patch.object(
+        G, "derive_n_parts", lambda rows, **kw: 4
+    ), mock.patch.object(G, "cogroup", counting_cogroup):
+        dist = G.bfs_hops(adjacency, seeds=["n00"], max_hops=8).take_all()
+        assert len(blocks) == 2 * 8 and max(blocks) <= 4, blocks
+        assert [r["dist"] for r in dist] == list(range(9))
+        blocks.clear()
+        labels = G.label_propagation(adjacency, rounds=6).take_all()
+        assert len(blocks) == 2 * 6 and max(blocks) <= 4, blocks
+        assert len(labels) == 12

@@ -194,3 +194,82 @@ def test_media_keep_one_union_find(ray_session):
     want = sorted(set(ph) - drop)
     got = sorted(r["uid"] for r in media_keep_one(docs, max_hamming=3).take_all())
     assert got == want and len(drop) > 0
+
+
+_MALFORMED_PHASH = r"""
+import json
+import pyarrow as pa
+from relation_extraction_ray.stages.media import PhashStage, _synth_payload
+
+rows = [
+    ("doc000000001", 0), ("doc000000001", 63), ("doc000000002", 0),
+    ("doc000000001", 64),    # would pack into doc 2's uid 128
+    ("doc0000000001", 0),    # another spelling of doc 1
+    ("docX", 0), ("img000000001", 0), ("doc", 1), (None, 0),
+    ("doc000000003", -1),    # would pack into doc 2's uid 191
+]
+batch = pa.table({
+    "doc_id": pa.array([r[0] for r in rows], pa.string()),
+    "span_idx": pa.array([r[1] for r in rows], pa.int32()),
+    "kind": ["image"] * len(rows),
+    "media_ref": [f"m{i}" for i in range(len(rows))],
+    "payload": [_synth_payload(f"m{i}", 64) for i in range(len(rows))],
+})
+out = PhashStage()(batch)
+print(json.dumps({c: out.column(c).to_pylist() for c in ("uid", "dhash", "backend")}))
+"""
+
+
+def test_phash_records_malformed_rows_under_python_O():
+    """A non-``doc%09d`` doc_id or a span_idx outside [0, 64) neither
+    raises out of the batch nor packs into another row's uid, also under
+    ``python -O`` (where a bare assert vanishes): the row is recorded
+    with a null uid and an ``error: …`` backend, and well-formed rows
+    keep their ``doc_index·64 + span_idx`` uid."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _MALFORMED_PHASH],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["uid"][:3] == [64, 127, 128]
+    assert all(d is not None for d in got["dhash"][:3])
+    assert all(b in ("fake", "pil") for b in got["backend"][:3])
+    assert got["uid"][3:] == [None] * 7
+    assert got["dhash"][3:] == [None] * 7
+    assert all(b.startswith("error: ") for b in got["backend"][3:])
+
+
+def test_media_dup_pairs_skip_recorded_errors(ray_session):
+    """Recorded-error phash rows (null uid and hash) never reach the
+    Hamming pair machinery."""
+    import pyarrow as pa
+
+    from relation_extraction_ray.stages.media import PHASH_SCHEMA, _dup_pairs_from_phash
+
+    rows = [
+        ("doc000000001", 0, 64, 5, "fake"),
+        ("doc000000001", 1, 65, 5, "fake"),
+        ("docX", 0, None, None, "error: doc_id 'docX' is not doc%09d"),
+    ]
+    t = pa.table(
+        {
+            "doc_id": [r[0] for r in rows],
+            "span_idx": pa.array([r[1] for r in rows], pa.int32()),
+            "uid": pa.array([r[2] for r in rows], pa.int64()),
+            "kind": ["image"] * 3,
+            "media_ref": ["a", "b", "c"],
+            "dhash": pa.array([r[3] for r in rows], pa.uint64()),
+            "ahash": pa.array([r[3] for r in rows], pa.uint64()),
+            "backend": [r[4] for r in rows],
+        },
+        schema=PHASH_SCHEMA,
+    )
+    got = _dup_pairs_from_phash(ray.data.from_arrow(t), 3).take_all()
+    assert [(r["doc_a"], r["doc_b"], r["hamming"]) for r in got] == [(64, 65, 0)]
