@@ -3538,13 +3538,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
 def _write_kg_oracle_parquet() -> dict[str, str]:
     """Recompute the single-process oracle tables and write them under
     ORACLE_DIR (always — a few seconds of pure Python; never a stale
-    cache).  Returns name → parquet path."""
+    cache).  Returns name → parquet path.  The four SemEval oracle
+    tables need the SemEval files under ``oracle.SEMEVAL_DATA``; when
+    those are absent the tables are not written (a stale copy is
+    removed), so their queries fail with an error instead of passing or
+    stopping every other query's oracle."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from relation_extraction_ray import schemas
     from relation_extraction_ray.config import KGConfig
     from relation_extraction_ray.oracle import (
+        SEMEVAL_DATA,
         kg_embeddings_rows,
         link_rows,
         media_digest_rows,
@@ -3596,12 +3601,21 @@ def _write_kg_oracle_parquet() -> dict[str, str]:
     emb_nn = pa.Table.from_pylist(kg_embeddings_rows(out["adjacency"]))
     sup = pa.Table.from_pylist([supervised_metrics_row(500)])
     sup_large = pa.Table.from_pylist([supervised_metrics_row_large(500)])
-    official = pa.Table.from_pylist([semeval_official_row()])
-    official_single = pa.Table.from_pylist([semeval_single_official_row()])
-    official_bi = pa.Table.from_pylist([semeval_bi_official_row()])
-    official_ens = pa.Table.from_pylist([semeval_ensemble_official_row()])
+    semeval = {
+        "semeval_official": semeval_official_row,
+        "semeval_single_official": semeval_single_official_row,
+        "semeval_bi_official": semeval_bi_official_row,
+        "semeval_ensemble_official": semeval_ensemble_official_row,
+    }
+    have_semeval = os.path.exists(SEMEVAL_DATA)
 
     paths = {}
+    for name in semeval:
+        paths[name] = os.path.join(ORACLE_DIR, f"{name}.parquet")
+        if have_semeval:
+            pq.write_table(pa.Table.from_pylist([semeval[name]()]), paths[name])
+        elif os.path.exists(paths[name]):
+            os.remove(paths[name])
     for name, tab in (
         ("kg_triples", triples),
         ("kg_adjacency", adjacency),
@@ -3613,10 +3627,6 @@ def _write_kg_oracle_parquet() -> dict[str, str]:
         ("kg_embeddings", emb_nn),
         ("supervised_eval", sup),
         ("supervised_eval_large", sup_large),
-        ("semeval_official", official),
-        ("semeval_single_official", official_single),
-        ("semeval_bi_official", official_bi),
-        ("semeval_ensemble_official", official_ens),
     ):
         p = os.path.join(ORACLE_DIR, f"{name}.parquet")
         pq.write_table(tab, p)

@@ -3,9 +3,12 @@
 The engine's terminal KG artifact is the adjacency table
 (``pipelines/kg.adjacency_from_triples`` — SURVEY.md A7/J7); the
 operators here rank, traverse, peel and summarize its entity graph.
-The edge preps are :func:`..joins.hash_partitioned_groups` calls; the
-undirected operators share one (:func:`_simple_edges`), the directed
-walkers another (:func:`_directed_edges`).
+The edge preps are :func:`..joins.hash_partitioned_groups` calls that
+pass their per-batch dedup as ``combine``, so below the planner bound a
+prep over a parquet read or a materialized adjacency is ONE Ray Data
+execution (combine and reduce in one call, a small result one block);
+the undirected operators share one (:func:`_simple_edges`), the
+directed walkers another (:func:`_directed_edges`).
 
 Every iterative operator (pagerank, hits, bfs/sssp, harmonic
 centrality, label propagation, kcore, trim core, random walks, fanout
@@ -22,8 +25,9 @@ engine's one probe, :func:`..joins.fits_local`, on the prepped edges:
 * above it every two-input step is one :func:`..joins.cogroup` (the
   two sides hashed on their own key columns, so the static preps carry
   no partition column) and every keyed fold one
-  :func:`..joins.hash_partitioned_groups`.  ``cogroup`` bounds its
-  reduce to ``n_parts``, so a round's output never compounds blocks.
+  :func:`..joins.hash_partitioned_groups`.  Both coalesce an input
+  holding more than ``n_parts`` blocks to ``n_parts`` first, so a
+  round's output never compounds blocks.
 
 A kernel sees what one hash partition holds, so the whole table is just
 the 1-partition case and both drivers give the same rows (asserted in
@@ -69,7 +73,7 @@ def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Data
     def collapse(t: pa.Table) -> pa.Table:
         return t.group_by(["u", "v"]).aggregate([("w", "sum")]).rename_columns(["u", "v", "w"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def combine(batch: pa.Table) -> pa.Table:
         return collapse(
             pa.table(
                 {
@@ -90,7 +94,7 @@ def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Data
         return t.append_column("ow", pa.array(ow, pa.int64()))
 
     return hash_partitioned_groups(
-        adjacency.map_batches(partial, batch_format="pyarrow"), ["u"], prep_part, n_parts
+        adjacency, ["u"], prep_part, n_parts, combine=combine
     ).materialize()
 
 
@@ -285,10 +289,7 @@ def _simple_edges(
         return dedup(pa.table(t))
 
     return hash_partitioned_groups(
-        adjacency.map_batches(canon, batch_format="pyarrow"),
-        ["a", "b"],
-        lambda part: dedup(part.select(cols)),
-        n_parts,
+        adjacency, ["a", "b"], lambda part: dedup(part.select(cols)), n_parts, combine=canon
     )
 
 
@@ -309,7 +310,7 @@ def _directed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Datas
         return dedup(part.select(["u", "v"])).sort_by([("u", "ascending"), ("v", "ascending")])
 
     return hash_partitioned_groups(
-        adjacency.map_batches(canon, batch_format="pyarrow"), ["u"], sort_part, n_parts
+        adjacency, ["u"], sort_part, n_parts, combine=canon
     ).materialize()
 
 
@@ -1870,17 +1871,14 @@ def ktruss(adjacency: ray.data.Dataset, k: int = 3, max_rounds: int = 5) -> ray.
     bounded O(√m) wedge keys, co-partitioned credit/degree attach,
     nothing graph-sized on the driver) plus one streaming filter; the
     early-exit count check is a safe optimization because post-fixpoint
-    rounds cannot change the edge set at any partitioning."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    rounds cannot change the edge set at any partitioning.  Each
+    round's ``edge_jaccard`` output holds at most its ``n_parts`` blocks
+    (its exchanges are ``cogroup`` calls), so the peel loop cannot
+    compound block count."""
     surviving = adjacency
     prev_n = -1
-    ej = None
     for _ in range(max_rounds):
-        # repartition BEFORE materializing: edge_jaccard's exchanges emit
-        # blocks ∝ input blocks, so an unbounded loop compounds block
-        # count ~9× per round (measured 27 → 243 → …; the BASELINE.md
-        # iterative-loop gotcha) and round wall-time with it
-        ej = edge_jaccard(surviving).repartition(n_parts).materialize()
+        ej = edge_jaccard(surviving).materialize()
         kept = ej.filter(expr=f"n_common >= {k - 2}").materialize()
         n = kept.count()
 

@@ -27,19 +27,25 @@ KB-sharded linker, the components pointer jump and keep-one anti-join,
 the leakage split and the provenance attach).  :func:`pair_payload_join`
 is two ``cogroup`` calls that share one ``index_in`` probe.
 
-Both plan on their materialized input with ONE size probe,
-:func:`fits_local`, against ONE bound, :data:`LOCAL_BYTES_BOUND`: an
-input at or below it runs the kernel ONCE over all rows, as one
-``map_batches`` batch on a worker (what a 1-partition exchange would
-hand it, without the sort shuffle and its M×N objects), and the result
-is re-cut into about ``n_parts`` blocks for the operators downstream;
-above it the keyed exchange runs.  :func:`hash_partitioned_groups`
-coalesces its input to ``n_parts`` blocks only when blocks × ``n_parts``
-exceeds ``_MAX_EXCHANGE_OBJECTS``; :func:`cogroup` whenever its two
-sides hold more than ``n_parts`` blocks, so its output — which the
-iterative graph rounds feed back into the next round — never holds
-more.  The graph and components operators read the same bound through
-the same probe for their in-process paths, so patching the one
+Both plan with ONE size probe, :func:`fits_local`, against ONE bound,
+:data:`LOCAL_BYTES_BOUND`, and a sub-bound call is ONE Ray Data
+execution: the kernel runs ONCE over all rows, as one ``map_batches``
+batch on a worker (what a 1-partition exchange would hand it, without
+the sort shuffle and its M×N objects).  :func:`hash_partitioned_groups`
+takes the per-batch partial combiner as ``combine`` and plans on the
+combiner's input, which it sizes from the metadata Ray Data already
+holds (a parquet read, a materialized dataset) before materializing
+anything; below the bound the combine and the reduce run in that one
+call.  The one call's result is re-cut into ``min(n_parts,
+ceil(bytes / DataContext.target_min_block_size))`` blocks: a small
+result stays one block (one write task, one file), a large one keeps
+the keyed arm's block count for the operators downstream.  Above the
+bound the keyed exchange runs, and both keyed arms share one coalesce
+rule (:func:`_coalesced`): an exchange input holding more than
+``n_parts`` blocks is coalesced to ``n_parts`` first, so an output —
+which the iterative graph rounds feed back into the next round — never
+holds more.  The graph and components operators read the same bound
+through the same probe for their in-process paths, so patching the one
 attribute forces every planner onto its distributed path.
 """
 
@@ -215,7 +221,7 @@ def derived_num_parts(factor: int = 2, minimum: int = 8) -> int:
 
 
 #: The one size bound of the engine's planners.  A hash exchange whose
-#: materialized input is at most this many bytes runs its kernel once over
+#: (combiner's) input is at most this many bytes runs its kernel once over
 #: all rows; the iterative graph operators run their rounds in-process
 #: and components its one numpy kernel call below it.  ~64 MB ≈ 1.3M
 #: collapsed graph edges: every
@@ -229,45 +235,65 @@ LOCAL_BYTES_BOUND = 64 << 20
 
 def fits_local(*datasets: ray.data.Dataset, bound: int | None = None) -> bool:
     """The one size probe: whether the summed block bytes of the
-    (materialized) ``datasets`` are at most ``bound``, by default
-    :data:`LOCAL_BYTES_BOUND` as it is when called.  Sizes come from block
-    metadata; nothing is gathered."""
+    ``datasets`` (materialized, or sized by Ray Data without executing —
+    see :func:`_sized`) are at most ``bound``, by default
+    :data:`LOCAL_BYTES_BOUND` as it is when called.  Sizes come from
+    block metadata; nothing is gathered."""
     limit = LOCAL_BYTES_BOUND if bound is None else bound
-    return sum(ds.size_bytes() for ds in datasets) <= limit
+    return _bytes(*datasets) <= limit
 
 
-# Ray Data's sort exchange creates M_blocks × N_parts shuffle objects whose
-# owner metadata lives in the DRIVER's core worker: a 512-block groupby
-# held 927 MB of driver heap (329 MB with a coalesce in front of it, flat
-# thereafter).  Below this many objects the coalesce costs as much as the
-# exchange it guards, so it is skipped.
-_MAX_EXCHANGE_OBJECTS = 1024
+def _bytes(*datasets: ray.data.Dataset) -> int:
+    """Summed in-memory bytes of ``datasets`` from their metadata: the
+    package's only ``size_bytes()`` call, read by :func:`fits_local` and
+    the one-call re-cut."""
+    return sum(ds.size_bytes() for ds in datasets)
 
 
-def _one_call(ds: ray.data.Dataset, fn: "callable", n_rows: int, n_parts: int) -> ray.data.Dataset:
-    """``fn`` applied ONCE to all ``n_rows`` rows of ``ds``, on a worker:
-    a single ``map_batches`` batch of ``n_rows`` rows (the operator
-    bundles every block into one task).  No rows: no call.
+def _sized(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` itself when Ray Data knows its bytes and rows without
+    executing it (a parquet read sized from its file footers, a
+    materialized dataset — the metadata ``Dataset.size_bytes()`` and
+    ``count()`` check first), else ``ds`` materialized."""
+    meta = ds._logical_plan.dag.infer_metadata()
+    if meta.size_bytes is None or meta.num_rows is None:
+        return ds.materialize()
+    return ds
 
-    For ``n_parts`` > 1 the result is re-cut into blocks of about
-    ``n_rows / n_parts`` rows (a streaming slice, no exchange), the block
-    count the keyed arm would emit: one block serializes every
-    downstream operator (a 600k-row single block made the ``groupby``
-    after ``cf_user_topk``'s purchase-matrix exchange 2.6× slower at
-    sf0.1 on 4 cores)."""
+
+def _one_call(ds: ray.data.Dataset, fn: "callable", sized: list, n_parts: int) -> ray.data.Dataset:
+    """``fn`` applied ONCE to all rows of ``ds``, on a worker: a single
+    ``map_batches`` batch holding every row of the ``sized`` inputs ``ds``
+    was built from (the operator bundles every block into one task).  No
+    rows: no call.
+
+    The result is re-cut into ``min(n_parts, ceil(input bytes /
+    DataContext.target_min_block_size))`` blocks (a streaming slice, no
+    exchange): a result under Ray Data's own minimum block size stays one
+    block — a re-cut small result costs one write task and file per
+    block — while a large one keeps the keyed arm's block count, since
+    one block serializes every downstream operator (a 600k-row single
+    block made the ``groupby`` after ``cf_user_topk``'s purchase-matrix
+    exchange 2.6× slower at sf0.1 on 4 cores)."""
+    n_rows = sum(d.count() for d in sized)
     out = ds.map_batches(fn, batch_size=max(1, n_rows), batch_format="pyarrow")
-    if n_parts > 1:
-        out = out.repartition(target_num_rows_per_block=max(1, -(-n_rows // n_parts)))
+    min_block = ray.data.DataContext.get_current().target_min_block_size
+    n_blocks = min(n_parts, -(-_bytes(*sized) // min_block))
+    if n_blocks > 1:
+        out = out.repartition(target_num_rows_per_block=max(1, -(-n_rows // n_blocks)))
     return out
 
 
-def _coalesced(ds: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
-    """The exchange input, coalesced to ``n_parts`` blocks only when its
-    ``num_blocks() × n_parts`` exchange objects exceed
-    ``_MAX_EXCHANGE_OBJECTS``."""
-    if ds.num_blocks() * n_parts > _MAX_EXCHANGE_OBJECTS:
-        return ds.repartition(n_parts)
-    return ds
+def _coalesced(ds: ray.data.Dataset, n_blocks: int, n_parts: int) -> ray.data.Dataset:
+    """The keyed arms' one coalesce rule: ``ds`` (``n_blocks`` blocks)
+    repartitioned to ``n_parts`` blocks when it holds more.  The sort
+    exchange behind ``map_groups`` runs one reduce task per input block
+    and emits one block per input block (it ignores ``num_partitions``),
+    so the rule bounds the exchange's tasks and output blocks by
+    ``n_parts`` — an output fed back into the next round cannot compound
+    blocks, and its M × N shuffle objects (whose owner metadata lives in
+    the driver) stay at most ``n_parts``²."""
+    return ds.repartition(n_parts) if n_blocks > n_parts else ds
 
 
 def group_runs(sort_key: np.ndarray):
@@ -330,6 +356,7 @@ def hash_partitioned_groups(
     key_cols: list[str],
     per_partition: "callable",
     n_parts: int,
+    combine: "callable | None" = None,
 ) -> ray.data.Dataset:
     """Group-by replacement for high-cardinality keys: exchange on
     ``hash(key) % n_parts`` only, then hand each whole partition, with its
@@ -337,28 +364,39 @@ def hash_partitioned_groups(
     by the logical key and may emit any schema).  Turns ``n_distinct``
     sort groups into ``n_parts``.
 
-    ``ds`` is materialized first.  At or below :data:`LOCAL_BYTES_BOUND`
-    (:func:`fits_local`) the kernel runs once over all rows on a worker,
-    with ``part`` = 0 — exactly what a 1-partition exchange hands it —
-    and its result is re-cut into about ``n_parts`` blocks; above it the
-    input (coalesced per ``_MAX_EXCHANGE_OBJECTS``) rides
-    one sort exchange on ``part``.  A correct kernel gives the same rows
-    either way."""
-    ds = ds.materialize()
+    ``combine``, when given, is the per-batch partial combiner (batch →
+    partial rows keyed by ``key_cols``); ``per_partition`` must fold
+    partials, so that combining all rows at once or batch by batch gives
+    the same result.  The call plans on ``combine``'s INPUT, ``ds`` —
+    if that fits, its partials fit too — sized without executing when
+    Ray Data already knows its size (:func:`_sized`), else materialized.
+    At or below :data:`LOCAL_BYTES_BOUND` (:func:`fits_local`) the call is
+    ONE execution: one ``map_batches`` call runs
+    ``per_partition(combine(all rows))`` with ``part`` = 0 on a worker —
+    exactly what a 1-partition exchange hands it — and the result is
+    re-cut by the :func:`_one_call` byte rule.  Above it ``combine`` runs
+    per batch, the partials are materialized, coalesced to ``n_parts``
+    blocks when they hold more (:func:`_coalesced`) and ride one sort
+    exchange on ``part``, so the output holds at most ``n_parts`` blocks.
+    A correct kernel gives the same rows either way."""
+    ds = _sized(ds)
+    prep = combine or (lambda batch: batch)
     if fits_local(ds):
 
         def run_all(batch: pa.Table) -> pa.Table:
-            zeros = pa.array(np.zeros(batch.num_rows, np.int32), pa.int32())
-            return per_partition(batch.append_column("part", zeros))
+            t = prep(batch)
+            zeros = pa.array(np.zeros(t.num_rows, np.int32), pa.int32())
+            return per_partition(t.append_column("part", zeros))
 
-        return _one_call(ds, run_all, ds.count(), n_parts)
+        return _one_call(ds, run_all, [ds], n_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column("part", part_array(batch, key_cols, n_parts))
+        t = prep(batch)
+        return t.append_column("part", part_array(t, key_cols, n_parts))
 
+    partials = ds.map_batches(add_part, batch_format="pyarrow").materialize()
     return (
-        _coalesced(ds, n_parts)
-        .map_batches(add_part, batch_format="pyarrow")
+        _coalesced(partials, partials.num_blocks(), n_parts)
         .groupby("part")
         .map_groups(per_partition, batch_format="pyarrow")
     )
@@ -391,9 +429,7 @@ def cogroup(
     result is typed either way (unless a side carries no schema — a map
     over no rows drops it — which leaves nothing to type from and gives
     an untyped empty result).  The exchange has at most ``n_parts``
-    reduce tasks and output blocks: the sort behind ``map_groups`` runs
-    one reduce task per input block, so the union is coalesced to
-    ``n_parts`` blocks first whenever it holds more — on small sides
+    reduce tasks and output blocks (:func:`_coalesced`): on small sides
     scheduling, not data, dominates, and an iterative caller feeding
     each output into the next round would otherwise compound blocks.
 
@@ -401,8 +437,9 @@ def cogroup(
     block metadata (never by re-running a lazy plan), and the two sides'
     summed bytes plan the exchange (:func:`fits_local`): at or below
     :data:`LOCAL_BYTES_BOUND` the kernel runs ONCE on all left and all
-    right rows, on a worker — what a 1-partition exchange hands it;
-    above it the keyed exchange runs.  The union pads each side with
+    right rows, on a worker — what a 1-partition exchange hands it,
+    re-cut by the :func:`_one_call` byte rule; above it the keyed
+    exchange runs.  The union pads each side with
     typed nulls for the other side's columns; a column name shared by the
     two sides must carry the same type on both, or ``ValueError`` is
     raised before anything runs."""
@@ -445,12 +482,8 @@ def cogroup(
         right.map_batches(tagger(1, right_on, rs), batch_format="pyarrow")
     )
     if fits_local(left, right):
-        return _one_call(tagged, run, left.count() + right.count(), n_parts)
-    # the sort exchange behind map_groups emits one block per input block
-    # (it ignores num_partitions), so an output fed back into the next
-    # cogroup would compound its block count round after round
-    if left.num_blocks() + right.num_blocks() > n_parts:
-        tagged = tagged.repartition(n_parts)
+        return _one_call(tagged, run, [left, right], n_parts)
+    tagged = _coalesced(tagged, left.num_blocks() + right.num_blocks(), n_parts)
     return tagged.groupby(_PART, num_partitions=n_parts).map_groups(
         run, batch_format="pyarrow"
     )

@@ -5,25 +5,32 @@ Replaces the reference's single-process two-pass builder
 (RelEmbed_semeval.ipynb cells 32-38) with streaming ``Dataset`` stages:
 
     documents ─ map_batches(ParseStage) ──────────────────────► sentences
-    sentences ─ map_batches(partial token counts) ─ groupby ──► vocab (small,
+    sentences ─ partial token counts ⇒ keyed sum(kind,token) ─► vocab (small,
                 driver-finalized, broadcast via ray.put)          [barrier #1]
     sentences ─ map_batches(ExtractEncodeStage, broadcast vocab) ► encoded
     encoded   ─ filter GOOD ─ map_batches(ScorerStage) ────────► triples
-    triples   ─ partial-combine ─ groupby(norm) ──────────────► entities
-    triples   ─ partial-combine ─ groupby(src,pred,dst) ──────► adjacency
+    triples   ─ partial mentions ⇒ keyed reduce(norm) ────────► entities
+    triples   ─ edge partials ⇒ keyed reduce(src,pred,dst) ───► adjacency
                                                                   [barrier #2]
+
+    (⇒: one :func:`..functions.joins.hash_partitioned_groups` call with
+    the per-batch partial combiner passed as ``combine``)
 
 Scale notes (SURVEY.md §4, §7.5):
 
-* The only two all-to-all exchanges are the vocab count and the
-  canonicalization/dedup groupbys, and both are fed by **per-batch partial
-  combiners** inside ``map_batches`` so the shuffled volume is bounded by
-  (#distinct keys per batch), not by row count.  Head-entity skew therefore
-  collapses before the shuffle: a batch with 10^5 mentions of one entity
-  emits ONE partial row for it.  The entities, adjacency and merge
-  exchanges are :func:`..functions.joins.hash_partitioned_groups` calls:
-  partials at or below ``joins.LOCAL_BYTES_BOUND`` are reduced by ONE
-  call on a worker, larger ones ride the keyed exchange.
+* The only all-to-all exchanges are the vocab count and the
+  canonicalization/dedup reduces, and every one is a
+  :func:`..functions.joins.hash_partitioned_groups` call fed by a
+  **per-batch partial combiner**, so above the planner bound the
+  shuffled volume is bounded by (#distinct keys per batch), not by row
+  count.  Head-entity skew therefore collapses before the shuffle: a
+  batch with 10^5 mentions of one entity emits ONE partial row for it.
+  At or below ``joins.LOCAL_BYTES_BOUND`` (planned on the combiner's
+  input, sized from metadata when Ray Data holds it) each is ONE Ray
+  Data execution: the combine and the reduce run in one call on a
+  worker, and a small result stays one block, so the sink writes it
+  as one file.  With the default (untruncated) vocab no sort shuffle
+  is left on the build path.
 * The parse→extract chain needs the corpus twice (vocab ids are global
   frequency ranks — the reference's one real barrier).  At scale we parse
   ONCE, persist the parsed ``sentences`` table to Parquet (resumable
@@ -44,6 +51,7 @@ import ray
 
 from .. import schemas
 from ..config import KGConfig
+from ..functions.joins import derived_num_parts, hash_partitioned_groups
 from ..nlp.labeler import LABEL2INT, OTHER, label_path
 from ..nlp.parser import Sentence, noun_chunk_spans, parse_sentence, split_sentences
 from ..nlp.sdp import (
@@ -123,7 +131,7 @@ class ParseStage:
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: vocab build (barrier #1) — partial counts -> tiny groupby -> driver
+# Stage 2: vocab build (barrier #1) — partial counts -> keyed sum -> driver
 # ---------------------------------------------------------------------------
 
 
@@ -153,7 +161,7 @@ def _partial_token_counts(batch: pa.Table) -> pa.Table:
             # uses (Arrow's utf8_lower is a *simple* case mapping and
             # diverges on e.g. 'İ', breaking bit-identical vocab equality).
             # Only distinct tokens are touched; duplicates created by
-            # lowering merge in the downstream groupby sum.
+            # lowering merge in the downstream sum.
             tokens = pa.array([t.lower() for t in tokens.to_pylist()], pa.string())
         parts.append(
             pa.Table.from_pydict(
@@ -214,27 +222,36 @@ def finalize_counted_vocabs(counted: ray.data.Dataset, cfg: KGConfig):
     return word, dep, pos
 
 
-def sum_token_partials(partials: ray.data.Dataset) -> ray.data.Dataset:
-    """(kind, token, count) partial rows → global (kind, token, cnt)
-    counts: one groupby shuffle bounded by distinct keys per batch."""
-    return (
-        partials.groupby(["kind", "token"])
-        .sum("count")
-        .map_batches(lambda t: t.rename_columns(["kind", "token", "cnt"]), batch_format="pyarrow")
+def _sum_counts(part: pa.Table) -> pa.Table:
+    """One partition's (kind, token, count) partials folded to one
+    (kind, token, cnt) row per key by one Arrow hash-aggregation."""
+    g = part.group_by(["kind", "token"]).aggregate([("count", "sum")])
+    return g.rename_columns(["kind", "token", "cnt"])
+
+
+def sum_token_partials(ds: ray.data.Dataset, combine=None) -> ray.data.Dataset:
+    """(kind, token, count) partial rows — or, with ``combine``, the rows
+    it turns into them per batch — → global (kind, token, cnt) counts:
+    one :func:`hash_partitioned_groups` call on (kind, token) folding
+    with :func:`_sum_counts`, no sort shuffle.  Row order is unspecified;
+    ``finalize_vocab``'s total order makes it irrelevant."""
+    return hash_partitioned_groups(
+        ds, ["kind", "token"], _sum_counts, derived_num_parts(), combine=combine
     )
 
 
 def count_tokens(sentences: ray.data.Dataset) -> ray.data.Dataset:
-    """sentences → global (kind, token, cnt) counts via per-batch partial
-    combiners."""
-    return sum_token_partials(sentences.map_batches(_partial_token_counts, batch_format="pyarrow"))
+    """sentences → global (kind, token, cnt) counts, the per-batch
+    partial combiner fused into the one keyed reduce."""
+    return sum_token_partials(sentences, combine=_partial_token_counts)
 
 
 def build_vocabs(sentences: ray.data.Dataset, cfg: KGConfig):
     """Corpus-global word/dep/pos vocabularies.
 
-    ``map_batches`` partial counts → ``groupby(kind, token).sum`` (small
-    shuffle) → distributed truncation → driver finalize (specials + unigram
+    partial token counts folded by one ``(kind, token)``-keyed
+    :func:`hash_partitioned_groups` call (:func:`count_tokens`) →
+    distributed truncation → driver finalize (specials + unigram
     probs, ``wiki2sdp.py:186-233`` semantics via ``finalize_vocab``).  The
     driver only ever sees ≤ vocab_limit word rows — the global barrier's
     materialize is bounded.
@@ -433,10 +450,6 @@ def _partial_mentions(batch: pa.Table) -> pa.Table:
     )
 
 
-# the KG exchanges use the one planned hash exchange of functions/joins.py
-from ..functions.joins import derived_num_parts, hash_partitioned_groups  # noqa: E402
-
-
 def entities_from_triples(triples: ray.data.Dataset, n_parts: int | None = None) -> ray.data.Dataset:
     """Canonical entity table via explicit hash-partitioned reduce:
     per-batch partial mention counts → :func:`hash_partitioned_groups` on
@@ -447,9 +460,6 @@ def entities_from_triples(triples: ray.data.Dataset, n_parts: int | None = None)
     with the cluster, and head-entity skew is already defused by the
     per-batch combine."""
     n_parts = n_parts or derived_num_parts()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return _partial_mentions(batch)
 
     def reduce_part(group: pa.Table) -> pa.Table:
         # Vectorized exact reduce: ONE Arrow hash-aggregation folds the
@@ -484,7 +494,7 @@ def entities_from_triples(triples: ray.data.Dataset, n_parts: int | None = None)
         )
 
     return hash_partitioned_groups(
-        triples.map_batches(partial, batch_format="pyarrow"), ["norm"], reduce_part, n_parts
+        triples, ["norm"], reduce_part, n_parts, combine=_partial_mentions
     )
 
 
@@ -507,7 +517,7 @@ def _canonical_id_column(col: pa.ChunkedArray) -> pa.Array:
 def _edge_partials(batch: pa.Table) -> pa.Table:
     """Per-batch combiner for adjacency: (src_id, pred, dst_id, doc_id) ->
     partial weight.  Distinct-doc counting stays exact because doc_id is in
-    the key; the follow-up groupby drops it.  Vectorized: canonical ids per
+    the key; the keyed reduce drops it.  Vectorized: canonical ids per
     DISTINCT surface, then one Arrow hash-aggregation for the counts."""
     keyed = pa.Table.from_pydict(
         {
@@ -546,9 +556,6 @@ def adjacency_from_triples(triples: ray.data.Dataset, n_parts: int | None = None
     materialize: parquet fragments are written in partition order)."""
     n_parts = n_parts or derived_num_parts()
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return _edge_partials(batch)
-
     def reduce_part(group: pa.Table) -> pa.Table:
         # Vectorized exact reduce (round 4): hash-aggregate once on the
         # FULL (edge, doc) key — deduping each doc to one row per edge —
@@ -576,10 +583,7 @@ def adjacency_from_triples(triples: ray.data.Dataset, n_parts: int | None = None
         )
 
     return hash_partitioned_groups(
-        triples.map_batches(partial, batch_format="pyarrow"),
-        ["src_id", "pred", "dst_id"],
-        reduce_part,
-        n_parts,
+        triples, ["src_id", "pred", "dst_id"], reduce_part, n_parts, combine=_edge_partials
     )
 
 
@@ -640,10 +644,7 @@ def merge_adjacency(
         )
 
     return hash_partitioned_groups(
-        base.union(delta).map_batches(partial, batch_format="pyarrow"),
-        ["src_id", "pred", "dst_id"],
-        reduce_part,
-        n_parts,
+        base.union(delta), ["src_id", "pred", "dst_id"], reduce_part, n_parts, combine=partial
     )
 
 

@@ -366,23 +366,149 @@ def test_hash_partitioned_groups_same_rows_every_arm(ray_session, rows, n_blocks
     assert all(o == outs[0] for o in outs)
 
 
-def test_one_call_arm_keeps_the_exchange_block_count(ray_session):
+def test_one_call_arm_recuts_by_bytes(ray_session):
     """Below the bound the kernel runs once, and its result is re-cut
-    into about ``n_parts`` blocks (one block would serialize every
-    operator downstream); at one partition it stays one block."""
+    into ``min(n_parts, ceil(input bytes / target_min_block_size))``
+    blocks: a small result stays one block (one write task and file), a
+    result over ``n_parts`` MiB keeps the keyed arm's ``n_parts`` blocks
+    (one block would serialize every operator downstream), and one
+    partition is always one block."""
     import ray
+    from ray.data import DataContext
 
     from relation_extraction_ray.functions import joins
 
     def kernel(part: pa.Table) -> pa.Table:
         return part.select(["id"])
 
-    ds = ray.data.range(1000, override_num_blocks=5)
-    assert joins.hash_partitioned_groups(ds, ["id"], kernel, 4).materialize().num_blocks() == 4
-    assert joins.hash_partitioned_groups(ds, ["id"], kernel, 1).materialize().num_blocks() == 1
-    both = joins.cogroup(ds, ds, ["id"], ["id"], lambda lt, rt: pa.concat_tables([lt, rt]), 4)
-    both = both.materialize()
-    assert both.num_blocks() == 4 and both.count() == 2000
+    def concat(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.concat_tables([lt, rt])
+
+    small = ray.data.range(1000, override_num_blocks=5).materialize()
+    assert joins.hash_partitioned_groups(small, ["id"], kernel, 4).materialize().num_blocks() == 1
+    both = joins.cogroup(small, small, ["id"], ["id"], concat, 4).materialize()
+    assert both.num_blocks() == 1 and both.count() == 2000
+
+    n = 4 * DataContext.get_current().target_min_block_size // 8 + 1000  # > 4 MiB of int64
+    big = ray.data.range(n, override_num_blocks=5).materialize()
+    assert big.size_bytes() > 4 * DataContext.get_current().target_min_block_size
+    out = joins.hash_partitioned_groups(big, ["id"], kernel, 4).materialize()
+    assert out.num_blocks() == 4 and out.count() == n
+    assert joins.hash_partitioned_groups(big, ["id"], kernel, 1).materialize().num_blocks() == 1
+    both = joins.cogroup(big, big, ["id"], ["id"], concat, 4).materialize()
+    assert both.num_blocks() == 4 and both.count() == 2 * n
+
+
+def test_keyed_arm_bounds_its_output_blocks(ray_session, monkeypatch):
+    """Above the bound the keyed arm coalesces an input of more than
+    ``n_parts`` blocks to ``n_parts`` first: Ray's sort exchange emits
+    one block per input block, so 13 blocks in would give 13 out."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
+    ds = ray.data.range(1300, override_num_blocks=13).materialize()
+    assert ds.num_blocks() == 13
+    out = joins.hash_partitioned_groups(ds, ["id"], lambda p: p.select(["id"]), 4).materialize()
+    assert out.num_blocks() <= 4
+    assert sorted(r["id"] for r in out.take_all()) == list(range(1300))
+
+
+def _sum_kernels():
+    """(combine, fold): a per-batch partial combiner giving one (k, s, n)
+    row per distinct k, and the fold of those partials.  Built inside a
+    function so Ray ships them by value (workers cannot import a test
+    module)."""
+
+    def combine(batch: pa.Table) -> pa.Table:
+        return batch.group_by("k").aggregate([("x", "sum"), ([], "count_all")]).rename_columns(
+            ["k", "s", "n"]
+        )
+
+    def fold(part: pa.Table) -> pa.Table:
+        return part.group_by("k").aggregate([("s", "sum"), ("n", "sum")]).rename_columns(
+            ["k", "s", "n"]
+        )
+
+    return combine, fold
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 3])
+@settings(max_examples=3, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from("abcdefgh"), st.integers(-5, 5)), min_size=1, max_size=30))
+def test_combine_same_rows_as_mapping_first(ray_session, rows, n_blocks):
+    """``hash_partitioned_groups(ds, …, combine=c)`` gives the same rows
+    and column names as ``hash_partitioned_groups(ds.map_batches(c), …)``
+    in every planner arm, on an empty (``n_blocks`` = 0), a one-block and
+    a multi-block input."""
+    import unittest.mock as mock
+
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    schema = pa.schema([("k", pa.string()), ("x", pa.int64())])
+    table = pa.Table.from_pylist([dict(zip(schema.names, r)) for r in rows], schema)
+    if n_blocks == 0:
+        ds = ray.data.from_arrow(schema.empty_table()).materialize()
+    else:
+        ds = ray.data.from_arrow(table).repartition(n_blocks).materialize()
+
+    combine, fold = _sum_kernels()
+
+    def result(out):
+        out = out.materialize()
+        names = out.schema().names if out.schema() is not None else None
+        return names, _sorted_rows(out)
+
+    for bound, n_parts in _planner_settings():
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", bound):
+            fused = result(joins.hash_partitioned_groups(ds, ["k"], fold, n_parts, combine=combine))
+            mapped = result(
+                joins.hash_partitioned_groups(
+                    ds.map_batches(combine, batch_format="pyarrow"), ["k"], fold, n_parts
+                )
+            )
+        assert fused == mapped
+        if n_blocks:
+            want = {}
+            for k, x in rows:
+                s, n = want.get(k, (0, 0))
+                want[k] = (s + x, n + 1)
+            assert fused == (["k", "s", "n"], sorted((k, s, n) for k, (s, n) in want.items()))
+
+
+def test_sub_bound_call_on_a_parquet_read_does_not_materialize(ray_session, tmp_path, monkeypatch):
+    """A parquet read is sized from its file metadata, so a sub-bound
+    call makes no separate ``materialize`` before its one call."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    src = str(tmp_path / "src")
+    keys = ["abc"[i % 3] for i in range(400)]
+    ray.data.from_arrow(
+        pa.table({"k": keys, "x": pa.array(range(400), pa.int64())})
+    ).repartition(4).write_parquet(src)
+    read = ray.data.read_parquet(src)
+
+    calls = []
+    real = ray.data.Dataset.materialize
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    combine, fold = _sum_kernels()
+    monkeypatch.setattr(ray.data.Dataset, "materialize", spy)
+    out = joins.hash_partitioned_groups(read, ["k"], fold, 4, combine=combine)
+    assert calls == []
+    monkeypatch.undo()
+    want = [
+        (k, sum(i for i in range(400) if keys[i] == k), keys.count(k)) for k in "abc"
+    ]
+    assert _sorted_rows(out) == want
 
 
 @settings(max_examples=6, deadline=None)

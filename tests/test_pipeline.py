@@ -301,13 +301,11 @@ def test_extract_encode_reads_sliced_and_chunked_tokens(encode_stage_and_sentenc
     check()
 
 
-def _coalesce_rule_outputs(triples, monkeypatch, bound: int | None) -> tuple[list, int]:
-    """Sorted rows of entities, adjacency and merge over ``triples`` on
-    the keyed exchange arm (planner bound 0) with the exchange-object
-    bound patched to ``bound`` — or on the one-call arm when ``bound`` is
-    None — and the coalescing ``repartition`` calls they made."""
-    import ray
-
+def _kg_exchange_outputs(triples, monkeypatch, n_parts: int, keyed: bool) -> tuple[list, list]:
+    """Sorted rows of entities, adjacency and merge over ``triples`` at
+    ``n_parts`` partitions — on the keyed exchange arm (planner bound 0)
+    when ``keyed``, else on the one-call arm — and the block counts of
+    the three outputs."""
     from relation_extraction_ray.functions import joins
     from relation_extraction_ray.pipelines.kg import (
         adjacency_from_triples,
@@ -315,35 +313,33 @@ def _coalesce_rule_outputs(triples, monkeypatch, bound: int | None) -> tuple[lis
         merge_adjacency,
     )
 
-    calls = []
-    real = ray.data.Dataset.repartition
-
-    def spy(self, *args, **kwargs):
-        if kwargs.get("target_num_rows_per_block") is None:  # not the one-call re-cut
-            calls.append(self)
-        return real(self, *args, **kwargs)
-
-    if bound is not None:
+    if keyed:
         monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
-        monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", bound)
-    monkeypatch.setattr(ray.data.Dataset, "repartition", spy)
     keys = ["src_id", "pred", "dst_id"]
     head = triples.filter(expr="doc_id < 'd018'")
     tail = triples.filter(expr="doc_id >= 'd018'")
-    rows = [
-        entities_from_triples(triples, n_parts=4).sort("canonical_id").take_all(),
-        adjacency_from_triples(triples, n_parts=4).sort(keys).take_all(),
+    outs = [
+        entities_from_triples(triples, n_parts=n_parts).materialize(),
+        adjacency_from_triples(triples, n_parts=n_parts).materialize(),
         merge_adjacency(
-            adjacency_from_triples(head, n_parts=4), adjacency_from_triples(tail, n_parts=4), n_parts=4
-        ).sort(keys).take_all(),
+            adjacency_from_triples(head, n_parts=n_parts),
+            adjacency_from_triples(tail, n_parts=n_parts),
+            n_parts=n_parts,
+        ).materialize(),
+    ]
+    rows = [
+        outs[0].sort("canonical_id").take_all(),
+        outs[1].sort(keys).take_all(),
+        outs[2].sort(keys).take_all(),
     ]
     monkeypatch.undo()
-    return rows, len(calls)
+    return rows, [o.num_blocks() for o in outs]
 
 
 def test_exchange_coalesce_rule(ray_session, monkeypatch):
-    """The keyed exchange arm coalesces its input only when blocks ×
-    n_parts exceeds ``_MAX_EXCHANGE_OBJECTS``, and the KG exchanges give
+    """The keyed exchange arm coalesces an input of more than ``n_parts``
+    blocks to ``n_parts`` (so its output holds at most ``n_parts``
+    blocks) and leaves a smaller one as it is, and the KG exchanges give
     the same rows whether they coalesce, do not, or run as one call."""
     import ray
 
@@ -366,16 +362,14 @@ def test_exchange_coalesce_rule(ray_session, monkeypatch):
     triples = ray.data.from_arrow(table).repartition(16).materialize()
     assert triples.num_blocks() == 16
 
-    always, n_always = _coalesce_rule_outputs(triples, monkeypatch, 0)
-    never, n_never = _coalesce_rule_outputs(triples, monkeypatch, 10**9)
-    one_call, n_one_call = _coalesce_rule_outputs(triples, monkeypatch, None)
-    assert always == never == one_call and all(always)
-    assert n_never == n_one_call == 0
-    assert n_always == 5  # entities, adjacency, the merge and its two inputs
+    coalesced, coalesced_blocks = _kg_exchange_outputs(triples, monkeypatch, 4, keyed=True)
+    uncoalesced, _ = _kg_exchange_outputs(triples, monkeypatch, 32, keyed=True)
+    one_call, one_call_blocks = _kg_exchange_outputs(triples, monkeypatch, 4, keyed=False)
+    assert coalesced == uncoalesced == one_call and all(coalesced)
+    assert max(coalesced_blocks) <= 4
+    assert one_call_blocks == [1, 1, 1]  # small results stay one block
 
-    # the rule itself, at the bound: 16 blocks × 4 parts = 64 objects
+    # the rule itself: more blocks than n_parts → n_parts, else unchanged
     ds = ray.data.range(64, override_num_blocks=16).materialize()
-    monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", 64)
-    assert joins._coalesced(ds, 4).num_blocks() == 16
-    monkeypatch.setattr(joins, "_MAX_EXCHANGE_OBJECTS", 63)
-    assert joins._coalesced(ds, 4).materialize().num_blocks() == 4
+    assert joins._coalesced(ds, 16, 16) is ds
+    assert joins._coalesced(ds, 16, 4).materialize().num_blocks() == 4

@@ -1,7 +1,12 @@
 """Driver-simulation harness: run every ``__ray_entry__.queries()`` entry
 side-by-side with its ``oracle_sql()`` DuckDB equivalent at a given sf dir
 and report rows/schema/value-hash matches — the same comparison the
-per-round driver records in CORRECTNESS_r{N}.json.
+per-round driver records in CORRECTNESS_r{N}.json.  Each query's line
+also carries the engine result's own columns and value hash
+(``ray_cols``, ``ray_hash``), so two runs (two commits, or two planner
+bounds) can be diffed query by query.  Without the SemEval files the
+four SemEval queries are reported FAIL with their error; every other
+query is still compared against its oracle.
 
 Usage:  python tools/check_queries.py [sf_dir] [query ...]
 """
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -60,7 +66,7 @@ def main() -> int:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=16, include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     qs = e.queries()
@@ -81,6 +87,8 @@ def main() -> int:
             rdf = canon(to_pandas(fn(sf_dir)))
             rec["ray_rows"] = len(rdf)
             rec["ray_sec"] = round(time.time() - t0, 2)
+            rec["ray_cols"] = list(rdf.columns)
+            rec["ray_hash"] = value_hash(rdf)
             if name in sqls:
                 odf = canon(con.execute(sqls[name]).df())
                 rec["oracle_rows"] = len(odf)
@@ -93,7 +101,6 @@ def main() -> int:
                 )
                 if not rec["hash_match"]:
                     failed.append(name)
-                    rec["ray_cols"] = list(rdf.columns)
                     rec["oracle_cols"] = list(odf.columns)
             else:
                 rec["rows_match"] = None
