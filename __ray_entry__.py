@@ -4078,25 +4078,28 @@ def _hits_sql(adj_path: str, iters: int = 3) -> str:
     """Unroll the engine's integer HITS recurrence (functions/graph.py
     hits): distinct directed edges, s₀ = 10⁶ everywhere, each half-step
     sums the opposite score over in-/out-edges then rescales to 10⁶ at
-    the max — all-integer, bit-exact at any partitioning."""
+    the max — all-integer, bit-exact at any partitioning.  Every CTE is
+    ``AS MATERIALIZED``: each rescale reads its raw scores three times
+    (twice through the max), and DuckDB would otherwise inline the chain
+    and expand it exponentially in ``iters``."""
     cte = f"""
-    e AS (SELECT DISTINCT src_id AS u, dst_id AS v FROM read_parquet('{adj_path}')),
-    nodes AS (SELECT u AS node FROM e UNION SELECT v FROM e),
-    h0 AS (SELECT node, CAST(1000000 AS BIGINT) AS s FROM nodes)"""
+    e AS MATERIALIZED (SELECT DISTINCT src_id AS u, dst_id AS v FROM read_parquet('{adj_path}')),
+    nodes AS MATERIALIZED (SELECT u AS node FROM e UNION SELECT v FROM e),
+    h0 AS MATERIALIZED (SELECT node, CAST(1000000 AS BIGINT) AS s FROM nodes)"""
     for i in range(1, iters + 1):
         cte += f""",
-    a{i}r AS (SELECT n.node, CAST(coalesce(sum(h.s), 0) AS BIGINT) AS s
+    a{i}r AS MATERIALIZED (SELECT n.node, CAST(coalesce(sum(h.s), 0) AS BIGINT) AS s
            FROM nodes n LEFT JOIN e ON e.v = n.node
            LEFT JOIN h{i - 1} h ON h.node = e.u GROUP BY n.node),
-    a{i}m AS (SELECT max(s) AS m FROM a{i}r),
-    a{i} AS (SELECT node, CAST(CASE WHEN (SELECT m FROM a{i}m) > 0
+    a{i}m AS MATERIALIZED (SELECT max(s) AS m FROM a{i}r),
+    a{i} AS MATERIALIZED (SELECT node, CAST(CASE WHEN (SELECT m FROM a{i}m) > 0
            THEN s * 1000000 // (SELECT m FROM a{i}m) ELSE 0 END AS BIGINT) AS s
            FROM a{i}r),
-    h{i}r AS (SELECT n.node, CAST(coalesce(sum(a.s), 0) AS BIGINT) AS s
+    h{i}r AS MATERIALIZED (SELECT n.node, CAST(coalesce(sum(a.s), 0) AS BIGINT) AS s
            FROM nodes n LEFT JOIN e ON e.u = n.node
            LEFT JOIN a{i} a ON a.node = e.v GROUP BY n.node),
-    h{i}m AS (SELECT max(s) AS m FROM h{i}r),
-    h{i} AS (SELECT node, CAST(CASE WHEN (SELECT m FROM h{i}m) > 0
+    h{i}m AS MATERIALIZED (SELECT max(s) AS m FROM h{i}r),
+    h{i} AS MATERIALIZED (SELECT node, CAST(CASE WHEN (SELECT m FROM h{i}m) > 0
            THEN s * 1000000 // (SELECT m FROM h{i}m) ELSE 0 END AS BIGINT) AS s
            FROM h{i}r)"""
     return (

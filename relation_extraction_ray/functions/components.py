@@ -11,10 +11,16 @@ Planner: the same size split as every iterative operator in
 against :data:`.joins.LOCAL_BYTES_BOUND` read at call time (patching that
 one attribute forces graph.py, this module and the exchanges together):
 
-* **at or below the bound** the pair table is gathered once
-  (``graph._gather``, no projection job) and folded by ONE numpy call,
-  :func:`_cc_kernel` — min-label propagation with pointer jumping over
-  a dense node index.  No rounds, no per-node Python state.
+* **at or below the bound** the pair table — sized from Ray Data's
+  metadata when it is a parquet read or materialized
+  (:func:`.joins.sized`) — is folded by ONE numpy call,
+  :func:`_cc_kernel` (min-label propagation with pointer jumping over
+  a dense node index), inside ONE worker call
+  (:func:`.joins.local_call`) returned lazily, so the consumer's sink
+  runs in the same Ray Data execution and no pair reaches the driver.
+  No rounds, no per-node Python state.  ``graph.component_size_hist``
+  runs :func:`components_table` and its size fold in its own one call
+  over the adjacency.
 * **above the bound** the rounds run partitioned: iterative **min-label
   propagation** ("hash-to-min" family, Rastogi et al., "Finding
   Connected Components in Map-Reduce in Logarithmic Rounds", ICDE 2013
@@ -53,18 +59,20 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from . import graph
-from .joins import cogroup, derive_n_parts, fits_local, pair_payload_join
+from .joins import cogroup, derive_n_parts, fits_local, local_call, pair_payload_join, sized
 
 _OUT_NAMES = ["doc_id", "canonical_id", "cluster_size"]
 
 
-def _empty_result(id_type: pa.DataType) -> ray.data.Dataset:
-    empty = pa.Table.from_arrays(
+def _empty_table(id_type: pa.DataType) -> pa.Table:
+    return pa.Table.from_arrays(
         [pa.array([], id_type), pa.array([], id_type), pa.array([], pa.int64())],
         names=_OUT_NAMES,
     )
-    return ray.data.from_arrow(empty)
+
+
+def _empty_result(id_type: pa.DataType) -> ray.data.Dataset:
+    return ray.data.from_arrow(_empty_table(id_type))
 
 
 def _min_by_node(tab: pa.Table) -> pa.Table:
@@ -107,6 +115,19 @@ def _cc_kernel(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return nodes[order], nodes[lab[order]], size[lab[order]]
 
 
+def components_table(pairs: pa.Table, id_a: str, id_b: str, id_type: pa.DataType) -> pa.Table:
+    """:func:`connected_components`' rows for the pair table ``pairs``,
+    all at once: one :func:`_cc_kernel` call, ids cast back to
+    ``id_type``."""
+    doc, canon, size = _cc_kernel(
+        *(pairs.column(c).cast(pa.int64()).to_numpy() for c in (id_a, id_b))
+    )
+    return pa.Table.from_arrays(
+        [pa.array(doc).cast(id_type), pa.array(canon).cast(id_type), pa.array(size, pa.int64())],
+        names=_OUT_NAMES,
+    )
+
+
 def connected_components(
     pairs: ray.data.Dataset,
     id_a: str = "doc_a",
@@ -126,9 +147,10 @@ def connected_components(
 
     ``round_stats``, when given, receives one record per round — a
     single ``{"mode": "local", ...}`` record below the graph planner
-    bound, ``{"mode": "partitioned", ...}`` records above it.
+    bound (the one call is then executed here, to time it),
+    ``{"mode": "partitioned", ...}`` records above it.
     """
-    pairs = pairs.materialize()
+    pairs = sized(pairs)
     sch = pairs.schema()
     if sch is None or id_a not in sch.names or pa.types.is_null(sch.types[sch.names.index(id_a)]):
         return _empty_result(pa.int64())
@@ -136,23 +158,18 @@ def connected_components(
 
     if fits_local(pairs):
         t0 = _time.monotonic()
-        tab = graph._gather(pairs)
-        if tab is None:
-            return _empty_result(id_type)
-        doc, canon, size = _cc_kernel(
-            *(tab.column(c).cast(pa.int64()).to_numpy() for c in (id_a, id_b))
+        out = local_call(
+            pairs,
+            lambda t: components_table(t, id_a, id_b, id_type),
+            lambda: _empty_table(id_type),
         )
         if round_stats is not None:
+            out = out.materialize()
             round_stats.append(
                 {"mode": "local", "wall_s": round(_time.monotonic() - t0, 2),
-                 "label_sum": int(canon.sum())}
+                 "label_sum": int(out.sum("canonical_id") or 0)}
             )
-        return ray.data.from_arrow(
-            pa.Table.from_arrays(
-                [pa.array(doc).cast(id_type), pa.array(canon).cast(id_type), pa.array(size, pa.int64())],
-                names=_OUT_NAMES,
-            )
-        )
+        return out
 
     edges = pairs.map_batches(
         lambda t: t.select([id_a, id_b]).rename_columns(["a", "b"]),

@@ -3,12 +3,29 @@
 The engine's terminal KG artifact is the adjacency table
 (``pipelines/kg.adjacency_from_triples`` — SURVEY.md A7/J7); the
 operators here rank, traverse, peel and summarize its entity graph.
-The edge preps are :func:`..joins.hash_partitioned_groups` calls that
-pass their per-batch dedup as ``combine``, so below the planner bound a
-prep over a parquet read or a materialized adjacency is ONE Ray Data
-execution (combine and reduce in one call, a small result one block);
-the undirected operators share one (:func:`_simple_edges`), the
+Every edge prep is a :class:`_Prep`: a per-batch dedup ``combine`` and
+a partition ``reduce``, which above the planner bound run as one
+:func:`..joins.hash_partitioned_groups` call and below it inside the
+operator's one worker call.  The undirected operators share one
+(:func:`_simple_edges`, mirrored by :func:`_undirected_both_dirs`), the
 directed walkers another (:func:`_directed_edges`).
+
+Planner: every operator here that has a sub-bound path (the nine
+iterative ones, :func:`edge_jaccard` and what composes it,
+:func:`modularity`, :func:`degree_assortativity`,
+:func:`component_size_hist`) decides ONCE, on its adjacency input,
+with the engine's one probe :func:`..joins.fits_local` — the adjacency
+sized from Ray Data's metadata when it is a parquet read or a
+materialized dataset (:func:`..joins.sized`), so deciding costs no
+execution.  At or below :data:`..joins.LOCAL_BYTES_BOUND` (read at call
+time) the whole query — edge prep, kernel or rounds, sorted result — is
+ONE ``map_batches`` call on a worker (:func:`..joins.local_call`;
+:func:`modularity`'s two inputs go through :func:`..joins.cogroup`'s
+one-call arm), returned lazily so the consumer's ``write_parquet`` runs
+in the same Ray Data execution: no edge reaches the driver, and a query
+over a parquet read is ``ReadParquet → MapBatches → Write``.  An input
+with no rows gets the operator's typed empty result, built in-process
+without a Ray call.  Above the bound the distributed path below runs.
 
 Every iterative operator (pagerank, hits, bfs/sssp, harmonic
 centrality, label propagation, kcore, trim core, random walks, fanout
@@ -16,12 +33,11 @@ sampling) is written ONCE, as module-level kernels over ``pa.Table``
 plus a round loop, and run by ONE driver, :func:`_iterate`.  A round is
 a scatter kernel (static edges ⋈ state → messages keyed by the
 destination node) and a fold kernel (messages ⋈ state → next state).
-:func:`_iterate` makes the operator's one planner decision with the
-engine's one probe, :func:`..joins.fits_local`, on the prepped edges:
+:func:`_iterate` makes the operator's one planner decision:
 
-* at or below :data:`..joins.LOCAL_BYTES_BOUND` (read at call time)
-  the edges are gathered once (:func:`_gather`) and every kernel runs
-  in-process on whole tables — no Ray job per round;
+* at or below the bound the prep and every kernel run in-process on
+  whole tables (:class:`_InProcess`) inside the one worker call — no
+  Ray job per round;
 * above it every two-input step is one :func:`..joins.cogroup` (the
   two sides hashed on their own key columns, so the static preps carry
   no partition column) and every keyed fold one
@@ -50,14 +66,24 @@ deterministic).
 
 from __future__ import annotations
 
+import math
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .joins import cogroup, derive_n_parts, fits_local, hash_partitioned_groups
+from .joins import (
+    cogroup,
+    derive_n_parts,
+    fits_local,
+    hash_partitioned_groups,
+    local_call,
+    one_partition,
+    sized,
+)
 
 SCALE = 10**12
 _DIST_SCHEMA = pa.schema([("node", pa.string()), ("dist", pa.int64())])
@@ -65,7 +91,43 @@ _MSG_SCHEMA = pa.schema([("node", pa.string()), ("msg", pa.int64())])
 _UV_SCHEMA = pa.schema([("u", pa.string()), ("v", pa.string())])
 
 
-def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
+class _Prep(NamedTuple):
+    """An edge prep, as kernels: ``combine`` turns a batch of adjacency
+    rows into partial edges keyed by ``key``, ``reduce`` folds one hash
+    partition's partials (with their ``part`` column) into edge rows, and
+    ``schema`` types them.  :meth:`exchange` runs it as one
+    :func:`..joins.hash_partitioned_groups` call, :meth:`one_call` as
+    the prep of a sub-bound operator's one worker call."""
+
+    key: list
+    combine: Callable
+    reduce: Callable
+    schema: pa.Schema
+
+    def exchange(self, adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
+        return hash_partitioned_groups(
+            adjacency, self.key, self.reduce, n_parts, combine=self.combine
+        )
+
+    def local(self, batch: pa.Table) -> pa.Table:
+        """The edges of all rows in ``batch`` — what a 1-partition
+        exchange gives — as a typed empty table when there are none."""
+        t = one_partition(self.reduce, self.combine)(batch)
+        return t if t.num_rows else self.schema.empty_table()
+
+    def one_call(self, adjacency: ray.data.Dataset, kernel: Callable) -> ray.data.Dataset:
+        """``kernel`` over the edges of ALL rows of the sized, sub-bound
+        ``adjacency``, as its one lazy worker call
+        (:func:`..joins.local_call`); over the typed empty edges,
+        in-process, when it holds no rows."""
+
+        def one_call(batch: pa.Table) -> pa.Table:  # names the call in Ray Data's plans
+            return kernel(self.local(batch))
+
+        return local_call(adjacency, one_call, lambda: kernel(self.schema.empty_table()))
+
+
+def _collapsed_edges() -> _Prep:
     """(u, v, w) with predicates collapsed, partitioned by hash(u), with
     the local out-weight ``ow`` attached per edge; sorted by u within
     each partition (the probe side of the iteration join)."""
@@ -93,17 +155,8 @@ def _collapsed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Data
         ow = np.repeat(np.add.reduceat(w, starts), np.diff(np.append(starts, len(u))))
         return t.append_column("ow", pa.array(ow, pa.int64()))
 
-    return hash_partitioned_groups(
-        adjacency, ["u"], prep_part, n_parts, combine=combine
-    ).materialize()
-
-
-def _gather(ds: ray.data.Dataset) -> pa.Table | None:
-    """The local planner's one driver gather: ``ds``'s non-empty blocks
-    concatenated, or None when it holds no rows (callers then return
-    their typed empty output)."""
-    tabs = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
-    return pa.concat_tables(tabs) if tabs else None
+    schema = _UV_SCHEMA.append(pa.field("w", pa.int64())).append(pa.field("ow", pa.int64()))
+    return _Prep(["u"], combine, prep_part, schema)
 
 
 class _InProcess:
@@ -129,8 +182,11 @@ class _InProcess:
         m = pc.max(t.column(col)).as_py()
         return int(m) if m is not None else 0
 
-    def result(self, t: pa.Table, schema: pa.Schema, sort_keys) -> ray.data.Dataset:
-        return ray.data.from_arrow(t.select(schema.names).cast(schema).sort_by(sort_keys))
+    def result(self, t: pa.Table, schema: pa.Schema, sort_keys) -> pa.Table:
+        return t.select(schema.names).cast(schema).sort_by(sort_keys)
+
+    def table(self, t: pa.Table) -> pa.Table:
+        return t
 
 
 def _empty_of(ds: ray.data.Dataset) -> pa.Table:
@@ -184,6 +240,9 @@ class _Exchange:
         m = ds.max(col)
         return int(m) if m is not None else 0
 
+    def table(self, t: pa.Table) -> ray.data.Dataset:
+        return ray.data.from_arrow(t)
+
     def result(self, ds, schema: pa.Schema, sort_keys) -> ray.data.Dataset:
         if ds.count() == 0:  # an all-empty sort would come back schema-less
             return ray.data.from_arrow(schema.empty_table())
@@ -194,18 +253,27 @@ class _Exchange:
         )
 
 
-def _iterate(edges: ray.data.Dataset, schema: pa.Schema, n_parts: int, rounds):
+def _iterate(adjacency: ray.data.Dataset, prep: _Prep, rounds) -> ray.data.Dataset:
     """The one planner decision of an iterative operator.  ``rounds(x,
     edges)`` is the operator written once against an executor ``x``
     (``join`` / ``groups`` / ``map`` / ``concat`` / ``count`` / ``max``
-    / ``result``).  At or below :data:`..joins.LOCAL_BYTES_BOUND` the
-    materialized ``edges`` are gathered once — a typed empty ``schema``
-    table when they hold no rows — and run in-process
-    (:class:`_InProcess`); above it they stay a dataset and every step is
-    a keyed exchange (:class:`_Exchange`)."""
-    if fits_local(edges):
-        et = _gather(edges)
-        return rounds(_InProcess(), schema.empty_table() if et is None else et)
+    / ``table`` / ``result``), over the edges ``prep`` makes of the
+    adjacency.  The decision is taken on the adjacency, sized from Ray
+    Data's metadata (:func:`..joins.sized`): at or below
+    :data:`..joins.LOCAL_BYTES_BOUND` the prep and every round run
+    in-process (:class:`_InProcess`) inside ONE worker call
+    (:func:`..joins.local_call`) — a typed empty edge table when the prep
+    leaves none — and the call's sorted table is the result; above it the
+    prep is one exchange, its edges stay a dataset and every step is a
+    keyed exchange (:class:`_Exchange`); edges that come out empty get
+    the in-process result of no edges."""
+    adjacency = sized(adjacency)
+    if fits_local(adjacency):
+        return prep.one_call(adjacency, partial(rounds, _InProcess()))
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    edges = prep.exchange(adjacency, n_parts).materialize()
+    if not edges.count():  # an exchange over no rows carries no schema
+        return ray.data.from_arrow(rounds(_InProcess(), prep.schema.empty_table()))
     return rounds(_Exchange(n_parts), edges)
 
 
@@ -265,14 +333,12 @@ def _semi_join(edges: pa.Table, nodes: pa.Table, col: str) -> pa.Table:
     return edges.filter(keep)
 
 
-def _simple_edges(
-    adjacency: ray.data.Dataset, n_parts: int, weighted: bool = False
-) -> ray.data.Dataset:
+def _simple_edges(weighted: bool = False) -> _Prep:
     """Distinct undirected edges of the KG entity graph as canonical
     ``a < b`` rows (self-loops dropped, predicates and direction
     collapsed), plus ``w`` = Σweight over both directions when
     ``weighted``.  Each batch pre-dedups before ONE (a, b)-keyed
-    exchange; the result is not materialized."""
+    exchange."""
     cols = ["a", "b", "w"] if weighted else ["a", "b"]
     aggs = [("w", "sum")] if weighted else []
 
@@ -288,17 +354,16 @@ def _simple_edges(
             t["w"] = batch.column("weight").cast(pa.int64()).filter(keep)
         return dedup(pa.table(t))
 
-    return hash_partitioned_groups(
-        adjacency, ["a", "b"], lambda part: dedup(part.select(cols)), n_parts, combine=canon
-    )
+    schema = pa.schema([(c, pa.int64() if c == "w" else pa.string()) for c in cols])
+    return _Prep(["a", "b"], canon, lambda part: dedup(part.select(cols)), schema)
 
 
-def _directed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
+def _directed_edges() -> _Prep:
     """Distinct directed (u, v) edges of the KG (predicates collapsed,
     self-loops kept), exchanged on hash(u) and sorted by (u, v) within
-    each partition, materialized — the static side shared by
-    :func:`random_walks`, :func:`fanout_sample`, :func:`hits` and
-    :func:`trim_core`.  Each batch pre-dedups before the one exchange."""
+    each partition — the static side shared by :func:`random_walks`,
+    :func:`fanout_sample`, :func:`hits` and :func:`trim_core`.  Each
+    batch pre-dedups before the one exchange."""
 
     def dedup(t: pa.Table) -> pa.Table:
         return t.group_by(["u", "v"]).aggregate([])
@@ -309,9 +374,7 @@ def _directed_edges(adjacency: ray.data.Dataset, n_parts: int) -> ray.data.Datas
     def sort_part(part: pa.Table) -> pa.Table:
         return dedup(part.select(["u", "v"])).sort_by([("u", "ascending"), ("v", "ascending")])
 
-    return hash_partitioned_groups(
-        adjacency, ["u"], sort_part, n_parts, combine=canon
-    ).materialize()
+    return _Prep(["u"], canon, sort_part, _UV_SCHEMA)
 
 
 def pagerank(
@@ -333,8 +396,6 @@ def pagerank(
     stationary rank measures proximity to the seed entities (the
     query-anchored entity-importance feature of KG QA / recommendation).
     Same integer recurrence, same exchanges, bit-exact SQL unroll."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _collapsed_edges(adjacency, n_parts)
     base = (100 - damping_pct) * SCALE // 100
 
     def init_ranks(t: pa.Table) -> pa.Table:
@@ -367,8 +428,7 @@ def pagerank(
             [("rank", "descending"), ("node", "ascending")],
         )
 
-    schema = _UV_SCHEMA.append(pa.field("w", pa.int64())).append(pa.field("ow", pa.int64()))
-    return _iterate(edges, schema, n_parts, rounds)
+    return _iterate(adjacency, _collapsed_edges(), rounds)
 
 
 def triangle_count(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -387,6 +447,39 @@ def triangle_count(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     total = edge_jaccard(adjacency).sum("n_common")  # None on an empty edge set
     return ray.data.from_arrow(
         pa.table({"n_triangles": pa.array([int(total or 0) // 3], pa.int64())})
+    )
+
+
+def _jaccard_local(et: pa.Table) -> pa.Table:
+    """:func:`edge_jaccard`'s rows for the canonical (a, b) edges ``et``,
+    all at once: neighbor sets, degrees, common-neighbor counts and the
+    micro-Jaccard."""
+    a = et.column("a").to_pylist()
+    b = et.column("b").to_pylist()
+    nbrs: dict[str, set] = {}
+    for x, y in zip(a, b):
+        nbrs.setdefault(x, set()).add(y)
+        nbrs.setdefault(y, set()).add(x)
+    da = np.array([len(nbrs[x]) for x in a], np.int64)
+    db = np.array([len(nbrs[y]) for y in b], np.int64)
+    cn = np.array(
+        [
+            len(nbrs[x] & nbrs[y]) if len(nbrs[x]) <= len(nbrs[y]) else len(nbrs[y] & nbrs[x])
+            for x, y in zip(a, b)
+        ],
+        np.int64,
+    )
+    denom = (da + db - cn).astype(np.float64)
+    jacc = np.floor(cn.astype(np.float64) * 1000000.0 / denom + 0.5).astype(np.int64)
+    return pa.table(
+        {
+            "node_a": pa.array(a, pa.string()),
+            "node_b": pa.array(b, pa.string()),
+            "deg_a": pa.array(da, pa.int64()),
+            "deg_b": pa.array(db, pa.int64()),
+            "n_common": pa.array(cn, pa.int64()),
+            "jacc_micro": pa.array(jacc, pa.int64()),
+        }
     )
 
 
@@ -417,61 +510,21 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
 
     :func:`triangle_count`, :func:`clustering_coefficient` and
     :func:`ktruss` all compose this operator."""
-    n_edges = adjacency.count()
-    n_parts = derive_n_parts(n_edges, rows_per_part=65536)
-    edges = _simple_edges(adjacency, n_parts).materialize()
-
-    # Small-graph planner (round 5): below
-    # joins.LOCAL_BYTES_BOUND the deduped edge set is gathered once and
-    # degrees / common-neighbor counts / the micro-Jaccard are computed
-    # locally — identical integers and the identical float64 rounding
-    # expression, so bit-equal to the wedge-exchange path (asserted in
-    # tests).  This also collapses triangle_count, ktruss and
-    # clustering_coefficient, which compose this operator (5-round ktruss
-    # on the 625-edge KG measured 43 s distributed).
-    if fits_local(edges):
-        out_schema = pa.schema(
-            [
-                ("node_a", pa.string()),
-                ("node_b", pa.string()),
-                ("deg_a", pa.int64()),
-                ("deg_b", pa.int64()),
-                ("n_common", pa.int64()),
-                ("jacc_micro", pa.int64()),
-            ]
-        )
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(out_schema.empty_table())
-        a = et.column("a").to_pylist()
-        b = et.column("b").to_pylist()
-        nbrs: dict[str, set] = {}
-        for x, y in zip(a, b):
-            nbrs.setdefault(x, set()).add(y)
-            nbrs.setdefault(y, set()).add(x)
-        da = np.array([len(nbrs[x]) for x in a], np.int64)
-        db = np.array([len(nbrs[y]) for y in b], np.int64)
-        cn = np.array(
-            [
-                len(nbrs[x] & nbrs[y]) if len(nbrs[x]) <= len(nbrs[y]) else len(nbrs[y] & nbrs[x])
-                for x, y in zip(a, b)
-            ],
-            np.int64,
-        )
-        denom = (da + db - cn).astype(np.float64)
-        jacc = np.floor(cn.astype(np.float64) * 1000000.0 / denom + 0.5).astype(np.int64)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node_a": pa.array(a, pa.string()),
-                    "node_b": pa.array(b, pa.string()),
-                    "deg_a": pa.array(da, pa.int64()),
-                    "deg_b": pa.array(db, pa.int64()),
-                    "n_common": pa.array(cn, pa.int64()),
-                    "jacc_micro": pa.array(jacc, pa.int64()),
-                }
-            )
-        )
+    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
+    # deduped edges, degrees, common-neighbor counts and micro-Jaccard
+    # are one worker call — identical integers and the identical float64
+    # rounding expression, so bit-equal to the wedge-exchange path
+    # (asserted in tests).  This also collapses triangle_count, ktruss
+    # and clustering_coefficient, which compose this operator (5-round
+    # ktruss on the 625-edge KG measured 43 s distributed).
+    prep = _simple_edges()
+    adjacency = sized(adjacency)
+    if fits_local(adjacency):
+        return prep.one_call(adjacency, _jaccard_local)
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    edges = prep.exchange(adjacency, n_parts).materialize()
+    if not edges.count():  # the maps below would lose the output types
+        return ray.data.from_arrow(_jaccard_local(prep.schema.empty_table()))
 
     def endpoints(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -661,8 +714,6 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
     or after ``max_rounds``; extra rounds past the fixpoint are no-ops,
     which is what lets the SQL oracle unroll a FIXED round count and
     still compare exactly."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _simple_edges(adjacency, n_parts).materialize()
     schema = pa.schema([("node", pa.string()), ("deg", pa.int64())])
 
     def at_least_k(t: pa.Table) -> pa.Table:
@@ -683,8 +734,7 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
             deg = degrees(x, e)
         return x.result(x.map(deg, at_least_k), schema, [("node", "ascending")])
 
-    ab = pa.schema([("a", pa.string()), ("b", pa.string())])
-    return _iterate(edges, ab, n_parts, rounds)
+    return _iterate(adjacency, _simple_edges(), rounds)
 
 
 def _endpoint_degrees(t: pa.Table) -> pa.Table:
@@ -709,7 +759,7 @@ def degree_histogram(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     from ray.data.aggregate import Sum
 
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _simple_edges(adjacency, n_parts)
+    edges = _simple_edges().exchange(adjacency, n_parts)
 
     def deg_partial(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -838,27 +888,24 @@ def pred_bigrams(adjacency: ray.data.Dataset) -> ray.data.Dataset:
 
 # --- multi-source BFS: hop distance from hash-seeded landmarks ---------------
 
-def _undirected_both_dirs(
-    adjacency: ray.data.Dataset, n_parts: int, weighted: bool = False
-) -> ray.data.Dataset:
-    """:func:`_simple_edges` materialized BOTH directions as (u, v) rows
-    (plus the pair's summed weight ``w`` when ``weighted``) — the static
-    probe side shared by :func:`bfs_hops`, :func:`sssp_hops`,
-    :func:`label_propagation` and :func:`harmonic_centrality`."""
+def _undirected_both_dirs(weighted: bool = False) -> _Prep:
+    """:func:`_simple_edges` in BOTH directions as (u, v) rows (plus the
+    pair's summed weight ``w`` when ``weighted``), mirrored in the same
+    reduce — the static probe side shared by :func:`bfs_hops`,
+    :func:`sssp_hops`, :func:`label_propagation` and
+    :func:`harmonic_centrality`."""
+    simple = _simple_edges(weighted)
 
-    def mirror(batch: pa.Table) -> pa.Table:
-        a, b = batch.column("a").combine_chunks(), batch.column("b").combine_chunks()
-        t = {"u": pa.concat_arrays([a, b]), "v": pa.concat_arrays([b, a])}
+    def mirror(t: pa.Table) -> pa.Table:
+        a, b = t.column("a").combine_chunks(), t.column("b").combine_chunks()
+        out = {"u": pa.concat_arrays([a, b]), "v": pa.concat_arrays([b, a])}
         if weighted:
-            w = batch.column("w").combine_chunks()
-            t["w"] = pa.concat_arrays([w, w])
-        return pa.table(t)
+            w = t.column("w").combine_chunks()
+            out["w"] = pa.concat_arrays([w, w])
+        return pa.table(out)
 
-    return (
-        _simple_edges(adjacency, n_parts, weighted)
-        .map_batches(mirror, batch_format="pyarrow")
-        .materialize()
-    )
+    schema = _UV_SCHEMA.append(pa.field("w", pa.int64())) if weighted else _UV_SCHEMA
+    return _Prep(simple.key, simple.combine, lambda part: mirror(simple.reduce(part)), schema)
 
 
 def bfs_seed_mask(nodes: "pa.Array | pa.ChunkedArray", pct: int) -> pa.Array:
@@ -897,9 +944,6 @@ def _min_plus_hops(
     over the static mirrored edges — (neighbor, dist + len) candidates
     pre-combined per partition — and a :func:`_fold_min` into the
     running distances."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _undirected_both_dirs(adjacency, n_parts, weighted)
-
     def seeds(part: pa.Table) -> pa.Table:
         # node set = distinct u of the mirrored table (covers every
         # endpoint); distinct-per-partition is exact, the groups are keyed by u
@@ -917,12 +961,7 @@ def _min_plus_hops(
             dist = x.join(dist, cand, ["node"], ["node"], fold)
         return x.result(dist, _DIST_SCHEMA, [("node", "ascending")])
 
-    return _iterate(edges, _mirrored_schema(weighted), n_parts, relax_rounds)
-
-
-def _mirrored_schema(weighted: bool) -> pa.Schema:
-    """Columns of :func:`_undirected_both_dirs`."""
-    return _UV_SCHEMA.append(pa.field("w", pa.int64())) if weighted else _UV_SCHEMA
+    return _iterate(adjacency, _undirected_both_dirs(weighted), relax_rounds)
 
 
 def _relax(edges: pa.Table, dist: pa.Table, keys: list[str], weighted: bool = False) -> pa.Table:
@@ -997,9 +1036,6 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
     vectorized sort + first-of-run argmax per node (the grouped-MODE
     kernel, no per-node dispatch).  Exchange volume is O(edges) tallies
     per round, the LPA lower bound."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _undirected_both_dirs(adjacency, n_parts)
-
     def init_labels(part: pa.Table) -> pa.Table:
         nodes = pc.unique(part.column("u").combine_chunks())
         return pa.table({"node": nodes, "community": nodes})
@@ -1012,7 +1048,7 @@ def label_propagation(adjacency: ray.data.Dataset, rounds: int = 3) -> ray.data.
         schema = pa.schema([("node", pa.string()), ("community", pa.string())])
         return x.result(labels, schema, [("node", "ascending")])
 
-    return _iterate(edges, _UV_SCHEMA, n_parts, propagate)
+    return _iterate(adjacency, _undirected_both_dirs(), propagate)
 
 
 def _tally(edges: pa.Table, labels: pa.Table) -> pa.Table:
@@ -1066,8 +1102,6 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     draw itself (one digest per live walk per step, the portable-hash
     price every md5-keyed oracle pays).  Frontier volume is ≤ n_walks
     rows per step."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _directed_edges(adjacency, n_parts)
     schema = pa.schema([("walk_id", pa.string()), ("step", pa.int64()), ("node", pa.string())])
 
     def starts(part: pa.Table) -> pa.Table:
@@ -1087,7 +1121,7 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
             steps.append(x.map(frontier, stamp(t)))
         return x.result(x.concat(steps), schema, [("walk_id", "ascending"), ("step", "ascending")])
 
-    return _iterate(edges, _UV_SCHEMA, n_parts, walk)
+    return _iterate(adjacency, _directed_edges(), walk)
 
 
 def _md5_u64(keys) -> np.ndarray:
@@ -1141,7 +1175,7 @@ def walk_pairs(
     |Δstep| ≤ window over the walk replay)."""
     from ray.data.aggregate import Sum
 
-    walks = random_walks(adjacency, walk_len=walk_len)
+    walks = random_walks(adjacency, walk_len=walk_len).materialize()  # counted, then exchanged
     n_parts = derive_n_parts(walks.count(), rows_per_part=65536)
 
     pair_schema = pa.schema(
@@ -1282,8 +1316,6 @@ def fanout_sample(
     brings a node's duplicates together, where the hop kernel dedups
     them).  Emitted edges are ≤ |frontier|·fanout by construction (the
     sampling bound that makes 10¹²-edge graphs trainable)."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _directed_edges(adjacency, n_parts)
     schema = pa.schema([("hop", pa.int64()), ("src", pa.string()), ("dst", pa.string())])
 
     def seeds(part: pa.Table) -> pa.Table:
@@ -1303,7 +1335,7 @@ def fanout_sample(
         sort_keys = [("hop", "ascending"), ("src", "ascending"), ("dst", "ascending")]
         return x.result(x.concat(hops), schema, sort_keys)
 
-    return _iterate(edges, _UV_SCHEMA, n_parts, sample)
+    return _iterate(adjacency, _directed_edges(), sample)
 
 
 def _fanout_hop(edges: pa.Table, frontier: pa.Table, h: int, fanout: int) -> pa.Table:
@@ -1334,6 +1366,41 @@ def _fanout_hop(edges: pa.Table, frontier: pa.Table, h: int, fanout: int) -> pa.
     )
 
 
+def _modularity_row(m: int, sum_mc: int, sd2: int, n_comm: int) -> pa.Table:
+    """:func:`modularity`'s one row from its integer sufficient stats:
+    Q = (4·m·Σm_c − ΣD_c²) / (4m²) in the fixed IEEE final form."""
+    q_nano = int(math.floor((4 * m * sum_mc - sd2) / (4 * m * m) * 1e9 + 0.5)) if m > 0 else 0
+    return pa.table(
+        {
+            "n_edges": pa.array([m], pa.int64()),
+            "n_communities": pa.array([n_comm], pa.int64()),
+            "q_nano": pa.array([q_nano], pa.int64()),
+        }
+    )
+
+
+def _modularity_local(et: pa.Table, comm: pa.Table) -> pa.Table:
+    """:func:`modularity` over the canonical (a, b) edges ``et`` and the
+    (node, community) rows ``comm``, all at once (an unlabeled node is
+    its own community — the attach semantics)."""
+    lab = dict(zip(comm.column("node").to_pylist(), comm.column("community").to_pylist()))
+    d_of: dict = {}
+    mc_of: dict = {}
+    for x, y in zip(et.column("a").to_pylist(), et.column("b").to_pylist()):
+        ca = lab.get(x, x)
+        cb = lab.get(y, y)
+        d_of[ca] = d_of.get(ca, 0) + 1
+        d_of[cb] = d_of.get(cb, 0) + 1
+        if ca == cb:
+            mc_of[ca] = mc_of.get(ca, 0) + 1
+    return _modularity_row(
+        sum(d_of.values()) // 2,
+        sum(mc_of.values()),
+        sum(d * d for d in d_of.values()),
+        len(d_of),
+    )
+
+
 def modularity(
     adjacency: ray.data.Dataset, communities: ray.data.Dataset
 ) -> ray.data.Dataset:
@@ -1354,62 +1421,25 @@ def modularity(
     table); per-batch partials fold every labeled edge to ≤ |C| (c,
     m_c, D_c) counter rows before the final aggregate-sized groupby.
     The driver sees only community counters, never edges."""
-    import math
-
     from ray.data.aggregate import Sum
 
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _simple_edges(adjacency, n_parts).materialize()
-
-    # Small-graph planner (round 5): local integer sufficient stats —
-    # identical finalize expression (tests); unchanged above the bound.
-    comm = communities.materialize()
-    if fits_local(edges, comm):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "n_edges": pa.array([0], pa.int64()),
-                        "n_communities": pa.array([0], pa.int64()),
-                        "q_nano": pa.array([0], pa.int64()),
-                    }
-                )
-            )
-        a = et.column("a").to_pylist()
-        b = et.column("b").to_pylist()
-        lab = {}
-        for bt in comm.iter_batches(batch_format="pyarrow"):
-            lab.update(zip(bt.column("node").to_pylist(), bt.column("community").to_pylist()))
-        d_of: dict = {}
-        mc_of: dict = {}
-        for x, y in zip(a, b):
-            ca = lab.get(x, x)  # self-label fallback (the attach semantics)
-            cb = lab.get(y, y)
-            d_of[ca] = d_of.get(ca, 0) + 1
-            d_of[cb] = d_of.get(cb, 0) + 1
-            if ca == cb:
-                mc_of[ca] = mc_of.get(ca, 0) + 1
-        m = sum(d_of.values()) // 2
-        sum_mc = sum(mc_of.values())
-        sd2 = sum(d * d for d in d_of.values())
-        n_comm = len(d_of)
-        if m > 0:
-            num = 4 * m * sum_mc - sd2
-            den = 4 * m * m
-            q_nano = int(math.floor(num / den * 1e9 + 0.5))
-        else:
-            q_nano = 0
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "n_edges": pa.array([m], pa.int64()),
-                    "n_communities": pa.array([n_comm], pa.int64()),
-                    "q_nano": pa.array([q_nano], pa.int64()),
-                }
-            )
+    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
+    # edge prep and the integer sufficient stats run in cogroup's one
+    # worker call over both inputs — identical finalize expression
+    # (tests); unchanged above the bound.
+    prep = _simple_edges()
+    adjacency, communities = sized(adjacency), sized(communities)
+    if fits_local(adjacency, communities):
+        return cogroup(
+            adjacency,
+            communities,
+            ["src_id"],
+            ["node"],
+            lambda adj, comm: _modularity_local(prep.local(adj), comm),
+            1,
         )
-    communities = comm
+    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    edges = prep.exchange(adjacency, n_parts).materialize()
 
     def attach_label(keyed: ray.data.Dataset, key: str, out: str) -> ray.data.Dataset:
         """Append ``out`` = community(``key``) via one :func:`cogroup` with
@@ -1460,24 +1490,48 @@ def modularity(
         .aggregate(Sum("d", alias_name="d"), Sum("mc", alias_name="mc"))
         .take_all()
     )  # ≤ |communities| counter rows
-    m = sum(r["d"] for r in folded) // 2
-    sum_mc = sum(r["mc"] for r in folded)
-    sd2 = sum(r["d"] * r["d"] for r in folded)
-    n_comm = len(folded)
-    if m > 0:
-        num = 4 * m * sum_mc - sd2
-        den = 4 * m * m
-        q_nano = int(math.floor(num / den * 1e9 + 0.5))
-    else:
-        q_nano = 0
+    d = [r["d"] for r in folded]
     return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_edges": pa.array([m], pa.int64()),
-                "n_communities": pa.array([n_comm], pa.int64()),
-                "q_nano": pa.array([q_nano], pa.int64()),
-            }
-        )
+        _modularity_row(sum(d) // 2, sum(r["mc"] for r in folded), sum(x * x for x in d), len(d))
+    )
+
+
+def _assortativity_row(n: int, sx: int, sxx: int, sxy: int, n_nodes: int) -> pa.Table:
+    """:func:`degree_assortativity`'s one row from its integer sufficient
+    sums, finished with exact Python ints and the fixed IEEE form."""
+    num = n * sxy - sx * sx
+    a = n * sxx - sx * sx  # = b (symmetric multiset)
+    if a > 0:
+        r = float(num) / (np.sqrt(float(a)) * np.sqrt(float(a)))
+        r_nano = int(math.floor(r * 1e9 + 0.5))
+    else:
+        r_nano = 0
+    return pa.table(
+        {
+            "n_edges": pa.array([n // 2], pa.int64()),
+            "n_nodes": pa.array([n_nodes], pa.int64()),
+            "r_nano": pa.array([r_nano], pa.int64()),
+        }
+    )
+
+
+def _assortativity_local(et: pa.Table) -> pa.Table:
+    """:func:`degree_assortativity` over the canonical (a, b) edges
+    ``et``, all at once: degrees by one ``np.unique`` node index."""
+    ea = et.column("a").to_numpy(zero_copy_only=False)
+    eb = et.column("b").to_numpy(zero_copy_only=False)
+    node_arr = np.unique(np.concatenate([ea, eb]))
+    ai = np.searchsorted(node_arr, ea)
+    bi = np.searchsorted(node_arr, eb)
+    degv = np.bincount(np.concatenate([ai, bi]), minlength=len(node_arr)).astype(np.int64)
+    x = degv[ai]
+    y = degv[bi]
+    return _assortativity_row(
+        2 * len(x),
+        int(x.sum()) + int(y.sum()),
+        int((x * x).sum()) + int((y * y).sum()),
+        2 * int((x * y).sum()),
+        len(node_arr),
     )
 
 
@@ -1506,12 +1560,17 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     the degree table is never broadcast); each labeled batch then folds
     to ONE integer 4-tuple, so the final exchange is four numbers per
     block at any graph size."""
-    import math
-
     from ray.data.aggregate import Sum
 
+    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
+    # edge prep and the integer sufficient stats are one worker call with
+    # the identical fixed IEEE finalize (tests); unchanged above.
+    prep = _simple_edges()
+    adjacency = sized(adjacency)
+    if fits_local(adjacency):
+        return prep.one_call(adjacency, _assortativity_local)
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _simple_edges(adjacency, n_parts).materialize()
+    edges = prep.exchange(adjacency, n_parts).materialize()
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         both = pa.concat_arrays(
@@ -1531,49 +1590,6 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
         .aggregate(Sum("d", alias_name="deg"))
         .materialize()
     )
-
-    # Small-graph planner (round 5): local integer sufficient stats with
-    # the identical fixed IEEE finalize (tests); unchanged above.
-    if fits_local(edges):
-        et = _gather(edges)
-        if et is None:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "n_edges": pa.array([0], pa.int64()),
-                        "n_nodes": pa.array([0], pa.int64()),
-                        "r_nano": pa.array([0], pa.int64()),
-                    }
-                )
-            )
-        ea = et.column("a").to_numpy(zero_copy_only=False)
-        eb = et.column("b").to_numpy(zero_copy_only=False)
-        node_arr = np.unique(np.concatenate([ea, eb]))
-        ai = np.searchsorted(node_arr, ea)
-        bi = np.searchsorted(node_arr, eb)
-        degv = np.bincount(np.concatenate([ai, bi]), minlength=len(node_arr)).astype(np.int64)
-        x = degv[ai]
-        y = degv[bi]
-        n = 2 * len(x)
-        sx = int(x.sum()) + int(y.sum())
-        sxx = int((x * x).sum()) + int((y * y).sum())
-        sxy = 2 * int((x * y).sum())
-        num = n * sxy - sx * sx
-        a_ = n * sxx - sx * sx
-        if a_ > 0:
-            r = float(num) / (np.sqrt(float(a_)) * np.sqrt(float(a_)))
-            r_nano = int(math.floor(r * 1e9 + 0.5))
-        else:
-            r_nano = 0
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "n_edges": pa.array([n // 2], pa.int64()),
-                    "n_nodes": pa.array([len(node_arr)], pa.int64()),
-                    "r_nano": pa.array([r_nano], pa.int64()),
-                }
-            )
-        )
     n_nodes = deg.count()
 
     def attach_deg(keyed: ray.data.Dataset, key: str, out: str) -> ray.data.Dataset:
@@ -1619,26 +1635,8 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
         )
         or {}
     )
-    n = int(stats.get("n") or 0)
-    sx = int(stats.get("sx") or 0)
-    sxx = int(stats.get("sxx") or 0)
-    sxy = int(stats.get("sxy") or 0)
-    num = n * sxy - sx * sx  # exact python ints
-    a = n * sxx - sx * sx  # = b (symmetric multiset)
-    if a > 0:
-        r = float(num) / (np.sqrt(float(a)) * np.sqrt(float(a)))
-        r_nano = int(math.floor(r * 1e9 + 0.5))
-    else:
-        r_nano = 0
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_edges": pa.array([n // 2], pa.int64()),
-                "n_nodes": pa.array([n_nodes], pa.int64()),
-                "r_nano": pa.array([r_nano], pa.int64()),
-            }
-        )
-    )
+    sums = [int(stats.get(c) or 0) for c in ("n", "sx", "sxx", "sxy")]
+    return ray.data.from_arrow(_assortativity_row(*sums, n_nodes))
 
 
 def clustering_coefficient(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -1815,8 +1813,6 @@ def harmonic_centrality(
     SQL unroll compares exactly.  Frontier volume is bounded by
     nodes × landmarks — seed_pct directly prices the accuracy/cost
     trade, which is the point of landmark approximation."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _undirected_both_dirs(adjacency, n_parts)
     schema = pa.schema([("node", pa.string()), ("n_reached", pa.int64()), ("h_micro", pa.int64())])
 
     def seeds(part: pa.Table) -> pa.Table:
@@ -1850,7 +1846,7 @@ def harmonic_centrality(
             dist = x.join(dist, cand, ["node"], ["node"], partial(_fold_min, keys=keys))
         return x.result(x.groups(dist, ["node"], harmonic), schema, [("node", "ascending")])
 
-    return _iterate(edges, _UV_SCHEMA, n_parts, relax_rounds)
+    return _iterate(adjacency, _undirected_both_dirs(), relax_rounds)
 
 
 def ktruss(adjacency: ray.data.Dataset, k: int = 3, max_rounds: int = 5) -> ray.data.Dataset:
@@ -2053,14 +2049,16 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     (output stays O(|edges|), the connected_components contract).
     Output per size: (size, n_components), ascending.
 
-    Scale shape: per-batch canonical-edge Arrow dedup partials, the
-    engine's :func:`..components.connected_components` (one numpy kernel
-    call over the gathered edges below :data:`..joins.LOCAL_BYTES_BOUND`,
-    pointer-jumping keyed-exchange rounds above it), then per-batch
-    (size → node count) partials folded in Arrow on the driver (bounded
-    by distinct sizes, so no exchange); the driver divides node counts by
-    size — n_components·size == n_nodes is asserted."""
-    from .components import connected_components
+    Scale shape: at or below :data:`..joins.LOCAL_BYTES_BOUND` (planned
+    on the adjacency) ONE worker call dedups the canonical edges, runs
+    the components kernel (:func:`..components.components_table`) and
+    folds the sizes.  Above it: per-batch canonical-edge Arrow dedup
+    partials, the engine's :func:`..components.connected_components`
+    (pointer-jumping keyed-exchange rounds), then per-batch (size → node
+    count) partials folded in Arrow on the driver (bounded by distinct
+    sizes, so no exchange).  Node counts are divided by size —
+    n_components·size == n_nodes is asserted."""
+    from .components import components_table, connected_components
 
     def hex16_to_i64(ids: np.ndarray) -> np.ndarray:
         """'e_<16 lowercase hex>' → order-preserving int64 (uint64 value
@@ -2076,7 +2074,7 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
             acc = acc * np.uint64(16) + nib[:, i].astype(np.uint64)
         return (acc ^ np.uint64(1 << 63)).view(np.int64)
 
-    def edge_partial(batch: pa.Table) -> pa.Table:
+    def canon(batch: pa.Table) -> pa.Table:
         s = batch.column("src_id").to_numpy(zero_copy_only=False)
         d = batch.column("dst_id").to_numpy(zero_copy_only=False)
         keep = s != d
@@ -2087,11 +2085,8 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
         t = pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
         return t.group_by(["a", "b"]).aggregate([])
 
-    pairs = adjacency.map_batches(edge_partial, batch_format="pyarrow")
-    comp = connected_components(pairs, id_a="a", id_b="b")
-
-    def size_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("cluster_size").combine_chunks())
+    def size_partial(comp: pa.Table) -> pa.Table:
+        vc = pc.value_counts(comp.column("cluster_size").combine_chunks())
         return pa.table(
             {
                 "size": vc.field("values").cast(pa.int64()),
@@ -2099,23 +2094,34 @@ def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
+    def hist(partials: pa.Table) -> pa.Table:
+        """(size, n_components) from (size, n_nodes) partials."""
+        g = partials.group_by("size").aggregate([("n_nodes", "sum")]).sort_by("size")
+        sizes = g.column("size").to_numpy()
+        nn = g.column("n_nodes_sum").to_numpy()
+        broken = sizes[nn % sizes != 0]
+        if len(broken):
+            raise AssertionError(f"component bookkeeping broken at size {int(broken[0])}")
+        return pa.table(
+            {"size": pa.array(sizes, pa.int64()), "n_components": pa.array(nn // sizes, pa.int64())}
+        )
+
+    schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+    prep = _Prep(["a", "b"], canon, lambda part: part.select(schema.names), schema)
+    adjacency = sized(adjacency)
+    if fits_local(adjacency):
+        return prep.one_call(
+            adjacency, lambda e: hist(size_partial(components_table(e, "a", "b", pa.int64())))
+        )
+    comp = connected_components(
+        adjacency.map_batches(canon, batch_format="pyarrow"), id_a="a", id_b="b"
+    )
     # partials are bounded by the distinct sizes per batch: fold them on
     # the driver in Arrow instead of a groupby exchange
     empty = size_partial(pa.table({"cluster_size": pa.array([], pa.int64())}))
     partials = comp.map_batches(size_partial, batch_format="pyarrow")
-    hist = (
-        pa.concat_tables([empty, *partials.iter_batches(batch_format="pyarrow")])
-        .group_by("size")
-        .aggregate([("n_nodes", "sum")])
-        .sort_by("size")
-    )
-    sizes = hist.column("size").to_numpy()
-    nn = hist.column("n_nodes_sum").to_numpy()
-    broken = sizes[nn % sizes != 0]
-    if len(broken):
-        raise AssertionError(f"component bookkeeping broken at size {int(broken[0])}")
     return ray.data.from_arrow(
-        pa.table({"size": pa.array(sizes, pa.int64()), "n_components": pa.array(nn // sizes, pa.int64())})
+        hist(pa.concat_tables([empty, *partials.iter_batches(batch_format="pyarrow")]))
     )
 
 
@@ -2136,8 +2142,6 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
     for the hub half, pre-summed per destination — a :func:`_fold_sum`
     into the (node, hub_scaled, auth_scaled) state, and one global max
     (a scalar) for the rescale."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _directed_edges(adjacency, n_parts)
     SCALE6 = 10**6
 
     def init_scores(t: pa.Table) -> pa.Table:
@@ -2173,7 +2177,7 @@ def hits(adjacency: ray.data.Dataset, iters: int = 3) -> ray.data.Dataset:
         schema = pa.schema([(c, pa.string() if c == "node" else pa.int64()) for c in names])
         return x.result(scores, schema, [("node", "ascending")])
 
-    return _iterate(edges, _UV_SCHEMA, n_parts, rounds)
+    return _iterate(adjacency, _directed_edges(), rounds)
 
 
 def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dataset:
@@ -2194,9 +2198,6 @@ def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dat
     through two :func:`_semi_join` steps — above the bound each a keyed
     :func:`cogroup`, so nothing node-sized reaches the driver.  Exchange
     volume ∝ surviving edges, monotonically shrinking."""
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _directed_edges(adjacency, n_parts)
-
     def sides(t: pa.Table) -> pa.Table:
         """Distinct (node, side) endpoint rows: 0 = has an out-edge,
         1 = has an in-edge."""
@@ -2226,11 +2227,9 @@ def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dat
             prev = n_surv
             edges = x.join(edges, survivors, ["u"], ["node"], partial(_semi_join, col="u"))
             edges = x.join(edges, survivors, ["v"], ["node"], partial(_semi_join, col="v"))
-        return ray.data.from_arrow(
-            pa.table({col: pa.array(vals, pa.int64()) for col, vals in ledger.items()})
-        )
+        return x.table(pa.table({col: pa.array(vals, pa.int64()) for col, vals in ledger.items()}))
 
-    return _iterate(edges, _UV_SCHEMA, n_parts, peel)
+    return _iterate(adjacency, _directed_edges(), peel)
 
 
 def diameter_2sweep(

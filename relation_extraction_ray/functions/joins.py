@@ -34,10 +34,11 @@ batch on a worker (what a 1-partition exchange would hand it, without
 the sort shuffle and its M×N objects).  :func:`hash_partitioned_groups`
 takes the per-batch partial combiner as ``combine`` and plans on the
 combiner's input, which it sizes from the metadata Ray Data already
-holds (a parquet read, a materialized dataset) before materializing
-anything; below the bound the combine and the reduce run in that one
-call.  The one call's result is re-cut into ``min(n_parts,
-ceil(bytes / DataContext.target_min_block_size))`` blocks: a small
+holds (a parquet read, a materialized dataset, a union of such —
+:func:`sized`) before materializing anything; below the bound the
+combine and the reduce run in that one call.  The one call's result is
+re-cut into ``min(n_parts, ceil(bytes /
+DataContext.target_min_block_size))`` blocks: a small
 result stays one block (one write task, one file), a large one keeps
 the keyed arm's block count for the operators downstream.  Above the
 bound the keyed exchange runs, and both keyed arms share one coalesce
@@ -45,7 +46,8 @@ rule (:func:`_coalesced`): an exchange input holding more than
 ``n_parts`` blocks is coalesced to ``n_parts`` first, so an output —
 which the iterative graph rounds feed back into the next round — never
 holds more.  The graph and components operators read the same bound
-through the same probe for their in-process paths, so patching the one
+through the same probe, on their sized input, and below it run as ONE
+lazy worker call too (:func:`local_call`), so patching the one
 attribute forces every planner onto its distributed path.
 """
 
@@ -57,6 +59,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+from ray.data._internal.logical.operators.n_ary_operator import Union
 
 
 def part_of(val, n_parts: int) -> int:
@@ -236,36 +239,59 @@ LOCAL_BYTES_BOUND = 64 << 20
 def fits_local(*datasets: ray.data.Dataset, bound: int | None = None) -> bool:
     """The one size probe: whether the summed block bytes of the
     ``datasets`` (materialized, or sized by Ray Data without executing —
-    see :func:`_sized`) are at most ``bound``, by default
+    see :func:`sized`) are at most ``bound``, by default
     :data:`LOCAL_BYTES_BOUND` as it is when called.  Sizes come from
     block metadata; nothing is gathered."""
     limit = LOCAL_BYTES_BOUND if bound is None else bound
     return _bytes(*datasets) <= limit
 
 
+def _meta(op) -> tuple[int, int] | None:
+    """(bytes, rows) of logical operator ``op`` from the metadata Ray
+    Data holds without executing it (a parquet read's file footers, a
+    materialized or ``from_arrow`` input), or None.  A ``Union`` infers
+    none of its own, so its inputs' metadata is summed when every input
+    has it."""
+    if isinstance(op, Union):
+        parts = [_meta(d) for d in op.input_dependencies]
+        if any(p is None for p in parts):
+            return None
+        return sum(b for b, _ in parts), sum(r for _, r in parts)
+    meta = op.infer_metadata()
+    if meta.size_bytes is None or meta.num_rows is None:
+        return None
+    return meta.size_bytes, meta.num_rows
+
+
 def _bytes(*datasets: ray.data.Dataset) -> int:
     """Summed in-memory bytes of ``datasets`` from their metadata: the
-    package's only ``size_bytes()`` call, read by :func:`fits_local` and
-    the one-call re-cut."""
-    return sum(ds.size_bytes() for ds in datasets)
+    package's only ``size_bytes()`` call (for a dataset :func:`_meta`
+    cannot size), read by :func:`fits_local` and the one-call re-cut."""
+    metas = [(_meta(ds._logical_plan.dag), ds) for ds in datasets]
+    return sum(m[0] if m else ds.size_bytes() for m, ds in metas)
 
 
-def _sized(ds: ray.data.Dataset) -> ray.data.Dataset:
+def _rows(*datasets: ray.data.Dataset) -> int:
+    """Summed rows of ``datasets``, from :func:`_meta` when it knows them."""
+    metas = [(_meta(ds._logical_plan.dag), ds) for ds in datasets]
+    return sum(m[1] if m else ds.count() for m, ds in metas)
+
+
+def sized(ds: ray.data.Dataset) -> ray.data.Dataset:
     """``ds`` itself when Ray Data knows its bytes and rows without
     executing it (a parquet read sized from its file footers, a
-    materialized dataset — the metadata ``Dataset.size_bytes()`` and
-    ``count()`` check first), else ``ds`` materialized."""
-    meta = ds._logical_plan.dag.infer_metadata()
-    if meta.size_bytes is None or meta.num_rows is None:
-        return ds.materialize()
-    return ds
+    materialized dataset, a union of such — :func:`_meta`), else ``ds``
+    materialized: a planner sizes its input with this before
+    :func:`fits_local`, so an input that is already sized costs no
+    execution of its own."""
+    return ds if _meta(ds._logical_plan.dag) is not None else ds.materialize()
 
 
-def _one_call(ds: ray.data.Dataset, fn: "callable", sized: list, n_parts: int) -> ray.data.Dataset:
+def _one_call(ds: ray.data.Dataset, fn: "callable", inputs: list, n_parts: int) -> ray.data.Dataset:
     """``fn`` applied ONCE to all rows of ``ds``, on a worker: a single
-    ``map_batches`` batch holding every row of the ``sized`` inputs ``ds``
-    was built from (the operator bundles every block into one task).  No
-    rows: no call.
+    ``map_batches`` batch holding every row of the sized ``inputs``
+    ``ds`` was built from (the operator bundles every block into one
+    task).  No rows: no call.
 
     The result is re-cut into ``min(n_parts, ceil(input bytes /
     DataContext.target_min_block_size))`` blocks (a streaming slice, no
@@ -274,14 +300,44 @@ def _one_call(ds: ray.data.Dataset, fn: "callable", sized: list, n_parts: int) -
     block — while a large one keeps the keyed arm's block count, since
     one block serializes every downstream operator (a 600k-row single
     block made the ``groupby`` after ``cf_user_topk``'s purchase-matrix
-    exchange 2.6× slower at sf0.1 on 4 cores)."""
-    n_rows = sum(d.count() for d in sized)
+    exchange 2.6× slower at sf0.1 on 4 cores).  ``n_parts`` = 1 keeps
+    the result one block (:func:`local_call`)."""
+    n_rows = _rows(*inputs)
     out = ds.map_batches(fn, batch_size=max(1, n_rows), batch_format="pyarrow")
     min_block = ray.data.DataContext.get_current().target_min_block_size
-    n_blocks = min(n_parts, -(-_bytes(*sized) // min_block))
+    n_blocks = min(n_parts, -(-_bytes(*inputs) // min_block))
     if n_blocks > 1:
         out = out.repartition(target_num_rows_per_block=max(1, -(-n_rows // n_blocks)))
     return out
+
+
+def local_call(ds: ray.data.Dataset, fn: "callable", empty: "callable") -> ray.data.Dataset:
+    """The sub-bound arm of a whole-input operator (a graph query, the
+    components kernel): ``fn`` over ALL rows of ``ds`` — already
+    :func:`sized` and within :func:`fits_local` — as ONE ``map_batches``
+    call on a worker, its result one block.  The call is returned
+    lazily, so the consumer's sink (``write_parquet``, a ``take``) runs
+    in the same Ray Data execution, and no row reaches the driver.  When
+    ``ds`` holds no rows the result is ``empty()``, built in the calling
+    process without a Ray call (a map over no rows would lose the
+    operator's output types)."""
+    if _rows(ds) == 0:
+        return ray.data.from_arrow(empty())
+    return _one_call(ds, fn, [ds], 1)
+
+
+def one_partition(per_partition: "callable", combine: "callable | None" = None) -> "callable":
+    """``batch → per_partition(combine(batch))`` with every row in
+    partition 0 (the int32 ``part`` column all zeros): what a 1-partition
+    :func:`hash_partitioned_groups` exchange computes, as one function —
+    the kernel of its one-call arm."""
+
+    def run(batch: pa.Table) -> pa.Table:
+        t = combine(batch) if combine else batch
+        zeros = pa.array(np.zeros(t.num_rows, np.int32), pa.int32())
+        return per_partition(t.append_column("part", zeros))
+
+    return run
 
 
 def _coalesced(ds: ray.data.Dataset, n_blocks: int, n_parts: int) -> ray.data.Dataset:
@@ -369,7 +425,7 @@ def hash_partitioned_groups(
     partials, so that combining all rows at once or batch by batch gives
     the same result.  The call plans on ``combine``'s INPUT, ``ds`` —
     if that fits, its partials fit too — sized without executing when
-    Ray Data already knows its size (:func:`_sized`), else materialized.
+    Ray Data already knows its size (:func:`sized`), else materialized.
     At or below :data:`LOCAL_BYTES_BOUND` (:func:`fits_local`) the call is
     ONE execution: one ``map_batches`` call runs
     ``per_partition(combine(all rows))`` with ``part`` = 0 on a worker —
@@ -379,19 +435,12 @@ def hash_partitioned_groups(
     blocks when they hold more (:func:`_coalesced`) and ride one sort
     exchange on ``part``, so the output holds at most ``n_parts`` blocks.
     A correct kernel gives the same rows either way."""
-    ds = _sized(ds)
-    prep = combine or (lambda batch: batch)
+    ds = sized(ds)
     if fits_local(ds):
-
-        def run_all(batch: pa.Table) -> pa.Table:
-            t = prep(batch)
-            zeros = pa.array(np.zeros(t.num_rows, np.int32), pa.int32())
-            return per_partition(t.append_column("part", zeros))
-
-        return _one_call(ds, run_all, [ds], n_parts)
+        return _one_call(ds, one_partition(per_partition, combine), [ds], n_parts)
 
     def add_part(batch: pa.Table) -> pa.Table:
-        t = prep(batch)
+        t = combine(batch) if combine else batch
         return t.append_column("part", part_array(t, key_cols, n_parts))
 
     partials = ds.map_batches(add_part, batch_format="pyarrow").materialize()

@@ -1346,3 +1346,165 @@ def test_exchange_rounds_keep_at_most_n_parts_blocks(ray_session):
         labels = G.label_propagation(adjacency, rounds=6).take_all()
         assert len(blocks) == 2 * 6 and max(blocks) <= 4, blocks
         assert len(labels) == 12
+
+
+def _hex_adj(rows):
+    """``_adj`` of (n<k>, pred, n<k>, weight) rows with every node id
+    rewritten to 'e_<16 hex>' (component_size_hist's id form)."""
+    return _adj([(f"e_{int(u[1:]):016x}", p, f"e_{int(v[1:]):016x}", w) for u, p, v, w in rows])
+
+
+def _random_rows(n_nodes: int, n_edges: int, seed: int):
+    import random
+
+    rng = random.Random(seed)
+    return [
+        (f"n{rng.randrange(n_nodes)}", rng.choice(["p", "q"]), f"n{rng.randrange(n_nodes)}", rng.randrange(1, 4))
+        for _ in range(n_edges)
+    ]
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """The plan of every Ray Data execution started while the test runs."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    plans = []
+    real = StreamingExecutor.execute
+
+    def counted(self, dag, initial_stats=None):
+        plans.append(dag.dag_str)
+        return real(self, dag, initial_stats)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return plans
+
+
+def _four_queries():
+    from relation_extraction_ray.functions import graph as G
+    from relation_extraction_ray.functions.components import connected_components
+
+    return [
+        ("pagerank", "adjacency", G.pagerank),
+        ("bfs_hops", "adjacency", G.bfs_hops),
+        ("component_size_hist", "adjacency", G.component_size_hist),
+        ("connected_components", "pairs", lambda p: connected_components(p, id_a="a", id_b="b")),
+    ]
+
+
+def _write_graph_inputs(tmp_path) -> dict:
+    """A small random adjacency and an int64 pair table, each written
+    as four parquet files."""
+    adjacency = str(tmp_path / "adjacency")
+    ray.data.from_arrow(_hex_adj(_random_rows(40, 160, 3))).repartition(4).write_parquet(adjacency)
+    rng = np.random.default_rng(3)
+    pairs = str(tmp_path / "pairs")
+    ray.data.from_arrow(
+        pa.table({"a": rng.integers(0, 50, 60), "b": rng.integers(0, 50, 60)})
+    ).repartition(4).write_parquet(pairs)
+    return {"adjacency": adjacency, "pairs": pairs}
+
+
+def test_sub_bound_graph_query_is_one_execution(ray_session, tmp_path, executions):
+    """Below the bound a graph query over a parquet read, followed by
+    ``write_parquet``, is ONE Ray Data execution — read, the query's one
+    worker call and the write — with the rows of the exchange path."""
+    import unittest.mock as mock
+
+    import pyarrow.parquet as pq
+
+    from relation_extraction_ray.functions import joins
+
+    inputs = _write_graph_inputs(tmp_path)
+    for name, src, query in _four_queries():
+        executions.clear()
+        out = str(tmp_path / name)
+        query(ray.data.read_parquet(inputs[src])).write_parquet(out)
+        assert len(executions) == 1, (name, executions)
+        assert "ReadParquet" in executions[0] and "Write" in executions[0], executions
+        got = pq.read_table(out)
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
+            want = query(ray.data.read_parquet(inputs[src])).to_arrow_refs()
+        want = pa.concat_tables(ray.get(want))
+        assert got.num_rows > 0
+        assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str), name
+
+
+def test_sub_bound_graph_query_gathers_nothing_on_the_driver(ray_session, tmp_path, monkeypatch):
+    """Below the bound no graph or components query pulls rows into the
+    driver: ``Dataset.iter_batches`` and ``Dataset.take_all`` are never
+    called while the queries are planned and written."""
+    from relation_extraction_ray.functions import graph as G
+
+    inputs = _write_graph_inputs(tmp_path)
+    calls = []
+
+    def refuse(name):
+        def spy(self, *args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"driver {name}")
+
+        return spy
+
+    queries = _four_queries() + [
+        ("hits", "adjacency", G.hits),
+        ("edge_jaccard", "adjacency", G.edge_jaccard),
+        ("degree_assortativity", "adjacency", G.degree_assortativity),
+        ("trim_core", "adjacency", G.trim_core),
+    ]
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", refuse("iter_batches"))
+    monkeypatch.setattr(ray.data.Dataset, "take_all", refuse("take_all"))
+    for name, src, query in queries:
+        query(ray.data.read_parquet(inputs[src])).write_parquet(str(tmp_path / name))
+    monkeypatch.undo()
+    assert calls == []
+
+
+def _local_arm_queries(G):
+    """Every graph operator with a sub-bound one-call path, and its
+    columns."""
+    return _nine_operators(G) + [
+        (G.edge_jaccard, ["node_a", "node_b", "deg_a", "deg_b", "n_common", "jacc_micro"]),
+        (G.degree_assortativity, ["n_edges", "n_nodes", "r_nano"]),
+        (
+            lambda a: G.modularity(a, G.label_propagation(a, rounds=1)),
+            ["n_edges", "n_communities", "q_nano"],
+        ),
+        (G.component_size_hist, ["size", "n_components"]),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["empty", "self_loops"])
+@pytest.mark.parametrize("n_parts", [1, 4])
+def test_empty_and_self_loop_graphs_typed_on_every_arm(ray_session, executions, kind, n_parts):
+    """An adjacency with no rows, and one whose edge preps come out empty
+    (self-loops only), give every operator its typed result on the
+    one-call arm and on the exchange arm at ``n_parts`` partitions; an
+    input sized at 0 rows gets it without any Ray Data execution."""
+    import unittest.mock as mock
+
+    import relation_extraction_ray.functions.graph as G
+    from relation_extraction_ray.functions import joins
+
+    typed = pa.schema(
+        [("src_id", pa.string()), ("pred", pa.string()), ("dst_id", pa.string()), ("weight", pa.int64())]
+    )
+    adjacency = ray.data.from_arrow(_hex_adj(_graph_rows(kind, 5, 0)).cast(typed))
+
+    def shape(ds, cols):
+        ds = ds.materialize()
+        names = ds.schema().names if ds.schema() is not None else None
+        return names, sorted(tuple(r[c] for c in cols) for r in ds.take_all())
+
+    for op, cols in _local_arm_queries(G):
+        executions.clear()
+        planned = op(adjacency)
+        if kind == "empty":
+            assert executions == [], cols
+        local = shape(planned, cols)
+        with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0), mock.patch.object(
+            G, "derive_n_parts", lambda rows, **kw: n_parts
+        ):
+            exchanged = shape(op(adjacency), cols)
+        assert local == exchanged, (kind, cols)
+        assert local[0] == cols

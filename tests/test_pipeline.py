@@ -257,6 +257,47 @@ def test_merge_adjacency_equals_full_run(ray_session):
     assert swapped == merged
 
 
+def test_merge_of_a_read_and_a_materialized_delta_is_sized_without_materializing(
+    ray_session, tmp_path, monkeypatch
+):
+    """``merge_adjacency`` over a parquet read and a materialized delta
+    plans on their union, which Ray Data cannot size itself: the planner
+    sums its inputs' metadata, so no separate ``materialize`` runs."""
+    import ray
+
+    from relation_extraction_ray.pipelines.kg import merge_adjacency
+
+    def adjacency(rows):
+        cols = list(zip(*rows))
+        return pa.Table.from_arrays([pa.array(c) for c in cols], schema=schemas.ADJACENCY)
+
+    base_rows = [("a", "p", "b", 2, 1, "d1"), ("a", "p", "c", 1, 1, "d2"), ("b", "q", "c", 4, 2, "d3")]
+    delta_rows = [("a", "p", "b", 3, 2, "d0"), ("c", "p", "a", 1, 1, "d9")]
+    src = str(tmp_path / "base")
+    ray.data.from_arrow(adjacency(base_rows)).repartition(2).write_parquet(src)
+    base = ray.data.read_parquet(src)
+    delta = ray.data.from_arrow(adjacency(delta_rows)).materialize()
+
+    calls = []
+    real = ray.data.Dataset.materialize
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", spy)
+    merged = merge_adjacency(base, delta, n_parts=4)
+    assert calls == []
+    monkeypatch.undo()
+    got = sorted(tuple(r.values()) for r in merged.take_all())
+    assert got == [
+        ("a", "p", "b", 5, 3, "d0"),
+        ("a", "p", "c", 1, 1, "d2"),
+        ("b", "q", "c", 4, 2, "d3"),
+        ("c", "p", "a", 1, 1, "d9"),
+    ]
+
+
 @pytest.fixture(scope="module")
 def encode_stage_and_sentences(ray_session):
     """An ``ExtractEncodeStage`` with the vocab of a small parsed corpus,
