@@ -474,10 +474,13 @@ def _greedy_cov_sql(k: int = 8) -> str:
     (gain DESC, doc_id ASC LIMIT 1) over uncovered distinct 3-gram
     shingles (the shared _NGRAM_CTES unit), the covered set threaded
     forward as a UNION chain — all counts integer, picked docs drop out
-    because their shingles are covered."""
+    because their shingles are covered.  Every CTE of the chain is
+    ``AS MATERIALIZED``: round i reads ``cov{i-1}`` twice (its filter and
+    the next UNION), so inlined CTEs would re-expand every earlier round
+    at each reference."""
     ctes = [
         _NGRAM_CTES.strip(),
-        """gtok AS (
+        """gtok AS MATERIALIZED (
           SELECT doc_id, t FROM (SELECT doc_id, unnest(shingles) AS t FROM shl)
           GROUP BY doc_id, t
         )""",
@@ -488,14 +491,14 @@ def _greedy_cov_sql(k: int = 8) -> str:
             f"WHERE t NOT IN (SELECT t FROM cov{i - 1})" if i > 1 else ""
         )
         ctes.append(
-            f"""p{i} AS (
+            f"""p{i} AS MATERIALIZED (
           SELECT doc_id, CAST(count(*) AS BIGINT) AS gain FROM gtok {flt}
           GROUP BY doc_id ORDER BY gain DESC, doc_id ASC LIMIT 1
         )"""
         )
         prev = f"SELECT t FROM cov{i - 1} UNION " if i > 1 else ""
         ctes.append(
-            f"""cov{i} AS (
+            f"""cov{i} AS MATERIALIZED (
           {prev}SELECT t FROM gtok WHERE doc_id = (SELECT doc_id FROM p{i})
         )"""
         )

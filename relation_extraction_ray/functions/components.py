@@ -59,7 +59,15 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from .joins import cogroup, derive_n_parts, fits_local, local_call, pair_payload_join, sized
+from .joins import (
+    cogroup,
+    derive_n_parts,
+    fits_local,
+    hash_partitioned_groups,
+    local_call,
+    pair_payload_join,
+    sized,
+)
 
 _OUT_NAMES = ["doc_id", "canonical_id", "cluster_size"]
 
@@ -313,23 +321,14 @@ def _pointer_jump(labels: ray.data.Dataset, id_type: pa.DataType, n_parts: int) 
 
 
 def _global_min(node_lab: ray.data.Dataset, n_parts: int) -> ray.data.Dataset:
-    """groupby(node).min(lab) renamed back to (node, lab).
-
-    ``num_partitions`` pins the SHUFFLE partition count, but the
-    aggregate still emits one block per input block, so the round loop
-    COMPOUNDS block count (round k's labels ∪ messages feed round k+1's
-    aggregate) — measured 1.3 s → 4.3 s → 15.2 s per round on an 8-edge
-    toy graph, and 23 → 36 → 66 → 113 s per round on the 5.2M-pair
-    media-dedup probe (round 5) until the explicit ``repartition``
-    below restored flat ~23 s rounds; same bfs_hops discipline."""
-    agg = (
-        node_lab.repartition(n_parts)
-        .groupby("node", num_partitions=n_parts)
-        .min("lab")
-    )
-    return agg.map_batches(
-        lambda t: t.rename_columns(["node", "lab"]), batch_format="pyarrow"
-    )
+    """(node, lab) with the min lab per node: ONE node-keyed
+    :func:`.joins.hash_partitioned_groups` call folding each partition
+    with an Arrow ``group_by`` min.  Its coalesce rule bounds the output
+    at ``n_parts`` blocks, so the round loop — round k's labels ∪
+    messages feed round k+1's fold — cannot compound block count (a
+    Ray Data ``groupby`` aggregate emits one block per input block:
+    measured 1.3 s → 4.3 s → 15.2 s per round on an 8-edge toy graph)."""
+    return hash_partitioned_groups(node_lab, ["node"], _min_by_node, n_parts)
 
 
 def _label_sum(labels: ray.data.Dataset) -> int:

@@ -10,30 +10,34 @@ operator's one worker call.  The undirected operators share one
 (:func:`_simple_edges`, mirrored by :func:`_undirected_both_dirs`), the
 directed walkers another (:func:`_directed_edges`).
 
-Planner: every operator here that has a sub-bound path (the nine
-iterative ones, :func:`edge_jaccard` and what composes it,
-:func:`modularity`, :func:`degree_assortativity`,
-:func:`component_size_hist`) decides ONCE, on its adjacency input,
-with the engine's one probe :func:`..joins.fits_local` — the adjacency
-sized from Ray Data's metadata when it is a parquet read or a
-materialized dataset (:func:`..joins.sized`), so deciding costs no
-execution.  At or below :data:`..joins.LOCAL_BYTES_BOUND` (read at call
-time) the whole query — edge prep, kernel or rounds, sorted result — is
-ONE ``map_batches`` call on a worker (:func:`..joins.local_call`;
-:func:`modularity`'s two inputs go through :func:`..joins.cogroup`'s
-one-call arm), returned lazily so the consumer's ``write_parquet`` runs
-in the same Ray Data execution: no edge reaches the driver, and a query
-over a parquet read is ``ReadParquet → MapBatches → Write``.  An input
-with no rows gets the operator's typed empty result, built in-process
-without a Ray call.  Above the bound the distributed path below runs.
+Planner: every operator here that has a sub-bound path (those written
+on :func:`_iterate`, below, and :func:`component_size_hist`) decides
+ONCE, on its inputs, with the engine's one probe
+:func:`..joins.fits_local` — the adjacency sized from Ray Data's
+metadata when it is a parquet read or a materialized dataset
+(:func:`..joins.sized`), so deciding costs no execution.  At or below
+:data:`..joins.LOCAL_BYTES_BOUND` (read at call time) the whole query —
+edge prep, kernels and rounds, sorted result — is ONE ``map_batches``
+call on a worker (:func:`..joins.local_call`; :func:`modularity`'s two
+inputs go through :func:`..joins.cogroup`'s one-call arm), returned
+lazily so the consumer's ``write_parquet`` runs in the same Ray Data
+execution: no edge reaches the driver, and a query over a parquet read
+is ``ReadParquet → MapBatches → Write``.  An input with no rows gets the
+operator's typed empty result, built in-process without a Ray call.
+Above the bound the distributed path below runs.
 
 Every iterative operator (pagerank, hits, bfs/sssp, harmonic
 centrality, label propagation, kcore, trim core, random walks, fanout
-sampling) is written ONCE, as module-level kernels over ``pa.Table``
-plus a round loop, and run by ONE driver, :func:`_iterate`.  A round is
-a scatter kernel (static edges ⋈ state → messages keyed by the
-destination node) and a fold kernel (messages ⋈ state → next state).
-:func:`_iterate` makes the operator's one planner decision:
+sampling) and the wedge family (:func:`edge_jaccard` and what composes
+its :func:`_wedge_support` rounds — :func:`triangle_count`,
+:func:`clustering_coefficient`, :func:`ktruss` — plus
+:func:`modularity` and :func:`degree_assortativity`) is written ONCE, as
+module-level kernels over ``pa.Table`` plus a round loop, and run by ONE
+driver, :func:`_iterate`.  A round is a scatter kernel (static edges ⋈
+state → messages keyed by the destination node) and a fold kernel
+(messages ⋈ state → next state); a statistic ends in one scalar sum
+(``x.sum``).  :func:`_iterate` makes the operator's one planner
+decision:
 
 * at or below the bound the prep and every kernel run in-process on
   whole tables (:class:`_InProcess`) inside the one worker call — no
@@ -47,7 +51,9 @@ destination node) and a fold kernel (messages ⋈ state → next state).
 
 A kernel sees what one hash partition holds, so the whole table is just
 the 1-partition case and both drivers give the same rows (asserted in
-tests).
+tests).  A kernel that sorts or keys on node pairs (the wedge scatter
+and its closing join) codes its string columns to order-preserving
+integers per call (:func:`_codes`), valid in any partition.
 
 PageRank's round, for instance, is the classic 2-exchanges-per-iteration
 shape: the rank rows meet the static (u, v, w, ow) edges on the node
@@ -160,8 +166,8 @@ def _collapsed_edges() -> _Prep:
 
 
 class _InProcess:
-    """Runs an iterative operator's rounds on whole ``pa.Table``s in the
-    calling process: each step calls its kernel once on all rows."""
+    """Runs an operator's rounds on whole ``pa.Table``s in the calling
+    process: each step calls its kernel once on all rows."""
 
     def join(self, left, right, left_on, right_on, kernel):
         return kernel(left, right)
@@ -182,6 +188,9 @@ class _InProcess:
         m = pc.max(t.column(col)).as_py()
         return int(m) if m is not None else 0
 
+    def sum(self, t: pa.Table, cols: list[str]) -> list[int]:
+        return [int(pc.sum(t.column(c)).as_py() or 0) for c in cols]
+
     def result(self, t: pa.Table, schema: pa.Schema, sort_keys) -> pa.Table:
         return t.select(schema.names).cast(schema).sort_by(sort_keys)
 
@@ -190,13 +199,18 @@ class _InProcess:
 
 
 def _empty_of(ds: ray.data.Dataset) -> pa.Table:
-    return ds.schema().base_schema.empty_table()
+    # materialized first: free for a materialized dataset, whose schema is
+    # then read from its blocks' metadata (a fresh empty ``from_arrow``
+    # dataset would run a one-row execution to find it)
+    return ds.materialize().schema().base_schema.empty_table()
 
 
 class _Exchange:
     """The same rounds as keyed Ray Data exchanges over ``n_parts``
     partitions: a ``join`` is one :func:`cogroup`, a ``groups`` one
-    :func:`hash_partitioned_groups`, each materialized with no lineage.
+    :func:`hash_partitioned_groups`, each materialized with no lineage;
+    ``count``, ``max`` and ``sum`` are Ray Data aggregates whose scalars
+    reach the driver.
     A step that yields no rows is typed by calling its kernel on its
     inputs' typed empty tables, so an emptied state stays typed for the
     next round."""
@@ -240,6 +254,12 @@ class _Exchange:
         m = ds.max(col)
         return int(m) if m is not None else 0
 
+    def sum(self, ds, cols: list[str]) -> list[int]:
+        from ray.data.aggregate import Sum
+
+        got = ds.aggregate(*(Sum(c) for c in cols)) or {}
+        return [int(got.get(f"sum({c})") or 0) for c in cols]
+
     def table(self, t: pa.Table) -> ray.data.Dataset:
         return ray.data.from_arrow(t)
 
@@ -253,28 +273,48 @@ class _Exchange:
         )
 
 
-def _iterate(adjacency: ray.data.Dataset, prep: _Prep, rounds) -> ray.data.Dataset:
-    """The one planner decision of an iterative operator.  ``rounds(x,
+def _iterate(
+    adjacency: ray.data.Dataset, prep: _Prep, rounds, side: ray.data.Dataset | None = None
+) -> ray.data.Dataset:
+    """The one planner decision of a graph operator.  ``rounds(x,
     edges)`` is the operator written once against an executor ``x``
     (``join`` / ``groups`` / ``map`` / ``concat`` / ``count`` / ``max``
-    / ``table`` / ``result``), over the edges ``prep`` makes of the
-    adjacency.  The decision is taken on the adjacency, sized from Ray
-    Data's metadata (:func:`..joins.sized`): at or below
+    / ``sum`` / ``table`` / ``result``), over the edges ``prep`` makes of
+    the adjacency; a ``side`` input (:func:`modularity`'s communities)
+    is handed to it as a third argument, a whole table in-process and a
+    dataset above the bound.  The decision is taken on the inputs, sized
+    from Ray Data's metadata (:func:`..joins.sized`): at or below
     :data:`..joins.LOCAL_BYTES_BOUND` the prep and every round run
     in-process (:class:`_InProcess`) inside ONE worker call
-    (:func:`..joins.local_call`) — a typed empty edge table when the prep
-    leaves none — and the call's sorted table is the result; above it the
-    prep is one exchange, its edges stay a dataset and every step is a
-    keyed exchange (:class:`_Exchange`); edges that come out empty get
-    the in-process result of no edges."""
+    (:func:`..joins.local_call`; :func:`..joins.cogroup`'s one-call arm
+    with a side) — a typed empty edge table when the prep leaves none —
+    and the call's sorted table is the result; above it the prep is one
+    exchange, its edges stay a dataset and every step is a keyed
+    exchange (:class:`_Exchange`); edges that come out empty get the
+    in-process result of no edges (and no side rows: a side only labels
+    the edges' endpoints)."""
     adjacency = sized(adjacency)
-    if fits_local(adjacency):
-        return prep.one_call(adjacency, partial(rounds, _InProcess()))
+    sides = [] if side is None else [sized(side)]
+
+    def no_edges() -> ray.data.Dataset:
+        empty = prep.schema.empty_table()
+        return ray.data.from_arrow(rounds(_InProcess(), empty, *map(_empty_of, sides)))
+
+    if fits_local(adjacency, *sides):
+        if not sides:
+            return prep.one_call(adjacency, partial(rounds, _InProcess()))
+        if not adjacency.count():  # sized: counted from metadata
+            return no_edges()
+
+        def one_call(adj: pa.Table, labels: pa.Table) -> pa.Table:
+            return rounds(_InProcess(), prep.local(adj), labels)
+
+        return cogroup(adjacency, sides[0], [], [], one_call, 1)
     n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
     edges = prep.exchange(adjacency, n_parts).materialize()
     if not edges.count():  # an exchange over no rows carries no schema
-        return ray.data.from_arrow(rounds(_InProcess(), prep.schema.empty_table()))
-    return rounds(_Exchange(n_parts), edges)
+        return no_edges()
+    return rounds(_Exchange(n_parts), edges, *sides)
 
 
 def _endpoints(t: pa.Table) -> pa.Table:
@@ -437,47 +477,175 @@ def triangle_count(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     ignored) — one row ``{n_triangles}``.
 
     Composition, not new machinery (the :func:`clustering_coefficient`
-    discipline): :func:`edge_jaccard` emits every edge's common-neighbor
-    count, and each triangle credits each of its three edges exactly
-    once, so the count is Σ n_common // 3 — exact integers on both of
-    edge_jaccard's paths.  The scale shape is therefore edge_jaccard's
-    degree-ordered wedge enumeration (Suri & Vassilvitskii, WWW'11:
-    out-degree bounded O(√m), so the wedge set is O(m^1.5) regardless
-    of skew) plus one scalar sum."""
-    total = edge_jaccard(adjacency).sum("n_common")  # None on an empty edge set
-    return ray.data.from_arrow(
-        pa.table({"n_triangles": pa.array([int(total or 0) // 3], pa.int64())})
+    discipline): :func:`_wedge_support` gives every edge's
+    common-neighbor count, and each triangle credits each of its three
+    edges exactly once, so the count is Σ n_common // 3 — one scalar sum
+    (``x.sum``) over :func:`edge_jaccard`'s rounds, run by
+    :func:`_iterate`.  The scale shape is therefore the degree-ordered
+    wedge enumeration (Suri & Vassilvitskii, WWW'11: out-degree bounded
+    O(√m), so the wedge set is O(m^1.5) regardless of skew)."""
+    schema = pa.schema([("n_triangles", pa.int64())])
+
+    def rounds(x, edges):
+        (credits,) = x.sum(_wedge_support(x, edges), ["n_common"])
+        row = pa.table({"n_triangles": pa.array([credits // 3], pa.int64())})
+        return x.result(x.table(row), schema, [("n_triangles", "ascending")])
+
+    return _iterate(adjacency, _simple_edges(), rounds)
+
+
+def _codes(*cols) -> tuple[pa.Array, list[np.ndarray]]:
+    """Order-preserving integer codes of string columns, local to one
+    kernel call: the sorted distinct values ``uniq`` and, per column,
+    each value's int64 index in ``uniq`` (one dictionary encode, one sort
+    of the distinct values).  Codes sort as Arrow sorts the strings (by
+    UTF-8 bytes), so ``i·N + j`` is a composite key that sorts as the
+    string pair.  Codes mean nothing across calls — each exchange
+    partition codes its own rows."""
+    arrays = [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in cols]
+    enc = pc.dictionary_encode(pa.concat_arrays(arrays))
+    order = pc.array_sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
+    return enc.dictionary.take(order), np.split(codes, np.cumsum([len(a) for a in arrays])[:-1])
+
+
+def _attach(
+    left: pa.Table, right: pa.Table, left_on: list[str], right_on: list[str], value: str, out: str
+) -> pa.Table:
+    """``left`` with ``out`` = the ``value`` of the ``right`` row whose
+    ``right_on`` key equals the row's ``left_on`` key, null where there is
+    none — one Arrow hash join, ``right`` holding at most one row per key
+    (row order is not kept).  The node-keyed probe of every wedge-family
+    operator: degrees, community labels and common-neighbor counts."""
+    r = right.select(right_on + [value]).rename_columns(left_on + [out])
+    return left.join(r, left_on, join_type="left outer")
+
+
+def _degrees(x, edges):
+    """(node, deg) of the (a, b) edges: endpoint counts folded per node."""
+    return x.groups(x.map(edges, _endpoint_degrees), ["node"], _sum_degrees)
+
+
+def _with_degrees(x, edges):
+    """The (a, b) edges with both endpoint degrees (deg_a, deg_b)
+    attached, each through one node-keyed join, and the (node, deg)
+    rows."""
+    deg = _degrees(x, edges)
+    for end in ("a", "b"):
+        attach = partial(_attach, left_on=[end], right_on=["node"], value="deg", out="deg_" + end)
+        edges = x.join(edges, deg, [end], ["node"], attach)
+    return edges, deg
+
+
+def _orient(t: pa.Table) -> pa.Table:
+    """Every (a, b, deg_a, deg_b) edge directed from the endpoint smaller
+    in the (degree, node) total order, as (src, dst, ddst = deg(dst)):
+    out-degrees are then O(√m) and the wedge set O(m^1.5)."""
+    a, b, da, db = (t.column(c) for c in ("a", "b", "deg_a", "deg_b"))
+    a_first = pc.or_(pc.less(da, db), pc.and_(pc.equal(da, db), pc.less(a, b)))
+    return pa.table(
+        {
+            "src": pc.if_else(a_first, a, b),
+            "dst": pc.if_else(a_first, b, a),
+            "ddst": pc.if_else(a_first, db, da),
+        }
     )
 
 
-def _jaccard_local(et: pa.Table) -> pa.Table:
-    """:func:`edge_jaccard`'s rows for the canonical (a, b) edges ``et``,
-    all at once: neighbor sets, degrees, common-neighbor counts and the
-    micro-Jaccard."""
-    a = et.column("a").to_pylist()
-    b = et.column("b").to_pylist()
-    nbrs: dict[str, set] = {}
-    for x, y in zip(a, b):
-        nbrs.setdefault(x, set()).add(y)
-        nbrs.setdefault(y, set()).add(x)
-    da = np.array([len(nbrs[x]) for x in a], np.int64)
-    db = np.array([len(nbrs[y]) for y in b], np.int64)
-    cn = np.array(
-        [
-            len(nbrs[x] & nbrs[y]) if len(nbrs[x]) <= len(nbrs[y]) else len(nbrs[y] & nbrs[x])
-            for x, y in zip(a, b)
-        ],
-        np.int64,
+def _wedges(part: pa.Table) -> pa.Table:
+    """Scatter, keyed by source: every pair of a source's out-neighbors
+    as a wedge (lo, hi, apex), lo before hi in the (degree, node) order —
+    the order that oriented the closing edge, so it runs lo → hi.  One
+    lexsort of the coded (src, ddst, dst) rows, then the pairs of each
+    source run by repeat/cumsum index arithmetic."""
+    _, (src, dst) = _codes(part.column("src"), part.column("dst"))
+    order = np.lexsort((dst, part.column("ddst").to_numpy(), src))
+    n = len(order)
+    new = np.diff(src[order], prepend=-1) != 0  # first row of each source
+    ends = np.r_[np.flatnonzero(new)[1:], n]
+    after = ends[np.cumsum(new) - 1] - np.arange(n) - 1  # later rows of the same source
+    lo = np.repeat(np.arange(n), after)
+    first = np.repeat(np.cumsum(after) - after, after)
+    hi = lo + 1 + np.arange(len(lo)) - first
+    dst_col, src_col = part.column("dst"), part.column("src")
+    return pa.table(
+        {
+            "lo": dst_col.take(order[lo]),
+            "hi": dst_col.take(order[hi]),
+            "apex": src_col.take(order[lo]),
+        }
     )
+
+
+def _close(wedges: pa.Table, oriented: pa.Table) -> pa.Table:
+    """The credits of the closed wedges meeting on their (lo, hi) key: a
+    wedge whose (lo, hi) is an oriented edge closes a triangle — found
+    once, at its lowest-ordered vertex — which credits each of its three
+    edges once, keyed name-canonical (a < b), counted per edge as
+    ``cn``.  Composite keys are int64 codes (:func:`_codes`)."""
+    cols = [wedges.column(c) for c in ("lo", "hi", "apex")]
+    cols += [oriented.column(c) for c in ("src", "dst")]
+    uniq, (lo, hi, apex, src, dst) = _codes(*cols)
+    n = max(len(uniq), 1)
+    shut = np.isin(lo * n + hi, src * n + dst)
+    lo, hi, apex = lo[shut], hi[shut], apex[shut]
+    u, v = np.concatenate([lo, apex, apex]), np.concatenate([hi, lo, hi])
+    key, cn = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
+    return pa.table(
+        {
+            "a": uniq.take(pa.array(key // n)),
+            "b": uniq.take(pa.array(key % n)),
+            "cn": pa.array(cn, pa.int64()),
+        }
+    )
+
+
+def _credit(edges: pa.Table, credits: pa.Table) -> pa.Table:
+    """Fold: every edge's credits summed as ``n_common`` — 0 for a
+    triangle-free edge, which has none (LEFT semantics)."""
+    summed = credits.group_by(["a", "b"]).aggregate([("cn", "sum")])
+    t = _attach(edges, summed, ["a", "b"], ["a", "b"], "cn_sum", "n_common")
+    cn = pc.fill_null(t.column("n_common"), 0).cast(pa.int64())
+    return t.set_column(t.schema.get_field_index("n_common"), "n_common", cn)
+
+
+def _wedge_support(x, edges):
+    """Every canonical (a, b) edge with its endpoint degrees and
+    common-neighbor count (= triangles through it) as (a, b, deg_a,
+    deg_b, n_common): the rounds :func:`edge_jaccard`,
+    :func:`triangle_count`, :func:`clustering_coefficient` and
+    :func:`ktruss` share.  Degree-ordered wedge enumeration (Suri &
+    Vassilvitskii, WWW'11): degrees fold per node and attach to both
+    endpoints (:func:`_with_degrees`), every edge is oriented
+    (:func:`_orient`), each source's out-neighbor pairs are the wedges
+    (:func:`_wedges`), the wedges meet the oriented edges on the (lo, hi)
+    key and the closed ones credit their three edges (:func:`_close`),
+    and the credits fold onto the edges (:func:`_credit`)."""
+    edges, _ = _with_degrees(x, edges)
+    oriented = x.map(edges, _orient)
+    wedges = x.groups(oriented, ["src"], _wedges)
+    credits = x.join(wedges, oriented, ["lo", "hi"], ["src", "dst"], _close)
+    return x.join(edges, credits, ["a", "b"], ["a", "b"], _credit)
+
+
+def _jaccard(t: pa.Table) -> pa.Table:
+    """:func:`edge_jaccard`'s row of every supported edge: the
+    micro-Jaccard ``cn / (deg_a + deg_b − cn)`` in one fixed float64
+    rounding expression."""
+    cn = t.column("n_common").to_numpy(zero_copy_only=False)
+    da = t.column("deg_a").to_numpy(zero_copy_only=False)
+    db = t.column("deg_b").to_numpy(zero_copy_only=False)
     denom = (da + db - cn).astype(np.float64)
     jacc = np.floor(cn.astype(np.float64) * 1000000.0 / denom + 0.5).astype(np.int64)
     return pa.table(
         {
-            "node_a": pa.array(a, pa.string()),
-            "node_b": pa.array(b, pa.string()),
-            "deg_a": pa.array(da, pa.int64()),
-            "deg_b": pa.array(db, pa.int64()),
-            "n_common": pa.array(cn, pa.int64()),
+            "node_a": t.column("a"),
+            "node_b": t.column("b"),
+            "deg_a": t.column("deg_a"),
+            "deg_b": t.column("deg_b"),
+            "n_common": t.column("n_common"),
             "jacc_micro": pa.array(jacc, pa.int64()),
         }
     )
@@ -489,210 +657,29 @@ def edge_jaccard(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     node name) the common-neighbor count ``|N(a) ∩ N(b)|`` (= triangles
     through the edge) and the Jaccard link score ``cn / (deg_a + deg_b −
     cn)`` in integer micro-units — the classic link-prediction /
-    entity-resolution feature over a constructed KG.
+    entity-resolution feature over a constructed KG.  Sorted by (node_a,
+    node_b).
 
-    Scale shape: degree-ordered wedge enumeration (Suri & Vassilvitskii,
-    WWW'11), all keyed exchanges, nothing graph-sized broadcast:
-
-    1. canonical undirected edges (:func:`_simple_edges`) and a
-       combine-fed endpoint degree count;
-    2. each endpoint's degree attaches through one :func:`cogroup`
-       (a per-partition searchsorted probe);
-    3. every edge is oriented from the endpoint smaller in the
-       ``(degree, node)`` total order, which bounds out-degree at O(√m)
-       and the wedge set at O(m^1.5) regardless of skew; each source's
-       out-neighbor pairs are the wedges (vectorized triu indices);
-    4. wedges cogroup with the oriented edges on the (lo, hi) key; each
-       closed wedge emits THREE per-edge credit rows (a triangle touches
-       3 edges), pre-combined per partition before one edge-keyed groupby;
-    5. credits cogroup back onto the full edge set on the edge key (LEFT
-       semantics — triangle-free edges report cn = 0).
+    Written once against :func:`_iterate`'s executor: the
+    :func:`_wedge_support` rounds over the canonical edges of
+    :func:`_simple_edges`, finished per edge by :func:`_jaccard`.  Below
+    the bound that is one worker call; above it every step is a keyed
+    exchange (degree fold, two degree attaches, the source-keyed wedge
+    scatter, the (lo, hi)-keyed closing join and the edge-keyed credit
+    fold) and nothing graph-sized reaches the driver.
 
     :func:`triangle_count`, :func:`clustering_coefficient` and
-    :func:`ktruss` all compose this operator."""
-    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
-    # deduped edges, degrees, common-neighbor counts and micro-Jaccard
-    # are one worker call — identical integers and the identical float64
-    # rounding expression, so bit-equal to the wedge-exchange path
-    # (asserted in tests).  This also collapses triangle_count, ktruss
-    # and clustering_coefficient, which compose this operator (5-round
-    # ktruss on the 625-edge KG measured 43 s distributed).
-    prep = _simple_edges()
-    adjacency = sized(adjacency)
-    if fits_local(adjacency):
-        return prep.one_call(adjacency, _jaccard_local)
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = prep.exchange(adjacency, n_parts).materialize()
-    if not edges.count():  # the maps below would lose the output types
-        return ray.data.from_arrow(_jaccard_local(prep.schema.empty_table()))
-
-    def endpoints(batch: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [batch.column("a").combine_chunks(), batch.column("b").combine_chunks()]
-        )
-        vc = pc.value_counts(both)
-        return pa.table(
-            {"node": vc.field("values"), "deg": vc.field("counts").cast(pa.int64())}
-        )
-
-    degrees = (
-        edges.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("node")
-        .sum("deg")
-        .map_batches(lambda t: t.rename_columns(["node", "deg"]), batch_format="pyarrow")
-        .materialize()
+    :func:`ktruss` run the same rounds."""
+    schema = pa.schema(
+        [("node_a", pa.string()), ("node_b", pa.string())]
+        + [(c, pa.int64()) for c in ("deg_a", "deg_b", "n_common", "jacc_micro")]
     )
 
-    def _ck(tab: pa.Table, cols: list[str]) -> np.ndarray:
-        """Composite string key of ``cols`` (NUL-joined)."""
-        out = tab.column(cols[0]).to_numpy(zero_copy_only=False).astype(str)
-        for c in cols[1:]:
-            nxt = tab.column(c).to_numpy(zero_copy_only=False).astype(str)
-            out = np.char.add(np.char.add(out, "\x00"), nxt)
-        return out
+    def rounds(x, edges):
+        jaccard = x.map(_wedge_support(x, edges), _jaccard)
+        return x.result(jaccard, schema, [("node_a", "ascending"), ("node_b", "ascending")])
 
-    def attach_degree(edge_ds: ray.data.Dataset, key: str, out_col: str) -> ray.data.Dataset:
-        """Append ``out_col`` = deg(``key``) via a per-partition sorted
-        searchsorted probe (every edge endpoint has a degree row)."""
-
-        def probe(e: pa.Table, d: pa.Table) -> pa.Table:
-            dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
-            order = np.argsort(dn, kind="mergesort")
-            dv = d.column("deg").to_numpy(zero_copy_only=False)[order]
-            pos = np.searchsorted(dn[order], _ck(e, [key]))
-            return e.append_column(out_col, pa.array(dv[pos], pa.int64()))
-
-        return cogroup(edge_ds, degrees, [key], ["node"], probe, n_parts)
-
-    with_db = attach_degree(attach_degree(edges, "a", "deg_a"), "b", "deg_b").materialize()
-
-    def orient(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        da = batch.column("deg_a").to_numpy(zero_copy_only=False)
-        db = batch.column("deg_b").to_numpy(zero_copy_only=False)
-        a_first = (da < db) | ((da == db) & (a < b))
-        return pa.table(
-            {
-                "src": pa.array(np.where(a_first, a, b), pa.string()),
-                "dst": pa.array(np.where(a_first, b, a), pa.string()),
-                "ddst": pa.array(np.where(a_first, db, da).astype(np.int64)),
-            }
-        )
-
-    oriented = with_db.map_batches(orient, batch_format="pyarrow").materialize()
-
-    wedge_schema = pa.schema(
-        [("lo", pa.string()), ("hi", pa.string()), ("apex", pa.string())]
-    )
-
-    def wedges(part: pa.Table) -> pa.Table:
-        t = part.sort_by(
-            [("src", "ascending"), ("ddst", "ascending"), ("dst", "ascending")]
-        )
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        dst = t.column("dst").to_numpy(zero_copy_only=False)
-        new = np.concatenate([[True], src[1:] != src[:-1]])
-        starts = np.flatnonzero(new)
-        lens = np.diff(np.concatenate([starts, [len(src)]]))
-        if int((lens * (lens - 1) // 2).sum()) == 0:
-            return wedge_schema.empty_table()
-        lo_idx, hi_idx = [], []
-        for s, l in zip(starts.tolist(), lens.tolist()):
-            if l < 2:
-                continue
-            iu = np.triu_indices(l, k=1)
-            lo_idx.append(iu[0] + s)
-            hi_idx.append(iu[1] + s)
-        lo_i = np.concatenate(lo_idx)
-        hi_i = np.concatenate(hi_idx)
-        # rows are sorted by (ddst, dst) within each source, i.e. by the
-        # (deg, node) total order — so (lo, hi) matches the orientation
-        return pa.table(
-            {
-                "lo": pa.array(dst[lo_i], pa.string()),
-                "hi": pa.array(dst[hi_i], pa.string()),
-                "apex": pa.array(src[lo_i], pa.string()),
-            }
-        )
-
-    wedge_ds = hash_partitioned_groups(oriented, ["src"], wedges, n_parts)
-
-    credit_schema = pa.schema(
-        [("a", pa.string()), ("b", pa.string()), ("cn", pa.int64())]
-    )
-
-    def credit_part(w: pa.Table, e: pa.Table) -> pa.Table:
-        if w.num_rows == 0 or e.num_rows == 0:
-            return credit_schema.empty_table()
-        ek = _ck(e, ["src", "dst"])
-        ek.sort()
-        wl = w.column("lo").to_numpy(zero_copy_only=False).astype(str)
-        wh = w.column("hi").to_numpy(zero_copy_only=False).astype(str)
-        wk = np.char.add(np.char.add(wl, "\x00"), wh)
-        pos = np.minimum(np.searchsorted(ek, wk), len(ek) - 1)
-        hit = ek[pos] == wk
-        if not hit.any():
-            return credit_schema.empty_table()
-        ap = w.column("apex").to_numpy(zero_copy_only=False).astype(str)[hit]
-        wl, wh = wl[hit], wh[hit]
-        # each closed triangle {apex, lo, hi} credits its 3 edges, each
-        # keyed canonical (name-min, name-max)
-        # wedge lo/hi are DEGREE-ordered; credit keys must be NAME-canonical
-        # (numpy string minimum/maximum reject mixed itemsizes, use where)
-        al, ah, lh = ap < wl, ap < wh, wl < wh
-        ca = np.concatenate([np.where(lh, wl, wh), np.where(al, ap, wl), np.where(ah, ap, wh)])
-        cb = np.concatenate([np.where(lh, wh, wl), np.where(al, wl, ap), np.where(ah, wh, ap)])
-        t = pa.table({"a": pa.array(ca, pa.string()), "b": pa.array(cb, pa.string())})
-        g = t.group_by(["a", "b"]).aggregate([("a", "count")])
-        return pa.table(
-            {
-                "a": g.column("a"),
-                "b": g.column("b"),
-                "cn": g.column("a_count").cast(pa.int64()),
-            }
-        )
-
-    # wedges meet the oriented edges on the degree-ordered (lo, hi) key
-    credits = (
-        cogroup(wedge_ds, oriented, ["lo", "hi"], ["src", "dst"], credit_part, n_parts)
-        .groupby(["a", "b"])
-        .sum("cn")
-        .map_batches(lambda t: t.rename_columns(["a", "b", "cn"]), batch_format="pyarrow")
-    )
-
-    def attach_cn(e: pa.Table, c: pa.Table) -> pa.Table:
-        """LEFT attach: triangle-free edges have no credit row (cn = 0)."""
-        ek = _ck(e, ["a", "b"])
-        cn = np.zeros(len(ek), np.int64)
-        if c.num_rows:
-            ck = _ck(c, ["a", "b"])
-            order = np.argsort(ck, kind="mergesort")
-            ck, cv = ck[order], c.column("cn").to_numpy(zero_copy_only=False)[order]
-            pos = np.minimum(np.searchsorted(ck, ek), len(ck) - 1)
-            cn = np.where(ck[pos] == ek, cv[pos], 0).astype(np.int64)
-        return e.append_column("n_common", pa.array(cn, pa.int64()))
-
-    with_cn = cogroup(with_db, credits, ["a", "b"], ["a", "b"], attach_cn, n_parts)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        cn = batch.column("n_common").to_numpy(zero_copy_only=False).astype(np.float64)
-        da = batch.column("deg_a").to_numpy(zero_copy_only=False)
-        db = batch.column("deg_b").to_numpy(zero_copy_only=False)
-        denom = (da + db - cn.astype(np.int64)).astype(np.float64)
-        jacc = np.floor(cn * 1000000.0 / denom + 0.5).astype(np.int64)
-        return pa.table(
-            {
-                "node_a": batch.column("a"),
-                "node_b": batch.column("b"),
-                "deg_a": batch.column("deg_a"),
-                "deg_b": batch.column("deg_b"),
-                "n_common": batch.column("n_common"),
-                "jacc_micro": pa.array(jacc, pa.int64()),
-            }
-        )
-
-    return with_cn.map_batches(finish, batch_format="pyarrow")
+    return _iterate(adjacency, _simple_edges(), rounds)
 
 
 # --- k-core: synchronized peeling to fixpoint --------------------------------
@@ -719,11 +706,8 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
     def at_least_k(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t.column("deg"), k))
 
-    def degrees(x, e):
-        return x.groups(x.map(e, _endpoint_degrees), ["node"], _sum_degrees)
-
     def rounds(x, e):
-        deg = degrees(x, e)
+        deg = _degrees(x, e)
         for _ in range(max_rounds):
             # degree rows exist only for nodes with a surviving edge
             alive = x.map(deg, at_least_k)
@@ -731,7 +715,7 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
                 break
             e = x.join(e, alive, ["a"], ["node"], partial(_semi_join, col="a"))
             e = x.join(e, alive, ["b"], ["node"], partial(_semi_join, col="b"))
-            deg = degrees(x, e)
+            deg = _degrees(x, e)
         return x.result(x.map(deg, at_least_k), schema, [("node", "ascending")])
 
     return _iterate(adjacency, _simple_edges(), rounds)
@@ -1379,25 +1363,30 @@ def _modularity_row(m: int, sum_mc: int, sd2: int, n_comm: int) -> pa.Table:
     )
 
 
-def _modularity_local(et: pa.Table, comm: pa.Table) -> pa.Table:
-    """:func:`modularity` over the canonical (a, b) edges ``et`` and the
-    (node, community) rows ``comm``, all at once (an unlabeled node is
-    its own community — the attach semantics)."""
-    lab = dict(zip(comm.column("node").to_pylist(), comm.column("community").to_pylist()))
-    d_of: dict = {}
-    mc_of: dict = {}
-    for x, y in zip(et.column("a").to_pylist(), et.column("b").to_pylist()):
-        ca = lab.get(x, x)
-        cb = lab.get(y, y)
-        d_of[ca] = d_of.get(ca, 0) + 1
-        d_of[cb] = d_of.get(cb, 0) + 1
-        if ca == cb:
-            mc_of[ca] = mc_of.get(ca, 0) + 1
-    return _modularity_row(
-        sum(d_of.values()) // 2,
-        sum(mc_of.values()),
-        sum(d * d for d in d_of.values()),
-        len(d_of),
+def _community_partials(t: pa.Table) -> pa.Table:
+    """Scatter of labeled (a, b, ca, cb) edges — an unlabeled endpoint is
+    its own community — to (c, d, mc) counters per community: d the
+    endpoint count, mc the intra-community edges."""
+    ca = pc.coalesce(t.column("ca").cast(pa.string()), t.column("a"))
+    cb = pc.coalesce(t.column("cb").cast(pa.string()), t.column("b"))
+    same = pc.equal(ca, cb).cast(pa.int64()).combine_chunks()
+    t = pa.table(
+        {
+            "c": pa.concat_arrays([ca.combine_chunks(), cb.combine_chunks()]),
+            "d": pa.array(np.ones(2 * len(same), np.int64)),
+            "mc": pa.concat_arrays([same, pa.array(np.zeros(len(same), np.int64))]),
+        }
+    )
+    return t.group_by("c").aggregate([("d", "sum"), ("mc", "sum")]).rename_columns(["c", "d", "mc"])
+
+
+def _community_sums(t: pa.Table) -> pa.Table:
+    """Fold: each community's (c, d, mc) counters summed, with ``d2`` =
+    d²."""
+    g = t.group_by("c").aggregate([("d", "sum"), ("mc", "sum")])
+    d = g.column("d_sum").to_numpy()
+    return pa.table(
+        {"c": g.column("c"), "d": g.column("d_sum"), "mc": g.column("mc_sum"), "d2": pa.array(d * d)}
     )
 
 
@@ -1414,86 +1403,25 @@ def modularity(
     (floor(num/den·1e9 + 0.5)).  Output one row:
     (n_edges, n_communities, q_nano).
 
-    Scale shape: distinct canonical (a,b) edges flow through one keyed
-    dedup exchange; community labels attach with TWO node-keyed
-    :func:`cogroup` exchanges (searchsorted probe per partition — the
-    label_propagation join shape, never a broadcast of the label
-    table); per-batch partials fold every labeled edge to ≤ |C| (c,
-    m_c, D_c) counter rows before the final aggregate-sized groupby.
-    The driver sees only community counters, never edges."""
-    from ray.data.aggregate import Sum
+    Written once against :func:`_iterate`'s executor, with the
+    (node, community) rows as its side input: the labels attach to the
+    canonical (a, b) edges through two node-keyed joins (above the bound
+    :func:`cogroup` exchanges — the label table is never broadcast),
+    per-batch partials fold every labeled edge to (c, d, m_c) counters,
+    one community-keyed fold sums them and one scalar sum gives m, Σm_c
+    and ΣD_c²."""
+    schema = pa.schema([(c, pa.int64()) for c in ("n_edges", "n_communities", "q_nano")])
 
-    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
-    # edge prep and the integer sufficient stats run in cogroup's one
-    # worker call over both inputs — identical finalize expression
-    # (tests); unchanged above the bound.
-    prep = _simple_edges()
-    adjacency, communities = sized(adjacency), sized(communities)
-    if fits_local(adjacency, communities):
-        return cogroup(
-            adjacency,
-            communities,
-            ["src_id"],
-            ["node"],
-            lambda adj, comm: _modularity_local(prep.local(adj), comm),
-            1,
-        )
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = prep.exchange(adjacency, n_parts).materialize()
+    def rounds(x, edges, comm):
+        for end in ("a", "b"):
+            label = partial(_attach, left_on=[end], right_on=["node"], value="community", out="c" + end)
+            edges = x.join(edges, comm, [end], ["node"], label)
+        per_c = x.groups(x.map(edges, _community_partials), ["c"], _community_sums)
+        d, mc, d2 = x.sum(per_c, ["d", "mc", "d2"])
+        row = _modularity_row(d // 2, mc, d2, x.count(per_c))
+        return x.result(x.table(row), schema, [("n_edges", "ascending")])
 
-    def attach_label(keyed: ray.data.Dataset, key: str, out: str) -> ray.data.Dataset:
-        """Append ``out`` = community(``key``) via one :func:`cogroup` with
-        the (node, community) rows and a per-partition searchsorted probe
-        (self-label fallback for unlabeled nodes)."""
-
-        def probe(e: pa.Table, lab: pa.Table) -> pa.Table:
-            ln = lab.column("node").to_numpy(zero_copy_only=False).astype(str)
-            order = np.argsort(ln, kind="mergesort")
-            ln = ln[order]
-            lv = lab.column("community").to_numpy(zero_copy_only=False).astype(str)[order]
-            ek = e.column(key).to_numpy(zero_copy_only=False).astype(str)
-            got = ek
-            if len(ln):
-                pos = np.minimum(np.searchsorted(ln, ek), len(ln) - 1)
-                got = np.where(ln[pos] == ek, lv[pos], ek)
-            return e.append_column(out, pa.array(got, pa.string()))
-
-        return cogroup(keyed, communities, [key], ["node"], probe, n_parts)
-
-    labeled = attach_label(attach_label(edges, "a", "ca"), "b", "cb")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ca = batch.column("ca").to_numpy(zero_copy_only=False).astype(str)
-        cb = batch.column("cb").to_numpy(zero_copy_only=False).astype(str)
-        same = ca == cb
-        t = pa.table(
-            {
-                "c": pa.array(np.concatenate([ca, cb]), pa.string()),
-                "d": pa.array(np.ones(2 * len(ca), np.int64)),
-                "mc": pa.array(
-                    np.concatenate([same.astype(np.int64), np.zeros(len(cb), np.int64)])
-                ),
-            }
-        )
-        g = t.group_by("c").aggregate([("d", "sum"), ("mc", "sum")])
-        return pa.table(
-            {
-                "c": g.column("c"),
-                "d": g.column("d_sum").cast(pa.int64()),
-                "mc": g.column("mc_sum").cast(pa.int64()),
-            }
-        )
-
-    folded = (
-        labeled.map_batches(partial, batch_format="pyarrow")
-        .groupby("c")
-        .aggregate(Sum("d", alias_name="d"), Sum("mc", alias_name="mc"))
-        .take_all()
-    )  # ≤ |communities| counter rows
-    d = [r["d"] for r in folded]
-    return ray.data.from_arrow(
-        _modularity_row(sum(d) // 2, sum(r["mc"] for r in folded), sum(x * x for x in d), len(d))
-    )
+    return _iterate(adjacency, _simple_edges(), rounds, communities)
 
 
 def _assortativity_row(n: int, sx: int, sxx: int, sxy: int, n_nodes: int) -> pa.Table:
@@ -1515,24 +1443,14 @@ def _assortativity_row(n: int, sx: int, sxx: int, sxy: int, n_nodes: int) -> pa.
     )
 
 
-def _assortativity_local(et: pa.Table) -> pa.Table:
-    """:func:`degree_assortativity` over the canonical (a, b) edges
-    ``et``, all at once: degrees by one ``np.unique`` node index."""
-    ea = et.column("a").to_numpy(zero_copy_only=False)
-    eb = et.column("b").to_numpy(zero_copy_only=False)
-    node_arr = np.unique(np.concatenate([ea, eb]))
-    ai = np.searchsorted(node_arr, ea)
-    bi = np.searchsorted(node_arr, eb)
-    degv = np.bincount(np.concatenate([ai, bi]), minlength=len(node_arr)).astype(np.int64)
-    x = degv[ai]
-    y = degv[bi]
-    return _assortativity_row(
-        2 * len(x),
-        int(x.sum()) + int(y.sum()),
-        int((x * x).sum()) + int((y * y).sum()),
-        2 * int((x * y).sum()),
-        len(node_arr),
-    )
+def _degree_moments(t: pa.Table) -> pa.Table:
+    """Scatter: one row of :func:`degree_assortativity`'s integer sums
+    over a batch of (deg_a, deg_b) edges, both orientations of each."""
+    x = t.column("deg_a").to_numpy(zero_copy_only=False)
+    y = t.column("deg_b").to_numpy(zero_copy_only=False)
+    sums = {"n": 2 * len(x), "sx": x.sum() + y.sum(), "sxx": (x * x).sum() + (y * y).sum()}
+    sums["sxy"] = 2 * (x * y).sum()
+    return pa.table({k: pa.array([int(v)], pa.int64()) for k, v in sums.items()})
 
 
 def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -1546,97 +1464,60 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     whole statistic reduces to three integer sufficient sums over the
     canonical (a < b) edge set:
     n = 2m, sx = Σ(da+db), sxx = Σ(da²+db²), sxy = 2Σ(da·db),
-    finished once on the driver with arbitrary-precision ints in the
-    corr_price_qty fixed IEEE form — floor(num/(√a·√b)·1e9+0.5) — so
-    the result is bit-exact against the HUGEINT SQL replay.  Output one
-    row: (n_edges, n_nodes, r_nano); a degree-regular graph (zero
-    variance) reports r_nano = 0 by convention.
+    finished once with arbitrary-precision ints in the corr_price_qty
+    fixed IEEE form — floor(num/(√a·√b)·1e9+0.5) — so the result is
+    bit-exact against the HUGEINT SQL replay.  Output one row:
+    (n_edges, n_nodes, r_nano); a degree-regular graph (zero variance)
+    reports r_nano = 0 by convention.
 
-    Scale shape: distinct canonical edges flow through one keyed dedup
-    exchange; degrees are a combine-fed endpoint value_counts groupby
-    (≤ distinct nodes per batch cross the wire); degrees attach to the
-    two endpoints via TWO node-keyed :func:`cogroup` exchanges with a
-    per-partition searchsorted probe (the modularity label-join shape —
-    the degree table is never broadcast); each labeled batch then folds
-    to ONE integer 4-tuple, so the final exchange is four numbers per
-    block at any graph size."""
-    from ray.data.aggregate import Sum
+    Written once against :func:`_iterate`'s executor: degrees fold per
+    node and attach to both endpoints (:func:`_with_degrees`, shared
+    with :func:`edge_jaccard`; above the bound keyed exchanges, the
+    degree table never broadcast), each batch folds to ONE integer
+    4-tuple (:func:`_degree_moments`) and one scalar sum adds them."""
+    schema = pa.schema([(c, pa.int64()) for c in ("n_edges", "n_nodes", "r_nano")])
 
-    # Small-graph planner (round 5): below joins.LOCAL_BYTES_BOUND the
-    # edge prep and the integer sufficient stats are one worker call with
-    # the identical fixed IEEE finalize (tests); unchanged above.
-    prep = _simple_edges()
-    adjacency = sized(adjacency)
-    if fits_local(adjacency):
-        return prep.one_call(adjacency, _assortativity_local)
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = prep.exchange(adjacency, n_parts).materialize()
+    def rounds(x, edges):
+        edges, deg = _with_degrees(x, edges)
+        sums = x.sum(x.map(edges, _degree_moments), ["n", "sx", "sxx", "sxy"])
+        row = _assortativity_row(*sums, x.count(deg))
+        return x.result(x.table(row), schema, [("n_edges", "ascending")])
 
-    def degree_partial(batch: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [
-                batch.column("a").combine_chunks().cast(pa.string()),
-                batch.column("b").combine_chunks().cast(pa.string()),
-            ]
-        )
-        vc = pc.value_counts(both)
-        return pa.table(
-            {"node": vc.field("values"), "d": vc.field("counts").cast(pa.int64())}
-        )
+    return _iterate(adjacency, _simple_edges(), rounds)
 
-    deg = (
-        edges.map_batches(degree_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("d", alias_name="deg"))
-        .materialize()
+
+def _endpoint_triangles(t: pa.Table) -> pa.Table:
+    """Scatter of supported (a, b, deg_a, deg_b, n_common) edges to
+    their two endpoints: per node Σcn and its degree."""
+    cn = t.column("n_common").combine_chunks()
+    ends = pa.table(
+        {
+            "node": pa.concat_arrays([t.column(c).combine_chunks() for c in ("a", "b")]),
+            "deg": pa.concat_arrays([t.column(c).combine_chunks() for c in ("deg_a", "deg_b")]),
+            "cn": pa.concat_arrays([cn, cn]),
+        }
     )
-    n_nodes = deg.count()
+    g = ends.group_by("node").aggregate([("cn", "sum"), ("deg", "max")])
+    return g.rename_columns(["node", "cn", "deg"])
 
-    def attach_deg(keyed: ray.data.Dataset, key: str, out: str) -> ray.data.Dataset:
-        """Append ``out`` = deg(``key``) via one :func:`cogroup` with the
-        (node, deg) rows and a per-partition searchsorted probe."""
 
-        def probe(e: pa.Table, d: pa.Table) -> pa.Table:
-            dn = d.column("node").to_numpy(zero_copy_only=False).astype(str)
-            order = np.argsort(dn, kind="mergesort")
-            dn = dn[order]
-            dv = d.column("deg").to_numpy(zero_copy_only=False).astype(np.int64)[order]
-            ek = e.column(key).to_numpy(zero_copy_only=False).astype(str)
-            got = np.zeros(len(ek), np.int64)
-            if len(dn):
-                pos = np.minimum(np.searchsorted(dn, ek), len(dn) - 1)
-                got = np.where(dn[pos] == ek, dv[pos], 0).astype(np.int64)
-            return e.append_column(out, pa.array(got, pa.int64()))
-
-        return cogroup(keyed, deg, [key], ["node"], probe, n_parts)
-
-    labeled = attach_deg(attach_deg(edges, "a", "da"), "b", "db")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("da").to_numpy(zero_copy_only=False).astype(np.int64)
-        y = batch.column("db").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "n": pa.array([2 * len(x)], pa.int64()),
-                "sx": pa.array([int(x.sum()) + int(y.sum())], pa.int64()),
-                "sxx": pa.array(
-                    [int((x * x).sum()) + int((y * y).sum())], pa.int64()
-                ),
-                "sxy": pa.array([2 * int((x * y).sum())], pa.int64()),
-            }
-        )
-
-    stats = (
-        labeled.map_batches(partial, batch_format="pyarrow").aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sx", alias_name="sx"),
-            Sum("sxx", alias_name="sxx"),
-            Sum("sxy", alias_name="sxy"),
-        )
-        or {}
+def _clustering(t: pa.Table) -> pa.Table:
+    """Fold: per node Σcn = 2·t(v) and ``C(v) = 2·t(v) / (deg·(deg−1))``
+    in exact integer milli-units, ``(2000·Σcn + d) // (2d)`` with
+    d = deg·(deg−1) (0 where d = 0)."""
+    g = t.group_by("node").aggregate([("cn", "sum"), ("deg", "max")])
+    cn = g.column("cn_sum").to_numpy()
+    deg = g.column("deg_max").to_numpy()
+    d = deg * (deg - 1)
+    coef = np.where(d > 0, (2000 * cn + d) // np.maximum(2 * d, 1), 0)
+    return pa.table(
+        {
+            "node": g.column("node"),
+            "deg": pa.array(deg, pa.int64()),
+            "n_tri": pa.array(cn // 2, pa.int64()),
+            "coef_milli": pa.array(coef, pa.int64()),
+        }
     )
-    sums = [int(stats.get(c) or 0) for c in ("n", "sx", "sxx", "sxy")]
-    return ray.data.from_arrow(_assortativity_row(*sums, n_nodes))
 
 
 def clustering_coefficient(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -1644,74 +1525,26 @@ def clustering_coefficient(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     KG entity graph — for each node its degree, triangle count and
     ``C(v) = 2·t(v) / (deg·(deg−1))`` in exact integer milli-units (the
     neighborhood-density score that separates tight entity communities
-    from hub spokes; deg ≤ 1 reports 0 by convention).
+    from hub spokes; deg ≤ 1 reports 0 by convention).  Sorted by node.
 
-    Composition, not new machinery: :func:`edge_jaccard` already emits
-    per-edge common-neighbor counts (= triangles through the edge) via
-    the degree-ordered wedge exchange; each triangle through v is
-    counted by exactly its TWO incident edges at v, so
-    Σ_{u∈N(v)} cn(v,u) = 2·t(v).  Each edge row explodes to its two
-    endpoints, per-batch Arrow partials fold (node → Σcn, deg) before
-    ONE node-keyed aggregate, and the milli rounding is pure integer
-    arithmetic — ``(2000·Σcn + d) // (2d)``, d = deg·(deg−1) — so the
-    SQL replay is value-exact.  Exchange volume ≤ distinct nodes per
-    batch; isolated nodes never appear (no edges)."""
-    from ray.data.aggregate import Max, Sum
-
-    ej = edge_jaccard(adjacency).materialize()
-    if ej.count() == 0:  # an all-empty aggregate would come back schema-less
-        return ray.data.from_arrow(
-            pa.schema(
-                [("node", pa.string()), ("deg", pa.int64()), ("n_tri", pa.int64()),
-                 ("coef_milli", pa.int64())]
-            ).empty_table()
-        )
-
-    def explode(batch: pa.Table) -> pa.Table:
-        node = pa.concat_arrays(
-            [
-                batch.column("node_a").combine_chunks().cast(pa.string()),
-                batch.column("node_b").combine_chunks().cast(pa.string()),
-            ]
-        )
-        deg = pa.concat_arrays(
-            [
-                batch.column("deg_a").combine_chunks().cast(pa.int64()),
-                batch.column("deg_b").combine_chunks().cast(pa.int64()),
-            ]
-        )
-        cn = batch.column("n_common").combine_chunks().cast(pa.int64())
-        t = pa.table({"node": node, "deg": deg, "cn": pa.concat_arrays([cn, cn])})
-        g = t.group_by("node").aggregate([("cn", "sum"), ("deg", "max")])
-        return pa.table(
-            {
-                "node": g.column("node"),
-                "cn": g.column("cn_sum").cast(pa.int64()),
-                "deg": g.column("deg_max").cast(pa.int64()),
-            }
-        )
-
-    folded = (
-        ej.map_batches(explode, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("cn", alias_name="cn"), Max("deg", alias_name="deg"))
+    Composition, not new machinery: :func:`_wedge_support` gives
+    per-edge common-neighbor counts (= triangles through the edge); each
+    triangle through v is counted by exactly its TWO incident edges at
+    v, so Σ_{u∈N(v)} cn(v,u) = 2·t(v).  Each edge row scatters to its
+    two endpoints with per-batch partials (:func:`_endpoint_triangles`)
+    and ONE node-keyed fold finishes (:func:`_clustering`), all run by
+    :func:`_iterate`; the milli rounding is pure integer arithmetic, so
+    the SQL replay is value-exact.  Isolated nodes never appear (no
+    edges)."""
+    schema = pa.schema(
+        [("node", pa.string())] + [(c, pa.int64()) for c in ("deg", "n_tri", "coef_milli")]
     )
 
-    def finish(batch: pa.Table) -> pa.Table:
-        cn = batch.column("cn").to_numpy(zero_copy_only=False).astype(np.int64)
-        deg = batch.column("deg").to_numpy(zero_copy_only=False).astype(np.int64)
-        d = deg * (deg - 1)
-        coef = np.where(d > 0, (2000 * cn + d) // np.maximum(2 * d, 1), 0)
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "deg": pa.array(deg, pa.int64()),
-                "n_tri": pa.array(cn // 2, pa.int64()),
-                "coef_milli": pa.array(coef.astype(np.int64), pa.int64()),
-            }
-        )
+    def rounds(x, edges):
+        ends = x.map(_wedge_support(x, edges), _endpoint_triangles)
+        return x.result(x.groups(ends, ["node"], _clustering), schema, [("node", "ascending")])
 
-    return folded.map_batches(finish, batch_format="pyarrow")
+    return _iterate(adjacency, _simple_edges(), rounds)
 
 
 def reciprocity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -1855,63 +1688,38 @@ def ktruss(adjacency: ray.data.Dataset, k: int = 3, max_rounds: int = 5) -> ray.
     — the cohesion filter that keeps tightly-corroborated relation
     clusters and sheds spurious one-off links (strictly stronger than
     k-core).  Synchronized peeling: each round recomputes per-edge
-    triangle support over the SURVIVING edges (reusing
-    :func:`edge_jaccard`'s degree-ordered wedge machinery wholesale)
-    and drops every under-supported edge at once; support is monotone
-    non-increasing under edge removal, so the fixpoint is exact and
-    rounds past it are no-ops — which lets a fixed-depth SQL unroll
-    compare exactly (the kcore discipline).  Output: surviving
-    (node_a, node_b, support) edges.
+    triangle support over the SURVIVING edges (:func:`_wedge_support`,
+    :func:`edge_jaccard`'s rounds) and drops every under-supported edge
+    at once; support is monotone non-increasing under edge removal, so
+    the fixpoint is exact and rounds past it are no-ops — which lets a
+    fixed-depth SQL unroll compare exactly (the kcore discipline).
+    Output: surviving (node_a, node_b, support) edges, sorted.
 
-    Scale shape per round: exactly edge_jaccard's exchanges (out-degree
-    bounded O(√m) wedge keys, co-partitioned credit/degree attach,
-    nothing graph-sized on the driver) plus one streaming filter; the
-    early-exit count check is a safe optimization because post-fixpoint
-    rounds cannot change the edge set at any partitioning.  Each
-    round's ``edge_jaccard`` output holds at most its ``n_parts`` blocks
-    (its exchanges are ``cogroup`` calls), so the peel loop cannot
-    compound block count."""
-    surviving = adjacency
-    prev_n = -1
-    for _ in range(max_rounds):
-        ej = edge_jaccard(surviving).materialize()
-        kept = ej.filter(expr=f"n_common >= {k - 2}").materialize()
-        n = kept.count()
+    The whole peel is written once against :func:`_iterate`'s executor:
+    below the bound every round runs in the one worker call; above it
+    each round is edge_jaccard's keyed exchanges plus one filter, every
+    output holding at most ``n_parts`` blocks.  A round that drops no
+    edge is the fixpoint, and its support is the final one."""
+    schema = pa.schema([("node_a", pa.string()), ("node_b", pa.string()), ("support", pa.int64())])
 
-        def to_adj(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "src_id": batch.column("node_a"),
-                    "dst_id": batch.column("node_b"),
-                }
-            )
+    def supported(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t.column("n_common"), k - 2)).select(["a", "b"])
 
-        surviving = kept.map_batches(to_adj, batch_format="pyarrow")
-        if n == prev_n:  # fixpoint: further rounds are no-ops
-            break
-        prev_n = n
+    def truss_rows(t: pa.Table) -> pa.Table:
+        return t.select(["a", "b", "n_common"]).rename_columns(schema.names)
 
-    # support reported over the FINAL edge set (no further filter —
-    # exactly max_rounds peel rounds, matching the SQL unroll depth;
-    # post-fixpoint early exit is a no-op so the sets agree)
-    final = edge_jaccard(surviving).materialize()
-    if final.count() == 0:  # an all-empty sort would come back schema-less
-        return ray.data.from_arrow(
-            pa.schema(
-                [("node_a", pa.string()), ("node_b", pa.string()), ("support", pa.int64())]
-            ).empty_table()
+    def rounds(x, edges):
+        support = _wedge_support(x, edges)
+        for _ in range(max_rounds):
+            kept = x.map(support, supported)
+            if x.count(kept) == x.count(support):
+                break
+            support = _wedge_support(x, kept)
+        return x.result(
+            x.map(support, truss_rows), schema, [("node_a", "ascending"), ("node_b", "ascending")]
         )
 
-    def out(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node_a": batch.column("node_a"),
-                "node_b": batch.column("node_b"),
-                "support": batch.column("n_common").cast(pa.int64()),
-            }
-        )
-
-    return final.map_batches(out, batch_format="pyarrow").sort(["node_a", "node_b"])
+    return _iterate(adjacency, _simple_edges(), rounds)
 
 
 def power_law_alpha(adjacency: ray.data.Dataset) -> ray.data.Dataset:

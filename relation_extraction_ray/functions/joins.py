@@ -36,7 +36,9 @@ takes the per-batch partial combiner as ``combine`` and plans on the
 combiner's input, which it sizes from the metadata Ray Data already
 holds (a parquet read, a materialized dataset, a union of such —
 :func:`sized`) before materializing anything; below the bound the
-combine and the reduce run in that one call.  The one call's result is
+combine and the reduce run in that one call.  :func:`cogroup` sizes
+its two inputs the same way, so a sub-bound cogroup of a parquet read
+is one execution with its consumer.  The one call's result is
 re-cut into ``min(n_parts, ceil(bytes /
 DataContext.target_min_block_size))`` blocks: a small
 result stays one block (one write task, one file), a large one keeps
@@ -60,6 +62,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data._internal.logical.operators.n_ary_operator import Union
+from ray.data.dataset import MaterializedDataset
 
 
 def part_of(val, n_parts: int) -> int:
@@ -279,12 +282,16 @@ def _rows(*datasets: ray.data.Dataset) -> int:
 
 def sized(ds: ray.data.Dataset) -> ray.data.Dataset:
     """``ds`` itself when Ray Data knows its bytes and rows without
-    executing it (a parquet read sized from its file footers, a
-    materialized dataset, a union of such — :func:`_meta`), else ``ds``
-    materialized: a planner sizes its input with this before
-    :func:`fits_local`, so an input that is already sized costs no
-    execution of its own."""
-    return ds if _meta(ds._logical_plan.dag) is not None else ds.materialize()
+    executing it (a parquet read sized from its file footers, a union of
+    sized inputs — :func:`_meta`), else ``ds`` materialized: a planner
+    sizes its input with this before :func:`fits_local`, so an input
+    that is already sized costs no execution of its own.  A materialized
+    dataset is passed through ``materialize()`` too, which costs no
+    execution and caches its schema (a fresh ``from_arrow`` dataset
+    with no rows would run a one-row execution to find it)."""
+    if isinstance(ds, MaterializedDataset) or _meta(ds._logical_plan.dag) is None:
+        return ds.materialize()
+    return ds
 
 
 def _one_call(ds: ray.data.Dataset, fn: "callable", inputs: list, n_parts: int) -> ray.data.Dataset:
@@ -388,8 +395,8 @@ def pair_payload_join(
     whose ids have no payload row are dropped (inner join).  Payload
     rows are assumed semi-join pruned by the caller, so each exchange
     moves O(|pairs|) rows; they are cast and materialized once for both
-    exchanges, and the pairs and the first join's output are
-    materialized by :func:`cogroup`.
+    exchanges, and the first join's output is materialized by
+    :func:`cogroup`, which sizes its inputs (:func:`sized`).
     """
     pairs = _cast_to(pairs, pa.schema([("a", id_type), ("b", id_type)]))
     payloads = _cast_to(payloads, pa.schema([("id", id_type), ("payload", payload_type)]))
@@ -482,17 +489,22 @@ def cogroup(
     scheduling, not data, dominates, and an iterative caller feeding
     each output into the next round would otherwise compound blocks.
 
-    Both inputs are materialized first, so their schemas are read from
-    block metadata (never by re-running a lazy plan), and the two sides'
-    summed bytes plan the exchange (:func:`fits_local`): at or below
-    :data:`LOCAL_BYTES_BOUND` the kernel runs ONCE on all left and all
-    right rows, on a worker — what a 1-partition exchange hands it,
-    re-cut by the :func:`_one_call` byte rule; above it the keyed
-    exchange runs.  The union pads each side with
+    It plans as :func:`hash_partitioned_groups` does: both inputs are
+    :func:`sized` — an input Ray Data already sizes (a parquet read, a
+    materialized dataset) is taken as it is, any other is materialized
+    — so schemas and row counts come from metadata (never by re-running
+    a lazy plan), and the two sides' summed bytes plan the exchange
+    (:func:`fits_local`): at or below :data:`LOCAL_BYTES_BOUND` the
+    kernel runs ONCE on all left and all right rows, on a worker — what
+    a 1-partition exchange hands it, re-cut by the :func:`_one_call`
+    byte rule — in the same Ray Data execution as reading the inputs
+    and consuming the result; above it both sides are materialized (the
+    coalesce rule reads their block counts) and the keyed exchange
+    runs.  The union pads each side with
     typed nulls for the other side's columns; a column name shared by the
     two sides must carry the same type on both, or ``ValueError`` is
     raised before anything runs."""
-    left, right = left.materialize(), right.materialize()
+    left, right = sized(left), sized(right)
     ls, rs = _arrow_schema(left), _arrow_schema(right)
     for name in sorted(set(ls.names) & set(rs.names)):
         if ls.field(name).type != rs.field(name).type:
@@ -502,7 +514,7 @@ def cogroup(
             )
     fields = [pa.field(f.name, f.type) for f in ls]
     fields += [pa.field(f.name, f.type) for f in rs if f.name not in ls.names]
-    if left.count() == 0 and right.count() == 0 and ls.names and rs.names:
+    if _rows(left, right) == 0 and ls.names and rs.names:
         return ray.data.from_arrow(per_partition(ls.empty_table(), rs.empty_table()))
     union_schema = pa.schema(fields + [(_SIDE, pa.int8()), (_PART, pa.int32())])
 
@@ -527,13 +539,16 @@ def cogroup(
             group.filter(pc.invert(is_left)).select(rs.names),
         )
 
-    tagged = left.map_batches(tagger(0, left_on, ls), batch_format="pyarrow").union(
-        right.map_batches(tagger(1, right_on, rs), batch_format="pyarrow")
-    )
+    def tagged(left: ray.data.Dataset, right: ray.data.Dataset) -> ray.data.Dataset:
+        return left.map_batches(tagger(0, left_on, ls), batch_format="pyarrow").union(
+            right.map_batches(tagger(1, right_on, rs), batch_format="pyarrow")
+        )
+
     if fits_local(left, right):
-        return _one_call(tagged, run, [left, right], n_parts)
-    tagged = _coalesced(tagged, left.num_blocks() + right.num_blocks(), n_parts)
-    return tagged.groupby(_PART, num_partitions=n_parts).map_groups(
+        return _one_call(tagged(left, right), run, [left, right], n_parts)
+    left, right = left.materialize(), right.materialize()
+    both = _coalesced(tagged(left, right), left.num_blocks() + right.num_blocks(), n_parts)
+    return both.groupby(_PART, num_partitions=n_parts).map_groups(
         run, batch_format="pyarrow"
     )
 

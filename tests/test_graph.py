@@ -167,6 +167,25 @@ def test_edge_jaccard_star_and_triangle(ray_session):
     tri = got[got.n_common > 0]
     assert len(tri) == 3 and set(tri.n_common) == {1}
 
+    # Non-ASCII, mixed-length ids in a clique (every degree tied, so each
+    # edge is oriented by node name) plus a tail: the kernels' integer
+    # codes must order ids as Arrow and Python do, on both arms.
+    import unittest.mock as mock
+
+    import relation_extraction_ray.functions.graph as G
+    from relation_extraction_ray.functions import joins
+
+    ids = ["z", "é", "ea", "e", "日本", "日", "😀", "Zz", "a\u00e9b"]
+    rows = [(u, "p", v, 1) for i, u in enumerate(ids[:6]) for v in ids[i + 1 : 6]]
+    rows += [(ids[5], "p", ids[6], 1), (ids[6], "p", ids[7], 1), (ids[8], "p", ids[0], 1)]
+    want = _ref_edge_jaccard(rows)
+    adjacency = ray.data.from_arrow(_adj(rows)).repartition(3)
+    assert [tuple(r.values()) for r in G.edge_jaccard(adjacency).take_all()] == want
+    with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0), mock.patch.object(
+        G, "derive_n_parts", lambda n, **kw: 4
+    ):
+        assert [tuple(r.values()) for r in G.edge_jaccard(adjacency).take_all()] == want
+
 
 def _kcore_ref(edges, k):
     """Brute-force peel: repeatedly drop nodes with degree < k."""
@@ -1277,6 +1296,21 @@ def _nine_operators(G):
     ]
 
 
+def _wedge_operators(G):
+    """The edge_jaccard family, written on the same executor."""
+    return [
+        (G.edge_jaccard, ["node_a", "node_b", "deg_a", "deg_b", "n_common", "jacc_micro"]),
+        (G.triangle_count, ["n_triangles"]),
+        (G.clustering_coefficient, ["node", "deg", "n_tri", "coef_milli"]),
+        (lambda a: G.ktruss(a, k=3, max_rounds=2), ["node_a", "node_b", "support"]),
+        (G.degree_assortativity, ["n_edges", "n_nodes", "r_nano"]),
+        (
+            lambda a: G.modularity(a, G.label_propagation(a, rounds=1)),
+            ["n_edges", "n_communities", "q_nano"],
+        ),
+    ]
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     kind=st.sampled_from(_KINDS),
@@ -1290,8 +1324,9 @@ def _nine_operators(G):
 @example(kind="chain", n=6, seed=0, n_parts=1)
 @example(kind="random", n=8, seed=1, n_parts=4)
 def test_iterate_drivers_same_rows(ray_session, kind, n, seed, n_parts):
-    """Every iterative operator gives the same rows and column names
-    under both of :func:`_iterate`'s drivers: in-process (the default
+    """Every operator written on :func:`_iterate`'s executor (the
+    iterative ones and the edge_jaccard family) gives the same rows and
+    column names under both of its drivers: in-process (the default
     bound) and keyed exchanges (``joins.LOCAL_BYTES_BOUND`` = 0) over
     ``n_parts`` partitions."""
     import unittest.mock as mock
@@ -1306,7 +1341,7 @@ def test_iterate_drivers_same_rows(ray_session, kind, n, seed, n_parts):
         names = ds.schema().names if ds.schema() is not None else None
         return names, sorted(tuple(r[c] for c in cols) for r in ds.take_all())
 
-    for op, cols in _nine_operators(G):
+    for op, cols in _nine_operators(G) + _wedge_operators(G):
         in_process = shape(op(adjacency), cols)
         with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0), mock.patch.object(
             G, "derive_n_parts", lambda rows, **kw: n_parts
@@ -1321,7 +1356,8 @@ def test_exchange_rounds_keep_at_most_n_parts_blocks(ray_session):
     ``label_propagation`` is ``cogroup`` calls, and each call's output
     holds at most ``n_parts`` blocks however many rounds run — a round
     output that re-enters the next round cannot compound its block
-    count."""
+    count.  The same holds for the components label fold
+    (``_global_min``) in rounds that pointer-jump."""
     import unittest.mock as mock
 
     import relation_extraction_ray.functions.graph as G
@@ -1346,6 +1382,27 @@ def test_exchange_rounds_keep_at_most_n_parts_blocks(ray_session):
         labels = G.label_propagation(adjacency, rounds=6).take_all()
         assert len(blocks) == 2 * 6 and max(blocks) <= 4, blocks
         assert len(labels) == 12
+
+    # components' label fold: a 12-node chain runs past round 3, so its
+    # rounds include the pointer jump, and every _global_min output —
+    # round k's labels ∪ messages — holds at most n_parts blocks
+    from relation_extraction_ray.functions import components as C
+
+    real_min = C._global_min
+    blocks = []
+
+    def counting_min(*args, **kwargs):
+        out = real_min(*args, **kwargs).materialize()
+        blocks.append(out.num_blocks())
+        return out
+
+    chain = ray.data.from_arrow(pa.table({"a": list(range(11)), "b": list(range(1, 12))}))
+    with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0), mock.patch.object(
+        C, "derive_n_parts", lambda rows, **kw: 4
+    ), mock.patch.object(C, "_global_min", counting_min):
+        comp = C.connected_components(chain.repartition(6), id_a="a", id_b="b").take_all()
+    assert len(blocks) >= 4 and max(blocks) <= 4, blocks
+    assert sorted((r["doc_id"], r["canonical_id"]) for r in comp) == [(i, 0) for i in range(12)]
 
 
 def _hex_adj(rows):
@@ -1392,6 +1449,28 @@ def _four_queries():
     ]
 
 
+def _one_execution_queries():
+    """The four queries, the wedge operators with one input, and a
+    ``cogroup`` of the read with a materialized dataset."""
+    from functools import partial
+
+    from relation_extraction_ray.functions import graph as G
+    from relation_extraction_ray.functions.joins import cogroup
+
+    tags = ray.data.from_arrow(
+        pa.table({"node": [f"e_{i:016x}" for i in range(0, 40, 3)], "tag": list(range(0, 40, 3))})
+    ).materialize()
+    attach = partial(G._attach, left_on=["src_id"], right_on=["node"], value="tag", out="tag")
+    return _four_queries() + [
+        ("edge_jaccard", "adjacency", G.edge_jaccard),
+        ("triangle_count", "adjacency", G.triangle_count),
+        ("clustering_coefficient", "adjacency", G.clustering_coefficient),
+        ("ktruss", "adjacency", G.ktruss),
+        ("degree_assortativity", "adjacency", G.degree_assortativity),
+        ("cogroup", "adjacency", lambda a: cogroup(a, tags, ["src_id"], ["node"], attach, 4)),
+    ]
+
+
 def _write_graph_inputs(tmp_path) -> dict:
     """A small random adjacency and an int64 pair table, each written
     as four parquet files."""
@@ -1408,7 +1487,8 @@ def _write_graph_inputs(tmp_path) -> dict:
 def test_sub_bound_graph_query_is_one_execution(ray_session, tmp_path, executions):
     """Below the bound a graph query over a parquet read, followed by
     ``write_parquet``, is ONE Ray Data execution — read, the query's one
-    worker call and the write — with the rows of the exchange path."""
+    worker call and the write — with the rows of the exchange path; so
+    is a ``cogroup`` of the read with a materialized dataset."""
     import unittest.mock as mock
 
     import pyarrow.parquet as pq
@@ -1416,7 +1496,7 @@ def test_sub_bound_graph_query_is_one_execution(ray_session, tmp_path, execution
     from relation_extraction_ray.functions import joins
 
     inputs = _write_graph_inputs(tmp_path)
-    for name, src, query in _four_queries():
+    for name, src, query in _one_execution_queries():
         executions.clear()
         out = str(tmp_path / name)
         query(ray.data.read_parquet(inputs[src])).write_parquet(out)
@@ -1424,10 +1504,11 @@ def test_sub_bound_graph_query_is_one_execution(ray_session, tmp_path, execution
         assert "ReadParquet" in executions[0] and "Write" in executions[0], executions
         got = pq.read_table(out)
         with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
-            want = query(ray.data.read_parquet(inputs[src])).to_arrow_refs()
-        want = pa.concat_tables(ray.get(want))
+            # rows, not blocks: a keyed cogroup may emit an empty block
+            # with no schema (a sort-shuffle reducer that got no partition)
+            want = query(ray.data.read_parquet(inputs[src])).take_all()
         assert got.num_rows > 0
-        assert sorted(got.to_pylist(), key=str) == sorted(want.to_pylist(), key=str), name
+        assert sorted(got.to_pylist(), key=str) == sorted(want, key=str), name
 
 
 def test_sub_bound_graph_query_gathers_nothing_on_the_driver(ray_session, tmp_path, monkeypatch):
@@ -1449,7 +1530,11 @@ def test_sub_bound_graph_query_gathers_nothing_on_the_driver(ray_session, tmp_pa
     queries = _four_queries() + [
         ("hits", "adjacency", G.hits),
         ("edge_jaccard", "adjacency", G.edge_jaccard),
+        ("triangle_count", "adjacency", G.triangle_count),
+        ("clustering_coefficient", "adjacency", G.clustering_coefficient),
+        ("ktruss", "adjacency", G.ktruss),
         ("degree_assortativity", "adjacency", G.degree_assortativity),
+        ("modularity", "adjacency", lambda a: G.modularity(a, G.label_propagation(a))),
         ("trim_core", "adjacency", G.trim_core),
     ]
     monkeypatch.setattr(ray.data.Dataset, "iter_batches", refuse("iter_batches"))
@@ -1463,13 +1548,7 @@ def test_sub_bound_graph_query_gathers_nothing_on_the_driver(ray_session, tmp_pa
 def _local_arm_queries(G):
     """Every graph operator with a sub-bound one-call path, and its
     columns."""
-    return _nine_operators(G) + [
-        (G.edge_jaccard, ["node_a", "node_b", "deg_a", "deg_b", "n_common", "jacc_micro"]),
-        (G.degree_assortativity, ["n_edges", "n_nodes", "r_nano"]),
-        (
-            lambda a: G.modularity(a, G.label_propagation(a, rounds=1)),
-            ["n_edges", "n_communities", "q_nano"],
-        ),
+    return _nine_operators(G) + _wedge_operators(G) + [
         (G.component_size_hist, ["size", "n_components"]),
     ]
 
