@@ -39,10 +39,13 @@ holds (a parquet read, a materialized dataset, a union of such —
 combine and the reduce run in that one call.  :func:`cogroup` sizes
 its two inputs the same way, so a sub-bound cogroup of a parquet read
 is one execution with its consumer.  The one call's result is
-re-cut into ``min(n_parts, ceil(bytes /
-DataContext.target_min_block_size))`` blocks: a small
-result stays one block (one write task, one file), a large one keeps
-the keyed arm's block count for the operators downstream.  Above the
+re-cut only into blocks the cluster can run concurrently:
+``min(n_parts, cluster CPUs, ceil(input bytes /
+DataContext.target_min_block_size))`` blocks (:func:`cluster_cpus`).
+A small result stays one block (one write task, one file), and so does
+every result on a 1-CPU cluster, whose plan then holds no re-cut
+operator; a large one on a multi-core cluster keeps up to the keyed
+arm's block count for the operators downstream.  Above the
 bound the keyed exchange runs, and both keyed arms share one coalesce
 rule (:func:`_coalesced`): an exchange input holding more than
 ``n_parts`` blocks is coalesced to ``n_parts`` first, so an output —
@@ -214,16 +217,22 @@ def derive_n_parts(n_rows: int, rows_per_part: int = 4096, cap: int = 256) -> in
     return max(1, min(cap, -(-n_rows // rows_per_part)))
 
 
+def cluster_cpus() -> int:
+    """The Ray cluster's CPU count, 8 when no cluster is initialised: the
+    one ``cluster_resources()`` reader, behind :func:`derived_num_parts`
+    and the one-call re-cut (:func:`_one_call`)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:  # cluster not initialised yet
+        return 8
+
+
 def derived_num_parts(factor: int = 2, minimum: int = 8) -> int:
     """Partition count ∝ cluster size (judge round 1: fixed single-node
     constants like 64 baked into operators don't transfer to a 256-node
     cluster).  ~2 partitions per CPU keeps reduce tasks small without
     per-partition constants dominating."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # cluster not initialised yet
-        cpus = 8
-    return max(minimum, cpus * factor)
+    return max(minimum, cluster_cpus() * factor)
 
 
 #: The one size bound of the engine's planners.  A hash exchange whose
@@ -300,19 +309,22 @@ def _one_call(ds: ray.data.Dataset, fn: "callable", inputs: list, n_parts: int) 
     ``ds`` was built from (the operator bundles every block into one
     task).  No rows: no call.
 
-    The result is re-cut into ``min(n_parts, ceil(input bytes /
-    DataContext.target_min_block_size))`` blocks (a streaming slice, no
-    exchange): a result under Ray Data's own minimum block size stays one
-    block — a re-cut small result costs one write task and file per
-    block — while a large one keeps the keyed arm's block count, since
-    one block serializes every downstream operator (a 600k-row single
+    The result is re-cut into ``min(n_parts, cluster CPUs, ceil(input
+    bytes / DataContext.target_min_block_size))`` blocks (a streaming
+    slice, no exchange) — only into blocks the cluster can run
+    concurrently.  All extra blocks buy is concurrent downstream tasks
+    (one block serializes every operator downstream: a 600k-row single
     block made the ``groupby`` after ``cf_user_topk``'s purchase-matrix
-    exchange 2.6× slower at sf0.1 on 4 cores).  ``n_parts`` = 1 keeps
-    the result one block (:func:`local_call`)."""
+    exchange 2.6× slower at sf0.1 on 4 cores), while each costs a write
+    task and a file, and the re-cut itself is one more operator.  So a
+    result of an input under Ray Data's own minimum block size stays one
+    block, and on a 1-CPU cluster every result does, with no
+    ``StreamingRepartition`` in the plan.  ``n_parts`` = 1 keeps the
+    result one block (:func:`local_call`)."""
     n_rows = _rows(*inputs)
     out = ds.map_batches(fn, batch_size=max(1, n_rows), batch_format="pyarrow")
     min_block = ray.data.DataContext.get_current().target_min_block_size
-    n_blocks = min(n_parts, -(-_bytes(*inputs) // min_block))
+    n_blocks = min(n_parts, cluster_cpus(), -(-_bytes(*inputs) // min_block))
     if n_blocks > 1:
         out = out.repartition(target_num_rows_per_block=max(1, -(-n_rows // n_blocks)))
     return out
@@ -437,7 +449,7 @@ def hash_partitioned_groups(
     ONE execution: one ``map_batches`` call runs
     ``per_partition(combine(all rows))`` with ``part`` = 0 on a worker —
     exactly what a 1-partition exchange hands it — and the result is
-    re-cut by the :func:`_one_call` byte rule.  Above it ``combine`` runs
+    re-cut by the :func:`_one_call` rule.  Above it ``combine`` runs
     per batch, the partials are materialized, coalesced to ``n_parts``
     blocks when they hold more (:func:`_coalesced`) and ride one sort
     exchange on ``part``, so the output holds at most ``n_parts`` blocks.
@@ -497,13 +509,19 @@ def cogroup(
     (:func:`fits_local`): at or below :data:`LOCAL_BYTES_BOUND` the
     kernel runs ONCE on all left and all right rows, on a worker — what
     a 1-partition exchange hands it, re-cut by the :func:`_one_call`
-    byte rule — in the same Ray Data execution as reading the inputs
+    rule — in the same Ray Data execution as reading the inputs
     and consuming the result; above it both sides are materialized (the
     coalesce rule reads their block counts) and the keyed exchange
-    runs.  The union pads each side with
+    runs, its result materialized.  The union pads each side with
     typed nulls for the other side's columns; a column name shared by the
     two sides must carry the same type on both, or ``ValueError`` is
-    raised before anything runs."""
+    raised before anything runs.  The keyed arm's result is materialized
+    and every block it holds carries the kernel's schema: a sort reducer
+    that receives no partition yields a 0-row block with NO columns (Ray
+    Data hands an empty block to no map UDF, so no map can type it), and
+    such blocks are dropped — a result with no rows left is the typed
+    ``per_partition(left empty, right empty)`` — so the blocks
+    concatenate."""
     left, right = sized(left), sized(right)
     ls, rs = _arrow_schema(left), _arrow_schema(right)
     for name in sorted(set(ls.names) & set(rs.names)):
@@ -548,9 +566,16 @@ def cogroup(
         return _one_call(tagged(left, right), run, [left, right], n_parts)
     left, right = left.materialize(), right.materialize()
     both = _coalesced(tagged(left, right), left.num_blocks() + right.num_blocks(), n_parts)
-    return both.groupby(_PART, num_partitions=n_parts).map_groups(
+    out = both.groupby(_PART, num_partitions=n_parts).map_groups(
         run, batch_format="pyarrow"
-    )
+    ).materialize()
+    blocks = [b for bundle in out.iter_internal_ref_bundles() for b in bundle.blocks]
+    full = [ref for ref, meta in blocks if meta.num_rows]
+    if len(full) == len(blocks):
+        return out
+    if full:
+        return ray.data.from_arrow_refs(full)
+    return ray.data.from_arrow(per_partition(ls.empty_table(), rs.empty_table()))
 
 
 def table_digest(

@@ -8,7 +8,9 @@ and canonicalization:
 * a small knowledge base (alias → candidate KB entries) is broadcast
   via ``ray.put`` once per KB content per Ray session and fetched once
   per worker by the cached stage's ``__init__`` — the classic
-  broadcast-join, no shuffle;
+  broadcast-join, no shuffle.  "Small" is measured on the KB's pickle,
+  made once per :func:`link_triples` call: its length decides broadcast
+  against KB-sharded join, and its digest keys the cached ref;
 * disambiguation among candidate senses is deterministic: score =
   alias-match strength + context-token overlap with the entry's type
   hints, ties by kb_id — pure function of (surface, context), identical
@@ -153,33 +155,12 @@ class LinkerStage:
         return out
 
 
-#: Byte budget above which the KB stops being broadcast to every worker and
-#: is hash-sharded instead (same planner decision as the verify joins in
-#: functions/dedup.py — a byte bound transfers across cluster sizes, a row
-#: count does not).  A production KB (10⁸ aliases) is far above this.
+#: Byte budget, on the pickled KB, above which the KB stops being
+#: broadcast to every worker and is hash-sharded instead (same planner
+#: decision as the verify joins in functions/dedup.py — a byte bound
+#: transfers across cluster sizes, a row count does not).  A production KB
+#: (10⁸ aliases) is far above this.
 _KB_BROADCAST_BYTES = 32 << 20
-
-
-def kb_nbytes(kb: dict[str, list[dict]]) -> int:
-    """Deterministic byte estimate of a built alias→candidates KB (entries
-    shared across aliases counted once + a pointer per extra alias)."""
-    total = 0
-    seen: set[int] = set()
-    for alias, cands in kb.items():
-        total += 64 + len(alias)
-        for e in cands:
-            if id(e) in seen:
-                total += 8
-                continue
-            seen.add(id(e))
-            total += (
-                96
-                + len(e["kb_id"])
-                + len(e.get("name", ""))
-                + sum(len(a) for a in e.get("aliases", ()))
-                + sum(len(h) for h in e.get("type_hints", ()))
-            )
-    return total
 
 
 #: The last broadcast KB: ((node id, content digest), ref).  One entry, so
@@ -187,18 +168,15 @@ def kb_nbytes(kb: dict[str, list[dict]]) -> int:
 _KB_REF: tuple[tuple[str, str], ray.ObjectRef] | None = None
 
 
-def _kb_ref(kb: dict[str, list[dict]]) -> ray.ObjectRef:
+def _kb_ref(kb: dict[str, list[dict]], pickled: bytes) -> ray.ObjectRef:
     """The object ref of ``kb``, put once per KB content per Ray session.
 
-    Keyed on the pickled content's digest, so an equal KB built again
-    reuses the ref and any edit puts a new one; and on the session's node
-    id, which changes when Ray restarts, so a ref from a dead session is
-    never handed out."""
+    Keyed on the digest of ``pickled`` (``pickle.dumps(kb)``), so an equal
+    KB built again reuses the ref and any edit puts a new one; and on the
+    session's node id, which changes when Ray restarts, so a ref from a
+    dead session is never handed out."""
     global _KB_REF
-    key = (
-        ray.get_runtime_context().get_node_id(),
-        hashlib.blake2b(pickle.dumps(kb)).hexdigest(),
-    )
+    key = (ray.get_runtime_context().get_node_id(), hashlib.blake2b(pickled).hexdigest())
     if _KB_REF is None or _KB_REF[0] != key:
         _KB_REF = (key, ray.put(kb))
     return _KB_REF[1]
@@ -210,14 +188,20 @@ def link_triples(
     broadcast_bytes: int = _KB_BROADCAST_BYTES,
 ) -> ray.data.Dataset:
     """Entity-link a triples dataset against ``kb``, picking the join
-    strategy by KB size: small KBs are broadcast (read in every task — no
-    shuffle); KBs above ``broadcast_bytes`` are hash-sharded by alias norm
-    and joined reduce-side (:func:`link_triples_partitioned`),
-    bit-identically.  The broadcast KB is ``ray.put`` once per KB content
-    per Ray session: repeated calls with an equal KB reuse one object."""
-    if kb_nbytes(kb) > broadcast_bytes and triples.schema() is not None:
+    strategy by the KB's serialized size: small KBs are broadcast (read in
+    every task — no shuffle); KBs whose pickle is above ``broadcast_bytes``
+    are hash-sharded by alias norm and joined reduce-side
+    (:func:`link_triples_partitioned`), bit-identically.
+
+    The KB is pickled ONCE per call.  The pickle's length is the planner's
+    byte measure — what a broadcast really ships, an entry shared by many
+    aliases counted once (pickle's memo) — and its digest keys the cached
+    ref: the broadcast KB is ``ray.put`` once per KB content per Ray
+    session, so repeated calls with an equal KB reuse one object."""
+    pickled = pickle.dumps(kb)
+    if len(pickled) > broadcast_bytes and triples.schema() is not None:
         return link_triples_partitioned(triples, kb)
-    kb_ref = _kb_ref(kb)
+    kb_ref = _kb_ref(kb, pickled)
     # task map with a per-worker stage cache — the KB ref ray.get is the
     # only state; actor-pool spin-up cost more than the whole query
     from ..taskexec import cached_stage_fn

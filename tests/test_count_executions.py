@@ -47,3 +47,27 @@ def test_report_lists_every_execution_and_the_count():
 
 def test_summary_of_no_records():
     assert count_executions.summarize([])["executions_per_op"] == {"median": 0, "min": 0, "max": 0}
+
+
+UNION_PLAN = (
+    "InputDataBuffer[Input] -> TaskPoolMapOperator[MapBatches(tag)], "
+    "InputDataBuffer[Input] -> TaskPoolMapOperator[MapBatches(tag)] -> UnionOperator[Union] -> "
+    "TaskPoolMapOperator[MapBatches(run)] -> StreamingRepartition[StreamingRepartition]"
+)
+
+
+def test_operators_counts_each_physical_operator_once():
+    assert count_executions.operators(READ_MAP_WRITE) == 3  # the fused map+write is one
+    assert count_executions.operators(UNION_PLAN) == 7
+    assert count_executions.operators("") == 0
+
+
+def test_summary_and_report_count_operators_per_op():
+    s = count_executions.summarize(_records())
+    assert [o["plan_operators"] for o in s["ops"]] == [[2, 3, 3], [3], [3, 3]]
+    assert [o["operators"] for o in s["ops"]] == [8, 3, 6]
+    assert s["operators_per_op"] == {"median": 6, "min": 3, "max": 8}
+    text = count_executions.report(_records())
+    assert "op 0: 3 executions, 0.325 s executing, 8 operators" in text
+    assert "operators per warm op: median 6, min 3, max 8" in text
+    assert f" 3 ops  {READ_MAP_WRITE}" in text

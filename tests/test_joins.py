@@ -366,13 +366,26 @@ def test_hash_partitioned_groups_same_rows_every_arm(ray_session, rows, n_blocks
     assert all(o == outs[0] for o in outs)
 
 
-def test_one_call_arm_recuts_by_bytes(ray_session):
+def _logical_ops(ds) -> list[str]:
+    """Class names of every logical operator in ``ds``'s plan."""
+    ops, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        ops.append(type(op).__name__)
+        todo.extend(op.input_dependencies)
+    return ops
+
+
+def test_one_call_arm_recuts_by_bytes(ray_session, monkeypatch):
     """Below the bound the kernel runs once, and its result is re-cut
-    into ``min(n_parts, ceil(input bytes / target_min_block_size))``
-    blocks: a small result stays one block (one write task and file), a
-    result over ``n_parts`` MiB keeps the keyed arm's ``n_parts`` blocks
-    (one block would serialize every operator downstream), and one
-    partition is always one block."""
+    into ``min(n_parts, cluster CPUs, ceil(input bytes /
+    target_min_block_size))`` blocks: a small result stays one block (one
+    write task and file), a result over ``n_parts`` MiB keeps the keyed
+    arm's ``n_parts`` blocks on the 4-CPU session (one block would
+    serialize every operator downstream), one partition is always one
+    block, and on a 1-CPU cluster — where a second block could not run
+    concurrently — every result is one block and the plan holds no
+    ``StreamingRepartition``."""
     import ray
     from ray.data import DataContext
 
@@ -397,6 +410,49 @@ def test_one_call_arm_recuts_by_bytes(ray_session):
     assert joins.hash_partitioned_groups(big, ["id"], kernel, 1).materialize().num_blocks() == 1
     both = joins.cogroup(big, big, ["id"], ["id"], concat, 4).materialize()
     assert both.num_blocks() == 4 and both.count() == 2 * n
+
+    monkeypatch.setattr(joins, "cluster_cpus", lambda: 1)
+    for out in (
+        joins.hash_partitioned_groups(big, ["id"], kernel, 4),
+        joins.cogroup(big, big, ["id"], ["id"], concat, 4),
+    ):
+        assert "StreamingRepartition" not in _logical_ops(out)
+        out = out.materialize()
+        assert out.num_blocks() == 1 and out.count() in (n, 2 * n)
+
+
+def test_keyed_cogroup_blocks_concatenate(ray_session, monkeypatch):
+    """A keyed cogroup whose keys all hash to one of its 4 partitions
+    leaves sort reducers with no partition; no block of its result is
+    the untyped empty block such a reducer yields, so every block
+    concatenates with the rest — and a result with no rows is the
+    kernel's typed empty table."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
+    keys = [k for k in range(200) if part_array(pa.table({"k": [k]}), ["k"], 4)[0].as_py() == 0][:20]
+    left = ray.data.from_arrow(
+        pa.table({"k": pa.array(keys * 5, pa.int64()), "x": pa.array(range(100), pa.int64())})
+    ).repartition(4).materialize()
+    right = ray.data.from_arrow(
+        pa.table({"k": pa.array(keys, pa.int64()), "y": pa.array(range(20), pa.int64())})
+    ).repartition(4).materialize()
+
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return lt.join(rt, "k")
+
+    out = joins.cogroup(left, right, ["k"], ["k"], join, 4)
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert got.num_rows == 100 and got.column_names == ["k", "x", "y"]
+
+    def no_match(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return lt.join(rt, "k").filter(pc.field("x") < 0)
+
+    out = joins.cogroup(left, right, ["k"], ["k"], no_match, 4)
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert got.num_rows == 0 and got.column_names == ["k", "x", "y"]
 
 
 def test_keyed_arm_bounds_its_output_blocks(ray_session, monkeypatch):

@@ -198,24 +198,63 @@ def test_partitioned_linker_equals_per_mention_loop(ray_session, rows):
     with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
         assert _linked(link_triples_partitioned(ds, kb, n_parts=4).take_all()) == want
 
-def test_kb_planner_bound(ray_session):
-    """link_triples picks broadcast below the byte bound and the sharded
-    join above it; kb_nbytes sees through alias-shared entries."""
-    from relation_extraction_ray.state.linker import _KB_BROADCAST_BYTES, kb_nbytes
+def test_kb_planner_bound(ray_session, monkeypatch):
+    """link_triples measures the KB by its pickle: broadcast at or below
+    the byte bound, the sharded join above it.  Pickle's memo counts an
+    entry shared by many aliases once, and a KB of large entries is above
+    the default bound."""
+    import pickle
+
+    from relation_extraction_ray.state import linker
 
     small = build_kb(synth_kb())
-    assert 0 < kb_nbytes(small) < _KB_BROADCAST_BYTES
-    # one entry reachable via many aliases is counted once + pointers
+    assert 0 < len(pickle.dumps(small)) < linker._KB_BROADCAST_BYTES
+    # one entry reachable via many aliases is serialized once + references
     shared = build_kb(
         [{"kb_id": "kb_s", "name": "n0", "aliases": [f"a{i}" for i in range(100)],
           "type_hints": []}]
     )
-    assert kb_nbytes(shared) < 100 * 96
+    assert len(pickle.dumps(shared)) < 100 * 96
     big = build_kb(
         [{"kb_id": f"kb_{i}", "name": "m" * (1 << 20), "aliases": [], "type_hints": []}
          for i in range(40)]
     )
-    assert kb_nbytes(big) > _KB_BROADCAST_BYTES
+    assert len(pickle.dumps(big)) > linker._KB_BROADCAST_BYTES
+
+    sharded = []
+    monkeypatch.setattr(
+        linker, "link_triples_partitioned", lambda triples, kb: sharded.append(kb) or triples
+    )
+    size = len(pickle.dumps(small))
+    ds = _one_row("bank")
+    linker.link_triples(ds, small, broadcast_bytes=size)
+    assert sharded == []
+    linker.link_triples(ds, small, broadcast_bytes=size - 1)
+    assert sharded == [small]
+
+
+def test_link_triples_pickles_the_kb_once(ray_session, monkeypatch):
+    """One link_triples call serializes the KB once: the same pickle is
+    the planner's byte measure and the cached ref's content key."""
+    import pickle
+
+    from relation_extraction_ray.state import linker
+
+    kb = build_kb(synth_kb())
+    dumps = []
+
+    class Spy:
+        @staticmethod
+        def dumps(value, *args, **kwargs):
+            if value is kb:
+                dumps.append(value)
+            return pickle.dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(linker, "pickle", Spy)
+    name = synth_kb()[0]["name"]
+    for calls in (1, 2):
+        out = linker.link_triples(_one_row(name), kb).take_all()
+        assert len(dumps) == calls and out[0]["subj_linked"]
 
 
 def test_linker_disambiguates_by_context(ray_session):

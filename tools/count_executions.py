@@ -9,10 +9,12 @@ Run from the repository root.  The workload class of
 ``StreamingExecutor.execute`` wrapped: every Ray Data execution an op
 starts is recorded with its physical plan, its wall (from ``execute``
 to the executor's shutdown) and the innermost calling frame outside
-Ray.  The report lists each op's executions and ends with the count
-per warm op.  ``--log FILE`` also writes the records as JSON lines;
-``--summarize FILE`` prints the report of such a log without running
-anything.  Work files go under ``.bench_work/`` and are removed.
+Ray.  The report lists each op's executions with the number of
+physical operators in each plan, and ends with the operator and
+execution counts per warm op, so a dropped operator shows as a number.
+``--log FILE`` also writes the records as JSON lines; ``--summarize
+FILE`` prints the report of such a log without running anything.  Work
+files go under ``.bench_work/`` and are removed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import sys
@@ -30,24 +33,41 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
+def operators(plan: str) -> int:
+    """Physical operators in a recorded plan string: Ray Data prints each
+    as ``Class[name]``, joined by ``" -> "`` along a chain and by ``", "``
+    between the inputs of a multi-input operator (a fused map is ONE
+    operator, ``MapBatches(a)->MapBatches(b)`` inside its brackets)."""
+    return len(re.findall(r"(?:^|, | -> )\w+\[", plan))
+
+
+def _spread(counts: list) -> dict:
+    return {
+        "median": statistics.median(counts) if counts else 0,
+        "min": min(counts, default=0),
+        "max": max(counts, default=0),
+    }
+
+
 def summarize(records: list[dict]) -> dict:
-    """Per-op execution counts and walls of ``records`` (one dict per
-    execution: ``op``, ``plan``, ``wall_s``, ``frame``), plus the median,
-    min and max count per op."""
+    """Per-op execution counts, physical operator counts (per plan and
+    in total) and walls of ``records`` (one dict per execution: ``op``,
+    ``plan``, ``wall_s``, ``frame``), plus the median, min and max of the
+    execution and operator counts per op."""
     ops: dict[int, dict] = {}
     for r in records:
-        o = ops.setdefault(r["op"], {"op": r["op"], "executions": 0, "wall_s": 0.0})
+        o = ops.setdefault(
+            r["op"], {"op": r["op"], "executions": 0, "plan_operators": [], "operators": 0, "wall_s": 0.0}
+        )
         o["executions"] += 1
+        o["plan_operators"].append(operators(r["plan"]))
+        o["operators"] += o["plan_operators"][-1]
         o["wall_s"] += r["wall_s"] or 0.0
     per_op = [ops[k] for k in sorted(ops)]
-    counts = [o["executions"] for o in per_op]
     return {
         "ops": per_op,
-        "executions_per_op": {
-            "median": statistics.median(counts) if counts else 0,
-            "min": min(counts, default=0),
-            "max": max(counts, default=0),
-        },
+        "executions_per_op": _spread([o["executions"] for o in per_op]),
+        "operators_per_op": _spread([o["operators"] for o in per_op]),
     }
 
 
@@ -58,13 +78,17 @@ def report(records: list[dict]) -> str:
         lines.append(f"op {op}:")
         for k, r in enumerate(x for x in records if x["op"] == op):
             wall = "   ?  " if r["wall_s"] is None else f"{r['wall_s']:6.3f}"
-            lines.append(f"  {k + 1:2d}  {wall} s  {r['plan']}")
+            lines.append(f"  {k + 1:2d}  {wall} s  {operators(r['plan']):2d} ops  {r['plan']}")
             lines.append(f"              at {r['frame']}")
     s = summarize(records)
     for o in s["ops"]:
-        lines.append(f"op {o['op']}: {o['executions']} executions, {o['wall_s']:.3f} s executing")
-    e = s["executions_per_op"]
-    lines.append(f"executions per warm op: median {e['median']}, min {e['min']}, max {e['max']}")
+        lines.append(
+            f"op {o['op']}: {o['executions']} executions, {o['wall_s']:.3f} s executing, "
+            f"{o['operators']} operators"
+        )
+    for what in ("operators", "executions"):
+        e = s[f"{what}_per_op"]
+        lines.append(f"{what} per warm op: median {e['median']}, min {e['min']}, max {e['max']}")
     return "\n".join(lines)
 
 
