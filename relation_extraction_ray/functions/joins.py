@@ -38,19 +38,20 @@ holds (a parquet read, a materialized dataset, a union of such —
 :func:`sized`) before materializing anything; below the bound the
 combine and the reduce run in that one call.  :func:`cogroup` sizes
 its two inputs the same way, so a sub-bound cogroup of a parquet read
-is one execution with its consumer.  The one call's result is
-re-cut only into blocks the cluster can run concurrently:
-``min(n_parts, cluster CPUs, ceil(input bytes /
-DataContext.target_min_block_size))`` blocks (:func:`cluster_cpus`).
-A small result stays one block (one write task, one file), and so does
-every result on a 1-CPU cluster, whose plan then holds no re-cut
-operator; a large one on a multi-core cluster keeps up to the keyed
-arm's block count for the operators downstream.  Above the
-bound the keyed exchange runs, and both keyed arms share one coalesce
-rule (:func:`_coalesced`): an exchange input holding more than
+is one execution with its consumer.  On a multi-core cluster the one
+call's result is re-cut into ``min(n_parts, ceil(input bytes /
+DataContext.target_min_block_size))`` blocks: a small result stays one
+block (one write task, one file), a large one keeps the keyed arm's
+block count for the operators downstream.  On a 1-CPU cluster
+(:func:`cluster_cpus`), which can run no second block concurrently,
+every result is one block and the plan holds no re-cut operator.  Above
+the bound the keyed exchange runs, and both keyed arms share one
+coalesce rule (:func:`_coalesced`): an exchange input holding more than
 ``n_parts`` blocks is coalesced to ``n_parts`` first, so an output —
 which the iterative graph rounds feed back into the next round — never
-holds more.  The graph and components operators read the same bound
+holds more — and one rule for Ray's empty reducer output
+(:func:`_typed_blocks`): the result is materialized without the
+column-less blocks a sort reducer with no partition yields.  The graph and components operators read the same bound
 through the same probe, on their sized input, and below it run as ONE
 lazy worker call too (:func:`local_call`), so patching the one
 attribute forces every planner onto its distributed path.
@@ -64,7 +65,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+from ray.data._internal.execution.interfaces import RefBundle
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.input_data_operator import InputData
 from ray.data._internal.logical.operators.n_ary_operator import Union
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
 from ray.data.dataset import MaterializedDataset
 
 
@@ -309,22 +315,22 @@ def _one_call(ds: ray.data.Dataset, fn: "callable", inputs: list, n_parts: int) 
     ``ds`` was built from (the operator bundles every block into one
     task).  No rows: no call.
 
-    The result is re-cut into ``min(n_parts, cluster CPUs, ceil(input
-    bytes / DataContext.target_min_block_size))`` blocks (a streaming
-    slice, no exchange) — only into blocks the cluster can run
-    concurrently.  All extra blocks buy is concurrent downstream tasks
-    (one block serializes every operator downstream: a 600k-row single
-    block made the ``groupby`` after ``cf_user_topk``'s purchase-matrix
-    exchange 2.6× slower at sf0.1 on 4 cores), while each costs a write
-    task and a file, and the re-cut itself is one more operator.  So a
-    result of an input under Ray Data's own minimum block size stays one
-    block, and on a 1-CPU cluster every result does, with no
-    ``StreamingRepartition`` in the plan.  ``n_parts`` = 1 keeps the
-    result one block (:func:`local_call`)."""
+    On a multi-core cluster the result is re-cut into ``min(n_parts,
+    ceil(input bytes / DataContext.target_min_block_size))`` blocks (a
+    streaming slice, no exchange): a result of an input under Ray Data's
+    own minimum block size stays one block — a re-cut small result costs
+    one write task and file per block — while a large one keeps the
+    keyed arm's block count, since one block serializes every
+    downstream operator (a 600k-row single block made the ``groupby``
+    after ``cf_user_topk``'s purchase-matrix exchange 2.6× slower at
+    sf0.1 on 4 cores).  All extra blocks buy is concurrent downstream
+    tasks, so on a 1-CPU cluster (:func:`cluster_cpus`) every result is
+    one block, with no ``StreamingRepartition`` in the plan.
+    ``n_parts`` = 1 keeps the result one block (:func:`local_call`)."""
     n_rows = _rows(*inputs)
     out = ds.map_batches(fn, batch_size=max(1, n_rows), batch_format="pyarrow")
     min_block = ray.data.DataContext.get_current().target_min_block_size
-    n_blocks = min(n_parts, cluster_cpus(), -(-_bytes(*inputs) // min_block))
+    n_blocks = min(n_parts, -(-_bytes(*inputs) // min_block)) if cluster_cpus() > 1 else 1
     if n_blocks > 1:
         out = out.repartition(target_num_rows_per_block=max(1, -(-n_rows // n_blocks)))
     return out
@@ -369,6 +375,39 @@ def _coalesced(ds: ray.data.Dataset, n_blocks: int, n_parts: int) -> ray.data.Da
     blocks, and its M × N shuffle objects (whose owner metadata lives in
     the driver) stay at most ``n_parts``²."""
     return ds.repartition(n_parts) if n_blocks > n_parts else ds
+
+
+def _typed_blocks(ds: ray.data.Dataset, empty: "callable") -> ray.data.Dataset:
+    """The keyed arms' one rule for Ray's empty reducer output: ``ds``
+    (a ``groupby(...).map_groups``) materialized without its column-less
+    blocks.  A sort reducer that receives no partition yields a 0-row
+    block with NO columns (Ray Data hands an empty block to no map UDF,
+    so no map can type it), and a reader that concatenates the blocks
+    fails on it.  Neither the block metadata nor the bundle schema tells
+    it from a typed 0-row block (the executor relabels a bundle whose
+    schema differs from the one before), so the 0-row blocks alone are
+    fetched — they hold no rows — and only the column-less ones are
+    dropped; no task runs.  The result is a fresh dataset over the kept
+    blocks, with no stats lineage: Ray Data walks every parent dataset's
+    stats at each execution, so the rounds of an iterative caller (the
+    components pointer jump) would compound that walk.  When no block is
+    left the result is ``empty()``, built in the calling process."""
+    blocks = [(b.schema, block) for b in ds.iter_internal_ref_bundles() for block in b.blocks]
+    empties = [ref for _, (ref, meta) in blocks if meta.num_rows == 0]
+    columnless = {ref for ref, t in zip(empties, ray.get(empties)) if t.num_columns == 0}
+    kept = [
+        RefBundle((block,), owns_blocks=False, schema=schema)
+        for schema, block in blocks
+        if block[0] not in columnless
+    ]
+    if not kept:
+        return ray.data.from_arrow(empty())
+    out = MaterializedDataset(
+        ExecutionPlan(DatasetStats(metadata={}, parent=None), data_context=ds.context),
+        LogicalPlan(InputData(input_data=kept), ds.context),
+    )
+    out._plan.execute()  # marks the plan executed; its input is the output
+    return out
 
 
 def group_runs(sort_key: np.ndarray):
@@ -452,8 +491,10 @@ def hash_partitioned_groups(
     re-cut by the :func:`_one_call` rule.  Above it ``combine`` runs
     per batch, the partials are materialized, coalesced to ``n_parts``
     blocks when they hold more (:func:`_coalesced`) and ride one sort
-    exchange on ``part``, so the output holds at most ``n_parts`` blocks.
-    A correct kernel gives the same rows either way."""
+    exchange on ``part``, so the output holds at most ``n_parts`` blocks;
+    it is materialized, every block typed (:func:`_typed_blocks`; a
+    result with no rows left is ``per_partition`` of the typed empty
+    partials).  A correct kernel gives the same rows either way."""
     ds = sized(ds)
     if fits_local(ds):
         return _one_call(ds, one_partition(per_partition, combine), [ds], n_parts)
@@ -463,11 +504,12 @@ def hash_partitioned_groups(
         return t.append_column("part", part_array(t, key_cols, n_parts))
 
     partials = ds.map_batches(add_part, batch_format="pyarrow").materialize()
-    return (
+    out = (
         _coalesced(partials, partials.num_blocks(), n_parts)
         .groupby("part")
         .map_groups(per_partition, batch_format="pyarrow")
     )
+    return _typed_blocks(out, lambda: per_partition(_arrow_schema(partials).empty_table()))
 
 
 _SIDE, _PART = "__cogroup_side", "__cogroup_part"
@@ -512,16 +554,12 @@ def cogroup(
     rule — in the same Ray Data execution as reading the inputs
     and consuming the result; above it both sides are materialized (the
     coalesce rule reads their block counts) and the keyed exchange
-    runs, its result materialized.  The union pads each side with
-    typed nulls for the other side's columns; a column name shared by the
-    two sides must carry the same type on both, or ``ValueError`` is
-    raised before anything runs.  The keyed arm's result is materialized
-    and every block it holds carries the kernel's schema: a sort reducer
-    that receives no partition yields a 0-row block with NO columns (Ray
-    Data hands an empty block to no map UDF, so no map can type it), and
-    such blocks are dropped — a result with no rows left is the typed
-    ``per_partition(left empty, right empty)`` — so the blocks
-    concatenate."""
+    runs, its result materialized with every block typed
+    (:func:`_typed_blocks`; a result with no rows left is
+    ``per_partition(left empty, right empty)``).  The union pads each
+    side with typed nulls for the other side's columns; a column name
+    shared by the two sides must carry the same type on both, or
+    ``ValueError`` is raised before anything runs."""
     left, right = sized(left), sized(right)
     ls, rs = _arrow_schema(left), _arrow_schema(right)
     for name in sorted(set(ls.names) & set(rs.names)):
@@ -566,16 +604,8 @@ def cogroup(
         return _one_call(tagged(left, right), run, [left, right], n_parts)
     left, right = left.materialize(), right.materialize()
     both = _coalesced(tagged(left, right), left.num_blocks() + right.num_blocks(), n_parts)
-    out = both.groupby(_PART, num_partitions=n_parts).map_groups(
-        run, batch_format="pyarrow"
-    ).materialize()
-    blocks = [b for bundle in out.iter_internal_ref_bundles() for b in bundle.blocks]
-    full = [ref for ref, meta in blocks if meta.num_rows]
-    if len(full) == len(blocks):
-        return out
-    if full:
-        return ray.data.from_arrow_refs(full)
-    return ray.data.from_arrow(per_partition(ls.empty_table(), rs.empty_table()))
+    out = both.groupby(_PART, num_partitions=n_parts).map_groups(run, batch_format="pyarrow")
+    return _typed_blocks(out, lambda: per_partition(ls.empty_table(), rs.empty_table()))
 
 
 def table_digest(

@@ -377,12 +377,13 @@ def _logical_ops(ds) -> list[str]:
 
 
 def test_one_call_arm_recuts_by_bytes(ray_session, monkeypatch):
-    """Below the bound the kernel runs once, and its result is re-cut
-    into ``min(n_parts, cluster CPUs, ceil(input bytes /
+    """Below the bound the kernel runs once, and on a multi-core cluster
+    its result is re-cut into ``min(n_parts, ceil(input bytes /
     target_min_block_size))`` blocks: a small result stays one block (one
     write task and file), a result over ``n_parts`` MiB keeps the keyed
     arm's ``n_parts`` blocks on the 4-CPU session (one block would
-    serialize every operator downstream), one partition is always one
+    serialize every operator downstream) and on a 2-CPU cluster too (the
+    re-cut is not capped at the CPU count), one partition is always one
     block, and on a 1-CPU cluster — where a second block could not run
     concurrently — every result is one block and the plan holds no
     ``StreamingRepartition``."""
@@ -410,6 +411,10 @@ def test_one_call_arm_recuts_by_bytes(ray_session, monkeypatch):
     assert joins.hash_partitioned_groups(big, ["id"], kernel, 1).materialize().num_blocks() == 1
     both = joins.cogroup(big, big, ["id"], ["id"], concat, 4).materialize()
     assert both.num_blocks() == 4 and both.count() == 2 * n
+
+    monkeypatch.setattr(joins, "cluster_cpus", lambda: 2)
+    assert joins.hash_partitioned_groups(big, ["id"], kernel, 4).materialize().num_blocks() == 4
+    assert joins.cogroup(big, big, ["id"], ["id"], concat, 4).materialize().num_blocks() == 4
 
     monkeypatch.setattr(joins, "cluster_cpus", lambda: 1)
     for out in (
@@ -453,6 +458,65 @@ def test_keyed_cogroup_blocks_concatenate(ray_session, monkeypatch):
     out = joins.cogroup(left, right, ["k"], ["k"], no_match, 4)
     got = pa.concat_tables(ray.get(out.to_arrow_refs()))
     assert got.num_rows == 0 and got.column_names == ["k", "x", "y"]
+
+
+def test_keyed_hash_groups_blocks_concatenate(ray_session, monkeypatch):
+    """``hash_partitioned_groups``' keyed arm shares ``cogroup``'s rule:
+    keys that all hash to one of 4 partitions leave sort reducers with no
+    partition, and no block of the result is their untyped empty block;
+    a combiner that keeps no row gives ``per_partition`` of the typed
+    empty partials."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
+    keys = [k for k in range(200) if part_array(pa.table({"k": [k]}), ["k"], 4)[0].as_py() == 0][:20]
+    ds = ray.data.from_arrow(
+        pa.table({"k": pa.array(keys * 5, pa.int64()), "x": pa.array(range(100), pa.int64())})
+    ).repartition(4).materialize()
+
+    def kernel(part: pa.Table) -> pa.Table:
+        return part.select(["k", "x"])
+
+    out = joins.hash_partitioned_groups(ds, ["k"], kernel, 4)
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert got.num_rows == 100 and got.column_names == ["k", "x"]
+
+    out = joins.hash_partitioned_groups(
+        ds, ["k"], kernel, 4, combine=lambda b: b.filter(pc.field("x") < 0)
+    )
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert got.num_rows == 0 and got.column_names == ["k", "x"]
+
+
+def test_typed_blocks_drops_only_columnless_blocks(ray_session):
+    """``_typed_blocks`` drops the 0-row blocks with no columns that a map
+    emits and keeps every other block, a typed 0-row block too; no block
+    left gives ``empty()``."""
+    import ray
+
+    from relation_extraction_ray.functions import joins
+
+    schema = pa.schema([("k", pa.int64())])
+    blocks = [pa.table({"k": pa.array([i, i + 1], pa.int64())}) for i in (0, 2, 4, 6)]
+
+    def emit(batch: pa.Table) -> pa.Table:
+        first = batch.column("k")[0].as_py()
+        return {2: pa.table({}), 4: batch.slice(0, 0)}.get(first, batch)
+
+    ds = ray.data.from_arrow(blocks).map_batches(emit, batch_size=None, batch_format="pyarrow")
+    out = joins._typed_blocks(ds, lambda: pytest.fail("typed blocks are left"))
+    got = ray.get(out.to_arrow_refs())
+    assert sorted(b.num_rows for b in got) == [0, 2, 2]
+    assert all(b.schema == schema for b in got)
+    assert sorted(out.to_pandas()["k"]) == [0, 1, 6, 7]
+
+    none = ray.data.from_arrow(blocks).map_batches(
+        lambda b: pa.table({}), batch_size=None, batch_format="pyarrow"
+    )
+    out = joins._typed_blocks(none, schema.empty_table)
+    assert out.count() == 0 and out.schema().names == ["k"]
 
 
 def test_keyed_arm_bounds_its_output_blocks(ray_session, monkeypatch):
