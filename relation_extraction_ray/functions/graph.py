@@ -10,38 +10,36 @@ operator's one worker call.  The undirected operators share one
 (:func:`_simple_edges`, mirrored by :func:`_undirected_both_dirs`), the
 directed walkers another (:func:`_directed_edges`).
 
-Planner: every operator here that has a sub-bound path (those written
-on :func:`_iterate`, below, and :func:`component_size_hist`) decides
-ONCE, on its inputs, with the engine's one probe
-:func:`..joins.fits_local` — the adjacency sized from Ray Data's
+Planner: every operator here except :func:`component_size_hist` (its
+own one-call arm around the components kernel) and
+:func:`diameter_2sweep` (which composes :func:`bfs_hops`) is written
+ONCE against an executor ``x`` — module-level kernels over ``pa.Table``
+plus a round loop — and run by ONE driver, :func:`_iterate`: the
+iterative operators (pagerank, hits, bfs/sssp, harmonic centrality,
+label propagation, kcore, trim core, random walks and walk pairs,
+fanout sampling), the wedge family (:func:`edge_jaccard` and what
+composes its :func:`_wedge_support` rounds, :func:`modularity`,
+:func:`degree_assortativity`) and the keyed-fold statistics
+(:func:`degree_histogram`, :func:`power_law_alpha`,
+:func:`pred_bigrams`, :func:`reciprocity`,
+:func:`predicate_cardinality`; ``pipelines/kg.triple_provenance`` too).
+A round is a scatter kernel (static edges ⋈ state → messages keyed by
+the destination node) and a fold kernel (messages ⋈ state → next
+state); a statistic ends in one scalar sum (``x.sum``).
+:func:`_iterate` decides ONCE, on its inputs, with the engine's one
+probe :func:`..joins.fits_local` — the adjacency sized from Ray Data's
 metadata when it is a parquet read or a materialized dataset
-(:func:`..joins.sized`), so deciding costs no execution.  At or below
-:data:`..joins.LOCAL_BYTES_BOUND` (read at call time) the whole query —
-edge prep, kernels and rounds, sorted result — is ONE ``map_batches``
-call on a worker (:func:`..joins.local_call`; :func:`modularity`'s two
-inputs go through :func:`..joins.cogroup`'s one-call arm), returned
-lazily so the consumer's ``write_parquet`` runs in the same Ray Data
-execution: no edge reaches the driver, and a query over a parquet read
-is ``ReadParquet → MapBatches → Write``.  An input with no rows gets the
-operator's typed empty result, built in-process without a Ray call.
-Above the bound the distributed path below runs.
+(:func:`..joins.sized`), so deciding costs no execution:
 
-Every iterative operator (pagerank, hits, bfs/sssp, harmonic
-centrality, label propagation, kcore, trim core, random walks, fanout
-sampling) and the wedge family (:func:`edge_jaccard` and what composes
-its :func:`_wedge_support` rounds — :func:`triangle_count`,
-:func:`clustering_coefficient`, :func:`ktruss` — plus
-:func:`modularity` and :func:`degree_assortativity`) is written ONCE, as
-module-level kernels over ``pa.Table`` plus a round loop, and run by ONE
-driver, :func:`_iterate`.  A round is a scatter kernel (static edges ⋈
-state → messages keyed by the destination node) and a fold kernel
-(messages ⋈ state → next state); a statistic ends in one scalar sum
-(``x.sum``).  :func:`_iterate` makes the operator's one planner
-decision:
-
-* at or below the bound the prep and every kernel run in-process on
-  whole tables (:class:`_InProcess`) inside the one worker call — no
-  Ray job per round;
+* at or below :data:`..joins.LOCAL_BYTES_BOUND` (read at call time) the
+  prep and every kernel run in-process on whole tables
+  (:class:`_InProcess`) inside ONE ``map_batches`` call on a worker
+  (:func:`..joins.local_call`; :func:`modularity`'s two inputs go
+  through :func:`..joins.cogroup`'s one-call arm), returned lazily so
+  the consumer's ``write_parquet`` runs in the same Ray Data execution:
+  no edge reaches the driver, and a query over a parquet read is
+  ``ReadParquet → MapBatches → Write``.  An input with no rows gets the
+  operator's typed empty result, built in-process without a Ray call;
 * above it every two-input step is one :func:`..joins.cogroup` (the
   two sides hashed on their own key columns, so the static preps carry
   no partition column) and every keyed fold one
@@ -82,6 +80,7 @@ import pyarrow.compute as pc
 import ray
 
 from .joins import (
+    _typed_blocks,
     cogroup,
     derive_n_parts,
     fits_local,
@@ -93,7 +92,6 @@ from .joins import (
 
 SCALE = 10**12
 _DIST_SCHEMA = pa.schema([("node", pa.string()), ("dist", pa.int64())])
-_MSG_SCHEMA = pa.schema([("node", pa.string()), ("msg", pa.int64())])
 _UV_SCHEMA = pa.schema([("u", pa.string()), ("v", pa.string())])
 
 
@@ -139,7 +137,7 @@ def _collapsed_edges() -> _Prep:
     each partition (the probe side of the iteration join)."""
 
     def collapse(t: pa.Table) -> pa.Table:
-        return t.group_by(["u", "v"]).aggregate([("w", "sum")]).rename_columns(["u", "v", "w"])
+        return _summed(t, ["u", "v"], ["w"])
 
     def combine(batch: pa.Table) -> pa.Table:
         return collapse(
@@ -220,14 +218,14 @@ class _Exchange:
 
     @staticmethod
     def _typed(out: ray.data.Dataset, empty) -> ray.data.Dataset:
-        out = out.materialize()
-        if not out.count():
-            return ray.data.from_arrow(empty())
-        # a fresh dataset over the same blocks: Ray Data's stats keep every
-        # parent dataset and walk them as a tree at each execution, so a
-        # round that reads two earlier rounds' outputs doubles that walk
-        # (measured: per-round wall 0.3 s → 45 s over 12 bfs rounds)
-        return ray.data.from_arrow_refs(out.to_arrow_refs())
+        # materialized with no stats lineage (:func:`..joins._typed_blocks`):
+        # Ray Data walks every parent dataset's stats at each execution, so
+        # a round that reads two earlier rounds' outputs would double that
+        # walk (measured: per-round wall 0.3 s → 45 s over 12 bfs rounds).
+        # A result with no rows is ``empty()``: a map passes a 0-row input
+        # block through untyped by the map.
+        out = _typed_blocks(out, empty)
+        return out if out.count() else ray.data.from_arrow(empty())
 
     def join(self, left, right, left_on, right_on, kernel):
         out = cogroup(left, right, left_on, right_on, kernel, self.n_parts)
@@ -319,8 +317,7 @@ def _iterate(
 
 def _endpoints(t: pa.Table) -> pa.Table:
     """Distinct endpoints of a batch of (u, v) edges as (node)."""
-    both = pa.concat_arrays([t.column("u").combine_chunks(), t.column("v").combine_chunks()])
-    return pa.table({"node": pc.unique(both)})
+    return pa.table({"node": pc.unique(_stacked(t, "u", "v"))})
 
 
 def _distinct_nodes(t: pa.Table) -> pa.Table:
@@ -331,6 +328,29 @@ def _node_set(x, edges):
     """Every endpoint of the (u, v) edges once, as (node) rows keyed by
     node: the state universe of pagerank/hits and trim_core's node count."""
     return x.groups(x.map(edges, _endpoints), ["node"], _distinct_nodes)
+
+
+def _summed(t: pa.Table, keys: list[str], cols: list[str]) -> pa.Table:
+    """Fold: Σ of each of ``cols`` per ``keys``, under the same names."""
+    return t.group_by(keys).aggregate([(c, "sum") for c in cols]).rename_columns(keys + cols)
+
+
+def _stacked(t: pa.Table, *cols: str) -> pa.Array:
+    """The columns ``cols`` of ``t`` one after another, as one array."""
+    return pa.concat_arrays([t.column(c).combine_chunks() for c in cols])
+
+
+def _sides(n: int) -> pa.Array:
+    """int8 side tags of two stacked ``n``-row columns: n zeros, n ones."""
+    return pa.array(np.repeat(np.array([0, 1], np.int8), n))
+
+
+def _int_row(x, names, values):
+    """A statistic's one int64 row, ``names`` = ``values``, as ``x``'s
+    result."""
+    schema = pa.schema([(c, pa.int64()) for c in names])
+    row = pa.table([pa.array([v], pa.int64()) for v in values], schema=schema)
+    return x.result(x.table(row), schema, [(names[0], "ascending")])
 
 
 def _with(t: pa.Table, col: str, values) -> pa.Table:
@@ -351,7 +371,7 @@ def _push_sum(
         w = edges.column("w").to_numpy(zero_copy_only=False)
         val = val * w // edges.column("ow").to_numpy(zero_copy_only=False)
     msgs = pa.table({"node": edges.column(dst), "msg": pa.array(val, pa.int64())})
-    return msgs.group_by("node").aggregate([("msg", "sum")]).rename_columns(_MSG_SCHEMA.names)
+    return _summed(msgs, ["node"], ["msg"])
 
 
 def _fold_sum(
@@ -484,12 +504,10 @@ def triangle_count(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     :func:`_iterate`.  The scale shape is therefore the degree-ordered
     wedge enumeration (Suri & Vassilvitskii, WWW'11: out-degree bounded
     O(√m), so the wedge set is O(m^1.5) regardless of skew)."""
-    schema = pa.schema([("n_triangles", pa.int64())])
 
     def rounds(x, edges):
         (credits,) = x.sum(_wedge_support(x, edges), ["n_common"])
-        row = pa.table({"n_triangles": pa.array([credits // 3], pa.int64())})
-        return x.result(x.table(row), schema, [("n_triangles", "ascending")])
+        return _int_row(x, ["n_triangles"], [credits // 3])
 
     return _iterate(adjacency, _simple_edges(), rounds)
 
@@ -525,7 +543,8 @@ def _attach(
 
 def _degrees(x, edges):
     """(node, deg) of the (a, b) edges: endpoint counts folded per node."""
-    return x.groups(x.map(edges, _endpoint_degrees), ["node"], _sum_degrees)
+    fold = partial(_summed, keys=["node"], cols=["deg"])
+    return x.groups(x.map(edges, _endpoint_degrees), ["node"], fold)
 
 
 def _with_degrees(x, edges):
@@ -723,151 +742,98 @@ def kcore(adjacency: ray.data.Dataset, k: int = 2, max_rounds: int = 8) -> ray.d
 
 def _endpoint_degrees(t: pa.Table) -> pa.Table:
     """Scatter of a batch of (a, b) edges: (node, deg) endpoint counts."""
-    both = pa.concat_arrays([t.column("a").combine_chunks(), t.column("b").combine_chunks()])
-    vc = pc.value_counts(both)
+    vc = pc.value_counts(_stacked(t, "a", "b"))
     return pa.table({"node": vc.field("values"), "deg": vc.field("counts").cast(pa.int64())})
 
 
-def _sum_degrees(t: pa.Table) -> pa.Table:
-    """Fold: Σ deg per node."""
-    return t.group_by("node").aggregate([("deg", "sum")]).rename_columns(["node", "deg"])
+def _count_degrees(t: pa.Table) -> pa.Table:
+    """Scatter of a batch of (node, deg) rows: (deg, n_nodes) counts."""
+    vc = pc.value_counts(t.column("deg").combine_chunks())
+    return pa.table([vc.field(f).cast(pa.int64()) for f in ("values", "counts")], names=["deg", "n_nodes"])
+
+
+def _degree_hist(x, edges):
+    """(deg, n_nodes) of the (a, b) edges: degrees folded per node
+    (:func:`_degrees`), then nodes counted per degree — the rounds
+    :func:`degree_histogram` and :func:`power_law_alpha` share."""
+    fold = partial(_summed, keys=["deg"], cols=["n_nodes"])
+    return x.groups(x.map(_degrees(x, edges), _count_degrees), ["deg"], fold)
 
 
 def degree_histogram(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     """Degree distribution of the undirected simple KG entity graph
     (the power-law / hub-skew diagnostic that sizes every other graph
     operator's partitioning): for each degree value, how many nodes have
-    it.  Two combine-fed exchanges — endpoint degree counts, then counts
-    of counts — each bounded by distinct keys per batch; output is
+    it, sorted by degree.
+
+    Written once against :func:`_iterate`'s executor over the canonical
+    edges of :func:`_simple_edges`: endpoint counts folded per node,
+    then per-batch (deg → node count) partials folded per degree
+    (:func:`_degree_hist`); above the bound two keyed folds, output
     ≤ max-degree rows."""
-    from ray.data.aggregate import Sum
+    schema = pa.schema([("deg", pa.int64()), ("n_nodes", pa.int64())])
 
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
-    edges = _simple_edges().exchange(adjacency, n_parts)
+    def rounds(x, edges):
+        return x.result(_degree_hist(x, edges), schema, [("deg", "ascending")])
 
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        both = pa.concat_arrays(
-            [batch.column("a").combine_chunks(), batch.column("b").combine_chunks()]
-        )
-        vc = pc.value_counts(both)
-        return pa.table(
-            {"node": vc.field("values"), "d": vc.field("counts").cast(pa.int64())}
-        )
+    return _iterate(adjacency, _simple_edges(), rounds)
 
-    deg = (
-        edges.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("d", alias_name="deg"))
-    )
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("deg").combine_chunks())
-        return pa.table(
+def _pred_tallies() -> _Prep:
+    """Per-node metapath partials of the directed KG: every adjacency row
+    as an in-edge at its head (side 0) and an out-edge at its tail
+    (side 1), counted per (node, side, pred) in each batch; the
+    node-keyed reduce sums a node's tallies and emits its in-pred ×
+    out-pred cross product as (p1, p2, n_paths), pre-summed per
+    partition — one Arrow hash join on the node, so a hub with 10⁶ in ×
+    10⁶ out edges yields |preds|² rows, never its 10¹² paths."""
+    keys = ["node", "side", "pred"]
+
+    def combine(batch: pa.Table) -> pa.Table:
+        t = pa.table(
             {
-                "deg": vc.field("values").cast(pa.int64()),
-                "n_nodes": vc.field("counts").cast(pa.int64()),
+                "node": _stacked(batch, "dst_id", "src_id"),
+                "side": _sides(batch.num_rows),
+                "pred": _stacked(batch, "pred", "pred"),
             }
         )
+        return t.group_by(keys).aggregate([([], "count_all")]).rename_columns(keys + ["n"])
 
-    return (
-        deg.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("deg")
-        .aggregate(Sum("n_nodes", alias_name="n_nodes"))
-        .sort("deg")
-    )
+    def cross(part: pa.Table) -> pa.Table:
+        g = part.group_by(keys).aggregate([("n", "sum")])
+        ins, outs = (
+            g.filter(pc.equal(g.column("side"), s))
+            .select(["node", "pred", "n_sum"])
+            .rename_columns(["node", "p" + str(s + 1), "n" + str(s + 1)])
+            for s in (0, 1)
+        )
+        j = ins.join(outs, "node", join_type="inner")
+        n_paths = pc.multiply(j.column("n1"), j.column("n2"))
+        paths = pa.table({"p1": j.column("p1"), "p2": j.column("p2"), "n_paths": n_paths})
+        return _summed(paths, ["p1", "p2"], ["n_paths"])
+
+    schema = pa.schema([("p1", pa.string()), ("p2", pa.string()), ("n_paths", pa.int64())])
+    return _Prep(["node"], combine, cross, schema)
 
 
 def pred_bigrams(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     """Two-hop metapath counts over the directed KG: for every ordered
     predicate pair (p1, p2), how many paths a —p1→ b —p2→ c exist — the
     schema-induction / relation-composition statistic (which relations
-    chain through shared entities).
+    chain through shared entities).  Sorted by (p1, p2).
 
-    Scale shape: every adjacency row ships TWICE through one side-tagged
-    hash exchange on its middle-node role (as an in-edge keyed by dst,
-    as an out-edge keyed by src); within a partition the per-node
-    (pred → count) tallies come from one Arrow hash-aggregate and the
-    path counts are the per-node CROSS PRODUCT of in-pred × out-pred
-    tallies, materialized with repeat/tile index arithmetic and
-    pre-combined before the tiny final (p1, p2) groupby — no row-level
-    join ever enumerates the paths themselves (a hub with 10⁶ in × 10⁶
-    out edges contributes |preds|² rows, not 10¹²)."""
-    from ray.data.aggregate import Sum
+    Written on :func:`_iterate`'s executor: the prep
+    (:func:`_pred_tallies`) is the one node-keyed fold whose reduce
+    crosses each middle node's in- and out-predicate tallies, and one
+    (p1, p2)-keyed fold sums the path counts — no row-level join ever
+    enumerates the paths themselves."""
+    prep = _pred_tallies()
 
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    def rounds(x, paths):
+        sums = x.groups(paths, ["p1", "p2"], partial(_summed, keys=["p1", "p2"], cols=["n_paths"]))
+        return x.result(sums, prep.schema, [("p1", "ascending"), ("p2", "ascending")])
 
-    def tag(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [
-                        batch.column("dst_id").combine_chunks(),  # in-edge at its head
-                        batch.column("src_id").combine_chunks(),  # out-edge at its tail
-                    ]
-                ),
-                "pred": pa.concat_arrays(
-                    [batch.column("pred").combine_chunks()] * 2
-                ),
-                "side": pa.array(
-                    np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)])
-                ),
-            }
-        )
-
-    out_schema = pa.schema([("p1", pa.string()), ("p2", pa.string()), ("n_paths", pa.int64())])
-
-    def per_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
-        g = (
-            part.select(["node", "side", "pred"])
-            .group_by(["node", "side", "pred"])
-            .aggregate([([], "count_all")])
-            .sort_by([("node", "ascending"), ("side", "ascending"), ("pred", "ascending")])
-        )
-        node = g.column("node").to_numpy(zero_copy_only=False)
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        pred = g.column("pred").to_numpy(zero_copy_only=False)
-        cnt = g.column("count_all").to_numpy(zero_copy_only=False).astype(np.int64)
-        first = np.concatenate([[True], node[1:] != node[:-1]])
-        s0 = np.flatnonzero(first)
-        s1 = np.concatenate([s0[1:], [len(node)]])
-        p1_l, p2_l, n_l = [], [], []
-        # loop over NODES within the partition run-wise, but the work per
-        # node is |preds_in| × |preds_out| (bounded by the predicate
-        # vocabulary, not the edge count)
-        for a, b in zip(s0, s1):
-            sides = side[a:b]
-            in_m = sides == 0
-            out_m = sides == 1
-            if not in_m.any() or not out_m.any():
-                continue
-            pi, ci = pred[a:b][in_m], cnt[a:b][in_m]
-            po, co = pred[a:b][out_m], cnt[a:b][out_m]
-            p1_l.append(np.repeat(pi, len(po)))
-            p2_l.append(np.tile(po, len(pi)))
-            n_l.append((ci[:, None] * co[None, :]).reshape(-1))
-        if not p1_l:
-            return out_schema.empty_table()
-        t = pa.table(
-            {
-                "p1": pa.array(np.concatenate(p1_l), pa.string()),
-                "p2": pa.array(np.concatenate(p2_l), pa.string()),
-                "n_paths": pa.array(np.concatenate(n_l), pa.int64()),
-            }
-        )
-        return (
-            t.group_by(["p1", "p2"]).aggregate([("n_paths", "sum")]).rename_columns(["p1", "p2", "n_paths"])
-        )
-
-    tagged = adjacency.map_batches(tag, batch_format="pyarrow")
-    partials = hash_partitioned_groups(tagged, ["node"], per_part, n_parts)
-    return (
-        partials.groupby(["p1", "p2"])
-        .aggregate(Sum("n_paths", alias_name="n_paths"))
-        .sort(["p1", "p2"])
-    )
+    return _iterate(adjacency, prep, rounds)
 
 
 # --- multi-source BFS: hop distance from hash-seeded landmarks ---------------
@@ -1067,6 +1033,30 @@ def _adopt(labels: pa.Table, tallies: pa.Table) -> pa.Table:
 
 # --- deterministic random walks: the DeepWalk corpus generator ---------------
 
+def _walk_starts(part: pa.Table) -> pa.Table:
+    """One walk per distinct source node u: (walk_id = node, node)."""
+    nodes = pc.unique(part.column("u").combine_chunks())
+    return pa.table({"walk_id": nodes, "node": nodes})
+
+
+def _walks(x, edges, walk_len: int):
+    """The walk corpus of :func:`random_walks` as (walk_id, node, step)
+    rows: every source starts a walk at step 0 and each step is one
+    :func:`_walk_step` join of the frontier with the (u, v) edges."""
+
+    def stamp(t: int):
+        return lambda b: b.append_column("step", pa.array(np.full(b.num_rows, t, np.int64)))
+
+    frontier = x.groups(edges, ["u"], _walk_starts)
+    steps = [x.map(frontier, stamp(0))]
+    for t in range(1, walk_len + 1):
+        if not x.count(frontier):
+            break
+        frontier = x.join(edges, frontier, ["u"], ["node"], partial(_walk_step, t=t))
+        steps.append(x.map(frontier, stamp(t)))
+    return x.concat(steps)
+
+
 def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dataset:
     """DeepWalk-style random-walk corpus over the DIRECTED KG (Perozzi et
     al. 2014 — the sentence generator that turns a graph into skip-gram
@@ -1078,7 +1068,8 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     parallelism AND exactly replayable in SQL (row_number over sorted
     neighbors joined on the same md5-mod index).
 
-    Each step (:func:`_iterate`) the frontier (walk_id, node) meets the
+    Each step (:func:`_walks`, run by :func:`_iterate`) the frontier
+    (walk_id, node) meets the
     distinct (u, v) edges of :func:`_directed_edges` in one
     :func:`_walk_step` join on the node key, which finds each node's
     neighbor run with TWO searchsorted calls and gathers the picked
@@ -1088,24 +1079,11 @@ def random_walks(adjacency: ray.data.Dataset, walk_len: int = 4) -> ray.data.Dat
     rows per step."""
     schema = pa.schema([("walk_id", pa.string()), ("step", pa.int64()), ("node", pa.string())])
 
-    def starts(part: pa.Table) -> pa.Table:
-        nodes = pc.unique(part.column("u").combine_chunks())
-        return pa.table({"walk_id": nodes, "node": nodes})
+    def rounds(x, edges):
+        sort_keys = [("walk_id", "ascending"), ("step", "ascending")]
+        return x.result(_walks(x, edges, walk_len), schema, sort_keys)
 
-    def stamp(t: int):
-        return lambda b: b.append_column("step", pa.array(np.full(b.num_rows, t, np.int64)))
-
-    def walk(x, edges):
-        frontier = x.groups(edges, ["u"], starts)
-        steps = [x.map(frontier, stamp(0))]
-        for t in range(1, walk_len + 1):
-            if not x.count(frontier):
-                break
-            frontier = x.join(edges, frontier, ["u"], ["node"], partial(_walk_step, t=t))
-            steps.append(x.map(frontier, stamp(t)))
-        return x.result(x.concat(steps), schema, [("walk_id", "ascending"), ("step", "ascending")])
-
-    return _iterate(adjacency, _directed_edges(), walk)
+    return _iterate(adjacency, _directed_edges(), rounds)
 
 
 def _md5_u64(keys) -> np.ndarray:
@@ -1139,6 +1117,30 @@ def _walk_step(edges: pa.Table, frontier: pa.Table, t: int) -> pa.Table:
     )
 
 
+def _cooccurrences(part: pa.Table, window: int) -> pa.Table:
+    """The (center, context, n) pair counts of the whole walks in
+    ``part``: each walk's steps are one sorted run and every offset
+    d ≤ ``window`` is a boundary-masked vectorized shift, emitting both
+    directions, pre-summed per pair."""
+    s = part.sort_by([("walk_id", "ascending"), ("step", "ascending")])
+    wid = s.column("walk_id").to_numpy(zero_copy_only=False).astype(str)
+    node = s.column("node").to_numpy(zero_copy_only=False)
+    cs, xs = [], []
+    for d in range(1, min(window, len(wid) - 1) + 1):
+        same = wid[d:] == wid[:-d]  # steps are contiguous per walk
+        a, b = node[:-d][same], node[d:][same]
+        cs += [a, b]
+        xs += [b, a]
+    t = pa.table(
+        {
+            "center": pa.array(np.concatenate(cs) if cs else [], pa.string()),
+            "context": pa.array(np.concatenate(xs) if xs else [], pa.string()),
+        }
+    )
+    g = t.group_by(["center", "context"]).aggregate([([], "count_all")])
+    return g.rename_columns(["center", "context", "n"])
+
+
 def walk_pairs(
     adjacency: ray.data.Dataset, walk_len: int = 4, window: int = 2
 ) -> ray.data.Dataset:
@@ -1147,64 +1149,25 @@ def walk_pairs(
     ``window`` steps of each other on random walks — the input
     distribution :func:`kg_node_embeddings` factorizes): for every
     ordered pair of positions on the same walk at step distance
-    1..window, one (center, context) count.
+    1..window, one (center, context) count.  Sorted by (center, context).
 
-    Scale shape: walks exchange ONCE keyed by walk_id; within a
-    partition each walk's step sequence is one sorted run and every
-    offset d is a boundary-masked vectorized shift (the Markov-
-    transition kernel), emitting both directions; per-partition Arrow
-    hash-aggregate pre-combines before the final (center, context)
-    groupby, so the exchange carries distinct-pair counts, not pair
-    instances.  Exactly replayable in SQL (self-join on walk_id with
-    |Δstep| ≤ window over the walk replay)."""
-    from ray.data.aggregate import Sum
+    :func:`random_walks`' step rounds (:func:`_walks`) continued in the
+    same :func:`_iterate` call: one walk_id-keyed fold turns whole walks
+    into pre-summed pair counts (:func:`_cooccurrences`) and one
+    (center, context)-keyed fold sums them, so above the bound the
+    exchanges carry distinct-pair counts, not pair instances.  Exactly
+    replayable in SQL (self-join on walk_id with |Δstep| ≤ window over
+    the walk replay)."""
+    schema = pa.schema([("center", pa.string()), ("context", pa.string()), ("n", pa.int64())])
 
-    walks = random_walks(adjacency, walk_len=walk_len).materialize()  # counted, then exchanged
-    n_parts = derive_n_parts(walks.count(), rows_per_part=65536)
+    def rounds(x, edges):
+        walks = _walks(x, edges, walk_len)
+        pairs = x.groups(walks, ["walk_id"], partial(_cooccurrences, window=window))
+        keys = ["center", "context"]
+        sums = x.groups(pairs, keys, partial(_summed, keys=keys, cols=["n"]))
+        return x.result(sums, schema, [("center", "ascending"), ("context", "ascending")])
 
-    pair_schema = pa.schema(
-        [("center", pa.string()), ("context", pa.string()), ("n", pa.int64())]
-    )
-
-    def per_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pair_schema.empty_table()
-        s = part.sort_by([("walk_id", "ascending"), ("step", "ascending")])
-        wid = s.column("walk_id").to_numpy(zero_copy_only=False).astype(str)
-        node = s.column("node").to_numpy(zero_copy_only=False)
-        cs, xs = [], []
-        for d in range(1, window + 1):
-            if len(wid) <= d:
-                break
-            same = wid[d:] == wid[:-d]  # steps are contiguous per walk
-            a, b = node[:-d][same], node[d:][same]
-            cs.append(a)
-            xs.append(b)
-            cs.append(b)
-            xs.append(a)
-        if not cs:
-            return pair_schema.empty_table()
-        t = pa.table(
-            {
-                "center": pa.array(np.concatenate(cs), pa.string()),
-                "context": pa.array(np.concatenate(xs), pa.string()),
-            }
-        )
-        g = t.group_by(["center", "context"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "center": g.column("center"),
-                "context": g.column("context"),
-                "n": g.column("count_all").cast(pa.int64()),
-            }
-        )
-
-    partials = hash_partitioned_groups(walks, ["walk_id"], per_part, n_parts)
-    return (
-        partials.groupby(["center", "context"])
-        .aggregate(Sum("n", alias_name="n"))
-        .sort(["center", "context"])
-    )
+    return _iterate(adjacency, _directed_edges(), rounds)
 
 
 def kg_node_embeddings(
@@ -1350,17 +1313,11 @@ def _fanout_hop(edges: pa.Table, frontier: pa.Table, h: int, fanout: int) -> pa.
     )
 
 
-def _modularity_row(m: int, sum_mc: int, sd2: int, n_comm: int) -> pa.Table:
+def _modularity_row(m: int, sum_mc: int, sd2: int, n_comm: int) -> list[int]:
     """:func:`modularity`'s one row from its integer sufficient stats:
     Q = (4·m·Σm_c − ΣD_c²) / (4m²) in the fixed IEEE final form."""
     q_nano = int(math.floor((4 * m * sum_mc - sd2) / (4 * m * m) * 1e9 + 0.5)) if m > 0 else 0
-    return pa.table(
-        {
-            "n_edges": pa.array([m], pa.int64()),
-            "n_communities": pa.array([n_comm], pa.int64()),
-            "q_nano": pa.array([q_nano], pa.int64()),
-        }
-    )
+    return [m, n_comm, q_nano]
 
 
 def _community_partials(t: pa.Table) -> pa.Table:
@@ -1377,7 +1334,7 @@ def _community_partials(t: pa.Table) -> pa.Table:
             "mc": pa.concat_arrays([same, pa.array(np.zeros(len(same), np.int64))]),
         }
     )
-    return t.group_by("c").aggregate([("d", "sum"), ("mc", "sum")]).rename_columns(["c", "d", "mc"])
+    return _summed(t, ["c"], ["d", "mc"])
 
 
 def _community_sums(t: pa.Table) -> pa.Table:
@@ -1410,7 +1367,6 @@ def modularity(
     per-batch partials fold every labeled edge to (c, d, m_c) counters,
     one community-keyed fold sums them and one scalar sum gives m, Σm_c
     and ΣD_c²."""
-    schema = pa.schema([(c, pa.int64()) for c in ("n_edges", "n_communities", "q_nano")])
 
     def rounds(x, edges, comm):
         for end in ("a", "b"):
@@ -1419,12 +1375,12 @@ def modularity(
         per_c = x.groups(x.map(edges, _community_partials), ["c"], _community_sums)
         d, mc, d2 = x.sum(per_c, ["d", "mc", "d2"])
         row = _modularity_row(d // 2, mc, d2, x.count(per_c))
-        return x.result(x.table(row), schema, [("n_edges", "ascending")])
+        return _int_row(x, ["n_edges", "n_communities", "q_nano"], row)
 
     return _iterate(adjacency, _simple_edges(), rounds, communities)
 
 
-def _assortativity_row(n: int, sx: int, sxx: int, sxy: int, n_nodes: int) -> pa.Table:
+def _assortativity_row(n: int, sx: int, sxx: int, sxy: int, n_nodes: int) -> list[int]:
     """:func:`degree_assortativity`'s one row from its integer sufficient
     sums, finished with exact Python ints and the fixed IEEE form."""
     num = n * sxy - sx * sx
@@ -1434,13 +1390,7 @@ def _assortativity_row(n: int, sx: int, sxx: int, sxy: int, n_nodes: int) -> pa.
         r_nano = int(math.floor(r * 1e9 + 0.5))
     else:
         r_nano = 0
-    return pa.table(
-        {
-            "n_edges": pa.array([n // 2], pa.int64()),
-            "n_nodes": pa.array([n_nodes], pa.int64()),
-            "r_nano": pa.array([r_nano], pa.int64()),
-        }
-    )
+    return [n // 2, n_nodes, r_nano]
 
 
 def _degree_moments(t: pa.Table) -> pa.Table:
@@ -1475,13 +1425,12 @@ def degree_assortativity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     with :func:`edge_jaccard`; above the bound keyed exchanges, the
     degree table never broadcast), each batch folds to ONE integer
     4-tuple (:func:`_degree_moments`) and one scalar sum adds them."""
-    schema = pa.schema([(c, pa.int64()) for c in ("n_edges", "n_nodes", "r_nano")])
 
     def rounds(x, edges):
         edges, deg = _with_degrees(x, edges)
         sums = x.sum(x.map(edges, _degree_moments), ["n", "sx", "sxx", "sxy"])
         row = _assortativity_row(*sums, x.count(deg))
-        return x.result(x.table(row), schema, [("n_edges", "ascending")])
+        return _int_row(x, ["n_edges", "n_nodes", "r_nano"], row)
 
     return _iterate(adjacency, _simple_edges(), rounds)
 
@@ -1492,8 +1441,8 @@ def _endpoint_triangles(t: pa.Table) -> pa.Table:
     cn = t.column("n_common").combine_chunks()
     ends = pa.table(
         {
-            "node": pa.concat_arrays([t.column(c).combine_chunks() for c in ("a", "b")]),
-            "deg": pa.concat_arrays([t.column(c).combine_chunks() for c in ("deg_a", "deg_b")]),
+            "node": _stacked(t, "a", "b"),
+            "deg": _stacked(t, "deg_a", "deg_b"),
             "cn": pa.concat_arrays([cn, cn]),
         }
     )
@@ -1547,6 +1496,28 @@ def clustering_coefficient(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     return _iterate(adjacency, _simple_edges(), rounds)
 
 
+def _directed_pairs() -> _Prep:
+    """Distinct directed edges of the KG (self-loops dropped, predicates
+    collapsed) as canonical (a < b) pairs with direction bits ``fwd``
+    (a → b) and ``rev`` (b → a), ORed (max) over the pair's rows — in
+    each batch, then in the one (a, b)-keyed reduce."""
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(["a", "b"]).aggregate([("fwd", "max"), ("rev", "max")])
+        return g.rename_columns(["a", "b", "fwd", "rev"])
+
+    def combine(batch: pa.Table) -> pa.Table:
+        u, v = (batch.column(c).cast(pa.string()) for c in ("src_id", "dst_id"))
+        keep = pc.invert(pc.equal(u, v))
+        u, v = u.filter(keep), v.filter(keep)
+        lt = pc.less(u, v)
+        ends = {"a": pc.min_element_wise(u, v), "b": pc.max_element_wise(u, v)}
+        return fold(pa.table({**ends, "fwd": lt.cast(pa.int64()), "rev": pc.invert(lt).cast(pa.int64())}))
+
+    schema = pa.schema([(c, pa.string()) for c in "ab"] + [(c, pa.int64()) for c in ("fwd", "rev")])
+    return _Prep(["a", "b"], combine, lambda part: fold(part.select(schema.names)), schema)
+
+
 def reciprocity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     """Edge reciprocity of the directed simple KG graph (self-loops
     dropped, predicates collapsed): the fraction of distinct directed
@@ -1556,74 +1527,19 @@ def reciprocity(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     the exact integer rounding floor(1000·r/d + 0.5) = (2000·r + d) //
     (2d).
 
-    Scale shape: each batch dedups its directed edges and folds them to
-    canonical (a, b, fwd, rev) bit rows (Arrow group_by max — ≤ distinct
-    pairs per batch cross the wire); ONE pair-keyed exchange ORs the
-    direction bits per pair and emits TWO integer counter rows per
-    partition (directed count = Σ fwd+rev, reciprocated = 2·Σ fwd∧rev);
-    the driver folds a partitions-sized table."""
-    from ray.data.aggregate import Sum
+    Written on :func:`_iterate`'s executor: the prep
+    (:func:`_directed_pairs`) folds each pair's direction bits, and one
+    scalar sum (``x.sum``) counts the directed edges d; every pair has
+    at least one bit, so d − (pairs) pairs have both and r is twice
+    that."""
 
-    n_parts = derive_n_parts(adjacency.count(), rows_per_part=65536)
+    def rounds(x, pairs):
+        d = sum(x.sum(pairs, ["fwd", "rev"]))
+        r = 2 * (d - x.count(pairs))
+        milli = (2000 * r + d) // (2 * d) if d > 0 else 0
+        return _int_row(x, ["n_directed", "n_reciprocated", "reciprocity_milli"], [d, r, milli])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        u = batch.column("src_id").cast(pa.string())
-        v = batch.column("dst_id").cast(pa.string())
-        keep = pc.invert(pc.equal(u, v))
-        u, v = u.filter(keep), v.filter(keep)
-        fwd = pc.less(u, v)
-        t = pa.table(
-            {
-                "a": pc.min_element_wise(u, v),
-                "b": pc.max_element_wise(u, v),
-                "fwd": fwd.cast(pa.int64()),
-                "rev": pc.invert(fwd).cast(pa.int64()),
-            }
-        )
-        g = t.group_by(["a", "b"]).aggregate([("fwd", "max"), ("rev", "max")])
-        return g.rename_columns(["a", "b", "fwd", "rev"])
-
-    cnt_schema = pa.schema([("n_directed", pa.int64()), ("n_recip", pa.int64())])
-
-    def per_part(part: pa.Table) -> pa.Table:
-        if "part" in part.column_names:
-            part = part.drop_columns(["part"])
-        if part.num_rows == 0:
-            return cnt_schema.empty_table()
-        g = part.group_by(["a", "b"]).aggregate([("fwd", "max"), ("rev", "max")])
-        fwd = g.column("fwd_max").to_numpy(zero_copy_only=False).astype(np.int64)
-        rev = g.column("rev_max").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "n_directed": pa.array([int((fwd + rev).sum())], pa.int64()),
-                "n_recip": pa.array([2 * int((fwd & rev).sum())], pa.int64()),
-            }
-        )
-
-    folded = (
-        hash_partitioned_groups(
-            adjacency.map_batches(partial, batch_format="pyarrow"),
-            ["a", "b"],
-            per_part,
-            n_parts,
-        ).aggregate(
-            Sum("n_directed", alias_name="n_directed"),
-            Sum("n_recip", alias_name="n_recip"),
-        )
-        or {}
-    )
-    d = int(folded.get("n_directed") or 0)
-    r = int(folded.get("n_recip") or 0)
-    milli = (2000 * r + d) // (2 * d) if d > 0 else 0
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_directed": pa.array([d], pa.int64()),
-                "n_reciprocated": pa.array([r], pa.int64()),
-                "reciprocity_milli": pa.array([milli], pa.int64()),
-            }
-        )
-    )
+    return _iterate(adjacency, _directed_pairs(), rounds)
 
 
 def harmonic_centrality(
@@ -1722,6 +1638,22 @@ def ktruss(adjacency: ray.data.Dataset, k: int = 3, max_rounds: int = 5) -> ray.
     return _iterate(adjacency, _simple_edges(), rounds)
 
 
+def _ln_terms(t: pa.Table) -> pa.Table:
+    """Scatter of (deg, n_nodes) rows: each degree's rounded term
+    ``n_nodes · floor(ln(2d)·10⁹ + 0.5)`` (0 below d = 1), the log taken
+    by the scalar ``np.log`` of a Python float per degree — NumPy's
+    vectorized log may differ in the last ulp, which can move a rounded
+    term.  Exact Python-int products, split into ``s_hi`` = p >> 32 and
+    ``s_lo`` = p & (2³² − 1) so their int64 sums cannot overflow."""
+    degs, n = t.column("deg").to_pylist(), t.column("n_nodes").to_pylist()
+    p = [
+        c * int(np.floor(np.log(2.0 * float(d)) * 1e9 + 0.5)) if d >= 1 else 0
+        for d, c in zip(degs, n)
+    ]
+    hi, lo = pa.array([v >> 32 for v in p], pa.int64()), pa.array([v & 0xFFFFFFFF for v in p], pa.int64())
+    return pa.table({"n_nodes": t.column("n_nodes"), "s_hi": hi, "s_lo": lo})
+
+
 def power_law_alpha(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     """Power-law exponent MLE of the KG degree distribution (the
     Clauset-Shalizi-Newman continuous approximation at d_min = 1:
@@ -1734,30 +1666,19 @@ def power_law_alpha(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     ``alpha_nano = 1e9 + (2·n·10¹⁸ + S) // (2·S)``.  Output one row:
     (n_nodes, max_deg, alpha_nano).
 
-    Scale shape: rides :func:`degree_histogram` (two combine-fed
-    exchanges, output ≤ max-degree rows); the driver folds only the
-    histogram."""
-    rows = degree_histogram(adjacency).take_all()  # ≤ max-degree rows
-    n = sum(int(r["n_nodes"]) for r in rows)
-    max_deg = max((int(r["deg"]) for r in rows), default=0)
-    s_nano = sum(
-        int(r["n_nodes"]) * int(np.floor(np.log(2.0 * float(r["deg"])) * 1e9 + 0.5))
-        for r in rows
-        if int(r["deg"]) >= 1
-    )
-    if s_nano > 0:
-        alpha_nano = 1_000_000_000 + (2 * n * 10**18 + s_nano) // (2 * s_nano)
-    else:
-        alpha_nano = 0
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_nodes": pa.array([n], pa.int64()),
-                "max_deg": pa.array([max_deg], pa.int64()),
-                "alpha_nano": pa.array([alpha_nano], pa.int64()),
-            }
-        )
-    )
+    :func:`degree_histogram`'s rounds (:func:`_degree_hist`) on
+    :func:`_iterate`'s executor, finished by one scalar max and one
+    scalar sum of the rounded terms (:func:`_ln_terms`) — over
+    ≤ max-degree histogram rows."""
+
+    def rounds(x, edges):
+        hist = _degree_hist(x, edges)
+        n, s_hi, s_lo = x.sum(x.map(hist, _ln_terms), ["n_nodes", "s_hi", "s_lo"])
+        s_nano = (s_hi << 32) + s_lo
+        alpha_nano = 1_000_000_000 + (2 * n * 10**18 + s_nano) // (2 * s_nano) if s_nano > 0 else 0
+        return _int_row(x, ["n_nodes", "max_deg", "alpha_nano"], [n, x.max(hist, "deg"), alpha_nano])
+
+    return _iterate(adjacency, _simple_edges(), rounds)
 
 
 def predicate_cardinality(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -1766,85 +1687,50 @@ def predicate_cardinality(adjacency: ray.data.Dataset) -> ray.data.Dataset:
     inverse-functionality in integer milli (func = n_src/n_edges: 1000
     means each subject asserts the relation once — a good key; low
     means hub subjects).  The KB-quality screen that decides which
-    predicates are safe join keys for entity resolution.
+    predicates are safe join keys for entity resolution.  Sorted by
+    predicate.
 
-    Scale shape: edge counts ride one combine-fed pred fold (≤ |preds|
-    rows per batch); distinct endpoint counts ride the standard
-    distinct-pair exchange — per-batch DISTINCT (pred, role, id) rows
-    bound the shuffle at distinct-per-batch, the groupby dedups
-    globally, and a second combine-fed fold counts per (pred, role).
-    The driver merges ≤ |preds| rows from two folds."""
-    from ray.data.aggregate import Sum
+    Written on :func:`_iterate`'s executor: the prep folds every
+    adjacency row's two endpoints to DISTINCT (pred, side, id) rows with
+    their edge counts ``n`` (side 0 the subject, 1 the object) — in each
+    batch, then keyed on all three — and one pred-keyed fold of
+    per-batch partials counts each predicate's edges (Σ n over its
+    subjects) and distinct subjects and objects."""
+    keys = ["pred", "side", "id"]
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("pred").combine_chunks())
-        return pa.table(
-            {
-                "pred": vc.field("values"),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
+    def endpoints(batch: pa.Table) -> pa.Table:
+        ends = {"pred": _stacked(batch, "pred", "pred"), "side": _sides(batch.num_rows)}
+        ends["id"] = _stacked(batch, "src_id", "dst_id")
+        ends["n"] = pa.array(np.ones(2 * batch.num_rows, np.int64))
+        return _summed(pa.table(ends), keys, ["n"])
 
-    edge_counts = (
-        adjacency.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("pred")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )  # ≤ |preds| rows
+    counts = ["n_edges", "n_src", "n_dst"]
 
-    def endpoint_partial(batch: pa.Table) -> pa.Table:
-        p = batch.column("pred")
-        parts = []
-        for role, col in (("s", "src_id"), ("o", "dst_id")):
-            t = pa.table(
-                {"pred": p, "role": pa.array([role] * batch.num_rows), "id": batch.column(col)}
-            )
-            parts.append(t.group_by(["pred", "role", "id"]).aggregate([]))
-        return pa.concat_tables(parts)
+    def per_pred(t: pa.Table) -> pa.Table:
+        subj = pc.equal(t.column("side"), 0)
+        cols = [pc.if_else(subj, t.column("n"), 0), subj.cast(pa.int64()), pc.invert(subj).cast(pa.int64())]
+        return _summed(pa.table([t.column("pred"), *cols], names=["pred"] + counts), ["pred"], counts)
 
-    def pair_count_partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["pred", "role"]).group_by(["pred", "role"]).aggregate(
-            [([], "count_all")]
-        )
-        return pa.table(
-            {
-                "pred": t.column("pred"),
-                "role": t.column("role"),
-                "n": t.column("count_all").cast(pa.int64()),
-            }
-        )
+    def profile(part: pa.Table) -> pa.Table:
+        g = _summed(part, ["pred"], counts)
+        ne, ns, nd = (g.column(c).to_numpy(zero_copy_only=False) for c in counts)
+        for col, n in (("func_milli", ns), ("inv_func_milli", nd)):
+            g = g.append_column(col, pa.array((2000 * n + ne) // (2 * ne), pa.int64()))
+        return g
 
-    distinct_counts = (
-        adjacency.map_batches(endpoint_partial, batch_format="pyarrow")
-        .groupby(["pred", "role", "id"])
-        .count()
-        .map_batches(pair_count_partial, batch_format="pyarrow")
-        .groupby(["pred", "role"])
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )  # ≤ 2·|preds| rows
-    n_src = {r["pred"]: int(r["n"]) for r in distinct_counts if r["role"] == "s"}
-    n_dst = {r["pred"]: int(r["n"]) for r in distinct_counts if r["role"] == "o"}
-    preds = sorted(r["pred"] for r in edge_counts)
-    ne = {r["pred"]: int(r["n"]) for r in edge_counts}
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "pred": pa.array(preds, pa.string()),
-                "n_edges": pa.array([ne[p] for p in preds], pa.int64()),
-                "n_src": pa.array([n_src.get(p, 0) for p in preds], pa.int64()),
-                "n_dst": pa.array([n_dst.get(p, 0) for p in preds], pa.int64()),
-                "func_milli": pa.array(
-                    [(2000 * n_src.get(p, 0) + ne[p]) // (2 * ne[p]) for p in preds],
-                    pa.int64(),
-                ),
-                "inv_func_milli": pa.array(
-                    [(2000 * n_dst.get(p, 0) + ne[p]) // (2 * ne[p]) for p in preds],
-                    pa.int64(),
-                ),
-            }
-        )
+    schema = pa.schema(
+        [("pred", pa.string())]
+        + [(c, pa.int64()) for c in counts + ["func_milli", "inv_func_milli"]]
     )
+
+    def rounds(x, ends):
+        per = x.groups(x.map(ends, per_pred), ["pred"], profile)
+        return x.result(per, schema, [("pred", "ascending")])
+
+    types = (pa.string(), pa.int8(), pa.string(), pa.int64())
+    prep_schema = pa.schema(list(zip(keys + ["n"], types)))
+    fold = partial(_summed, keys=keys, cols=["n"])
+    return _iterate(adjacency, _Prep(keys, endpoints, fold, prep_schema), rounds)
 
 
 def component_size_hist(adjacency: ray.data.Dataset) -> ray.data.Dataset:
@@ -2009,13 +1895,7 @@ def trim_core(adjacency: ray.data.Dataset, max_rounds: int = 32) -> ray.data.Dat
     def sides(t: pa.Table) -> pa.Table:
         """Distinct (node, side) endpoint rows: 0 = has an out-edge,
         1 = has an in-edge."""
-        u, v = t.column("u").combine_chunks(), t.column("v").combine_chunks()
-        both = pa.table(
-            {
-                "node": pa.concat_arrays([u, v]),
-                "side": pa.array(np.repeat(np.array([0, 1], np.int8), t.num_rows)),
-            }
-        )
+        both = pa.table({"node": _stacked(t, "u", "v"), "side": _sides(t.num_rows)})
         return both.group_by(["node", "side"]).aggregate([])
 
     def both_sides(part: pa.Table) -> pa.Table:

@@ -805,84 +805,41 @@ def triple_provenance(triples: "ray.data.Dataset") -> "ray.data.Dataset":
     and the min/max supporting doc id (the "which sources say this"
     query a KG consumer runs before trusting an edge; the adjacency
     table keeps only canonical-id weights, this keeps the evidence).
+    Sorted by (subj, pred, obj).
 
-    Scale shape: mention counts and doc ranges fold per batch (Arrow
-    hash-aggregate — one row per distinct triple per batch); the exact
-    distinct-doc count rides a (triple, doc) pair dedup exchange bounded
-    by distinct pairs per batch, the engine's standard count-distinct
-    shape."""
-    import numpy as np
+    One keyed fold on the triple, planned by the graph operators' one
+    driver (:func:`..functions.graph._iterate`): each batch folds its
+    rows to distinct (triple, doc_id) pairs with their mention counts,
+    and the triple-keyed reduce turns a triple's pairs into its row —
+    below the bound all of it is one worker call with the sorted
+    result, above it one exchange bounded by distinct pairs per batch."""
     import pyarrow as pa
-    from ray.data.aggregate import Max, Min, Sum
 
-    def base_partial(batch: "pa.Table") -> "pa.Table":
-        # doc_id is a STRING id; min/max are lexicographic (same as SQL
-        # min/max on VARCHAR)
-        t = (
-            batch.select(["subj", "pred", "obj", "doc_id"])
-            .group_by(["subj", "pred", "obj"])
-            .aggregate([("doc_id", "count"), ("doc_id", "min"), ("doc_id", "max")])
-        )
-        return pa.table(
-            {
-                "subj": t.column("subj"),
-                "pred": t.column("pred"),
-                "obj": t.column("obj"),
-                "n_mentions": t.column("doc_id_count").cast(pa.int64()),
-                "min_doc": t.column("doc_id_min"),
-                "max_doc": t.column("doc_id_max"),
-            }
-        )
-
-    base = (
-        triples.map_batches(base_partial, batch_format="pyarrow")
-        .groupby(["subj", "pred", "obj"])
-        .aggregate(
-            Sum("n_mentions", alias_name="n_mentions"),
-            Min("min_doc", alias_name="min_doc", ignore_nulls=True),
-            Max("max_doc", alias_name="max_doc", ignore_nulls=True),
-        )
-    )
-
-    def pair_partial(batch: "pa.Table") -> "pa.Table":
-        return (
-            batch.select(["subj", "pred", "obj", "doc_id"])
-            .group_by(["subj", "pred", "obj", "doc_id"])
-            .aggregate([])
-        )
-
-    pair_dedup = (
-        triples.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["subj", "pred", "obj", "doc_id"])
-        .count()
-    )
-
-    def one(batch: "pa.Table") -> "pa.Table":
-        return pa.table(
-            {
-                "subj": batch.column("subj"),
-                "pred": batch.column("pred"),
-                "obj": batch.column("obj"),
-                "n_docs": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-
-    nd = (
-        pair_dedup.map_batches(one, batch_format="pyarrow")
-        .groupby(["subj", "pred", "obj"])
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-    )
-
-    # both sides are triple-keyed, tiny relative to the corpus and hold the
-    # same key set: one keyed cogroup attaches n_docs to the base roll-up
-    from ..functions.joins import cogroup, derive_n_parts
+    from ..functions.graph import _iterate, _Prep
 
     keys = ["subj", "pred", "obj"]
 
-    def attach_n_docs(b: "pa.Table", n: "pa.Table") -> "pa.Table":
-        return b.join(n, keys=keys, join_type="left outer").select(
-            keys + ["n_mentions", "n_docs", "min_doc", "max_doc"]
-        )
+    def pairs(batch: "pa.Table") -> "pa.Table":
+        # n counts the non-null doc ids: a mention is a row with a doc
+        t = batch.select(keys + ["doc_id"]).group_by(keys + ["doc_id"])
+        return t.aggregate([("doc_id", "count")]).rename_columns(keys + ["doc_id", "n"])
 
-    n_parts = derive_n_parts(max(triples.count() // 4, 1), rows_per_part=65536)
-    return cogroup(base, nd, keys, keys, attach_n_docs, n_parts).sort(keys)
+    schema = pa.schema(
+        [(k, pa.string()) for k in keys]
+        + [("n_mentions", pa.int64()), ("n_docs", pa.int64())]
+        + [("min_doc", pa.string()), ("max_doc", pa.string())]
+    )
+
+    def roll_up(part: "pa.Table") -> "pa.Table":
+        g = part.group_by(keys + ["doc_id"]).aggregate([("n", "sum")])
+        # doc_id is a STRING id; min/max are lexicographic (same as SQL
+        # min/max on VARCHAR) and skip nulls
+        aggs = [("n_sum", "sum"), ([], "count_all"), ("doc_id", "min"), ("doc_id", "max")]
+        t = g.group_by(keys).aggregate(aggs)
+        out = keys + ["n_sum_sum", "count_all", "doc_id_min", "doc_id_max"]
+        return t.select(out).rename_columns(schema.names)
+
+    def rounds(x, rows):
+        return x.result(rows, schema, [(k, "ascending") for k in keys])
+
+    return _iterate(triples, _Prep(keys, pairs, roll_up, schema), rounds)

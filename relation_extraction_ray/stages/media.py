@@ -1,10 +1,11 @@
 """Multimodal span processing: decode / feature-extract / resize /
-frame-sample as actor-pool ``map_batches`` stages.
+frame-sample as task ``map_batches`` stages, each stage instance cached
+per worker process (:func:`..taskexec.cached_stage_fn`).
 
 The interleaved-documents table carries media spans (``kind`` in
 image/audio/video, ``media_ref`` a URI) alongside text spans; the KG text
 stages pass them through untouched (span-sequence invariant).  This module
-is the media side: the Ray plumbing — schemas, actor pools, batch sizing,
+is the media side: the Ray plumbing — schemas, cached task stages, batch sizing,
 deterministic outputs — is real and tested; the *codec* itself is stubbed
 (no image/audio libraries in this sandbox): each stage tries the real
 library import and otherwise uses a clearly-marked deterministic fake
@@ -22,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from ..taskexec import cached_stage_fn
 
 MEDIA_SPANS = pa.schema(
     [
@@ -105,9 +108,9 @@ def _synth_payload(media_ref: str, n_bytes: int = 4096) -> bytes:
 
 
 class FetchStage:
-    """Actor-pool payload fetch (deterministic synthesis here; an s3/Lance
-    blob read in production — the reason this is an actor: connection pools
-    live in ``__init__``)."""
+    """Payload fetch (deterministic synthesis here; an s3/Lance blob read
+    in production — connection pools live in ``__init__``, built once per
+    worker by the stage cache)."""
 
     def __init__(self, n_bytes: int = 4096) -> None:
         self.n_bytes = n_bytes
@@ -136,10 +139,10 @@ def _fake_decode(payload: bytes, width: int, height: int, frame_idx: int = 0) ->
 
 
 class DecodeStage:
-    """Actor-pool decode + feature extraction.
+    """Decode + feature extraction.
 
     Real path: PIL (images) when importable — model/codec handles built
-    once per actor in ``__init__``.  Sandbox path: ``_fake_decode``.
+    once per worker in ``__init__``.  Sandbox path: ``_fake_decode``.
     Videos emit ``frames_per_video`` rows (frame sampling); image/audio one.
     """
 
@@ -217,24 +220,27 @@ def media_features(
     height: int = 64,
     frames_per_video: int = 3,
     payload_bytes: int = 4096,
-    concurrency: tuple[int, int] = (1, 8),
     batch_size: int = 64,  # binary payloads: keep batches small (memory)
 ) -> ray.data.Dataset:
-    """documents → per-media-span (or per-sampled-frame) feature rows."""
-    spans = media_spans(documents)
-    payloads = spans.map_batches(
-        FetchStage,
-        fn_constructor_kwargs={"n_bytes": payload_bytes},
+    """documents → per-media-span (or per-sampled-frame) feature rows.
+    Fetch and decode run as task stages with a per-worker stage cache
+    (:func:`..taskexec.cached_stage_fn`), which hold no CPU between
+    batches."""
+    decode = {"width": width, "height": height, "frames_per_video": frames_per_video}
+    return _fetched(documents, payload_bytes, batch_size).map_batches(
+        cached_stage_fn(DecodeStage, tuple(decode.values()), decode),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
-    return payloads.map_batches(
-        DecodeStage,
-        fn_constructor_kwargs={"width": width, "height": height, "frames_per_video": frames_per_video},
+
+
+def _fetched(documents: ray.data.Dataset, payload_bytes: int, batch_size: int) -> ray.data.Dataset:
+    """The media spans of ``documents`` with their payloads, fetched by a
+    cached :class:`FetchStage` task stage."""
+    return media_spans(documents).map_batches(
+        cached_stage_fn(FetchStage, payload_bytes, {"n_bytes": payload_bytes}),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -345,7 +351,7 @@ def ahash64(px: np.ndarray) -> int:
 
 
 class PhashStage:
-    """Actor-pool perceptual hash: payload → pixel grid → dHash64 +
+    """Perceptual hash: payload → pixel grid → dHash64 +
     aHash64.  Real path: PIL grayscale-resize to 8×9 when importable and
     the payload decodes; sandbox path: :func:`_fake_pixels` (backend
     recorded per row, never an exception — one bad blob must not kill a
@@ -406,25 +412,14 @@ class PhashStage:
 def media_phash(
     documents: ray.data.Dataset,
     payload_bytes: int = 4096,
-    concurrency: tuple[int, int] = (1, 8),
     batch_size: int = 64,
 ) -> ray.data.Dataset:
     """documents → one perceptual-hash row per media span (all kinds —
     audio/video hash their payload's pseudo-frame grid the same way, the
-    production analogue of first-frame / spectrogram hashing)."""
-    spans = media_spans(documents)
-    payloads = spans.map_batches(
-        FetchStage,
-        fn_constructor_kwargs={"n_bytes": payload_bytes},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-    return payloads.map_batches(
-        PhashStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    production analogue of first-frame / spectrogram hashing).  Fetch and
+    hash are cached task stages, as in :func:`media_features`."""
+    return _fetched(documents, payload_bytes, batch_size).map_batches(
+        cached_stage_fn(PhashStage, (), {}), batch_format="pyarrow", batch_size=batch_size
     )
 
 

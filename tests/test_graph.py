@@ -1207,6 +1207,17 @@ def test_local_planner_bit_equal_to_distributed(ray_session):
         (lambda: G.random_walks(kg_adjacency, walk_len=3), ["walk_id", "step", "node"]),
         (lambda: G.walk_pairs(kg_adjacency, walk_len=3), ["center", "context", "n"]),
         (lambda: G.fanout_sample(kg_adjacency, seed_pct=10), ["hop", "src", "dst"]),
+        (lambda: G.degree_histogram(kg_adjacency), ["deg", "n_nodes"]),
+        (lambda: G.power_law_alpha(kg_adjacency), ["n_nodes", "max_deg", "alpha_nano"]),
+        (lambda: G.pred_bigrams(kg_adjacency), ["p1", "p2", "n_paths"]),
+        (
+            lambda: G.reciprocity(kg_adjacency),
+            ["n_directed", "n_reciprocated", "reciprocity_milli"],
+        ),
+        (
+            lambda: G.predicate_cardinality(kg_adjacency),
+            ["pred", "n_edges", "n_src", "n_dst", "func_milli", "inv_func_milli"],
+        ),
     ]
     for make, cols in cases:
         local = rows(make(), cols)
@@ -1296,6 +1307,22 @@ def _nine_operators(G):
     ]
 
 
+def _fold_operators(G):
+    """The graph statistics whose rounds are keyed folds, on the same
+    executor."""
+    return [
+        (G.degree_histogram, ["deg", "n_nodes"]),
+        (G.power_law_alpha, ["n_nodes", "max_deg", "alpha_nano"]),
+        (G.pred_bigrams, ["p1", "p2", "n_paths"]),
+        (G.reciprocity, ["n_directed", "n_reciprocated", "reciprocity_milli"]),
+        (
+            G.predicate_cardinality,
+            ["pred", "n_edges", "n_src", "n_dst", "func_milli", "inv_func_milli"],
+        ),
+        (lambda a: G.walk_pairs(a, walk_len=2), ["center", "context", "n"]),
+    ]
+
+
 def _wedge_operators(G):
     """The edge_jaccard family, written on the same executor."""
     return [
@@ -1325,7 +1352,8 @@ def _wedge_operators(G):
 @example(kind="random", n=8, seed=1, n_parts=4)
 def test_iterate_drivers_same_rows(ray_session, kind, n, seed, n_parts):
     """Every operator written on :func:`_iterate`'s executor (the
-    iterative ones and the edge_jaccard family) gives the same rows and
+    iterative ones, the edge_jaccard family and the keyed-fold
+    statistics) gives the same rows and
     column names under both of its drivers: in-process (the default
     bound) and keyed exchanges (``joins.LOCAL_BYTES_BOUND`` = 0) over
     ``n_parts`` partitions."""
@@ -1341,7 +1369,7 @@ def test_iterate_drivers_same_rows(ray_session, kind, n, seed, n_parts):
         names = ds.schema().names if ds.schema() is not None else None
         return names, sorted(tuple(r[c] for c in cols) for r in ds.take_all())
 
-    for op, cols in _nine_operators(G) + _wedge_operators(G):
+    for op, cols in _nine_operators(G) + _wedge_operators(G) + _fold_operators(G):
         in_process = shape(op(adjacency), cols)
         with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0), mock.patch.object(
             G, "derive_n_parts", lambda rows, **kw: n_parts
@@ -1450,8 +1478,9 @@ def _four_queries():
 
 
 def _one_execution_queries():
-    """The four queries, the wedge operators with one input, and a
-    ``cogroup`` of the read with a materialized dataset."""
+    """The four queries, the wedge operators with one input, a
+    ``cogroup`` of the read with a materialized dataset, and the
+    keyed-fold statistics."""
     from functools import partial
 
     from relation_extraction_ray.functions import graph as G
@@ -1468,7 +1497,20 @@ def _one_execution_queries():
         ("ktruss", "adjacency", G.ktruss),
         ("degree_assortativity", "adjacency", G.degree_assortativity),
         ("cogroup", "adjacency", lambda a: cogroup(a, tags, ["src_id"], ["node"], attach, 4)),
-    ]
+    ] + _fold_queries()
+
+
+def _fold_queries():
+    from relation_extraction_ray.functions import graph as G
+
+    return [(op.__name__, "adjacency", op) for op in (
+        G.degree_histogram,
+        G.power_law_alpha,
+        G.pred_bigrams,
+        G.reciprocity,
+        G.predicate_cardinality,
+        G.walk_pairs,
+    )]
 
 
 def _write_graph_inputs(tmp_path) -> dict:
@@ -1487,8 +1529,9 @@ def _write_graph_inputs(tmp_path) -> dict:
 def test_sub_bound_graph_query_is_one_execution(ray_session, tmp_path, executions):
     """Below the bound a graph query over a parquet read, followed by
     ``write_parquet``, is ONE Ray Data execution — read, the query's one
-    worker call and the write — with the rows of the exchange path; so
-    is a ``cogroup`` of the read with a materialized dataset."""
+    worker call and the write, no all-to-all operator — with the rows of
+    the exchange path; so is a ``cogroup`` of the read with a
+    materialized dataset."""
     import unittest.mock as mock
 
     import pyarrow.parquet as pq
@@ -1502,6 +1545,7 @@ def test_sub_bound_graph_query_is_one_execution(ray_session, tmp_path, execution
         query(ray.data.read_parquet(inputs[src])).write_parquet(out)
         assert len(executions) == 1, (name, executions)
         assert "ReadParquet" in executions[0] and "Write" in executions[0], executions
+        assert "AllToAllOperator" not in executions[0], (name, executions)
         got = pq.read_table(out)
         with mock.patch.object(joins, "LOCAL_BYTES_BOUND", 0):
             # rows, not blocks: a keyed cogroup may emit an empty block
@@ -1536,7 +1580,7 @@ def test_sub_bound_graph_query_gathers_nothing_on_the_driver(ray_session, tmp_pa
         ("degree_assortativity", "adjacency", G.degree_assortativity),
         ("modularity", "adjacency", lambda a: G.modularity(a, G.label_propagation(a))),
         ("trim_core", "adjacency", G.trim_core),
-    ]
+    ] + _fold_queries()
     monkeypatch.setattr(ray.data.Dataset, "iter_batches", refuse("iter_batches"))
     monkeypatch.setattr(ray.data.Dataset, "take_all", refuse("take_all"))
     for name, src, query in queries:
@@ -1548,7 +1592,7 @@ def test_sub_bound_graph_query_gathers_nothing_on_the_driver(ray_session, tmp_pa
 def _local_arm_queries(G):
     """Every graph operator with a sub-bound one-call path, and its
     columns."""
-    return _nine_operators(G) + _wedge_operators(G) + [
+    return _nine_operators(G) + _wedge_operators(G) + _fold_operators(G) + [
         (G.component_size_hist, ["size", "n_components"]),
     ]
 
@@ -1587,3 +1631,27 @@ def test_empty_and_self_loop_graphs_typed_on_every_arm(ray_session, executions, 
             exchanged = shape(op(adjacency), cols)
         assert local == exchanged, (kind, cols)
         assert local[0] == cols
+
+
+def test_no_sort_shuffle_groupby_in_graph_and_kg_layers():
+    """``functions/graph.py`` and ``pipelines/kg.py`` make no ``.groupby(``
+    call: their keyed folds run on the one planner
+    (``joins.hash_partitioned_groups`` / ``graph._iterate``), not on Ray
+    Data's sort-shuffle aggregates."""
+    import ast
+    from pathlib import Path
+
+    import relation_extraction_ray
+
+    pkg = Path(relation_extraction_ray.__file__).parent
+    found = []
+    for rel in ("functions/graph.py", "pipelines/kg.py"):
+        tree = ast.parse((pkg / rel).read_text())
+        found += [
+            f"{rel}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "groupby"
+        ]
+    assert found == []

@@ -1,5 +1,5 @@
 """Multimodal plumbing: span explode, payload fetch, decode/frame-sample
-actor stages — schemas, determinism, and pass-through counts."""
+task stages — schemas, determinism, and pass-through counts."""
 
 from __future__ import annotations
 
@@ -273,3 +273,52 @@ def test_media_dup_pairs_skip_recorded_errors(ray_session):
     )
     got = _dup_pairs_from_phash(ray.data.from_arrow(t), 3).take_all()
     assert [(r["doc_a"], r["doc_b"], r["hamming"]) for r in got] == [(64, 65, 0)]
+
+
+_SMALL_SESSION = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=2, object_store_memory=200 << 20,
+         include_dashboard=False, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from relation_extraction_ray.sources.synth import documents_dataset
+from relation_extraction_ray.stages.media import feature_fp, media_features, media_phash
+docs = documents_dataset(int(sys.argv[1]), override_num_blocks=4)
+feats = [
+    [r["doc_id"], r["span_idx"], r["frame_idx"], r["backend"], feature_fp(r["feature"])]
+    for r in media_features(docs).take_all()
+]
+phash = [[r["uid"], r["dhash"], r["ahash"], r["backend"]] for r in media_phash(docs).take_all()]
+print(json.dumps({"feats": sorted(feats), "phash": sorted(phash)}))
+"""
+
+
+def test_media_stages_run_in_a_two_cpu_session(feats, ray_session):
+    """In a 2-CPU Ray session of its own, ``media_features`` and then
+    ``media_phash`` finish (their stages hold no CPU between batches, so
+    the read and span-explode tasks still get one) and return the rows
+    the 4-CPU ``ray_session`` fixture's run returns."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from relation_extraction_ray.stages.media import feature_fp, media_phash
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", _SMALL_SESSION, str(N_DOCS)],
+        cwd=repo,
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    got = json.loads(run.stdout.strip().splitlines()[-1])
+    want_feats = sorted(
+        [r["doc_id"], r["span_idx"], r["frame_idx"], r["backend"], feature_fp(r["feature"])]
+        for r in feats
+    )
+    phash = media_phash(documents_dataset(N_DOCS, override_num_blocks=4)).take_all()
+    want_phash = sorted([r["uid"], r["dhash"], r["ahash"], r["backend"]] for r in phash)
+    assert got == {"feats": want_feats, "phash": want_phash}

@@ -185,10 +185,6 @@ def test_triple_provenance_vs_bruteforce(ray_session, monkeypatch):
         {"doc_id": "d3", "subj": "x", "pred": "q", "obj": "y"},
     ]
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows)).repartition(2)
-    got = [
-        (r["subj"], r["pred"], r["obj"], r["n_mentions"], r["n_docs"], r["min_doc"], r["max_doc"])
-        for r in triple_provenance(ds).take_all()
-    ]
     want = defaultdict(lambda: [0, set()])
     for r in rows:
         k = (r["subj"], r["pred"], r["obj"])
@@ -198,18 +194,19 @@ def test_triple_provenance_vs_bruteforce(ray_session, monkeypatch):
         (s, p, o, n, len(docs), min(docs), max(docs))
         for (s, p, o), (n, docs) in want.items()
     )
-    assert got == expect
-    # the n_docs attach co-partitioned over 4 partitions (a zero planner
-    # bound keeps the cogroup on its keyed exchange arm)
-    from relation_extraction_ray.functions import joins
+    # the one-call arm (default bound) and the keyed fold (bound 0), each
+    # over 1 and 4 partitions; the fold's planner is graph._iterate
+    from relation_extraction_ray.functions import graph, joins
 
-    monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", 0)
-    monkeypatch.setattr(joins, "derive_n_parts", lambda n, **kw: 4)
-    got4 = [
-        (r["subj"], r["pred"], r["obj"], r["n_mentions"], r["n_docs"], r["min_doc"], r["max_doc"])
-        for r in triple_provenance(ds).take_all()
-    ]
-    assert got4 == expect
+    for bound in (joins.LOCAL_BYTES_BOUND, 0):
+        for n_parts in (1, 4):
+            monkeypatch.setattr(joins, "LOCAL_BYTES_BOUND", bound)
+            monkeypatch.setattr(graph, "derive_n_parts", lambda n, _p=n_parts, **kw: _p)
+            got = [
+                (r["subj"], r["pred"], r["obj"], r["n_mentions"], r["n_docs"], r["min_doc"], r["max_doc"])
+                for r in triple_provenance(ds).take_all()
+            ]
+            assert got == expect, (bound, n_parts)
 
 
 def test_merge_adjacency_equals_full_run(ray_session):
