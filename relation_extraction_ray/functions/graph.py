@@ -1727,8 +1727,9 @@ def predicate_cardinality(adjacency: ray.data.Dataset) -> ray.data.Dataset:
         per = x.groups(x.map(ends, per_pred), ["pred"], profile)
         return x.result(per, schema, [("pred", "ascending")])
 
-    types = (pa.string(), pa.int8(), pa.string(), pa.int64())
-    prep_schema = pa.schema(list(zip(keys + ["n"], types)))
+    prep_schema = pa.schema(
+        [("pred", pa.string()), ("side", pa.int8()), ("id", pa.string()), ("n", pa.int64())]
+    )
     fold = partial(_summed, keys=keys, cols=["n"])
     return _iterate(adjacency, _Prep(keys, endpoints, fold, prep_schema), rounds)
 
