@@ -11,9 +11,12 @@ contract).
 
 Commands
 --------
-build-kg          documents parquet → triples/entities/adjacency/vocab parquet
-build-kg-sharded  same, resumable: per-shard lineage manifest, rerun skips
-                  complete shards
+build-kg          documents parquet → triples/entities/adjacency/vocab parquet;
+                  with ``--checkpoint`` the run is resumable (the sharded
+                  runner over one shard under OUT/checkpoints): a rerun
+                  recomputes only the steps its manifest does not hold
+build-kg-sharded  same as ``build-kg --checkpoint`` over ``--shards``
+                  doc_id-hash shards; prints the per-step recompute list
 semeval-classify  SemEval-format records → predictions parquet
                   (+ official P/R/F1 when a key file is given)
 """
@@ -51,23 +54,49 @@ def _cfg_from(args: argparse.Namespace):
     )
 
 
+def _runner(args: argparse.Namespace, out_dir: str, n: int):
+    """The resumable KG run over ``--input`` split into ``n`` doc_id-hash
+    shards (a doc's shard depends on neither block layout nor id dtype)."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from .functions.joins import part_array
+    from .pipelines.sharded import ShardedKGRunner
+
+    docs = rd.read_parquet(args.input, columns=["doc_id", "spans"])
+
+    def docs_for_shard(i: int):
+        def pick(batch):
+            return batch.filter(pc.equal(part_array(batch, ["doc_id"], n), i))
+
+        return docs.map_batches(pick, batch_format="pyarrow")
+
+    return ShardedKGRunner(out_dir, n, docs_for_shard, cfg=_cfg_from(args)).run()
+
+
 def cmd_build_kg(args: argparse.Namespace) -> int:
     _init_ray(args.num_cpus)
     import glob
+    import shutil
 
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from . import schemas
-    from .pipelines.kg import KGPipeline
+    from .pipelines.kg import KGPipeline, vocab_table
 
-    docs = rd.read_parquet(args.input, columns=["doc_id", "spans"])
-    pipe = KGPipeline(_cfg_from(args))
-    out = pipe.run(docs, checkpoint_dir=os.path.join(args.out, "checkpoints") if args.checkpoint else None)
+    if args.checkpoint:
+        out = _runner(args, os.path.join(args.out, "checkpoints"), 1)
+        for name, (vocab, _, dist) in zip(("vocab", "dep_vocab", "pos_vocab"), out["vocabs"]):
+            out[name] = vocab_table(vocab, dist)
+    else:
+        docs = rd.read_parquet(args.input, columns=["doc_id", "spans"])
+        out = KGPipeline(_cfg_from(args)).run(docs)
     counts = {}
     for name in ("triples", "entities", "adjacency", "vocab", "dep_vocab", "pos_vocab"):
         ds = out[name]
         target = os.path.join(args.out, name)
+        shutil.rmtree(target, ignore_errors=True)  # write_parquet appends
         if hasattr(ds, "write_parquet"):
             ds.write_parquet(target)
             counts[name] = ds.count()
@@ -83,45 +112,18 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
             os.makedirs(target, exist_ok=True)
             pq.write_table(ds, os.path.join(target, "part-0.parquet"))
             counts[name] = ds.num_rows
-    print(json.dumps({"out": args.out, "rows": counts}))
+    summary = {"out": args.out, "rows": counts}
+    if args.checkpoint:
+        summary["recomputed"] = out["recomputed"]
+    print(json.dumps(summary))
     return 0
 
 
 def cmd_build_kg_sharded(args: argparse.Namespace) -> int:
     _init_ray(args.num_cpus)
-    import ray.data as rd
-
-    from .pipelines.sharded import ShardedKGRunner
-
-    import pyarrow as pa
-
-    ds = rd.read_parquet(args.input, columns=["doc_id", "spans"])
-    n = args.shards
-
-    from .functions.joins import part_of
-
-    def docs_for_shard(i: int):
-        # deterministic doc_id-hash shard split (resume-stable: a doc's
-        # shard never depends on block layout or id dtype)
-        def pick(batch: pa.Table) -> pa.Table:
-            keep = [part_of(v, n) == i for v in batch.column("doc_id").to_pylist()]
-            return batch.filter(pa.array(keep))
-
-        return ds.map_batches(pick, batch_format="pyarrow")
-
-    runner = ShardedKGRunner(args.out, n, docs_for_shard, cfg=_cfg_from(args))
-    result = runner.run()
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "triples": result["triples"].count(),
-                "entities": result["entities"].count(),
-                "adjacency": result["adjacency"].count(),
-                "recomputed": result["recomputed"],
-            }
-        )
-    )
+    result = _runner(args, args.out, args.shards)
+    summary = {name: result[name].count() for name in ("triples", "entities", "adjacency")}
+    print(json.dumps({"out": args.out, **summary, "recomputed": result["recomputed"]}))
     return 0
 
 
@@ -299,7 +301,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("build-kg", help="documents parquet -> KG parquet")
     _add_kg_flags(p)
-    p.add_argument("--checkpoint", action="store_true", help="checkpoint intermediates under OUT")
+    p.add_argument("--checkpoint", action="store_true",
+                   help="resumable run: checkpoint every stage under OUT/checkpoints")
     p.set_defaults(fn=cmd_build_kg)
 
     p = sub.add_parser("build-kg-sharded", help="resumable sharded KG build")

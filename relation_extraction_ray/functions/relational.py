@@ -6278,6 +6278,93 @@ def _purchase_matrix(
     return hash_partitioned_groups(keyed, ["cust", "pkey"], fold, n_parts).materialize()
 
 
+def _cf_topk(
+    lineitem: ray.data.Dataset,
+    orders: ray.data.Dataset,
+    role: str,
+    dim: str,
+    n_probes: int,
+    k: int,
+    resume_dir: str | None,
+) -> ray.data.Dataset:
+    """Cosine top-k neighbours of the ``n_probes`` smallest ``role`` ids
+    (``cust`` or ``part``) over their ``dim``-indexed purchase-count
+    vectors — the one body of :func:`cf_user_topk` and
+    :func:`cf_item_topk`.
+
+    Counts are integers, so dot products and squared norms are EXACT; the
+    ranking order is the fully specified (cos_nano DESC, neighbor ASC)
+    with cos_nano the one fixed IEEE form ``floor(dot/(√na·√nb)·1e9+0.5)``
+    (the centroid_similarity convention) — both engines sort the same
+    numbers, so the pick is deterministic.
+
+    Scale shape: ONE orderkey-keyed exchange builds the (cust, part, n)
+    matrix (:func:`_purchase_matrix`, neither fact table broadcast); the
+    probe vectors (bounded: one id's row) are broadcast via ``ray.put``;
+    a single scan emits per-batch partial dots against every probe plus
+    squared-norm partials, and one aggregate-sized groupby folds them.
+    The driver ranks ≤ ids×probes cosine rows."""
+    import math
+
+    from ray.data.aggregate import Sum
+
+    cp = _purchase_matrix(lineitem, orders, resume_dir=resume_dir)
+
+    def min_partial(batch: pa.Table) -> pa.Table:
+        u = pc.unique(batch.column(role).combine_chunks()).to_numpy(zero_copy_only=False)
+        return pa.table({role: pa.array(np.sort(u)[:n_probes], pa.int64())})
+
+    probe_rows = cp.map_batches(min_partial, batch_format="pyarrow").take_all()
+    probes = sorted({int(r[role]) for r in probe_rows})[:n_probes]
+    out: list[tuple[int, ...]] = []
+    cols = ("probe", "rank", "neighbor", "dot", "cos_nano")
+
+    def table() -> ray.data.Dataset:
+        return ray.data.from_arrow(pa.table({c: pa.array([r[i] for r in out], pa.int64()) for i, c in enumerate(cols)}))
+
+    if not probes:
+        return table()
+    pvecs: dict[int, dict[int, int]] = {p: {} for p in probes}
+    for r in cp.filter(expr=" or ".join(f"{role} == {p}" for p in probes)).take_all():
+        pvecs[int(r[role])][int(r[dim])] = int(r["n"])
+    pref = ray.put(pvecs)
+
+    def dot_partial(batch: pa.Table) -> pa.Table:
+        ids, other, n = (batch.column(c).to_numpy(zero_copy_only=False) for c in (role, dim, "n"))
+        probe_col, id_col, v_col = [], [], []
+
+        def fold(p: int, mask, v) -> None:
+            u, idx = np.unique(ids[mask], return_inverse=True)
+            sums = np.zeros(len(u), np.int64)
+            np.add.at(sums, idx, v[mask])
+            probe_col.extend([p] * len(u))
+            id_col.extend(u.tolist())
+            v_col.extend(sums.tolist())
+
+        for p, vec in ray.get(pref).items():
+            contrib = np.array([vec.get(int(x), 0) for x in other], np.int64) * n
+            if (contrib != 0).any():
+                fold(p, contrib != 0, contrib)
+        fold(-1, np.ones(len(ids), bool), n * n)  # probe -1: squared norms
+        return pa.table({c: pa.array(v, pa.int64()) for c, v in zip(("probe", "id", "v"), (probe_col, id_col, v_col))})
+
+    partials = cp.map_batches(dot_partial, batch_format="pyarrow")
+    rows = partials.groupby(["probe", "id"]).aggregate(Sum("v", alias_name="v")).take_all()
+    norms: dict[int, int] = {}
+    dots: dict[int, dict[int, int]] = {p: {} for p in probes}
+    for r in rows:
+        (norms if r["probe"] == -1 else dots[int(r["probe"])])[int(r["id"])] = int(r["v"])
+    for p in probes:
+        na, cands = norms[p], []
+        for u, d in dots[p].items():
+            if u != p:
+                nb = norms[u]
+                c = float(d) / (math.sqrt(float(na)) * math.sqrt(float(nb))) if na > 0 and nb > 0 else 0.0
+                cands.append((-int(math.floor(c * 1e9 + 0.5)), u, d))
+        out += [(p, rank, u, d, -ncn) for rank, (ncn, u, d) in enumerate(sorted(cands)[:k], 1)]
+    return table()
+
+
 def cf_user_topk(
     lineitem: ray.data.Dataset,
     orders: ray.data.Dataset,
@@ -6288,132 +6375,9 @@ def cf_user_topk(
     """User-user collaborative-filtering neighbors — the classic
     recommender primitive: for each of ``n_probes`` deterministic probe
     customers (the smallest custkeys), the ``k`` most cosine-similar
-    other customers over their part-purchase count vectors.  Counts are
-    integers, so dot products and squared norms are EXACT; the ranking
-    order is the fully specified (cos_nano DESC, custkey ASC) with
-    cos_nano the one fixed IEEE form ``floor(dot/(√na·√nb)·1e9+0.5)``
-    (the centroid_similarity convention) — both engines sort the same
-    numbers, so the pick is deterministic.
-
-    Scale shape: ONE orderkey-keyed exchange stitches custkey onto
-    lineitem partials (reduce-side join — neither fact table is
-    broadcast); the 5 probe vectors (bounded: one customer's parts) are
-    broadcast via ``ray.put``; a single scan of the (custkey, partkey,
-    n) rows emits per-batch partial dots against every probe plus
-    squared-norm partials, and two aggregate-sized groupbys fold them.
-    The driver ranks ≤ customers×probes cosine rows."""
-    import math
-
-    from ray.data.aggregate import Sum
-
-    cp = _purchase_matrix(lineitem, orders, resume_dir=resume_dir)
-
-    # --- probes: smallest n_probes custkeys --------------------------------
-    def cust_min_partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pac
-
-        u = pac.unique(batch.column("cust").combine_chunks())
-        arr = np.sort(u.to_numpy(zero_copy_only=False))[:n_probes]
-        return pa.table({"cust": pa.array(arr, pa.int64())})
-
-    probe_rows = cp.map_batches(cust_min_partial, batch_format="pyarrow").take_all()
-    probes = sorted({int(r["cust"]) for r in probe_rows})[:n_probes]
-    out_schema = pa.schema(
-        [
-            ("probe", pa.int64()),
-            ("rank", pa.int64()),
-            ("neighbor", pa.int64()),
-            ("dot", pa.int64()),
-            ("cos_nano", pa.int64()),
-        ]
-    )
-    if not probes:
-        return ray.data.from_arrow(out_schema.empty_table())
-    pv_rows = cp.filter(
-        expr=" or ".join(f"cust == {p}" for p in probes)
-    ).take_all()
-    pvecs: dict[int, dict[int, int]] = {p: {} for p in probes}
-    for r in pv_rows:
-        pvecs[int(r["cust"])][int(r["part"])] = int(r["n"])
-    pref = ray.put(pvecs)
-
-    # --- one scan: partial dots vs every probe + squared norms -------------
-    def dot_partial(batch: pa.Table) -> pa.Table:
-        pv = ray.get(pref)
-        cust = batch.column("cust").to_numpy(zero_copy_only=False)
-        part = batch.column("part").to_numpy(zero_copy_only=False)
-        n = batch.column("n").to_numpy(zero_copy_only=False)
-        probe_col, cust_col, dot_col = [], [], []
-        for p, vec in pv.items():
-            w = np.array([vec.get(int(x), 0) for x in part], np.int64)
-            contrib = w * n
-            nz = contrib != 0
-            if not nz.any():
-                continue
-            cs, idx = np.unique(cust[nz], return_inverse=True)
-            sums = np.zeros(len(cs), np.int64)
-            np.add.at(sums, idx, contrib[nz])
-            probe_col += [p] * len(cs)
-            cust_col += cs.tolist()
-            dot_col += sums.tolist()
-        norm_c, norm_v = np.unique(cust, return_inverse=True)
-        nsq = np.zeros(len(norm_c), np.int64)
-        np.add.at(nsq, norm_v, n * n)
-        return pa.table(
-            {
-                "probe": pa.array(
-                    probe_col + [-1] * len(norm_c), pa.int64()
-                ),
-                "cust": pa.array(cust_col + norm_c.tolist(), pa.int64()),
-                "v": pa.array(dot_col + nsq.tolist(), pa.int64()),
-            }
-        )
-
-    rows = (
-        cp.map_batches(dot_partial, batch_format="pyarrow")
-        .groupby(["probe", "cust"])
-        .aggregate(Sum("v", alias_name="v"))
-        .take_all()
-    )
-    norms: dict[int, int] = {}
-    dots: dict[int, dict[int, int]] = {p: {} for p in probes}
-    for r in rows:
-        if int(r["probe"]) == -1:
-            norms[int(r["cust"])] = int(r["v"])
-        else:
-            dots[int(r["probe"])][int(r["cust"])] = int(r["v"])
-    o_p, o_r, o_n, o_d, o_c = [], [], [], [], []
-    for p in probes:
-        cands = []
-        na = norms[p]
-        for u, d in dots[p].items():
-            if u == p:
-                continue
-            nb = norms[u]
-            if na > 0 and nb > 0:
-                c = float(d) / (math.sqrt(float(na)) * math.sqrt(float(nb)))
-                cn = int(math.floor(c * 1e9 + 0.5))
-            else:
-                cn = 0
-            cands.append((-cn, u, d))
-        cands.sort()
-        for rank, (ncn, u, d) in enumerate(cands[:k], 1):
-            o_p.append(p)
-            o_r.append(rank)
-            o_n.append(u)
-            o_d.append(d)
-            o_c.append(-ncn)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "probe": pa.array(o_p, pa.int64()),
-                "rank": pa.array(o_r, pa.int64()),
-                "neighbor": pa.array(o_n, pa.int64()),
-                "dot": pa.array(o_d, pa.int64()),
-                "cos_nano": pa.array(o_c, pa.int64()),
-            }
-        )
-    )
+    other customers over their part-purchase count vectors
+    (:func:`_cf_topk`)."""
+    return _cf_topk(lineitem, orders, "cust", "part", n_probes, k, resume_dir)
 
 
 def cf_item_topk(
@@ -6429,122 +6393,8 @@ def cf_item_topk(
     ``n_probes`` probe parts (smallest partkeys), the ``k`` most
     cosine-similar other parts over their customer-purchase count
     vectors.  Popularity normalizes out — exactly what the raw
-    co-purchase counts (``copurchase_pairs``) cannot do.  Same exactness
-    and ranking contract as the user form: integer dots/norms, one fixed
-    IEEE cosine, (cos_nano DESC, neighbor ASC) order.
-
-    Scale shape: identical to cf_user_topk with the roles swapped — the
-    SAME one-exchange orderkey stitch builds (cust, part, n); probe
-    ITEM vectors (one part's customers, bounded) broadcast; one scan
-    folds dots + norms."""
-    import math
-
-    from ray.data.aggregate import Sum
-
-    cp = _purchase_matrix(lineitem, orders, resume_dir=resume_dir)
-
-    def part_min_partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pac
-
-        u = pac.unique(batch.column("part").combine_chunks())
-        arr = np.sort(u.to_numpy(zero_copy_only=False))[:n_probes]
-        return pa.table({"part": pa.array(arr, pa.int64())})
-
-    probe_rows = cp.map_batches(part_min_partial, batch_format="pyarrow").take_all()
-    probes = sorted({int(r["part"]) for r in probe_rows})[:n_probes]
-    out_schema = pa.schema(
-        [
-            ("probe", pa.int64()),
-            ("rank", pa.int64()),
-            ("neighbor", pa.int64()),
-            ("dot", pa.int64()),
-            ("cos_nano", pa.int64()),
-        ]
-    )
-    if not probes:
-        return ray.data.from_arrow(out_schema.empty_table())
-    pv_rows = cp.filter(
-        expr=" or ".join(f"part == {p}" for p in probes)
-    ).take_all()
-    pvecs: dict[int, dict[int, int]] = {p: {} for p in probes}
-    for r in pv_rows:
-        pvecs[int(r["part"])][int(r["cust"])] = int(r["n"])
-    pref = ray.put(pvecs)
-
-    def dot_partial(batch: pa.Table) -> pa.Table:
-        pv = ray.get(pref)
-        part = batch.column("part").to_numpy(zero_copy_only=False)
-        cust = batch.column("cust").to_numpy(zero_copy_only=False)
-        n = batch.column("n").to_numpy(zero_copy_only=False)
-        probe_col, item_col, dot_col = [], [], []
-        for p, vec in pv.items():
-            w = np.array([vec.get(int(x), 0) for x in cust], np.int64)
-            contrib = w * n
-            nz = contrib != 0
-            if not nz.any():
-                continue
-            its, idx = np.unique(part[nz], return_inverse=True)
-            sums = np.zeros(len(its), np.int64)
-            np.add.at(sums, idx, contrib[nz])
-            probe_col += [p] * len(its)
-            item_col += its.tolist()
-            dot_col += sums.tolist()
-        norm_i, norm_v = np.unique(part, return_inverse=True)
-        nsq = np.zeros(len(norm_i), np.int64)
-        np.add.at(nsq, norm_v, n * n)
-        return pa.table(
-            {
-                "probe": pa.array(probe_col + [-1] * len(norm_i), pa.int64()),
-                "item": pa.array(item_col + norm_i.tolist(), pa.int64()),
-                "v": pa.array(dot_col + nsq.tolist(), pa.int64()),
-            }
-        )
-
-    rows = (
-        cp.map_batches(dot_partial, batch_format="pyarrow")
-        .groupby(["probe", "item"])
-        .aggregate(Sum("v", alias_name="v"))
-        .take_all()
-    )
-    norms: dict[int, int] = {}
-    dots: dict[int, dict[int, int]] = {p: {} for p in probes}
-    for r in rows:
-        if int(r["probe"]) == -1:
-            norms[int(r["item"])] = int(r["v"])
-        else:
-            dots[int(r["probe"])][int(r["item"])] = int(r["v"])
-    o_p, o_r, o_n, o_d, o_c = [], [], [], [], []
-    for p in probes:
-        cands = []
-        na = norms[p]
-        for it, d in dots[p].items():
-            if it == p:
-                continue
-            nb = norms[it]
-            if na > 0 and nb > 0:
-                c = float(d) / (math.sqrt(float(na)) * math.sqrt(float(nb)))
-                cn = int(math.floor(c * 1e9 + 0.5))
-            else:
-                cn = 0
-            cands.append((-cn, it, d))
-        cands.sort()
-        for rank, (ncn, it, d) in enumerate(cands[:k], 1):
-            o_p.append(p)
-            o_r.append(rank)
-            o_n.append(it)
-            o_d.append(d)
-            o_c.append(-ncn)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "probe": pa.array(o_p, pa.int64()),
-                "rank": pa.array(o_r, pa.int64()),
-                "neighbor": pa.array(o_n, pa.int64()),
-                "dot": pa.array(o_d, pa.int64()),
-                "cos_nano": pa.array(o_c, pa.int64()),
-            }
-        )
-    )
+    co-purchase counts (``copurchase_pairs``) cannot do."""
+    return _cf_topk(lineitem, orders, "part", "cust", n_probes, k, resume_dir)
 
 
 def weekday_profile(events: ray.data.Dataset) -> ray.data.Dataset:

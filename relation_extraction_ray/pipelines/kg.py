@@ -699,16 +699,10 @@ class KGPipeline:
         cfg: KGConfig | None = None,
         ok_dep_structures: set[tuple[str, ...]] | None = None,
         batch_size: int = 256,
-        sink_format: str = "parquet",
     ) -> None:
         self.cfg = cfg or KGConfig()
         self.ok_dep_structures = ok_dep_structures
         self.batch_size = batch_size
-        # "jsonl" mirrors the reference's line-delimited-JSON interchange
-        # files (S4, wiki2sdp.py:318-328) for checkpoint sinks
-        if sink_format not in ("parquet", "jsonl"):
-            raise ValueError(f"sink_format must be 'parquet' or 'jsonl', got {sink_format!r}")
-        self.sink_format = sink_format
 
     def sentences(self, documents: ray.data.Dataset) -> ray.data.Dataset:
         return documents.map_batches(
@@ -752,20 +746,20 @@ class KGPipeline:
             batch_size=self.batch_size,
         )
 
-    def run(self, documents: ray.data.Dataset, checkpoint_dir: str | None = None) -> dict:
+    def run(self, documents: ray.data.Dataset) -> dict:
         """Full pipeline -> dict of Datasets (+ finalized vocab tables).
 
         ``sentences`` and ``triples`` fan out to multiple consumers (vocab
         pass + extract pass; entities + adjacency), and the corpus must be
-        scanned twice for the vocab barrier — so they are checkpointed: to
-        partitioned Parquet under ``checkpoint_dir`` (the resumable scale
-        path), else pinned via ``materialize()`` (test scale).
+        scanned twice for the vocab barrier — so both are pinned with
+        ``materialize()``.  The resumable on-disk shape of the same run is
+        ``pipelines/sharded.ShardedKGRunner``.
         """
-        sentences = self._checkpoint(self.sentences(documents), checkpoint_dir, "sentences")
+        sentences = self.sentences(documents).materialize()
         vocabs = self.vocabs(sentences)
         (wv, _, wdist), (dv, _, ddist), (pv, _, pdist) = vocabs
         encoded = self.encoded(sentences, vocabs)
-        triples = self._checkpoint(self.triples(encoded, vocabs), checkpoint_dir, "triples")
+        triples = self.triples(encoded, vocabs).materialize()
         return {
             "sentences": sentences,
             "vocab": vocab_table(wv, wdist),
@@ -776,27 +770,6 @@ class KGPipeline:
             "entities": entities_from_triples(triples),
             "adjacency": adjacency_from_triples(triples),
         }
-
-    def _checkpoint(self, ds: ray.data.Dataset, checkpoint_dir: str | None, name: str) -> ray.data.Dataset:
-        if checkpoint_dir is None:
-            return ds.materialize()
-        import shutil
-
-        import ray.data as rd
-
-        path = f"{checkpoint_dir}/{name}"
-        # write_parquet/write_json append into an existing directory — a
-        # stale checkpoint would silently duplicate rows, so clear it first.
-        shutil.rmtree(path, ignore_errors=True)
-        if self.sink_format == "jsonl":
-            from ..sources.io import read_jsonl, write_jsonl
-
-            schema = ds.schema()
-            arrow_schema = pa.schema(list(zip(schema.names, schema.types)))
-            write_jsonl(ds, path)
-            return read_jsonl(path, schema=arrow_schema)
-        ds.write_parquet(path)
-        return rd.read_parquet(path)
 
 
 def triple_provenance(triples: "ray.data.Dataset") -> "ray.data.Dataset":

@@ -1,60 +1,55 @@
 """Resumable sharded KG run: the scale harness around the streaming
 pipeline (north rule: per-partition lineage + counters, failed shards
-resume without recomputation).
+resume without recomputation).  ``build-kg-sharded`` runs it over a
+doc_id-hash split, ``build-kg --checkpoint`` over one shard.
 
 Layout under ``out_dir``::
 
     manifest.jsonl                      # one entry per (stage, shard)
     sentences/shard=i/*.parquet         # stage "sentences" output (worker-written)
-    counts/shard=i/part.parquet         # per-shard (kind, token, count)
+    counts/shard=i/part-*.parquet       # its (kind, token, count) partials
     vocab/{word,dep,pos}.parquet        # finalized global vocab (barrier)
     triples/shard=i/*.parquet           # stage "triples" output (worker-written)
-    entities/ adjacency/                # final materialize (ray write_parquet)
+    audit/shard=i/part-*.parquet        # its GOOD/BAD + span-checksum partials
+    entities/shard=0/ adjacency/shard=0/  # final tables
+
+Every stage is one :meth:`..state.resume.Manifest.checkpoint` step, and
+a rerun skips a step whose manifest entry is :meth:`~..state.resume.Manifest.done`.
+Each shard's fingerprint folds a content digest of its input documents
+(:func:`docs_digest`, SURVEY §4's ``input_fragment_ids``) into the config
+and stage version; the triples and final-table fingerprints add the
+finalized vocab, so a changed input, config or vocab recomputes exactly
+what depends on it.  Deciding costs one scan of each shard's input.
 
 Shard granularity is the resume unit: each shard is itself a parallel Ray
-Data pipeline (blocks stream through the KG stage tasks), so one shard ≈ one
-"partition" of the 100 TB input — on a real cluster these would be ranges
-of Lance fragments; here, deterministic ranges of the synthetic corpus or
-one shard per input parquet file.
-
-Nothing shard-sized ever crosses the driver (judge round 1: the previous
-version concat'ed every shard's sentences/encoded/triples into driver
-memory), and nothing funnels through a single actor either (judge round 2:
-the per-batch blocking ``ray.get`` into one ``CounterActor`` serialized
-the shard stream and concentrated the shard's distinct-token dict in one
-process).  Workers ``write_parquet`` their own shard directories; manifest
-row counts come from the written parquet FOOTERS; token counts, span
-checksums and GOOD/BAD audit counters are per-batch SIDE-STREAM partials:
-each tap writes an idempotent content-keyed parquet fragment
-(``counts/shard=i/part-<key>.parquet`` / ``audit/shard=i/...``) carrying
-its scalars in the footer metadata, and shard end folds footers only.
-Retried tasks overwrite the same fragment, so lineage stays exact under
-Ray's task retries with zero synchronous cross-process calls on the write
-path.  The only driver-side materializations are the finalized vocab
-(≤ vocab_limit rows, truncation pushed distributed) and the per-shard
-manifest rows themselves.
+Data pipeline (blocks stream through the KG stage tasks).  Nothing
+shard-sized crosses the driver and nothing funnels through one actor:
+workers ``write_parquet`` their own shard directories, manifest row counts
+come from the written parquet footers, and token counts, span checksums
+and GOOD/BAD counters are per-batch side-stream partials
+(:func:`..state.resume.write_partial`) folded from footers at shard end.
+The only driver-side materializations are the finalized vocab
+(≤ vocab_limit rows, truncation pushed distributed) and the manifest rows.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
+import json
 import os
-import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
+from .. import schemas
 from ..config import KGConfig
-from ..state.lineage import (
-    Manifest,
-    config_fingerprint,
-    fold_partial_scalars,
-    shard_num_rows,
-    vocab_fingerprint,
-    write_partial,
-)
+from ..functions.joins import table_digest
+from ..state.resume import Manifest, input_fingerprint, write_partial
 from .kg import (
     KGPipeline,
     _partial_token_counts,
@@ -64,6 +59,10 @@ from .kg import (
     sum_token_partials,
     vocab_table,
 )
+
+STAGE_VERSION = "kg_v2"  # bump when stage semantics change: invalidates resume
+_EMPTY = pa.table({"n": pa.array([], pa.int64())})
+_COUNTS = pa.schema([("kind", pa.string()), ("token", pa.string()), ("count", pa.int64())])
 
 
 def _xor_u64(batch: pa.Table, col: str) -> int:
@@ -88,6 +87,28 @@ def _batch_key(shard: int, batch: pa.Table, salt: str = "") -> str:
     return h.hexdigest()
 
 
+def docs_digest(docs: ray.data.Dataset) -> list[dict]:
+    """Order- and layout-free content digest of a documents Dataset: one
+    row per document (``doc_id``) and one per span (``doc_id``, its
+    position, ``text``, ``media_ref``), folded by
+    :func:`..functions.joins.table_digest` — one streaming scan, no parse."""
+
+    def rows(batch: pa.Table) -> pa.Table:
+        ids, spans = (batch.column(c).combine_chunks() for c in ("doc_id", "spans"))
+        parent = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
+        offs = spans.offsets.to_numpy()  # a sliced batch's start at offs[0]
+        flat, blank = pc.list_flatten(spans), pa.array([""] * len(ids))
+        return pa.table({
+            "doc_id": pa.concat_arrays([ids, ids.take(parent)]),
+            "pos": np.concatenate([np.full(len(ids), -1), np.arange(offs[0], offs[-1]) - offs[parent]]),
+            "text": pa.concat_arrays([blank, flat.field("text")]),
+            "media_ref": pa.concat_arrays([blank, flat.field("media_ref")]),
+        })
+
+    cols = ["doc_id", "pos", "text", "media_ref"]
+    return table_digest([("docs", docs.map_batches(rows, batch_format="pyarrow"), cols)]).to_pylist()
+
+
 class ShardedKGRunner:
     def __init__(
         self,
@@ -102,194 +123,98 @@ class ShardedKGRunner:
         self.cfg = cfg or KGConfig()
         self.pipe = KGPipeline(self.cfg)
         self.manifest = Manifest(out_dir)
-        self.fp = config_fingerprint(self.cfg)
         self.recomputed: list[tuple[str, int]] = []  # visibility for tests/metrics
 
-    def _shard_dir(self, stage: str, shard: int) -> str:
-        return os.path.join(self.out_dir, stage, f"shard={shard}")
+    def _step(self, stage: str, shard: int, fp: str, build, **counters) -> None:
+        """Checkpoint ``build()`` as (stage, shard) unless it is done."""
+        if self.manifest.done(stage, shard, fp) is None:
+            self.recomputed.append((stage, shard))
+            self.manifest.checkpoint(build(), stage, shard, fp, **counters)
 
-    def _write_shard_ds(self, ds: ray.data.Dataset, stage: str, shard: int) -> int:
-        """Workers write the shard's parquet fragments directly; returns the
-        row count from the fragment footers.  The target dir is cleared
-        first — ``write_parquet`` appends, and a stale partial write must
-        never double rows."""
-        d = self._shard_dir(stage, shard)
-        shutil.rmtree(d, ignore_errors=True)
-        os.makedirs(d, exist_ok=True)
-        ds.write_parquet(d)
-        return shard_num_rows(self.out_dir, stage, shard)
-
-    # -- stage 1: parse + token counts, per shard ---------------------------
-
-    def _run_sentences(self, shard: int) -> None:
-        counts_dir = self._shard_dir("counts", shard)
-        e = self.manifest.complete("sentences", shard, self.fp, self.out_dir)
-        if e is not None and shard_num_rows(self.out_dir, "counts", shard) == e.get("token_partial_rows"):
-            return
-        self.recomputed.append(("sentences", shard))
-        docs = self.docs_for_shard(shard)
-        # stale partials from an interrupted earlier attempt (possibly with
-        # different batching) must never fold into this run's counts
-        shutil.rmtree(counts_dir, ignore_errors=True)
-
-        def tap(batch: pa.Table) -> pa.Table:
-            """Emit this batch's (kind, token, count) partial + span-hash
-            XOR as one idempotent side-stream fragment while the rows
-            stream to parquet — ONE execution, no re-read of the written
-            shard, no synchronous cross-process call (judge round 2: the
-            previous per-batch blocking ``ray.get`` into one CounterActor
-            serialized the stream)."""
-            if batch.num_rows == 0:
-                return batch
-            partial = _partial_token_counts(batch)
-            write_partial(
-                partial,
-                counts_dir,
-                _batch_key(shard, batch, salt="s"),
-                {"xor:span": _xor_u64(batch, "span_hash"), "sum:sentences": batch.num_rows},
-            )
-            return batch
-
-        tapped = self.pipe.sentences(docs).map_batches(tap, batch_format="pyarrow")
-        rows = self._write_shard_ds(tapped, "sentences", shard)
-
-        folded = fold_partial_scalars(counts_dir)
-        self.manifest.append(
-            {
-                "stage": "sentences",
-                "shard": shard,
-                "status": "done",
-                "fingerprint": self.fp,
-                "rows": rows,
-                "sentences": folded.get("sentences", 0),
-                # lineage guard for the count side-stream itself: resume
-                # re-validates this against the partial fragments' footers
-                "token_partial_rows": shard_num_rows(self.out_dir, "counts", shard),
-                "span_checksum": folded.get("span", 0),
-            }
+    def _read(self, stage: str, schema: pa.Schema, shards) -> ray.data.Dataset:
+        """This run's shards of ``stage`` — never a stale shard beyond them."""
+        files = sorted(
+            f for i in shards for f in glob.glob(os.path.join(self.manifest.shard_dir(stage, i), "*.parquet"))
         )
+        if not files:
+            return ray.data.from_arrow(schema.empty_table())
+        return ray.data.read_parquet(files, partitioning=None)
 
-    # -- barrier: global vocab ---------------------------------------------
-
-    def _finalize_vocab(self) -> tuple:
-        """Merge per-shard counts DISTRIBUTED (read all count shards as one
-        Dataset → groupby sum → distributed truncation); only the finalized
-        ≤ vocab_limit rows reach the driver."""
-        vdir = os.path.join(self.out_dir, "vocab")
-        os.makedirs(vdir, exist_ok=True)
-        counts = ray.data.read_parquet(os.path.join(self.out_dir, "counts"))
-        counted = sum_token_partials(counts).materialize()
-        word, dep, pos = finalize_counted_vocabs(counted, self.cfg)
-        for name, (vocab, _, dist) in (("word", word), ("dep", dep), ("pos", pos)):
-            pq.write_table(vocab_table(vocab, dist), os.path.join(vdir, f"{name}.parquet"))
-        return word, dep, pos
-
-    # -- stage 2: extract + score, per shard --------------------------------
-
-    def _run_triples(self, shard: int, vocabs, triples_fp: str) -> None:
-        if self.manifest.complete("triples", shard, triples_fp, self.out_dir):
-            return
-        self.recomputed.append(("triples", shard))
-        sentences = ray.data.read_parquet(self._shard_dir("sentences", shard))
-        audit_dir = self._shard_dir("audit", shard)
-        shutil.rmtree(audit_dir, ignore_errors=True)
-        _EMPTY = pa.Table.from_pydict({"n": pa.array([], pa.int64())})
+    def _sentences(self, shard: int) -> ray.data.Dataset:
+        """Parse + a per-batch tap emitting the batch's (kind, token, count)
+        partial and span-hash XOR as one idempotent side-stream fragment
+        while the rows stream to parquet — one execution, no re-read."""
+        counts_dir = self.manifest.shard_dir("counts", shard)
 
         def tap(batch: pa.Table) -> pa.Table:
-            """GOOD/BAD audit counters as footer-only side-stream partials
-            (zero data rows — the scalars ride the parquet footer)."""
-            if batch.num_rows == 0:
-                return batch
-            import pyarrow.compute as pc
-
-            good = int(pc.sum(pc.equal(batch.column("verdict"), "GOOD")).as_py() or 0)
-            write_partial(
-                _EMPTY,
-                audit_dir,
-                _batch_key(shard, batch, salt="a"),
-                {
-                    "sum:candidates": batch.num_rows,
-                    "sum:good": good,
-                    "sum:bad": batch.num_rows - good,
-                },
-            )
-            return batch
-
-        def hash_tap(batch: pa.Table) -> pa.Table:
-            """Triple-row span-hash checksum: a multiset XOR fold, which is
-            order/partition/retry-independent, so per-batch partials fold
-            exactly (the round-2 distinct-set union needed a shared actor;
-            a multiset XOR is an equally strong content checksum without
-            any shared state)."""
             if batch.num_rows:
                 write_partial(
-                    _EMPTY,
-                    audit_dir,
-                    _batch_key(shard, batch, salt="h"),
-                    {"xor:span": _xor_u64(batch, "span_hash")},
+                    _partial_token_counts(batch),
+                    counts_dir,
+                    _batch_key(shard, batch, salt="s"),
+                    {"xor:span": _xor_u64(batch, "span_hash"), "sum:sentences": batch.num_rows},
                 )
             return batch
 
-        encoded = self.pipe.encoded(sentences, vocabs).map_batches(tap, batch_format="pyarrow")
-        triples_ds = self.pipe.triples(encoded, vocabs).map_batches(hash_tap, batch_format="pyarrow")
-        rows = self._write_shard_ds(triples_ds, "triples", shard)
-        audit = fold_partial_scalars(audit_dir)
-        self.manifest.append(
-            {
-                "stage": "triples",
-                "shard": shard,
-                "status": "done",
-                "fingerprint": triples_fp,
-                "candidates": audit.get("candidates", 0),
-                "good": audit.get("good", 0),
-                "bad": audit.get("bad", 0),
-                "rows": rows,
-                "span_checksum": audit.get("span", 0),
-            }
-        )
+        docs = self.docs_for_shard(shard)
+        return self.pipe.sentences(docs).map_batches(tap, batch_format="pyarrow")
 
-    # -- final: canonicalize + materialize ----------------------------------
+    def _triples(self, shard: int, vocabs) -> ray.data.Dataset:
+        """Extract + score one shard's sentences, with GOOD/BAD counters on
+        the candidates and a span-hash XOR on the triples as footer-only
+        side-stream partials (zero data rows)."""
+        audit_dir = self.manifest.shard_dir("audit", shard)
+
+        def tap(salt: str, scalars):
+            def write(batch: pa.Table) -> pa.Table:
+                if batch.num_rows:
+                    write_partial(_EMPTY, audit_dir, _batch_key(shard, batch, salt), scalars(batch))
+                return batch
+
+            return write
+
+        def verdicts(batch: pa.Table) -> dict[str, int]:
+            good = int(pc.sum(pc.equal(batch.column("verdict"), "GOOD")).as_py() or 0)
+            return {"sum:candidates": batch.num_rows, "sum:good": good, "sum:bad": batch.num_rows - good}
+
+        sentences = self._read("sentences", schemas.SENTENCES, [shard])
+        encoded = self.pipe.encoded(sentences, vocabs).map_batches(tap("a", verdicts), batch_format="pyarrow")
+        triples = self.pipe.triples(encoded, vocabs)
+        span = tap("h", lambda b: {"xor:span": _xor_u64(b, "span_hash")})
+        return triples.map_batches(span, batch_format="pyarrow")
+
+    def _finalize_vocab(self) -> tuple:
+        """Merge every shard's count partials distributed; only the
+        finalized ≤ vocab_limit rows reach the driver."""
+        counts = self._read("counts", _COUNTS, range(self.n_shards))
+        vocabs = finalize_counted_vocabs(sum_token_partials(counts).materialize(), self.cfg)
+        vdir = os.path.join(self.out_dir, "vocab")
+        os.makedirs(vdir, exist_ok=True)
+        for name, (vocab, _, dist) in zip(("word", "dep", "pos"), vocabs):
+            pq.write_table(vocab_table(vocab, dist), os.path.join(vdir, f"{name}.parquet"))
+        return vocabs
 
     def run(self) -> dict:
         self.recomputed = []
-        for shard in range(self.n_shards):
-            self._run_sentences(shard)
+        shards = range(self.n_shards)
+        cfg = json.dumps(asdict(self.cfg), sort_keys=True)
+        fps = [input_fingerprint(STAGE_VERSION, cfg, docs_digest(self.docs_for_shard(i))) for i in shards]
+        for i in shards:
+            self._step("sentences", i, fps[i], lambda: self._sentences(i), side="counts", sentences=0, span=0)
         vocabs = self._finalize_vocab()
-        # triples resume binds the vocab + shard layout into the fingerprint:
-        # a resume that changed n_shards, inputs or the vocab generation can
-        # never silently reuse triples encoded under a stale vocab
-        triples_fp = hashlib.blake2b(
-            f"{self.fp}:{vocab_fingerprint(vocabs)}:{self.n_shards}".encode(), digest_size=8
-        ).hexdigest()
-        for shard in range(self.n_shards):
-            self._run_triples(shard, vocabs, triples_fp)
-        triples = ray.data.read_parquet(os.path.join(self.out_dir, "triples"))
-        # derived tables resume on the triples fingerprint: a complete-run
-        # rerun skips the canonicalize/dedup reduces entirely (previously
-        # the non-resumable tail — ~half the resume wall at 200k docs)
-        for name, build in (
-            ("entities", entities_from_triples),
-            ("adjacency", adjacency_from_triples),
-        ):
-            d = os.path.join(self.out_dir, name)
-            if self.manifest.complete(name, 0, triples_fp, self.out_dir, flat=True):
-                continue  # data present with the recorded row count — skip rebuild
-            self.recomputed.append((name, 0))
-            shutil.rmtree(d, ignore_errors=True)
-            build(triples).write_parquet(d)
-            self.manifest.append(
-                {
-                    "stage": name,
-                    "shard": 0,
-                    "status": "done",
-                    "fingerprint": triples_fp,
-                    "rows": shard_num_rows(self.out_dir, name, None),
-                }
+        vocab_fp = input_fingerprint(*("\x00".join(vocab) for vocab, _, _ in vocabs))
+        fps = [input_fingerprint(fp, vocab_fp) for fp in fps]
+        for i in shards:
+            self._step(
+                "triples", i, fps[i], lambda: self._triples(i, vocabs),
+                side="audit", candidates=0, good=0, bad=0, span=0,
             )
-        return {
-            "triples": triples,
-            "entities": ray.data.read_parquet(os.path.join(self.out_dir, "entities")),
-            "adjacency": ray.data.read_parquet(os.path.join(self.out_dir, "adjacency")),
-            "recomputed": list(self.recomputed),
-            "vocabs": vocabs,
-        }
+        out = {"triples": self._read("triples", schemas.TRIPLES, shards)}
+        tables_fp = input_fingerprint(*fps)
+        for name, build, schema in (
+            ("entities", entities_from_triples, schemas.ENTITIES),
+            ("adjacency", adjacency_from_triples, schemas.ADJACENCY),
+        ):
+            self._step(name, 0, tables_fp, lambda: build(out["triples"]))
+            out[name] = self._read(name, schema, [0])
+        return {**out, "recomputed": list(self.recomputed), "vocabs": vocabs}

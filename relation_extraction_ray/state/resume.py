@@ -1,68 +1,170 @@
-"""Checkpointed hash-partitioned exchanges — resume for one-shot queries.
+"""One resume mechanism: a manifest-checked checkpoint per (stage, shard).
 
-The sharded KG runner (``pipelines/sharded.py``) already resumes its
-multi-stage pipeline via the footer-manifest side-stream; the 182-query
-contract runs were fire-and-forget.  This module gives the most expensive
-single-exchange queries (alias_clusters, fuzzy_pairs, cf_item_topk —
-judge round 4 "Next round #8") the same property: a killed run re-uses
-every finished partition.
+The reference checkpoints only model weights (``relembed.py:745-753``)
+and has no data-pipeline resume.  Here every resumable step — a shard of
+the KG runner (``pipelines/sharded.py``, behind ``build-kg-sharded`` and
+``build-kg --checkpoint``) or one partition of a checkpointed exchange
+(:func:`resumable_exchange`, behind the alias/fuzzy/CF queries) — is
+recorded the same way:
 
-Design — a two-phase materialized exchange, the checkpointed twin of
-``functions/joins.hash_partitioned_groups``:
+* its output parquet files are written under ``<out_dir>`` (a
+  ``write_parquet`` directory, or one file written by :func:`atomic_write`
+  so a crashed write never looks complete);
+* one line is appended to ``<out_dir>/manifest.jsonl``: the step's
+  ``(stage, shard)``, a :func:`input_fingerprint` of everything its output
+  depends on (input content, config, stage version), the parquet FOOTER
+  row count of each of its file globs, and its counters;
+* a rerun loads the manifest once and skips a step only when
+  :meth:`Manifest.done` holds: same fingerprint, ``status`` done, and
+  every recorded glob still has its recorded footer rows.  A manifest
+  that outlives its data, a partial write or a changed input therefore
+  recomputes the step instead of returning a stale answer.
 
-* **Phase A (spill)**: ONE keyed exchange co-locates each hash
-  partition's input rows and writes them as
-  ``<out_dir>/input/part-<p>.parquet``, SORTED by every column so the
-  file bytes are a pure function of the partition's row multiset (block
-  arrival order is nondeterministic; the sort makes resume
-  byte-identical).  Atomic tmp+rename writes (the ``write_partial``
-  discipline) mean a crashed write never looks complete; a manifest row
-  records the partition list + per-part row counts.
-* **Phase B (kernel)**: per partition NOT yet marked done, one Ray task
-  reads the spilled input, runs ``per_partition`` and atomically writes
-  ``<out_dir>/output/part-<p>.parquet``; the driver appends a manifest
-  row per finished part.  A rerun after a kill skips phase A entirely
-  (fingerprint + footer row counts validate the spill) and runs ONLY the
-  missing partitions — the expensive kernel work is never repeated.
-
-The result is returned as a ``ray.data.read_parquet`` over the output
-files, so downstream stays streaming.  Partitions hold complete key
-groups (same hash as the non-resumable exchange), so ``per_partition``
-semantics are unchanged.
-
-At 100 TB the spill doubles the exchange's storage touch — the price of
-resumability; callers opt in per run (``resume_dir=None`` keeps the
-plain exchange).
+Side-stream counters (:func:`write_partial`): a per-batch tap writes an
+idempotent content-keyed fragment whose scalars ride its parquet footer,
+so retried tasks re-write the same file and the step folds footers only
+(:func:`fold_partial_scalars`) — no synchronous cross-process call.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
+import shutil
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
 from ..functions.joins import part_array
-from .lineage import Manifest
+
+MANIFEST = "manifest.jsonl"
 
 
-def _atomic_write(table: pa.Table, path: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
+def input_fingerprint(*parts) -> str:
+    """The one fingerprint hasher: blake2b over the parts' ``str`` forms
+    (table digests, parameters, config, stage versions)."""
+    h = hashlib.blake2b(digest_size=12)
+    for p in parts:
+        h.update(str(p).encode())
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+def atomic_write(table: pa.Table, path: str) -> None:
+    """tmp + rename: a crashed write never looks complete; the pid-salted
+    tmp name keeps concurrent retries of one task apart."""
+    d, name = os.path.split(path)
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".{name}.tmp.{os.getpid()}")
     pq.write_table(table, tmp)
     os.replace(tmp, path)
+
+
+def write_partial(table: pa.Table, d: str, key: str, scalars: dict[str, int]) -> str:
+    """Write one batch's side-stream partial as ``<d>/part-<key>.parquet``,
+    ``scalars`` in its footer under a fold convention (``xor:<name>`` or
+    ``sum:<name>``).  ``key`` is a content fingerprint of the batch, so a
+    retried task re-writes the same file."""
+    meta = {k.encode(): str(int(v)).encode() for k, v in scalars.items()}
+    path = os.path.join(d, f"part-{key}.parquet")
+    atomic_write(table.replace_schema_metadata(meta), path)
+    return path
+
+
+def fold_partial_scalars(d: str) -> dict[str, int]:
+    """Fold every partial fragment's footer scalars under ``d``."""
+    out: dict[str, int] = {}
+    for p in sorted(glob.glob(os.path.join(d, "part-*.parquet"))):
+        for k, v in (pq.ParquetFile(p).metadata.metadata or {}).items():
+            op, _, name = k.decode().partition(":")
+            if op == "xor":
+                out[name] = out.get(name, 0) ^ int(v)
+            elif op == "sum":
+                out[name] = out.get(name, 0) + int(v)
+    return out
+
+
+class Manifest:
+    """Append-only JSONL manifest under ``out_dir``, loaded once; one entry
+    per (stage, shard), the last one appended wins."""
+
+    def __init__(self, out_dir: str) -> None:
+        self.out_dir = out_dir
+        self.path = os.path.join(out_dir, MANIFEST)
+        os.makedirs(out_dir, exist_ok=True)
+        self.entries = self.load()
+
+    def load(self) -> dict[tuple[str, int], dict]:
+        entries: dict[tuple[str, int], dict] = {}
+        if os.path.exists(self.path):
+            with open(self.path) as f:
+                for line in f:
+                    try:
+                        e = json.loads(line)
+                    except ValueError:  # a line torn by a killed driver
+                        continue
+                    entries[(e["stage"], e["shard"])] = e
+        return entries
+
+    def shard_dir(self, stage: str, shard: int) -> str:
+        return os.path.join(self.out_dir, stage, f"shard={shard}")
+
+    def rows(self, pattern: str) -> int | None:
+        """Footer rows over the files matching ``pattern`` (relative to
+        ``out_dir``); None when one of them is unreadable."""
+        try:
+            return sum(
+                pq.ParquetFile(p).metadata.num_rows
+                for p in glob.glob(os.path.join(self.out_dir, pattern))
+            )
+        except (OSError, pa.ArrowException):
+            return None
+
+    def done(self, stage: str, shard: int, fingerprint: str) -> dict | None:
+        """The entry of a step whose recorded output is intact, else None."""
+        e = self.entries.get((stage, shard))
+        if not (e and e["fingerprint"] == fingerprint and e["status"] == "done" and e.get("files")):
+            return None
+        return e if all(self.rows(p) == n for p, n in e["files"].items()) else None
+
+    def append(self, stage: str, shard: int, fingerprint: str, files: list[str], **counters) -> dict:
+        """Record a finished step: the footer rows of each of its ``files``
+        globs (``rows`` is the first one's) plus its counters."""
+        done = {p: self.rows(p) for p in files}
+        e = {"stage": stage, "shard": shard, "status": "done", "fingerprint": fingerprint,
+             "files": done, "rows": done[files[0]], **counters}
+        with open(self.path, "a") as f:  # single writer: the driver
+            f.write(json.dumps(e, sort_keys=True) + "\n")
+        self.entries[(stage, shard)] = e
+        return e
+
+    def checkpoint(
+        self, ds: "ray.data.Dataset", stage: str, shard: int, fingerprint: str,
+        side: str | None = None, **counters,
+    ) -> dict:
+        """Run one step: clear its shard directory (``write_parquet``
+        appends) and its ``side`` partials directory, write ``ds``, fold
+        the side partials over ``counters`` (their zero defaults) and
+        append the entry."""
+        stages = [stage] + ([side] if side else [])
+        for s in stages:
+            shutil.rmtree(self.shard_dir(s, shard), ignore_errors=True)
+        ds.write_parquet(self.shard_dir(stage, shard))
+        if side:
+            counters.update(fold_partial_scalars(self.shard_dir(side, shard)))
+        files = [os.path.join(s, f"shard={shard}", "*.parquet") for s in stages]
+        return self.append(stage, shard, fingerprint, files, **counters)
 
 
 def _sorted_all_cols(t: pa.Table) -> pa.Table:
     """Deterministic row order: sort by every column, left to right —
     resume byte-identity cannot depend on block arrival order."""
-    keys = [(n, "ascending") for n in t.column_names]
-    import pyarrow.compute as pc
-
-    return t.take(pc.sort_indices(t, sort_keys=keys))
+    return t.take(pc.sort_indices(t, sort_keys=[(n, "ascending") for n in t.column_names]))
 
 
 def resumable_exchange(
@@ -74,102 +176,66 @@ def resumable_exchange(
     fingerprint: str,
     _fail_after_parts: int | None = None,
 ) -> "ray.data.Dataset":
-    """Checkpointed twin of ``hash_partitioned_groups`` (module doc).
+    """Checkpointed twin of ``joins.hash_partitioned_groups``.
 
+    * **Spill** (step ``exchange_input``): ONE keyed exchange co-locates
+      each hash partition's rows and writes them, sorted by every column
+      (so the bytes are a function of the row multiset), as
+      ``<out_dir>/input/part-<p>.parquet``.
+    * **Kernel** (step ``exchange_output``, one per partition): one Ray
+      task per partition not yet done reads its spill, runs
+      ``per_partition`` and writes ``<out_dir>/output/part-<p>.parquet``.
+
+    A rerun after a kill skips a valid spill and runs only the missing
+    partitions; the result is a ``read_parquet`` over the output files.
     ``per_partition`` must be a pure function of its partition's row
-    multiset (every engine kernel passed here already is).
-    ``_fail_after_parts`` is a test hook: raise after k phase-B parts, so
-    tests can simulate a killed driver deterministically."""
+    multiset.  ``_fail_after_parts`` is a test hook: raise after k kernel
+    parts, as a killed driver would stop."""
     in_dir = os.path.join(out_dir, "input")
     o_dir = os.path.join(out_dir, "output")
-    os.makedirs(in_dir, exist_ok=True)
-    os.makedirs(o_dir, exist_ok=True)
     manifest = Manifest(out_dir)
+    spill = manifest.done("exchange_input", -1, fingerprint)
+    if spill is None:
+        for d in (in_dir, o_dir):  # a new spill makes every output stale
+            shutil.rmtree(d, ignore_errors=True)
 
-    def _input_valid(entry: dict | None) -> bool:
-        if not (entry and entry.get("fingerprint") == fingerprint and entry.get("status") == "done"):
-            return False
-        for p, rows in entry.get("part_rows", {}).items():
-            f = os.path.join(in_dir, f"part-{p}.parquet")
-            try:
-                if pq.ParquetFile(f).metadata.num_rows != rows:
-                    return False
-            except Exception:
-                return False
-        return True
-
-    entries = manifest.load()
-    in_entry = entries.get(("exchange_input", -1))
-    if not _input_valid(in_entry):
-        # (re)spill: one keyed exchange, each group sorted + written as a
-        # side effect; the returned marker rows are only counters
         def tag(batch: pa.Table) -> pa.Table:
             return batch.append_column("__part__", part_array(batch, key_cols, n_parts))
 
-        def spill(group: pa.Table) -> pa.Table:
+        def spill_part(group: pa.Table) -> pa.Table:
             p = int(group.column("__part__")[0].as_py())
-            t = _sorted_all_cols(group.drop_columns(["__part__"]))
-            _atomic_write(t, os.path.join(in_dir, f"part-{p}.parquet"))
-            return pa.table({"part": pa.array([p], pa.int64()), "rows": pa.array([t.num_rows], pa.int64())})
+            atomic_write(
+                _sorted_all_cols(group.drop_columns(["__part__"])),
+                os.path.join(in_dir, f"part-{p}.parquet"),
+            )
+            return pa.table({"part": pa.array([p], pa.int64())})
 
         markers = (
             ds.map_batches(tag, batch_format="pyarrow")
             .groupby("__part__")
-            .map_groups(spill, batch_format="pyarrow")
+            .map_groups(spill_part, batch_format="pyarrow")
             .take_all()
         )
-        part_rows = {str(m["part"]): int(m["rows"]) for m in markers}
-        manifest.append(
-            {
-                "stage": "exchange_input",
-                "shard": -1,
-                "status": "done",
-                "fingerprint": fingerprint,
-                "part_rows": part_rows,
-            }
+        parts = sorted(int(m["part"]) for m in markers)
+        spill = manifest.append(
+            "exchange_input", -1, fingerprint, [os.path.join("input", "*.parquet")], parts=parts
         )
-        in_entry = {"part_rows": part_rows, "fingerprint": fingerprint, "status": "done"}
-        # input changed → any previous outputs are stale
-        for f in os.listdir(o_dir):
-            os.remove(os.path.join(o_dir, f))
-        entries = manifest.load()
-
-    parts = sorted(int(p) for p in in_entry["part_rows"])
-
-    def _output_done(p: int) -> bool:
-        e = entries.get(("exchange_output", p))
-        if not (e and e.get("fingerprint") == fingerprint and e.get("status") == "done"):
-            return False
-        f = os.path.join(o_dir, f"part-{p}.parquet")
-        try:
-            return pq.ParquetFile(f).metadata.num_rows == e.get("rows")
-        except Exception:
-            return False
-
-    todo = [p for p in parts if not _output_done(p)]
+    parts = spill["parts"]
+    todo = [p for p in parts if manifest.done("exchange_output", p, fingerprint) is None]
 
     @ray.remote
-    def run_part(p: int) -> tuple[int, int]:
-        t = pq.read_table(os.path.join(in_dir, f"part-{p}.parquet"))
-        out = per_partition(t)
-        _atomic_write(out, os.path.join(o_dir, f"part-{p}.parquet"))
-        return p, out.num_rows
+    def run_part(p: int) -> int:
+        out = per_partition(pq.read_table(os.path.join(in_dir, f"part-{p}.parquet")))
+        atomic_write(out, os.path.join(o_dir, f"part-{p}.parquet"))
+        return p
 
-    done_ct = 0
     pending = [run_part.remote(p) for p in todo]
-    while pending:
+    for done_ct in range(1, len(todo) + 1):
         ready, pending = ray.wait(pending, num_returns=1)
-        p, rows = ray.get(ready[0])
+        p = ray.get(ready[0])
         manifest.append(
-            {
-                "stage": "exchange_output",
-                "shard": p,
-                "status": "done",
-                "fingerprint": fingerprint,
-                "rows": rows,
-            }
+            "exchange_output", p, fingerprint, [os.path.join("output", f"part-{p}.parquet")]
         )
-        done_ct += 1
         if _fail_after_parts is not None and done_ct >= _fail_after_parts and pending:
             for ref in pending:
                 ray.cancel(ref, force=True)
@@ -177,25 +243,15 @@ def resumable_exchange(
 
     files = [os.path.join(o_dir, f"part-{p}.parquet") for p in parts]
     files = [f for f in files if os.path.exists(f) and pq.ParquetFile(f).metadata.num_rows > 0]
-    if not files:
-        # every partition produced zero rows, or the input had none: type
-        # the empty result by running the kernel on an empty input table
-        if parts:
-            empty_in = pq.read_table(os.path.join(in_dir, f"part-{parts[0]}.parquet")).slice(0, 0)
-        else:
-            sch = ds.schema()
-            if sch is None:  # schema-less empty input: nothing to type from
-                return ray.data.from_arrow(pa.table({}))
-            empty_in = pa.schema(list(zip(sch.names, sch.types))).empty_table()
-        return ray.data.from_arrow(per_partition(empty_in))
-    return ray.data.read_parquet(files)
-
-
-def input_fingerprint(*parts: str) -> str:
-    """Stable fingerprint for a resumable run: caller-supplied identity
-    strings (table paths, parameters, engine version knobs)."""
-    h = hashlib.blake2b(digest_size=12)
-    for p in parts:
-        h.update(str(p).encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+    if files:
+        return ray.data.read_parquet(files)
+    # every partition produced zero rows, or the input had none: type the
+    # empty result by running the kernel on an empty input table
+    if parts:
+        empty_in = pq.read_table(os.path.join(in_dir, f"part-{parts[0]}.parquet")).slice(0, 0)
+    else:
+        sch = ds.schema()
+        if sch is None:  # schema-less empty input: nothing to type from
+            return ray.data.from_arrow(pa.table({}))
+        empty_in = pa.schema(list(zip(sch.names, sch.types))).empty_table()
+    return ray.data.from_arrow(per_partition(empty_in))

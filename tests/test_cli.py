@@ -190,3 +190,48 @@ def test_analyze_cli(capsys, ray_session):
     assert report["audit"]["rows"] == 1500 and report["audit"]["fk_orphan"] == 0
     ok = report["columns"]["o_orderkey"]
     assert ok["n"] == 1500 and ok["n_distinct"] == 1500 and ok["n_null"] == 0
+
+
+def test_resumable_build_kg_rerun_recomputes_nothing(docs_parquet, tmp_path, capsys):
+    """``build-kg --checkpoint`` is resumable: a second run recomputes no
+    step, prints the same row counts, and both runs write the same final
+    tables as the in-memory build."""
+    from relation_extraction_ray.__main__ import main
+
+    def run(out, *flags):
+        assert main(["build-kg", "--input", docs_parquet, "--out", out, *flags]) == 0
+        return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+    out = str(tmp_path / "kgck")
+    first = run(out, "--checkpoint")
+    assert len(first["recomputed"]) == 4  # sentences, triples, entities, adjacency
+    second = run(out, "--checkpoint")
+    assert second["recomputed"] == []
+    assert second["rows"] == first["rows"]
+    plain = run(str(tmp_path / "kg"))
+    assert plain["rows"] == second["rows"]
+
+    def rows(root, name):
+        return sorted(tuple(r.values()) for r in pq.read_table(os.path.join(root, name)).to_pylist())
+
+    for name in ("triples", "entities", "adjacency", "vocab", "dep_vocab", "pos_vocab"):
+        assert rows(out, name) == rows(str(tmp_path / "kg"), name), name
+
+
+def test_resumable_build_kg_empty_corpus(ray_session, tmp_path, capsys):
+    """``build-kg --checkpoint`` over an empty corpus writes the empty
+    tables with their schemas, and its rerun recomputes nothing."""
+    from relation_extraction_ray import schemas
+    from relation_extraction_ray.__main__ import main
+
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    pq.write_table(schemas.DOCUMENTS.empty_table(), str(docs / "part-0.parquet"))
+    out = str(tmp_path / "kg")
+    for recomputed in (4, 0):
+        assert main(["build-kg", "--input", str(docs), "--out", out, "--checkpoint"]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert len(summary["recomputed"]) == recomputed
+        for name in ("triples", "entities", "adjacency"):
+            assert summary["rows"][name] == 0
+            assert pq.read_table(os.path.join(out, name)).equals(getattr(schemas, name.upper()).empty_table())

@@ -73,22 +73,6 @@ def test_jsonl_roundtrip_bit_exact(tmp_path, ray_session):
         assert got == want
 
 
-def test_kg_jsonl_checkpoints_match_parquet(tmp_path, ray_session):
-    docs = documents_dataset(20, override_num_blocks=2)
-    ref = KGPipeline(batch_size=32).run(docs, checkpoint_dir=str(tmp_path / "pq"))
-    alt = KGPipeline(batch_size=32, sink_format="jsonl").run(docs, checkpoint_dir=str(tmp_path / "jl"))
-    key = lambda r: (r["doc_id"], r.get("sent_id", 0), r.get("pair_id", 0))
-    for name in ("sentences", "triples"):
-        assert sorted(alt[name].take_all(), key=key) == sorted(ref[name].take_all(), key=key)
-    import glob
-    import json
-
-    files = glob.glob(str(tmp_path / "jl" / "triples" / "*.json"))
-    assert files, "jsonl checkpoint should write .json fragments"
-    with open(files[0]) as f:
-        json.loads(f.readline())  # every line is one standalone JSON object
-
-
 def test_io_roundtrip(tmp_path, ray_session):
     assert backend() in ("lance", "parquet")
     docs = documents_dataset(25, override_num_blocks=2)

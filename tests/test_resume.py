@@ -72,7 +72,7 @@ def test_resume_after_simulated_crash(ray_session, tmp_path):
     # the resume contract is MANIFEST-based: parts recorded done before
     # the crash are skipped; concurrently-finished-but-unrecorded parts
     # are legitimately recomputed (their atomic rewrite is idempotent)
-    from relation_extraction_ray.state.lineage import Manifest
+    from relation_extraction_ray.state.resume import Manifest
 
     done_parts = [
         s for (st, s), e in Manifest(d).load().items()

@@ -2,7 +2,9 @@
 
 Covers: full run correctness vs oracle, manifest contents, resume-skips
 (no recomputation of completed shards), single-shard recovery after a
-simulated crash, and fingerprint invalidation on config change.
+simulated crash, fingerprint invalidation on config change and on changed
+input content, a worker kill, and a SIGKILL of the whole CLI process group
+between manifest appends.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ N_SHARDS = 4
 PER_SHARD = N_DOCS // N_SHARDS
 
 
-def _mk_docs_for_shard():
+def _mk_docs_for_shard(text_offset: int = 0):
+    """Shard ``s`` holds docs ``s * PER_SHARD ...``; a ``text_offset``
+    keeps their doc_ids and takes their spans from docs that far on."""
     import pyarrow as pa
 
     import ray.data as rd
@@ -35,7 +39,11 @@ def _mk_docs_for_shard():
 
     def docs_for_shard(shard: int):
         def gen(batch: pa.Table) -> pa.Table:
-            rows = [gen_doc(i + shard * PER_SHARD)[0] for i in batch.column("id").to_pylist()]
+            rows = []
+            for i in batch.column("id").to_pylist():
+                doc = gen_doc(i + shard * PER_SHARD)[0]
+                doc["spans"] = gen_doc(i + shard * PER_SHARD + text_offset)[0]["spans"]
+                rows.append(doc)
             return pa.Table.from_pylist(rows, schema=schemas.DOCUMENTS)
 
         return rd.range(PER_SHARD, override_num_blocks=2).map_batches(gen, batch_format="pyarrow")
@@ -127,7 +135,7 @@ def test_partial_sidestream_idempotent(tmp_path):
     its idempotent-retry semantics)."""
     import pyarrow as pa
 
-    from relation_extraction_ray.state.lineage import fold_partial_scalars, write_partial
+    from relation_extraction_ray.state.resume import fold_partial_scalars, write_partial
 
     d = str(tmp_path / "audit")
     t = pa.Table.from_pydict({"n": pa.array([], pa.int64())})
@@ -200,3 +208,114 @@ def test_worker_kill_mid_shard_is_retried_exactly(out_dir, ray_session, tmp_path
     clean_m = ShardedKGRunner(out_dir + "_clean", N_SHARDS, base).manifest.load()
     killed_m = ShardedKGRunner(out_dir, N_SHARDS, base).manifest.load()
     assert clean_m == killed_m
+
+
+def test_changed_input_recomputes_instead_of_resuming(out_dir, ray_session):
+    """A resume directory written for corpus A, rerun over corpus B with
+    the same doc ids, doc count and shard count but other text, gives
+    B's clean-run adjacency: each shard's fingerprint folds its input."""
+    corpus_b = _mk_docs_for_shard(text_offset=1000)
+    want = _sorted_rows(ShardedKGRunner(out_dir + "_b", N_SHARDS, corpus_b).run()["adjacency"])
+    a = _sorted_rows(ShardedKGRunner(out_dir, N_SHARDS, _mk_docs_for_shard()).run()["adjacency"])
+    assert a != want
+    rerun = ShardedKGRunner(out_dir, N_SHARDS, corpus_b).run()
+    assert _sorted_rows(rerun["adjacency"]) == want
+    assert {("sentences", i) for i in range(N_SHARDS)} <= set(rerun["recomputed"])
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids of the live (non-zombie) processes in process group ``pgid``."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state, _, group = f.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(group) == pgid and state != "Z":
+            pids.append(int(pid))
+    return pids
+
+
+def test_driver_kill_between_manifest_appends_resumes(ray_session, tmp_path):
+    """SIGKILL the whole ``build-kg-sharded`` process group (driver, its
+    Ray cluster and workers) once the manifest holds a triples entry, then
+    rerun: the tables equal a clean run's, no step the manifest recorded
+    before the kill is recomputed, and no process of the killed run is
+    left behind."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import pyarrow.parquet as pq
+
+    from relation_extraction_ray.sources.synth import documents_dataset
+    from relation_extraction_ray.state.resume import Manifest
+
+    docs = str(tmp_path / "docs")
+    documents_dataset(2000, override_num_blocks=8).write_parquet(docs)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def cli(out: str) -> subprocess.Popen:
+        cmd = [sys.executable, "-m", "relation_extraction_ray", "build-kg-sharded",
+               "--input", docs, "--out", out, "--shards", "4", "--num-cpus", "1"]
+        return subprocess.Popen(cmd, cwd=root, start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+
+    def finish(proc: subprocess.Popen) -> dict:
+        stdout, _ = proc.communicate(timeout=600)
+        assert proc.returncode == 0
+        return json.loads(stdout.decode().strip().splitlines()[-1])
+
+    clean = str(tmp_path / "clean")
+    finish(cli(clean))
+
+    out = str(tmp_path / "killed")
+    manifest = os.path.join(out, "manifest.jsonl")
+    proc = cli(out)
+    while proc.poll() is None and not (
+        os.path.exists(manifest) and '"stage": "triples"' in open(manifest).read()
+    ):
+        time.sleep(0.02)
+    assert proc.poll() is None, "the run finished before the kill"
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    deadline = time.time() + 30
+    while _live_group_members(proc.pid) and time.time() < deadline:
+        time.sleep(0.2)
+    assert _live_group_members(proc.pid) == []
+    before = set(Manifest(out).load())
+    assert any(stage == "triples" for stage, _ in before) and ("adjacency", 0) not in before
+
+    rerun = finish(cli(out))
+    assert not before & {tuple(s) for s in rerun["recomputed"]}
+    for name in ("triples", "entities", "adjacency"):
+        want, got = (
+            sorted(tuple(r.values()) for r in pq.read_table(os.path.join(d, name), partitioning=None).to_pylist())
+            for d in (clean, out)
+        )
+        assert got == want, name
+
+
+def test_docs_digest_is_layout_free_and_content_sensitive(ray_session):
+    """The per-shard input digest ignores row order and block layout but
+    sees an edited span text and a reordered span list."""
+    import ray.data as rd
+
+    from relation_extraction_ray.pipelines.sharded import docs_digest
+
+    rows = corpus_table(40).to_pylist()
+    multi = next(i for i, r in enumerate(rows) if len(r["spans"]) > 1)
+
+    def digest(rs, blocks):
+        return docs_digest(rd.from_items(rs).repartition(blocks))
+
+    want = digest(rows, 3)
+    assert digest(rows[::-1], 5) == want
+    edited = [dict(r) for r in rows]
+    edited[multi]["spans"] = [dict(s) for s in rows[multi]["spans"]]
+    edited[multi]["spans"][0]["text"] += "!"
+    assert digest(edited, 3) != want
+    edited[multi]["spans"] = rows[multi]["spans"][::-1]
+    assert digest(edited, 3) != want
