@@ -56,22 +56,13 @@ def _cfg_from(args: argparse.Namespace):
 
 def _runner(args: argparse.Namespace, out_dir: str, n: int):
     """The resumable KG run over ``--input`` split into ``n`` doc_id-hash
-    shards (a doc's shard depends on neither block layout nor id dtype)."""
-    import pyarrow.compute as pc
+    shards."""
     import ray.data as rd
 
-    from .functions.joins import part_array
-    from .pipelines.sharded import ShardedKGRunner
+    from .pipelines.sharded import ShardedKGRunner, hash_split
 
-    docs = rd.read_parquet(args.input, columns=["doc_id", "spans"])
-
-    def docs_for_shard(i: int):
-        def pick(batch):
-            return batch.filter(pc.equal(part_array(batch, ["doc_id"], n), i))
-
-        return docs.map_batches(pick, batch_format="pyarrow")
-
-    return ShardedKGRunner(out_dir, n, docs_for_shard, cfg=_cfg_from(args)).run()
+    split, tagged = hash_split(rd.read_parquet(args.input, columns=["doc_id", "spans"]), n)
+    return ShardedKGRunner(out_dir, n, split, cfg=_cfg_from(args), tagged_docs=tagged).run()
 
 
 def cmd_build_kg(args: argparse.Namespace) -> int:
@@ -86,6 +77,8 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
     from .pipelines.kg import KGPipeline, vocab_table
 
     if args.checkpoint:
+        # the runner's shard=0 directories are resume state; the final
+        # tables below keep build-kg's flat layout, so they are copied out
         out = _runner(args, os.path.join(args.out, "checkpoints"), 1)
         for name, (vocab, _, dist) in zip(("vocab", "dep_vocab", "pos_vocab"), out["vocabs"]):
             out[name] = vocab_table(vocab, dist)

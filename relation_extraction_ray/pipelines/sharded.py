@@ -16,10 +16,11 @@ Layout under ``out_dir``::
 Every stage is one :meth:`..state.resume.Manifest.checkpoint` step, and
 a rerun skips a step whose manifest entry is :meth:`~..state.resume.Manifest.done`.
 Each shard's fingerprint folds a content digest of its input documents
-(:func:`docs_digest`, SURVEY §4's ``input_fragment_ids``) into the config
-and stage version; the triples and final-table fingerprints add the
-finalized vocab, so a changed input, config or vocab recomputes exactly
-what depends on it.  Deciding costs one scan of each shard's input.
+(:func:`shard_digests`, SURVEY §4's ``input_fragment_ids``) into the
+config and stage version; the triples and final-table fingerprints add
+the finalized vocab, so a changed input, config or vocab recomputes
+exactly what depends on it.  Deciding costs one execution over every
+shard's documents: one scan of the input for a :func:`hash_split`.
 
 Shard granularity is the resume unit: each shard is itself a parallel Ray
 Data pipeline (blocks stream through the KG stage tasks).  Nothing
@@ -48,7 +49,7 @@ import ray
 
 from .. import schemas
 from ..config import KGConfig
-from ..functions.joins import table_digest
+from ..functions.joins import hash_columns, part_array
 from ..state.resume import Manifest, input_fingerprint, write_partial
 from .kg import (
     KGPipeline,
@@ -87,26 +88,68 @@ def _batch_key(shard: int, batch: pa.Table, salt: str = "") -> str:
     return h.hexdigest()
 
 
-def docs_digest(docs: ray.data.Dataset) -> list[dict]:
-    """Order- and layout-free content digest of a documents Dataset: one
-    row per document (``doc_id``) and one per span (``doc_id``, its
-    position, ``text``, ``media_ref``), folded by
-    :func:`..functions.joins.table_digest` — one streaming scan, no parse."""
+def _with_shard(ds: ray.data.Dataset, shard_of) -> ray.data.Dataset:
+    """``ds`` plus an int32 ``shard`` column, ``shard_of(batch)``."""
 
-    def rows(batch: pa.Table) -> pa.Table:
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column("shard", shard_of(batch))
+
+    return ds.map_batches(tag, batch_format="pyarrow")
+
+
+def hash_split(docs: ray.data.Dataset, n_shards: int) -> tuple:
+    """``(docs_for_shard, tagged_docs)`` for a doc_id-hash split of
+    ``docs`` (a doc's shard depends on neither block layout nor id dtype).
+    ``tagged_docs`` carries every doc's shard, so the input digest takes
+    one scan of ``docs`` whatever the shard count; one shard passes
+    ``docs`` through unfiltered."""
+    tagged = _with_shard(docs, lambda b: part_array(b, ["doc_id"], n_shards))
+    if n_shards == 1:
+        return (lambda i: docs), tagged
+
+    def docs_for_shard(i: int) -> ray.data.Dataset:
+        def pick(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.equal(batch.column("shard"), i)).drop_columns(["shard"])
+
+        return tagged.map_batches(pick, batch_format="pyarrow")
+
+    return docs_for_shard, tagged
+
+
+def shard_digests(tagged_docs: ray.data.Dataset, n_shards: int) -> list[tuple[int, int, int]]:
+    """Order- and layout-free content digest of each shard's documents,
+    from one streaming scan of ``tagged_docs`` (documents plus their
+    ``shard``) and no parse: one row per document (``doc_id``) and one per
+    span (``doc_id``, its position, ``kind``, ``text``, ``media_ref``),
+    hashed by :func:`..functions.joins.hash_columns` and folded per shard
+    into (rows, sum mod 2⁶⁴, xor) as ``joins.table_digest`` folds them."""
+
+    def partial(batch: pa.Table) -> pa.Table:
         ids, spans = (batch.column(c).combine_chunks() for c in ("doc_id", "spans"))
         parent = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
         offs = spans.offsets.to_numpy()  # a sliced batch's start at offs[0]
         flat, blank = pc.list_flatten(spans), pa.array([""] * len(ids))
-        return pa.table({
+        rows = pa.table({
             "doc_id": pa.concat_arrays([ids, ids.take(parent)]),
             "pos": np.concatenate([np.full(len(ids), -1), np.arange(offs[0], offs[-1]) - offs[parent]]),
-            "text": pa.concat_arrays([blank, flat.field("text")]),
-            "media_ref": pa.concat_arrays([blank, flat.field("media_ref")]),
+            **{f: pa.concat_arrays([blank, flat.field(f)]) for f in ("kind", "text", "media_ref")},
+        })
+        h = hash_columns(rows, ["doc_id", "pos", "kind", "text", "media_ref"])
+        shard = batch.column("shard").to_numpy()
+        shard = np.concatenate([shard, shard[parent]])
+        keys = np.unique(shard)
+        return pa.table({
+            "shard": pa.array(keys, pa.int64()),
+            "n": pa.array([int((shard == k).sum()) for k in keys], pa.int64()),
+            "s": pa.array([int(h[shard == k].sum(dtype=np.uint64)) for k in keys], pa.uint64()),
+            "x": pa.array([int(np.bitwise_xor.reduce(h[shard == k])) for k in keys], pa.uint64()),
         })
 
-    cols = ["doc_id", "pos", "text", "media_ref"]
-    return table_digest([("docs", docs.map_batches(rows, batch_format="pyarrow"), cols)]).to_pylist()
+    acc = [(0, 0, 0)] * n_shards
+    for r in tagged_docs.map_batches(partial, batch_format="pyarrow").take_all():
+        n, s, x = acc[r["shard"]]
+        acc[r["shard"]] = (n + r["n"], (s + r["s"]) % (1 << 64), x ^ r["x"])
+    return acc
 
 
 class ShardedKGRunner:
@@ -116,10 +159,16 @@ class ShardedKGRunner:
         n_shards: int,
         docs_for_shard,  # Callable[[int], ray.data.Dataset]
         cfg: KGConfig | None = None,
+        tagged_docs: ray.data.Dataset | None = None,  # every shard's docs plus ``shard``
     ) -> None:
         self.out_dir = out_dir
         self.n_shards = n_shards
         self.docs_for_shard = docs_for_shard
+        if tagged_docs is None:  # one execution over the union of the shards
+            parts = [_with_shard(docs_for_shard(i), lambda b, i=i: pa.array(np.full(b.num_rows, i, np.int32)))
+                     for i in range(n_shards)]
+            tagged_docs = parts[0].union(*parts[1:]) if n_shards > 1 else parts[0]
+        self.tagged_docs = tagged_docs
         self.cfg = cfg or KGConfig()
         self.pipe = KGPipeline(self.cfg)
         self.manifest = Manifest(out_dir)
@@ -198,7 +247,7 @@ class ShardedKGRunner:
         self.recomputed = []
         shards = range(self.n_shards)
         cfg = json.dumps(asdict(self.cfg), sort_keys=True)
-        fps = [input_fingerprint(STAGE_VERSION, cfg, docs_digest(self.docs_for_shard(i))) for i in shards]
+        fps = [input_fingerprint(STAGE_VERSION, cfg, d) for d in shard_digests(self.tagged_docs, self.n_shards)]
         for i in shards:
             self._step("sentences", i, fps[i], lambda: self._sentences(i), side="counts", sentences=0, span=0)
         vocabs = self._finalize_vocab()

@@ -138,8 +138,14 @@ class Manifest:
         done = {p: self.rows(p) for p in files}
         e = {"stage": stage, "shard": shard, "status": "done", "fingerprint": fingerprint,
              "files": done, "rows": done[files[0]], **counters}
-        with open(self.path, "a") as f:  # single writer: the driver
-            f.write(json.dumps(e, sort_keys=True) + "\n")
+        line = json.dumps(e, sort_keys=True).encode() + b"\n"
+        with open(self.path, "ab+") as f:  # single writer: the driver
+            end = f.seek(0, os.SEEK_END)
+            if end:
+                f.seek(end - 1)
+                if f.read(1) != b"\n":
+                    line = b"\n" + line  # end a line torn by a killed driver
+            f.write(line)
         self.entries[(stage, shard)] = e
         return e
 

@@ -279,3 +279,17 @@ def test_cf_item_topk_resumable(ray_session, tmp_path):
     assert run(d) == ref and len(ref) > 0
     assert _del_half_outputs(d) > 0
     assert run(d) == ref
+
+
+def test_manifest_append_after_torn_line(tmp_path):
+    """A line torn by a killed driver is skipped on load and does not
+    swallow the entry appended after it."""
+    from relation_extraction_ray.state.resume import Manifest
+
+    d = str(tmp_path)
+    Manifest(d).append("s", 0, "fp", ["*.parquet"])
+    with open(os.path.join(d, "manifest.jsonl"), "a") as f:
+        f.write('{"stage": "s", "sha')  # the driver died mid-write
+    Manifest(d).append("s", 1, "fp", ["*.parquet"])
+    assert set(Manifest(d).load()) == {("s", 0), ("s", 1)}
+

@@ -175,30 +175,37 @@ def test_worker_kill_mid_shard_is_retried_exactly(out_dir, ray_session, tmp_path
     triples/entities/adjacency byte-identical to a clean run and every
     folded lineage counter exact — proving the idempotent content-keyed
     side-stream fragments under an actual kill, not a raised exception.
-    The kill fires after earlier batches on the same worker already wrote
-    their count partials, so the retry re-writes overlapping fragments."""
+    The kill fires in shard 1's sentences write, right after the batch's
+    count partial was written, so the retry re-writes overlapping
+    fragments."""
+    import glob
+
     marker = str(tmp_path / "kill.marker")
     base = _mk_docs_for_shard()
 
-    def faulty(shard: int):
-        ds = base(shard)
-        if shard != 1:
-            return ds
+    class Faulty(ShardedKGRunner):
+        def _sentences(self, shard: int):
+            ds = super()._sentences(shard)
+            if shard != 1:
+                return ds
+            counts = os.path.join(self.manifest.shard_dir("counts", shard), "part-*.parquet")
 
-        def kill_once(batch):
-            try:
-                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return batch  # already killed once — let the retry through
-            os.write(fd, b"x")
-            os.close(fd)
-            os._exit(1)  # hard kill of this worker process
+            def kill_once(batch):
+                try:
+                    fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    return batch  # already killed once — let the retry through
+                os.write(fd, str(len(glob.glob(counts))).encode())
+                os.close(fd)
+                os._exit(1)  # hard kill of this worker process
 
-        return ds.map_batches(kill_once, batch_format="pyarrow")
+            return ds.map_batches(kill_once, batch_format="pyarrow")
 
     clean = ShardedKGRunner(out_dir + "_clean", N_SHARDS, base).run()
-    killed = ShardedKGRunner(out_dir, N_SHARDS, faulty).run()
+    killed = Faulty(out_dir, N_SHARDS, base).run()
     assert os.path.exists(marker), "the injected worker kill never fired"
+    with open(marker) as f:
+        assert int(f.read()) >= 1, "no count partial was written before the kill"
 
     for name in ("triples", "entities", "adjacency"):
         assert _sorted_rows(killed[name]) == _sorted_rows(clean[name]), name
@@ -298,24 +305,36 @@ def test_driver_kill_between_manifest_appends_resumes(ray_session, tmp_path):
         assert got == want, name
 
 
-def test_docs_digest_is_layout_free_and_content_sensitive(ray_session):
+def test_shard_digests_are_layout_free_and_content_sensitive(ray_session, tmp_path):
     """The per-shard input digest ignores row order and block layout but
-    sees an edited span text and a reordered span list."""
+    sees an edited span text, a relabelled span kind and a reordered span
+    list, each in its own shard only; the union of a runner's shards and a
+    ``hash_split`` of the same documents digest alike."""
     import ray.data as rd
 
-    from relation_extraction_ray.pipelines.sharded import docs_digest
+    from relation_extraction_ray.pipelines.sharded import hash_split, shard_digests
 
     rows = corpus_table(40).to_pylist()
     multi = next(i for i, r in enumerate(rows) if len(r["spans"]) > 1)
 
-    def digest(rs, blocks):
-        return docs_digest(rd.from_items(rs).repartition(blocks))
+    def digest(rs, blocks=3):
+        tagged = [{**r, "shard": int(r["doc_id"] == rows[multi]["doc_id"])} for r in rs]
+        return shard_digests(rd.from_items(tagged).repartition(blocks), 2)
 
-    want = digest(rows, 3)
+    want = digest(rows)
     assert digest(rows[::-1], 5) == want
-    edited = [dict(r) for r in rows]
-    edited[multi]["spans"] = [dict(s) for s in rows[multi]["spans"]]
-    edited[multi]["spans"][0]["text"] += "!"
-    assert digest(edited, 3) != want
-    edited[multi]["spans"] = rows[multi]["spans"][::-1]
-    assert digest(edited, 3) != want
+    for edit in ("text", "kind", "order"):
+        edited = [dict(r) for r in rows]
+        edited[multi]["spans"] = [dict(s) for s in rows[multi]["spans"]]
+        if edit == "text":
+            edited[multi]["spans"][0]["text"] += "!"
+        elif edit == "kind":
+            edited[multi]["spans"][0]["kind"] = "image" if edited[multi]["spans"][0]["kind"] == "text" else "text"
+        else:
+            edited[multi]["spans"] = rows[multi]["spans"][::-1]
+        got = digest(edited)
+        assert got[0] == want[0] and got[1] != want[1], edit
+
+    docs = rd.from_items(rows)
+    split, tagged = hash_split(docs, 3)
+    assert shard_digests(tagged, 3) == shard_digests(ShardedKGRunner(str(tmp_path), 3, split).tagged_docs, 3)
